@@ -17,6 +17,7 @@ variable.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -32,8 +33,6 @@ PRECISION_ENV_VAR = "SOFIC_LAB_PRECISION"
 
 # Newton/bisection iteration cap for the bias inversion.
 _MAX_SOLVER_ITERATIONS = 200
-# Grid size of the one-time monotonicity check backing that inversion.
-_MONOTONICITY_POINTS = 10_000
 
 
 def _resolve_precision(precision: int | None) -> int:
@@ -271,25 +270,77 @@ def _bias_to_distance_with_derivative(b: mp.mpf, k: int) -> tuple[mp.mpf, mp.mpf
     return value, derivative
 
 
-_MONOTONE_CHECKED: set[tuple[int, int]] = set()
+def _poly_mul(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, c in enumerate(q):
+            out[i + j] += a * c
+    return out
 
 
-def _assert_bias_map_monotone(k: int) -> None:
-    # Inverting the bias-to-distance map assumes it is injective; rather
-    # than prove that for every k, we check strict monotonicity on [0, 1]
-    # numerically, once per (k, precision).
-    key = (k, mp.mp.prec)
-    if key in _MONOTONE_CHECKED:
-        return
-    previous = mp.mpf(0)
-    for i in range(1, _MONOTONICITY_POINTS + 1):
-        current = _bias_to_distance(mp.mpf(i) / _MONOTONICITY_POINTS, k)
-        assert current > previous, (
-            f"bias-to-distance map failed strict monotonicity at k={k}, "
-            f"point {i}/{_MONOTONICITY_POINTS}"
-        )
-        previous = current
-    _MONOTONE_CHECKED.add(key)
+def _poly_derivative(p: list[int]) -> list[int]:
+    return [j * a for j, a in enumerate(p)][1:]
+
+
+def _bias_map_polynomials(k: int) -> tuple[list[int], list[int]]:
+    """Integer coefficients, lowest degree first, of N and D with the
+    bias-to-distance map equal to N(b) / D(b).
+
+    Scaling numerator and denominator by 2^(k-1) clears every fraction:
+    N = c b + b^k and D = c + b^k + (1 - b)^k with c = 2^(k-1) - 2.
+    """
+    c = 2 ** (k - 1) - 2
+    num = [0, c] + [0] * (k - 2) + [1]
+    den = [(-1) ** j * math.comb(k, j) for j in range(k + 1)]
+    den[0] += c
+    den[k] += 1
+    return num, den
+
+
+def _bias_map_derivative_numerator(k: int) -> list[int]:
+    """P = N'D - ND', so the map's derivative is P / D^2."""
+    num, den = _bias_map_polynomials(k)
+    left = _poly_mul(_poly_derivative(num), den)
+    right = _poly_mul(num, _poly_derivative(den))
+    # both products have 2k coefficients, since N and D both have k + 1
+    return [a - c for a, c in zip(left, right)]
+
+
+def _certify_positive_on_unit_interval(coeffs: Sequence[int]) -> None:
+    """Prove that the integer polynomial sum coeffs[j] b^j is positive on
+    the open interval (0, 1), or raise ArithmeticError.
+
+    The proof is the Bernstein-coefficient test of Descartes/Vincent root
+    isolation: in degree n the polynomial is sum beta_i C(n, i) b^i (1-b)^(n-i)
+    with C(n, i) beta_i = sum over j <= i of C(n-j, i-j) coeffs[j], an exact
+    integer.  Every basis term is positive on (0, 1), so nonnegative scaled
+    coefficients that are not all zero make the polynomial positive there.
+    The test is sufficient, not necessary: a failure raises rather than
+    concluding that a root exists.  Zero leading coefficients only raise the
+    degree, and degree elevation keeps nonnegative coefficients nonnegative.
+    """
+    n = len(coeffs) - 1
+    scaled = [
+        sum(math.comb(n - j, i - j) * coeffs[j] for j in range(i + 1))
+        for i in range(n + 1)
+    ]
+    for i, value in enumerate(scaled):
+        if value < 0:
+            raise ArithmeticError(
+                f"Bernstein coefficient {i} of {n} is negative ({value}); "
+                "positivity on (0, 1) is not certified"
+            )
+    if not any(scaled):
+        raise ArithmeticError("the zero polynomial is not positive on (0, 1)")
+
+
+@functools.cache
+def _certify_bias_map_monotone(k: int) -> None:
+    # Inverting the bias-to-distance map needs it to be injective.  With
+    # D >= b^k + (1-b)^k > 0 the derivative has the sign of P, and P > 0 on
+    # (0, 1) makes the map strictly increasing on [0, 1].  The proof is
+    # exact integer arithmetic, so it holds at every working precision.
+    _certify_positive_on_unit_interval(_bias_map_derivative_numerator(k))
 
 
 def distance_of_bias(delta0, k: int, precision: int | None = None) -> mp.mpf:
@@ -297,7 +348,9 @@ def distance_of_bias(delta0, k: int, precision: int | None = None) -> mp.mpf:
     delta0.
 
     This is the forward rational map; it fixes 0, 1/2, and 1, and is
-    strictly increasing in between.
+    strictly increasing in between.  That monotonicity is proved exactly for
+    each k, not sampled: bias_of_distance certifies it with integer
+    arithmetic before it inverts the map.
     """
     _check_k(k)
     with working_precision(precision):
@@ -310,6 +363,12 @@ def distance_of_bias(delta0, k: int, precision: int | None = None) -> mp.mpf:
 def bias_of_distance(delta, k: int, precision: int | None = None) -> mp.mpf:
     """Invert the bias-to-distance map: find the disagreement bias whose
     planted pair measure concentrates at normalized distance delta.
+
+    The inversion rests on an exact certificate, computed once per k and
+    independent of the working precision: the map's derivative is P / D^2
+    for an integer polynomial P whose Bernstein coefficients on [0, 1] are
+    checked to be nonnegative and not all zero, so the map is strictly
+    increasing.  Raises ArithmeticError if that check fails.
 
     Solved by Newton iteration inside a maintained bracket, seeded at the
     target distance itself (the two differ by O(2^-k)); the residual of the
@@ -325,7 +384,7 @@ def bias_of_distance(delta, k: int, precision: int | None = None) -> mp.mpf:
 
 
 def _solve_bias(x: mp.mpf, k: int) -> mp.mpf:
-    _assert_bias_map_monotone(k)
+    _certify_bias_map_monotone(k)
     if x == 0 or x == 1:
         return x
     tol = mp.mpf(10) ** -13
@@ -384,8 +443,9 @@ def pair_distance_rate(x, d: int, k: int, precision: int | None = None) -> mp.mp
         return _pair_distance_rate(v, d, k)
 
 
-def _planted_distance_rate(x: mp.mpf, d: int, k: int) -> mp.mpf:
-    b = _solve_bias(x, k)
+def _planted_distance_rate(x: mp.mpf, b: mp.mpf, d: int, k: int) -> mp.mpf:
+    # b is the solved bias of x, passed in so a caller that already holds
+    # it does not solve twice.
     h_x = _eta(x) + _eta(1 - x)
     h_b = _eta(b) + _eta(1 - b)
     cross = _cross_entropy2(x, b)
@@ -398,9 +458,10 @@ def _planted_distance_rate(x: mp.mpf, d: int, k: int) -> mp.mpf:
         - (h_b - cross)
         + (mp.mpf(d) - 1) * (cross - h_x)
     )
-    assert abs(closed - alternate) <= mp.mpf(10) ** -9, (
-        f"planted rate routes disagree at distance {x}: {closed} vs {alternate}"
-    )
+    if not abs(closed - alternate) <= mp.mpf(10) ** -9:
+        raise ArithmeticError(
+            f"planted rate routes disagree at distance {x}: {closed} vs {alternate}"
+        )
     return closed
 
 
@@ -411,8 +472,9 @@ def planted_distance_rate(
     distance delta from a planted one.
 
     Computed from the closed form in terms of the solved bias, with an
-    independent second route through pair_distance_rate asserted to agree to
-    1e-9.  The endpoint values at 0 and 1 are continuity limits.
+    independent second route through pair_distance_rate required to agree to
+    1e-9 (ArithmeticError otherwise).  The endpoint values at 0 and 1 are
+    continuity limits.
     """
     _check_d(d)
     _check_k(k)
@@ -422,7 +484,7 @@ def planted_distance_rate(
             raise ValueError(f"distance must lie in [0, 1], got {delta}")
         if x == 0 or x == 1:
             return mp.mpf(0)
-        return _planted_distance_rate(x, d, k)
+        return _planted_distance_rate(x, _solve_bias(x, k), d, k)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +534,8 @@ def optimal_pair_type(
 
     Each weight is proportional to ((1-b)/2)^(agreeing entries) times
     (b/2)^(disagreeing entries) times a multinomial coefficient, where b is
-    the solved bias.  Construction identities are asserted to 1e-10.
+    the solved bias.  Construction identities are checked to 1e-10 and raise
+    ArithmeticError when they fail.
     """
     _check_k(k)
     with working_precision(precision):
@@ -512,16 +575,16 @@ def optimal_pair_type(
         disagreement = mp.fsum(
             (m.e01 + m.e10) * w for m, w in weights.items()
         )
-        assert abs(total - mp.mpf(1) / k) <= tol, f"weights sum to {total}"
-        assert abs(ones_left - mp.mpf(1) / 2) <= tol, (
-            f"left marginal came out as {ones_left}"
-        )
-        assert abs(ones_right - mp.mpf(1) / 2) <= tol, (
-            f"right marginal came out as {ones_right}"
-        )
-        assert abs(disagreement - x) <= tol, (
-            f"disagreement mass {disagreement} misses the target {x}"
-        )
+        if not abs(total - mp.mpf(1) / k) <= tol:
+            raise ArithmeticError(f"weights sum to {total}")
+        if not abs(ones_left - mp.mpf(1) / 2) <= tol:
+            raise ArithmeticError(f"left marginal came out as {ones_left}")
+        if not abs(ones_right - mp.mpf(1) / 2) <= tol:
+            raise ArithmeticError(f"right marginal came out as {ones_right}")
+        if not abs(disagreement - x) <= tol:
+            raise ArithmeticError(
+                f"disagreement mass {disagreement} misses the target {x}"
+            )
         return PairTypeOptimum(
             delta=x, delta0=b, normalizer=normalizer, weights=weights
         )
@@ -553,7 +616,10 @@ def entropy_gap_report(
     delta, k: int, precision: int | None = None
 ) -> EntropyGapReport:
     """Quantify how far the solved bias sits from the given distance in
-    entropy terms, for distances in (0, 1/2]."""
+    entropy terms, for distances in (0, 1/2].
+
+    The gap identity is checked to 1e-10 and the divergence for sign; either
+    failure raises ArithmeticError."""
     _check_k(k)
     with working_precision(precision):
         x = _to_mpf(delta)
@@ -566,12 +632,14 @@ def entropy_gap_report(
         entropy_gap = (_eta(b) + _eta(1 - b)) - _cross_entropy2(x, b)
         identity = b * epsilon_hat * mp.log((1 - b) / b)
         tol = mp.mpf(10) ** -10
-        assert abs(entropy_gap - identity) <= tol, (
-            f"entropy gap {entropy_gap} does not match the identity value "
-            f"{identity}"
-        )
+        if not abs(entropy_gap - identity) <= tol:
+            raise ArithmeticError(
+                f"entropy gap {entropy_gap} does not match the identity value "
+                f"{identity}"
+            )
         kl = _cross_entropy2(x, b) - (_eta(x) + _eta(1 - x))
-        assert kl >= -(mp.mpf(10) ** -25), f"divergence came out negative: {kl}"
+        if not kl >= -(mp.mpf(10) ** -25):
+            raise ArithmeticError(f"divergence came out negative: {kl}")
         return EntropyGapReport(
             delta=x,
             delta0=b,
@@ -635,7 +703,7 @@ def distance_rate_scan(
                 DistanceScanRow(
                     delta=x,
                     delta0=b,
-                    planted_rate=_planted_distance_rate(x, d, k),
+                    planted_rate=_planted_distance_rate(x, b, d, k),
                     pair_rate=_pair_distance_rate(x, d, k),
                     proper_rate=base_rate,
                 )
@@ -752,7 +820,8 @@ def core_fixed_point(
     Starting from the single-edge survival probability 1/(2^(k-1) - 1), each
     step multiplies by the chance that a binomial(d-1) count of surviving
     neighbors reaches 3, raised to the k-1 other edge slots.  The sequence
-    decreases monotonically (asserted exactly each step) and the iteration
+    decreases monotonically (checked exactly each step; an increase raises
+    ArithmeticError) and the iteration
     stops once consecutive iterates differ by less than tol or after
     max_levels steps.
     """
@@ -767,9 +836,10 @@ def core_fixed_point(
         while len(trace) <= max_levels:
             survival = _binomial_tail_at_least(d - 1, 3, trace[-1])
             nxt = lambda0 * survival ** (k - 1)
-            assert nxt <= trace[-1], (
-                f"core recursion increased from {trace[-1]} to {nxt}"
-            )
+            if not nxt <= trace[-1]:
+                raise ArithmeticError(
+                    f"core recursion increased from {trace[-1]} to {nxt}"
+                )
             trace.append(nxt)
             if abs(trace[-1] - trace[-2]) < tolerance:
                 converged = True

@@ -2,12 +2,17 @@ import itertools
 import math
 import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from sofic_lab import analytics
 from sofic_lab.analytics import (
     AnalyticParams,
     DegreeChoice,
@@ -212,6 +217,128 @@ def test_bias_distance_roundtrips():
         bias_of_distance(1.1, 6)
 
 
+def bias_map_grid_oracle(k, points=1000):
+    """Sampled oracle for the monotonicity certificate: is the
+    bias-to-distance map strictly increasing along an even grid on [0, 1]?"""
+    with working_precision():
+        values = [distance_of_bias(mp.mpf(i) / points, k) for i in range(points + 1)]
+    return all(a < b for a, b in zip(values, values[1:]))
+
+
+def test_bias_map_certificate_holds():
+    for k in range(2, 41):
+        analytics._certify_positive_on_unit_interval(
+            analytics._bias_map_derivative_numerator(k)
+        )
+
+
+def test_bias_map_certificate_agrees_with_grid_oracle():
+    for k in (3, 6, 25):
+        assert bias_map_grid_oracle(k)
+        analytics._certify_bias_map_monotone(k)
+
+
+def test_bias_map_polynomials_match_the_map():
+    # ties the certified polynomials to the map the solver inverts: N/D is
+    # the map and P/D^2 its derivative, at exact rational points
+    def evaluate(coeffs, b):
+        return sum(c * b**j for j, c in enumerate(coeffs))
+
+    for k in range(2, 41):
+        num, den = analytics._bias_map_polynomials(k)
+        slope = analytics._bias_map_derivative_numerator(k)
+        for i in range(1, 21):
+            b = Fraction(i, 21)
+            with working_precision():
+                point = mp.mpf(i) / 21
+                value = analytics._bias_to_distance(point, k)
+                _, derivative = analytics._bias_to_distance_with_derivative(point, k)
+                exact_value = evaluate(num, b) / evaluate(den, b)
+                exact_slope = evaluate(slope, b) / evaluate(den, b) ** 2
+                assert abs(value - analytics._to_mpf(exact_value)) <= mp.mpf("1e-30")
+                assert abs(derivative - analytics._to_mpf(exact_slope)) <= mp.mpf(
+                    "1e-30"
+                )
+
+
+def test_positivity_certificate_rejects_unproven_polynomials():
+    certify = analytics._certify_positive_on_unit_interval
+    certify([0, 1, -1])  # b (1 - b): zero at both ends, positive inside
+    certify([3])
+    for coeffs in ([-1, 2], [1, -4, 4], [0], [0, 0, 0]):
+        # 2b - 1 changes sign at 1/2, (2b - 1)^2 touches zero there
+        with pytest.raises(ArithmeticError):
+            certify(coeffs)
+
+
+def test_result_guards_raise_under_optimize():
+    # the guards must survive python -O, which strips assert statements
+    child = textwrap.dedent(
+        """
+        import sys
+        from sofic_lab import analytics
+
+        def run(name, replacement, call):
+            original = getattr(analytics, name)
+            setattr(analytics, name, replacement(original))
+            try:
+                call()
+            except ArithmeticError as exc:
+                print(f"{name}: {exc}")
+            else:
+                print(f"{name}: no raise")
+            finally:
+                setattr(analytics, name, original)
+
+        def second_call_low(original):
+            calls = []
+            def patched(*args):
+                calls.append(args)
+                value = original(*args)
+                return value - 1 if len(calls) == 2 else value
+            return patched
+
+        print("optimize", sys.flags.optimize)
+        run("_pair_distance_rate", lambda f: lambda *a: f(*a) + 1e-6,
+            lambda: analytics.planted_distance_rate(0.3, 20, 6))
+        run("bichromatic_pair_types", lambda f: lambda k: f(k)[:-1],
+            lambda: analytics.optimal_pair_type(0.3, 4))
+        run("_cross_entropy2", lambda f: lambda *a: f(*a) + 1e-6,
+            lambda: analytics.entropy_gap_report(0.1, 10))
+        run("_cross_entropy2", second_call_low,
+            lambda: analytics.entropy_gap_report(0.1, 10))
+        run("_binomial_tail_at_least", lambda f: lambda *a: 2,
+            lambda: analytics.core_fixed_point(50, 6))
+        run("_bias_map_derivative_numerator", lambda f: lambda k: [-1, 2],
+            lambda: analytics.bias_of_distance(0.3, 7))
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", child],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "optimize 1"
+    expected = [
+        "_pair_distance_rate: planted rate routes disagree",
+        "bichromatic_pair_types: weights sum to",
+        "_cross_entropy2: entropy gap",
+        "_cross_entropy2: divergence came out negative",
+        "_binomial_tail_at_least: core recursion increased",
+        "_bias_map_derivative_numerator: Bernstein coefficient 0 of 1 is negative",
+    ]
+    assert len(lines) == 1 + len(expected), proc.stdout
+    for line, prefix in zip(lines[1:], expected):
+        assert line.startswith(prefix), (line, prefix)
+
+
 def test_pair_distance_rate():
     for d, k in ((20, 6), (5, 3)):
         assert abs(pair_distance_rate(0.5, d, k) - proper_rate(d, k)) <= mp.mpf(
@@ -406,6 +533,16 @@ def test_distance_rate_scan_shape():
     assert scan.argmax_delta in {row.delta for row in scan.rows}
     with pytest.raises(ValueError):
         distance_rate_scan(20, 6, grid_points=2)
+
+
+def test_distance_rate_scan_rows_equal_direct_solves():
+    # the scan reuses each row's solved bias; that must not change a digit
+    choice = degrees_from_offset(25, 0.12)
+    for d, k, grid in ((20, 6, 21), (choice.d, 25, 41)):
+        scan = distance_rate_scan(d, k, grid_points=grid)
+        for row in scan.rows:
+            assert row.delta0 == bias_of_distance(row.delta, k)
+            assert row.planted_rate == planted_distance_rate(row.delta, d, k)
 
 
 def test_offset_maps():
