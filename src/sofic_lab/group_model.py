@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from ._errors import ScaleRefusal
 
 DEFAULT_ENUMERATION_BOUND = 10**7
@@ -246,18 +248,51 @@ def _check_uniform_permutation(img, n, k, gen_index):
             )
 
 
+def _check_generators(params, word):
+    for g, _ in word.syllables:
+        if not 0 <= g < params.d:
+            raise ValueError("generator index %r out of range 0..%d" % (g, params.d - 1))
+
+
 def evaluate_word(hom, word, v):
-    """Apply sigma(word) to vertex v, rightmost syllable first."""
+    """Apply sigma(word) to vertex v, rightmost syllable first.
+
+    The per-vertex route, kept as the oracle for the composed arrays of
+    word_image, check_sofic and the local pattern census.
+    """
     if not 0 <= v < hom.params.n:
         raise ValueError("vertex %r out of range 0..%d" % (v, hom.params.n - 1))
+    _check_generators(hom.params, word)
     for g, e in reversed(word.syllables):
         v = hom.apply(g, v, e)
     return v
 
 
+def _word_arrays(hom, words):
+    """sigma(w) for each word as a numpy index array.
+
+    Each starts from the identity and applies the generator images syllable
+    by syllable from the right, e times each, by fancy indexing; element v
+    is sigma(w) applied to v. Every generator index is validated first.
+    """
+    params = hom.params
+    words = list(words)
+    for w in words:
+        _check_generators(params, w)
+    generators = [np.array(img, dtype=np.intp) for img in hom.images]
+    arrays = []
+    for w in words:
+        perm = np.arange(params.n)
+        for g, e in reversed(w.syllables):
+            for _ in range(e % params.k):
+                perm = generators[g][perm]
+        arrays.append(perm)
+    return arrays
+
+
 def word_image(hom, word):
     """The full permutation array of sigma(word), as a list."""
-    return [evaluate_word(hom, word, v) for v in range(hom.params.n)]
+    return _word_arrays(hom, [word])[0].tolist()
 
 
 @dataclass(frozen=True)
@@ -280,43 +315,31 @@ def check_sofic(hom, words, delta):
     scores 1. trace_fraction is the fraction of v moved by every non-identity
     word in the set. Each statistic passes when strictly greater than
     1 - delta, and the report flags both plus their conjunction.
+
+    Each distinct word and each distinct product gh is reduced and composed
+    into a whole permutation array once; both statistics are then
+    vertex-wise ANDs of array comparisons.
     """
     params = hom.params
     n = params.n
     delta = Fraction(delta)
-    words = list(words)
+    words = list(dict.fromkeys(words))
 
-    images = {w: word_image(hom, w) for w in words}
-    products = {}
-    for g in words:
-        for h in words:
-            gh = word_product(params, g, h)
-            if gh not in products:
-                products[gh] = word_image(hom, gh)
+    pairs = [(g, h, word_product(params, g, h)) for g in words for h in words]
+    composed = list(dict.fromkeys(words + [gh for _, _, gh in pairs]))
+    images = dict(zip(composed, _word_arrays(hom, composed)))
 
-    mult_ok = 0
-    for v in range(n):
-        ok = True
-        for g in words:
-            img_g = images[g]
-            for h in words:
-                gh = word_product(params, g, h)
-                if products[gh][v] != img_g[images[h][v]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            mult_ok += 1
+    mult = np.ones(n, dtype=bool)
+    for g, h, gh in pairs:
+        mult &= images[gh] == images[g][images[h]]
+    moved = np.ones(n, dtype=bool)
+    identity = np.arange(n)
+    for w in words:
+        if not w.is_identity():
+            moved &= images[w] != identity
 
-    nontrivial = [images[w] for w in words if not w.is_identity()]
-    trace_ok = 0
-    for v in range(n):
-        if all(img[v] != v for img in nontrivial):
-            trace_ok += 1
-
-    mult_fraction = Fraction(mult_ok, n)
-    trace_fraction = Fraction(trace_ok, n)
+    mult_fraction = Fraction(int(np.count_nonzero(mult)), n)
+    trace_fraction = Fraction(int(np.count_nonzero(moved)), n)
     is_mult = mult_fraction > 1 - delta
     is_trace = trace_fraction > 1 - delta
     return SoficReport(
@@ -337,7 +360,8 @@ def uniform_permutation_count(n, k):
     b = n // k
     num = math.factorial(n) * math.factorial(k - 1) ** b
     den = math.factorial(k) ** b * math.factorial(b)
-    assert num % den == 0
+    if num % den:
+        raise ArithmeticError("k-cycle count %d/%d is not an integer" % (num, den))
     return num // den
 
 

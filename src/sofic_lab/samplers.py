@@ -245,7 +245,8 @@ def sample_planted_hom(params: ModelParams, chi, rng) -> UniformHom:
             _cycle_on_block(part, gen, img)
         images.append(img)
     hom = UniformHom(params, images)
-    assert monochromatic_edge_count(build_hypergraph(hom), chi) == 0
+    if monochromatic_edge_count(build_hypergraph(hom), chi):
+        raise RuntimeError("planted draw has a monochromatic edge")
     return hom
 
 

@@ -16,16 +16,18 @@ computation actually inspects.
 
 import itertools
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
+
+import numpy as np
 
 from ._errors import ScaleRefusal
 from .group_model import (
     IDENTITY,
     ModelParams,
     ReducedWord,
+    _word_arrays,
     evaluate_word,
     word_inverse,
     word_product,
@@ -194,7 +196,11 @@ def build_ball(params, radius, max_elements=DEFAULT_BALL_MAX_ELEMENTS):
                         next_frontier.append(w)
         frontier = next_frontier
     domain = TreeDomain(params.d, params.k, elements, edges)
-    assert len(domain) == count
+    if len(domain) != count:
+        raise RuntimeError(
+            "radius-%d ball has %d elements, closed form says %d"
+            % (radius, len(domain), count)
+        )
     return domain
 
 
@@ -363,7 +369,8 @@ def pullback_vertex_map(hom, v, domain):
 
     Element g maps to the image of v under g^{-1}; the identity maps to v
     itself. The map need not be injective when the finite model has short
-    cycles through v.
+    cycles through v. This per-vertex route is the oracle for the window
+    matrices of local_pattern_census and local_convergence_stat.
     """
     params = hom.params
     return {
@@ -399,27 +406,49 @@ class PatternCensus:
         return Fraction(self.improper_count, self.n)
 
 
+def _pullback_windows(hom, coloring, domain):
+    """The windows at every base vertex at once, as |domain| x n matrices.
+
+    Row i of the vertex matrix is sigma(g_i^{-1}) for the i-th domain
+    element, so column v lists the vertices under the window at v (the
+    pullback_vertex_map at v); the color matrix reads the coloring through it.
+    """
+    params = hom.params
+    if len(coloring) != params.n:
+        raise ValueError(
+            "coloring has %d entries, the model has n=%d" % (len(coloring), params.n)
+        )
+    inverses = [word_inverse(params, g) for g in domain.elements]
+    vertices = np.stack(_word_arrays(hom, inverses))
+    colors = np.fromiter(coloring, dtype=np.int64, count=params.n)[vertices]
+    return vertices, colors
+
+
 def local_pattern_census(hom, coloring, domain):
     """Pull the window back at every vertex and tally the proper patterns.
 
     Improper pullbacks are counted in one bucket (their patterns are not
     kept); non-injective windows are tallied separately and can be proper.
+    Each distinct window coloring becomes a Pattern, and is tested for
+    properness, once; counts keep the order of first appearance.
     """
-    counts = Counter()
+    vertices, colors = _pullback_windows(hom, coloring, domain)
+    ordered = np.sort(vertices, axis=0)
+    noninjective = int(np.count_nonzero((ordered[1:] == ordered[:-1]).any(axis=0)))
+    columns, first, tallies = np.unique(
+        colors, axis=1, return_index=True, return_counts=True
+    )
+    counts = {}
     improper = 0
-    noninjective = 0
-    for v in range(hom.params.n):
-        window = pullback_vertex_map(hom, v, domain)
-        if len(set(window.values())) < len(window):
-            noninjective += 1
-        pattern = Pattern({g: coloring[u] for g, u in window.items()})
+    for j in np.argsort(first):
+        pattern = Pattern(dict(zip(domain.elements, columns[:, j].tolist())))
         if pattern.is_proper_on(domain):
-            counts[pattern] += 1
+            counts[pattern] = int(tallies[j])
         else:
-            improper += 1
+            improper += int(tallies[j])
     return PatternCensus(
         n=hom.params.n,
-        counts=dict(counts),
+        counts=counts,
         improper_count=improper,
         noninjective_count=noninjective,
     )
@@ -431,21 +460,13 @@ def local_convergence_stat(hom, coloring, domain, pattern):
     For a local-convergence check this is compared against the cylinder
     probability 1/Q of the pattern under the tree measure.
     """
-    params = hom.params
     for g in domain.elements:
         if g not in pattern:
             raise ValueError("pattern does not cover the domain")
-    inverse = {
-        g: word_inverse(params, g) for g in domain.elements
-    }
-    hits = 0
-    for v in range(params.n):
-        for g, g_inv in inverse.items():
-            if coloring[evaluate_word(hom, g_inv, v)] != pattern[g]:
-                break
-        else:
-            hits += 1
-    return Fraction(hits, params.n)
+    _, colors = _pullback_windows(hom, coloring, domain)
+    target = np.array([pattern[g] for g in domain.elements])
+    hits = int(np.count_nonzero((colors == target[:, None]).all(axis=0)))
+    return Fraction(hits, hom.params.n)
 
 
 class _Node:

@@ -1,9 +1,10 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from helpers import hom_from_cycles
+from helpers import hom_from_cycles, random_uniform_images
 
 from sofic_lab import ScaleRefusal
 from sofic_lab.group_model import (
@@ -11,6 +12,7 @@ from sofic_lab.group_model import (
     ModelParams,
     ReducedWord,
     UniformHom,
+    _word_arrays,
     check_sofic,
     enumerate_uniform_homs,
     evaluate_word,
@@ -20,6 +22,7 @@ from sofic_lab.group_model import (
     reduce_word,
     uniform_hom_count,
     uniform_permutation_count,
+    word_image,
     word_inverse,
     word_product,
 )
@@ -237,3 +240,115 @@ def test_json_roundtrip():
     data = hom.to_json_dict()
     assert data["n"] == 4 and data["k"] == 2 and data["d"] == 2
     assert UniformHom.from_json_dict(data) == hom
+
+
+def check_sofic_per_vertex_oracle(hom, words, delta):
+    """Oracle: both sofic statistics vertex by vertex through evaluate_word,
+    re-reducing every product at every vertex."""
+    params = hom.params
+    n = params.n
+    mult_ok = trace_ok = 0
+    for v in range(n):
+        if all(
+            evaluate_word(hom, word_product(params, g, h), v)
+            == evaluate_word(hom, g, evaluate_word(hom, h, v))
+            for g in words
+            for h in words
+        ):
+            mult_ok += 1
+        if all(evaluate_word(hom, w, v) != v for w in words if not w.is_identity()):
+            trace_ok += 1
+    mult, trace = Fraction(mult_ok, n), Fraction(trace_ok, n)
+    delta = Fraction(delta)
+    return (mult, trace, mult > 1 - delta, trace > 1 - delta)
+
+
+def _report_tuple(report):
+    return (
+        report.mult_fraction,
+        report.trace_fraction,
+        report.is_multiplicative,
+        report.is_trace_preserving,
+    )
+
+
+def _oracle_word_sets(params):
+    gens = generator_words(params)
+    pairs = generator_pair_words(params)
+    longer = reduce_word(params, [(0, params.k - 1), (params.d - 1, 1), (0, 1)])
+    return [
+        gens + pairs,
+        [IDENTITY] + gens,
+        gens + gens[:1] + [IDENTITY, longer],
+        [IDENTITY],
+        [],
+    ]
+
+
+@pytest.mark.parametrize("d,k,n", [(2, 3, 60), (3, 3, 30), (2, 2, 4)])
+def test_check_sofic_matches_per_vertex_oracle(d, k, n):
+    params = ModelParams(d=d, k=k, n=n)
+    for seed in range(4):
+        hom = random_uniform_images(params, random.Random(seed))
+        for words in _oracle_word_sets(params):
+            for delta in (Fraction(1, 10), Fraction(1, 2)):
+                report = check_sofic(hom, words, delta)
+                assert report.n == n and report.delta == delta
+                assert _report_tuple(report) == check_sofic_per_vertex_oracle(
+                    hom, words, delta
+                )
+                assert type(report.mult_fraction.numerator) is int
+                assert type(report.trace_fraction.numerator) is int
+
+
+def test_check_sofic_matches_oracle_when_s1_s2_is_identity():
+    p = ModelParams(d=2, k=2, n=4)
+    hom = hom_from_cycles(p, [[(0, 1), (2, 3)], [(1, 0), (3, 2)]])
+    words = generator_words(p) + generator_pair_words(p)
+    report = check_sofic(hom, words, 0.1)
+    assert _report_tuple(report) == check_sofic_per_vertex_oracle(hom, words, 0.1)
+    assert report.trace_fraction == 0
+
+
+def test_check_sofic_generic_on_non_homomorphic_images():
+    # images that are not disjoint k-cycles break sigma(gh) = sigma(g)sigma(h)
+    # for products that wrap exponents mod k, so mult_fraction drops below 1
+    p = ModelParams(d=2, k=3, n=12)
+    rng = random.Random(3)
+    for _ in range(5):
+        images = [rng.sample(range(p.n), p.n) for _ in range(p.d)]
+        hom = UniformHom(p, images, _trusted=True)
+        # (s1^2, s1^2) is the only pair of the short set that can fail,
+        # so each order puts it at one end of the pair loop
+        short = [generator_word(1), ReducedWord(((0, 2),))]
+        wide = generator_words(p) + [ReducedWord(((1, 2), (0, 1)))] + short[1:]
+        for ordered in (short, short[::-1], wide):
+            report = check_sofic(hom, ordered, 0.1)
+            assert _report_tuple(report) == check_sofic_per_vertex_oracle(
+                hom, ordered, 0.1
+            )
+            assert report.mult_fraction < 1
+
+
+def test_word_image_matches_evaluate_word():
+    p = ModelParams(d=3, k=3, n=30)
+    hom = random_uniform_images(p, random.Random(9))
+    for word in _oracle_word_sets(p)[2] + generator_pair_words(p):
+        assert word_image(hom, word) == [
+            evaluate_word(hom, word, v) for v in range(p.n)
+        ]
+
+
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_word_evaluation_rejects_bad_generator(bad):
+    p = ModelParams(d=2, k=3, n=6)
+    hom = hom_from_cycles(p, [[(0, 1, 2), (3, 4, 5)], [(0, 3, 1), (2, 5, 4)]])
+    word = ReducedWord(((0, 1), (bad, 1)))
+    with pytest.raises(ValueError, match="generator index"):
+        evaluate_word(hom, word, 0)
+    with pytest.raises(ValueError, match="generator index"):
+        word_image(hom, word)
+    with pytest.raises(ValueError, match="generator index"):
+        _word_arrays(hom, [IDENTITY, word])
+    with pytest.raises(ValueError, match="generator index"):
+        check_sofic(hom, [generator_word(0), word], 0.1)

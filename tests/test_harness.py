@@ -451,21 +451,24 @@ def test_local_convergence_experiment(tmp_path):
     assert result.summary["pass"] is True
 
 
-def test_experiment_deterministic_and_pool_invariant(tmp_path):
-    config = ExperimentConfig(
-        "first-moment",
-        {"n": 6, "k": 3, "d": 2, "replicas": 12, "seed": 5},
-        str(tmp_path / "det"),
-    )
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        ("first-moment", {"n": 6, "k": 3, "d": 2, "replicas": 12, "seed": 5}),
+        ("sofic", {"n": 12, "k": 3, "d": 2, "replicas": 6, "seed": 5}),
+        ("local-convergence", {"n": 12, "k": 3, "d": 2, "replicas": 6, "seed": 5}),
+    ],
+    ids=["first-moment", "sofic", "local-convergence"],
+)
+def test_experiment_deterministic_and_pool_invariant(tmp_path, kind, params):
+    config = ExperimentConfig(kind, params, str(tmp_path / "det"))
     run_experiment(config, workers=1)
     first_csv = (tmp_path / "det.csv").read_bytes()
     first_json = (tmp_path / "det.json").read_bytes()
-    run_experiment(config, workers=1)
-    assert (tmp_path / "det.csv").read_bytes() == first_csv
-    assert (tmp_path / "det.json").read_bytes() == first_json
-    run_experiment(config, workers=3)
-    assert (tmp_path / "det.csv").read_bytes() == first_csv
-    assert (tmp_path / "det.json").read_bytes() == first_json
+    for workers in (1, 2, 3):
+        run_experiment(config, workers=workers)
+        assert (tmp_path / "det.csv").read_bytes() == first_csv
+        assert (tmp_path / "det.json").read_bytes() == first_json
 
 
 def test_experiment_partial_failure_flags_row(tmp_path, monkeypatch):

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from helpers import all_k_partitions, partition_type_counts
@@ -274,3 +279,66 @@ def test_type_sampler_input_validation():
         sample_type_vector(6, 3, Coloring.from_string("111100"), RngState(0))
     with pytest.raises(ValueError):
         sample_type_vector(9, 3, Coloring.from_string("110100100"), RngState(0))
+
+
+def test_result_guards_raise_under_optimize():
+    # the guards of the planted draw, the k-cycle count and the ball size must
+    # survive python -O, which strips assert statements
+    child = textwrap.dedent(
+        """
+        import math
+        import sys
+        import types
+        from sofic_lab import group_model, samplers, tree_markov
+        from sofic_lab.group_model import ModelParams
+        from sofic_lab.hypergraph import Coloring
+        from sofic_lab.samplers import RngState
+
+        def run(module, name, replacement, call, error):
+            original = getattr(module, name)
+            setattr(module, name, replacement(original))
+            try:
+                call()
+            except error as exc:
+                print(f"{name}: {exc}")
+            else:
+                print(f"{name}: no raise")
+            finally:
+                setattr(module, name, original)
+
+        print("optimize", sys.flags.optimize)
+        params = ModelParams(d=2, k=3, n=6)
+        run(samplers, "monochromatic_edge_count", lambda f: lambda *a: 1,
+            lambda: samplers.sample_planted_hom(
+                params, Coloring.equitable_split(6), RngState(1)),
+            RuntimeError)
+        run(group_model, "math",
+            lambda m: types.SimpleNamespace(factorial=lambda x: m.factorial(x) + 1),
+            lambda: group_model.uniform_permutation_count(6, 3),
+            ArithmeticError)
+        run(tree_markov, "ball_element_count", lambda f: lambda *a: f(*a) + 1,
+            lambda: tree_markov.build_ball(params, 1),
+            RuntimeError)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", child],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "optimize 1"
+    expected = [
+        "monochromatic_edge_count: planted draw has a monochromatic edge",
+        "math: k-cycle count",
+        "ball_element_count: radius-1 ball has 5 elements, closed form says 6",
+    ]
+    assert len(lines) == 1 + len(expected), proc.stdout
+    for line, prefix in zip(lines[1:], expected):
+        assert line.startswith(prefix), (line, prefix)

@@ -1,10 +1,12 @@
 """Tree windows: pattern counting, exact sampling, pullbacks, core status."""
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from helpers import random_uniform_images
 from scipy import stats
 
 from sofic_lab._errors import ScaleRefusal
@@ -389,3 +391,84 @@ def test_core_status_validation():
     first = core_density_estimate(5, 3, 1, 500, RngState(9))
     second = core_density_estimate(5, 3, 1, 500, RngState(9))
     assert first == second
+
+
+def census_per_vertex_oracle(hom, coloring, domain):
+    """Oracle: the census tallied window by window through pullback_vertex_map."""
+    counts = Counter()
+    improper = noninjective = 0
+    for v in range(hom.params.n):
+        window = pullback_vertex_map(hom, v, domain)
+        if len(set(window.values())) < len(window):
+            noninjective += 1
+        pattern = Pattern({g: coloring[u] for g, u in window.items()})
+        if pattern.is_proper_on(domain):
+            counts[pattern] += 1
+        else:
+            improper += 1
+    return dict(counts), improper, noninjective
+
+
+def convergence_per_vertex_oracle(hom, coloring, domain, pattern):
+    hits = sum(
+        all(coloring[u] == pattern[g] for g, u in pullback_vertex_map(hom, v, domain).items())
+        for v in range(hom.params.n)
+    )
+    return Fraction(hits, hom.params.n)
+
+
+def _oracle_domains(params):
+    return [
+        build_ball(params, 0),
+        single_edge_domain(params),
+        single_edge_domain(params, label=2),
+        build_ball(params, 1),
+        build_ball(params, 3),
+    ]
+
+
+def test_census_and_convergence_match_per_vertex_oracle():
+    # small n forces short cycles through the windows, so non-injective and
+    # improper windows both occur; the radius-3 ball has 127 elements
+    params = ModelParams(d=3, k=3, n=30)
+    domains = _oracle_domains(params)
+    assert len(domains[-1]) == 127
+    rng = random.Random(17)
+    seen_improper = seen_noninjective = 0
+    for seed in range(3):
+        hom = random_uniform_images(params, random.Random(seed))
+        colorings = [
+            Coloring.equitable_split(params.n),
+            [rng.randrange(2) for _ in range(params.n)],
+        ]
+        for coloring in colorings:
+            for domain in domains:
+                census = local_pattern_census(hom, coloring, domain)
+                counts, improper, noninjective = census_per_vertex_oracle(
+                    hom, coloring, domain
+                )
+                assert census.n == params.n
+                assert list(census.counts.items()) == list(counts.items())
+                assert census.improper_count == improper
+                assert census.noninjective_count == noninjective
+                seen_improper += improper
+                seen_noninjective += noninjective
+                probes = list(counts)[:3] + [
+                    Pattern({g: rng.randrange(2) for g in domain.elements})
+                ]
+                for pattern in probes:
+                    assert local_convergence_stat(
+                        hom, coloring, domain, pattern
+                    ) == convergence_per_vertex_oracle(hom, coloring, domain, pattern)
+    assert seen_improper and seen_noninjective
+
+
+def test_census_rejects_coloring_length_mismatch():
+    hom, chi = _planted(3, 2, 30, 1)
+    domain = single_edge_domain(hom.params)
+    xi = next(iter(enumerate_proper_patterns(domain)))
+    for coloring in (list(chi) + [0], list(chi)[:-1]):
+        with pytest.raises(ValueError, match="coloring has"):
+            local_pattern_census(hom, coloring, domain)
+        with pytest.raises(ValueError, match="coloring has"):
+            local_convergence_stat(hom, coloring, domain, xi)
