@@ -15,6 +15,7 @@ from time import perf_counter
 from ._errors import ScaleRefusal
 from .group_model import ModelParams
 from .hypergraph import Coloring, PairTypeMatrix, build_hypergraph, monochromatic_edge_count
+from .samplers import _type_count_vectors, type_weight
 
 PROPER_SEARCH_MAX_N = 40
 BUDGET_SEARCH_MAX_N = 32
@@ -359,7 +360,8 @@ def partition_count(n, k):
     b = n // k
     num = math.factorial(n)
     den = math.factorial(k) ** b * math.factorial(b)
-    assert num % den == 0
+    if num % den:
+        raise ArithmeticError("partition count %d/%d is not an integer" % (num, den))
     return num // den
 
 
@@ -387,7 +389,8 @@ def count_partitions_of_type(n, chi, type_vector):
     den = 1
     for j, c in enumerate(counts):
         den *= (math.factorial(j) * math.factorial(k - j)) ** c * math.factorial(c)
-    assert num % den == 0
+    if num % den:
+        raise ArithmeticError("typed partition count %d/%d is not an integer" % (num, den))
     return num // den
 
 
@@ -438,41 +441,15 @@ def count_pair_partitions(n, chi, chi_tilde, type_map):
         den *= math.factorial(c)
         for e in eps.as_tuple():
             den *= math.factorial(e) ** c
-    assert num % den == 0
+    if num % den:
+        raise ArithmeticError("pair partition count %d/%d is not an integer" % (num, den))
     return num // den
-
-
-def _bichromatic_count_vectors(k, blocks, ones):
-    """Integer vectors (c_1..c_{k-1}) with sum c_j = blocks, sum j c_j = ones."""
-    out = []
-    vec = []
-
-    def rec(j, blocks_left, ones_left):
-        if j == k:
-            if blocks_left == 0 and ones_left == 0:
-                out.append(tuple(vec))
-            return
-        for c in range(min(blocks_left, ones_left // j) + 1):
-            vec.append(c)
-            rec(j + 1, blocks_left - c, ones_left - j * c)
-            vec.pop()
-
-    rec(1, blocks, ones)
-    return out
 
 
 def _bichromatic_partition_count(n, k, ones):
     """Number of k-partitions with every block bichromatic for a coloring
     with the given number of ones."""
-    total = 0
-    for counts in _bichromatic_count_vectors(k, n // k, ones):
-        num = math.factorial(ones) * math.factorial(n - ones)
-        den = 1
-        for j, c in zip(range(1, k), counts):
-            den *= (math.factorial(j) * math.factorial(k - j)) ** c * math.factorial(c)
-        assert num % den == 0
-        total += num // den
-    return total
+    return sum(type_weight(k, c) for c in _type_count_vectors(k, n // k, ones))
 
 
 def exact_first_moment(params: ModelParams, max_n=None):
@@ -535,7 +512,8 @@ def _pair_count_sum(n, k, flips):
         nonlocal total
         if i == len(atoms):
             if blocks_left == 0 and not any(rem):
-                assert num % den == 0
+                if num % den:
+                    raise ArithmeticError("pair partition count %d/%d is not an integer" % (num, den))
                 total += num // den
             return
         eps = atoms[i]

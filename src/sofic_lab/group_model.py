@@ -168,16 +168,22 @@ def generator_pair_words(params):
 class UniformHom:
     """A homomorphism sending each generator to a disjoint union of k-cycles.
 
-    images[i][v] is the image of vertex v under generator i. Validity (each
-    image a permutation with all orbits of size exactly k) is checked once at
-    construction; operations after that assume it.
+    images[i][v] is the image of vertex v under generator i, stored as a
+    Python int whatever integer type the caller passed. Validity (integer
+    entries, each image a permutation with all orbits of size exactly k) is
+    checked once at construction; operations after that assume it.
     """
 
     __slots__ = ("params", "images")
 
     def __init__(self, params, images, _trusted=False):
+        # _trusted skips conversion and validation, for enumeration, which
+        # passes valid images of Python ints
         params.require_uniform()
-        images = tuple(tuple(img) for img in images)
+        if _trusted:
+            images = tuple(tuple(img) for img in images)
+        else:
+            images = [_index_array(img, i) for i, img in enumerate(images)]
         if len(images) != params.d:
             raise ValueError(
                 "expected %d generator images, got %d" % (params.d, len(images))
@@ -185,6 +191,7 @@ class UniformHom:
         if not _trusted:
             for i, img in enumerate(images):
                 _check_uniform_permutation(img, params.n, params.k, i)
+            images = tuple(tuple(img.tolist()) for img in images)
         self.params = params
         self.images = images
 
@@ -228,9 +235,41 @@ class UniformHom:
         return cls(params, data["images"])
 
 
+def _index_array(img, gen_index):
+    arr = np.asarray(img)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(
+            "image of generator %d must hold integers, got %s entries"
+            % (gen_index, arr.dtype)
+        )
+    return arr.astype(np.intp, copy=False)
+
+
 def _check_uniform_permutation(img, n, k, gen_index):
-    if len(img) != n or sorted(img) != list(range(n)):
+    """Raise ValueError unless the index array img is a permutation of
+    0..n-1 whose orbits all have size exactly k.
+
+    Every orbit has size k exactly when img^j has no fixed point for
+    0 < j < k and img^k is the identity; only on failure are the orbits
+    walked, to report the first bad one by least vertex.
+    """
+    if (
+        img.shape != (n,)
+        or img.min() < 0
+        or img.max() >= n
+        or np.count_nonzero(np.bincount(img, minlength=n)) != n
+    ):
         raise ValueError("image of generator %d is not a permutation of 0..%d" % (gen_index, n - 1))
+    identity = np.arange(n)
+    power = img
+    for _ in range(1, k):
+        if (power == identity).any():
+            break
+        power = img[power]
+    else:
+        if (power == identity).all():
+            return
+    img = img.tolist()
     seen = [False] * n
     for start in range(n):
         if seen[start]:

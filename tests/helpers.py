@@ -1,8 +1,12 @@
-"""Shared test utilities: small hand-built homomorphisms and random instances."""
+"""Shared test utilities: small hand-built homomorphisms, random instances
+and the loop oracles for the array samplers."""
 
 import itertools
+from fractions import Fraction
 
 from sofic_lab.group_model import UniformHom
+from sofic_lab.hypergraph import build_hypergraph, monochromatic_edge_count
+from sofic_lab.samplers import RngState, sample_type_vector
 
 
 def hom_from_cycles(params, cycles_per_gen):
@@ -66,3 +70,118 @@ def random_uniform_images(params, rng):
                 img[a] = b
         images.append(img)
     return UniformHom(params, images)
+
+
+def type_count_vectors_recursion_oracle(k, blocks, ones):
+    """Oracle for samplers._type_count_vectors: the recursion that tries
+    every value of every coordinate, c_{k-1} included."""
+    out = []
+    vec = []
+
+    def rec(j, blocks_left, ones_left):
+        if j == k:
+            if blocks_left == 0 and ones_left == 0:
+                out.append(tuple(vec))
+            return
+        for c in range(min(blocks_left, ones_left // j) + 1):
+            vec.append(c)
+            rec(j + 1, blocks_left - c, ones_left - j * c)
+            vec.pop()
+
+    rec(1, blocks, ones)
+    return out
+
+
+def _oracle_generator(rng):
+    return rng.generator() if isinstance(rng, RngState) else rng
+
+
+def cycle_on_block_oracle(block, gen, img):
+    """Write a uniform k-cycle on the block into img, one permutation call
+    per block: the per-block draw the array samplers must reproduce."""
+    rest = list(block[1:])
+    order = gen.permutation(len(rest))
+    cyc = [block[0]] + [rest[i] for i in order]
+    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+        img[int(a)] = int(b)
+
+
+def sample_uniform_images_loop_oracle(params, rng):
+    """Per-block loop oracle for samplers.sample_uniform_hom: the image
+    lists, drawn from the same stream in the same order."""
+    gen = _oracle_generator(rng)
+    images = []
+    for _ in range(params.d):
+        order = gen.permutation(params.n)
+        img = [0] * params.n
+        for start in range(0, params.n, params.k):
+            cycle_on_block_oracle(list(order[start : start + params.k]), gen, img)
+        images.append(img)
+    return images
+
+
+def sample_bichromatic_partition_loop_oracle(n, chi, type_vector, rng):
+    """Per-block loop oracle for samplers.sample_bichromatic_partition."""
+    gen = _oracle_generator(rng)
+    k = len(type_vector) - 1
+    counts = [int(Fraction(t) * n) for t in type_vector]
+    ones = [v for v in range(n) if chi[v] == 1]
+    zeros = [v for v in range(n) if chi[v] == 0]
+    ones = [ones[i] for i in gen.permutation(len(ones))]
+    zeros = [zeros[i] for i in gen.permutation(len(zeros))]
+    parts = []
+    pos_one = pos_zero = 0
+    for j in range(1, k):
+        c = counts[j]
+        if not c:
+            continue
+        one_blocks = [ones[pos_one + j * i : pos_one + j * (i + 1)] for i in range(c)]
+        zero_blocks = [
+            zeros[pos_zero + (k - j) * i : pos_zero + (k - j) * (i + 1)]
+            for i in range(c)
+        ]
+        pos_one += j * c
+        pos_zero += (k - j) * c
+        match = gen.permutation(c)
+        for i in range(c):
+            parts.append(tuple(sorted(one_blocks[i] + zero_blocks[match[i]])))
+    return sorted(parts)
+
+
+def sample_planted_images_loop_oracle(params, chi, rng):
+    """Per-block loop oracle for samplers.sample_planted_hom: type vector,
+    typed partition and one cycle per block, each generator in turn, with
+    properness checked on the rebuilt hypergraph."""
+    gen = _oracle_generator(rng)
+    images = []
+    for _ in range(params.d):
+        t = sample_type_vector(params.n, params.k, chi, gen)
+        img = [0] * params.n
+        for part in sample_bichromatic_partition_loop_oracle(params.n, chi, t, gen):
+            cycle_on_block_oracle(part, gen, img)
+        images.append(img)
+    hom = UniformHom(params, images)
+    if monochromatic_edge_count(build_hypergraph(hom), chi):
+        raise RuntimeError("planted draw has a monochromatic edge")
+    return images
+
+
+def check_uniform_permutation_loop_oracle(img, n, k, gen_index):
+    """Orbit-walking oracle for group_model._check_uniform_permutation."""
+    if len(img) != n or sorted(img) != list(range(n)):
+        raise ValueError("image of generator %d is not a permutation of 0..%d" % (gen_index, n - 1))
+    seen = [False] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        size = 0
+        v = start
+        while not seen[v]:
+            seen[v] = True
+            v = img[v]
+            size += 1
+        if size != k:
+            raise ValueError(
+                "generator %d has an orbit of size %d, want exactly %d"
+                % (gen_index, size, k)
+            )

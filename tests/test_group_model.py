@@ -1,10 +1,16 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from helpers import hom_from_cycles, random_uniform_images
+from helpers import (
+    check_uniform_permutation_loop_oracle,
+    hom_from_cycles,
+    random_uniform_images,
+)
 
 from sofic_lab import ScaleRefusal
 from sofic_lab.group_model import (
@@ -12,6 +18,7 @@ from sofic_lab.group_model import (
     ModelParams,
     ReducedWord,
     UniformHom,
+    _check_uniform_permutation,
     _word_arrays,
     check_sofic,
     enumerate_uniform_homs,
@@ -110,6 +117,67 @@ def test_uniform_hom_validation():
         UniformHom(p, [[1, 1, 3, 2]])  # not a permutation
     with pytest.raises(ValueError):
         ModelParams(d=1, k=3, n=4).require_uniform()
+
+
+def _validation_outcome(check, img, n, k):
+    try:
+        check(img, n, k, 1)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_uniform_permutation_check_matches_loop_oracle():
+    # (img, n, k): valid images, then a wrong length, a repeated entry, an
+    # orbit of size 1 and an orbit of size 2k, each placed early and late
+    cases = [
+        ([1, 2, 0, 4, 5, 3], 6, 3),
+        ([1, 0, 3, 2], 4, 2),
+        ([1, 2, 0, 4, 5], 6, 3),
+        ([1, 2, 0, 4, 5, 3, 0], 6, 3),
+        ([1, 2, 0, 4, 4, 3], 6, 3),
+        ([0, 2, 1, 3], 4, 2),
+        ([1, 0, 2, 3], 4, 2),
+        ([1, 2, 3, 0, 5, 4], 6, 2),
+        ([1, 0, 3, 4, 5, 2], 6, 2),
+        ([1, 2, 3, 4, 5, 0, 7, 8, 6], 9, 3),
+        ([1, 2, 0, 4, 5, 6, 7, 8, 3], 9, 3),
+        ([-1, 0, 1, 2], 4, 2),
+        ([1, 0, 3, 4], 4, 2),
+    ]
+    for img, n, k in cases:
+        expected = _validation_outcome(check_uniform_permutation_loop_oracle, img, n, k)
+        got = _validation_outcome(_check_uniform_permutation, np.array(img), n, k)
+        assert got == expected, (img, n, k)
+    rng = random.Random(8)
+    for _ in range(300):
+        n, k = rng.choice([(6, 2), (6, 3), (8, 4), (12, 3), (12, 6)])
+        img = rng.sample(range(n), n)
+        expected = _validation_outcome(check_uniform_permutation_loop_oracle, img, n, k)
+        got = _validation_outcome(_check_uniform_permutation, np.array(img), n, k)
+        assert got == expected, (img, n, k)
+
+
+def test_uniform_hom_rejects_non_integer_entries_first():
+    p = ModelParams(d=1, k=3, n=3)
+    for bad in ([1.0, 2.0, 0.0], [1, 2, 0.5], ["1", "2", "0"], [True, False, True]):
+        with pytest.raises(ValueError, match="must hold integers"):
+            UniformHom(p, [bad])
+    with pytest.raises(ValueError, match="not a permutation"):
+        UniformHom(p, [np.array([2**64 - 1, 0, 1], dtype=np.uint64)])
+    # the entry type is checked before the image count
+    with pytest.raises(ValueError, match="must hold integers"):
+        UniformHom(p, [[1, 2, 0], [1.0, 2.0, 0.0]])
+
+
+def test_uniform_hom_stores_python_ints():
+    p = ModelParams(d=2, k=3, n=6)
+    images = [np.array([1, 2, 0, 4, 5, 3]), np.array([2, 0, 1, 5, 3, 4], dtype=np.uint64)]
+    hom = UniformHom(p, images)
+    assert all(type(x) is int for img in hom.images for x in img)
+    assert hom == UniformHom(p, [img.tolist() for img in images])
+    data = json.loads(json.dumps(hom.to_json_dict()))
+    assert UniformHom.from_json_dict(data) == hom
 
 
 def test_evaluate_word_basics():

@@ -6,8 +6,16 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
-from helpers import all_k_partitions, partition_type_counts
+from helpers import (
+    all_k_partitions,
+    partition_type_counts,
+    sample_bichromatic_partition_loop_oracle,
+    sample_planted_images_loop_oracle,
+    sample_uniform_images_loop_oracle,
+    type_count_vectors_recursion_oracle,
+)
 from scipy import stats
 
 from sofic_lab import ScaleRefusal
@@ -15,6 +23,8 @@ from sofic_lab.group_model import ModelParams, enumerate_uniform_homs
 from sofic_lab.hypergraph import Coloring, build_hypergraph, monochromatic_edge_count
 from sofic_lab.samplers import (
     RngState,
+    _monochromatic_orbit_count,
+    _type_count_vectors,
     sample_bichromatic_partition,
     sample_planted_hom,
     sample_planted_hom_rejection,
@@ -281,44 +291,161 @@ def test_type_sampler_input_validation():
         sample_type_vector(9, 3, Coloring.from_string("110100100"), RngState(0))
 
 
+# (d, k, n): k = 2 and k = 6, d = 0 and d = 1, and the shapes the benchmark uses
+ORACLE_SHAPES = [
+    (0, 3, 6), (1, 2, 10), (1, 6, 12), (2, 3, 24), (4, 3, 24),
+    (3, 2, 10), (2, 4, 40), (3, 5, 30), (20, 6, 60), (2, 3, 600),
+]
+ORACLE_SEEDS = range(12)
+
+
+def assert_images_equal(hom, oracle_images):
+    assert hom.images == tuple(tuple(img) for img in oracle_images)
+    assert all(type(x) is int for img in hom.images for x in img)
+
+
+def assert_same_stream_afterwards(gen, oracle_gen):
+    assert gen.integers(2**62) == oracle_gen.integers(2**62)
+
+
+@pytest.mark.parametrize("d,k,n", ORACLE_SHAPES)
+def test_uniform_sampler_matches_loop_oracle(d, k, n):
+    p = ModelParams(d=d, k=k, n=n)
+    for seed in ORACLE_SEEDS:
+        state = RngState(seed, stream=seed % 3)
+        gen, oracle_gen = state.generator(), state.generator()
+        hom = sample_uniform_hom(p, gen)
+        assert_images_equal(hom, sample_uniform_images_loop_oracle(p, oracle_gen))
+        assert_same_stream_afterwards(gen, oracle_gen)
+        assert sample_uniform_hom(p, state) == hom
+
+
+@pytest.mark.parametrize("d,k,n", [s for s in ORACLE_SHAPES if s[2] % 2 == 0])
+def test_planted_sampler_matches_loop_oracle(d, k, n):
+    p = ModelParams(d=d, k=k, n=n)
+    shuffled = Coloring(RngState(n).generator().permutation([0, 1] * (n // 2)).tolist())
+    for chi in (Coloring.equitable_split(n), shuffled):
+        for seed in ORACLE_SEEDS:
+            state = RngState(seed, stream=seed % 3)
+            gen, oracle_gen = state.generator(), state.generator()
+            hom = sample_planted_hom(p, chi, gen)
+            assert_images_equal(hom, sample_planted_images_loop_oracle(p, chi, oracle_gen))
+            assert_same_stream_afterwards(gen, oracle_gen)
+
+
+@pytest.mark.parametrize("k,n", [(2, 10), (3, 24), (4, 40), (6, 60)])
+def test_partition_sampler_matches_loop_oracle(k, n):
+    chi = Coloring(RngState(k).generator().permutation([0, 1] * (n // 2)).tolist())
+    for seed in ORACLE_SEEDS:
+        t = sample_type_vector(n, k, chi, RngState(seed, stream=1))
+        gen, oracle_gen = RngState(seed).generator(), RngState(seed).generator()
+        parts = sample_bichromatic_partition(n, chi, t, gen)
+        assert parts == sample_bichromatic_partition_loop_oracle(n, chi, t, oracle_gen)
+        assert all(type(v) is int for part in parts for v in part)
+        assert_same_stream_afterwards(gen, oracle_gen)
+
+
+def test_type_count_vectors_match_recursion_oracle():
+    for k in range(2, 7):
+        for blocks in range(-1, 9):
+            for ones in range(-2, (k - 1) * blocks + 3):
+                assert _type_count_vectors(k, blocks, ones) == (
+                    type_count_vectors_recursion_oracle(k, blocks, ones)
+                ), (k, blocks, ones)
+    # the balanced tables behind the benchmark shapes
+    for k, n in [(3, 600), (6, 60), (6, 120), (4, 40)]:
+        assert _type_count_vectors(k, n // k, n // 2) == (
+            type_count_vectors_recursion_oracle(k, n // k, n // 2)
+        )
+
+
+def test_monochromatic_orbit_count_matches_hypergraph():
+    rng = np.random.default_rng(5)
+    for d, k, n in [(1, 2, 10), (2, 3, 24), (3, 4, 24), (2, 6, 60), (4, 3, 12)]:
+        p = ModelParams(d=d, k=k, n=n)
+        for seed in range(10):
+            hom = sample_uniform_hom(p, RngState(seed))
+            images = [np.array(img) for img in hom.images]
+            graph = build_hypergraph(hom)
+            # sparse ones make monochromatic orbits common, dense ones rare
+            for density in (0.1, 0.5, 0.9):
+                chi = Coloring((rng.random(n) < density).astype(int).tolist())
+                expected = monochromatic_edge_count(graph, chi)
+                got = _monochromatic_orbit_count(images, np.array(chi.bits), k)
+                assert got == expected
+
+
+def test_planted_sampler_rejects_unbalanced_coloring():
+    p = ModelParams(d=2, k=3, n=12)
+    with pytest.raises(ValueError, match="equitable"):
+        sample_planted_hom(p, Coloring.from_string("111111100000"), RngState(0))
+
+
 def test_result_guards_raise_under_optimize():
-    # the guards of the planted draw, the k-cycle count and the ball size must
-    # survive python -O, which strips assert statements
+    # the result guards of the planted draw, the k-cycle count, the ball size
+    # and the partition counts' divisibility must survive python -O, which
+    # strips assert statements
     child = textwrap.dedent(
         """
         import math
         import sys
         import types
-        from sofic_lab import group_model, samplers, tree_markov
+        from fractions import Fraction
+        from sofic_lab import exact_count, group_model, samplers, tree_markov
         from sofic_lab.group_model import ModelParams
-        from sofic_lab.hypergraph import Coloring
+        from sofic_lab.hypergraph import Coloring, PairTypeMatrix
         from sofic_lab.samplers import RngState
 
-        def run(module, name, replacement, call, error):
+        def run(module, name, replacement, call, error, label=None):
             original = getattr(module, name)
             setattr(module, name, replacement(original))
             try:
                 call()
             except error as exc:
-                print(f"{name}: {exc}")
+                print(f"{label or name}: {exc}")
             else:
-                print(f"{name}: no raise")
+                print(f"{label or name}: no raise")
             finally:
                 setattr(module, name, original)
 
+        def off_by_one(m):
+            return types.SimpleNamespace(
+                factorial=lambda x: m.factorial(x) + 1, comb=m.comb)
+
         print("optimize", sys.flags.optimize)
         params = ModelParams(d=2, k=3, n=6)
-        run(samplers, "monochromatic_edge_count", lambda f: lambda *a: 1,
+        run(samplers, "_monochromatic_orbit_count", lambda f: lambda *a: 1,
             lambda: samplers.sample_planted_hom(
                 params, Coloring.equitable_split(6), RngState(1)),
             RuntimeError)
-        run(group_model, "math",
-            lambda m: types.SimpleNamespace(factorial=lambda x: m.factorial(x) + 1),
+        run(group_model, "math", off_by_one,
             lambda: group_model.uniform_permutation_count(6, 3),
             ArithmeticError)
         run(tree_markov, "ball_element_count", lambda f: lambda *a: f(*a) + 1,
             lambda: tree_markov.build_ball(params, 1),
             RuntimeError)
+        run(samplers, "math", off_by_one,
+            lambda: samplers.type_weight(4, (0, 2, 0)),
+            ArithmeticError, "type_weight")
+        run(samplers, "math", off_by_one,
+            lambda: exact_count._bichromatic_partition_count(6, 3, 3),
+            ArithmeticError, "_bichromatic_partition_count")
+        run(exact_count, "math", off_by_one,
+            lambda: exact_count.partition_count(6, 3),
+            ArithmeticError, "partition_count")
+        run(exact_count, "math", off_by_one,
+            lambda: exact_count.count_partitions_of_type(
+                4, Coloring.from_string("0011"), (0, Fraction(1, 2), 0)),
+            ArithmeticError, "count_partitions_of_type")
+        run(exact_count, "math", off_by_one,
+            lambda: exact_count.count_pair_partitions(
+                4, Coloring.from_string("0011"), Coloring.from_string("0101"),
+                {PairTypeMatrix(1, 0, 0, 1): Fraction(1, 4),
+                 PairTypeMatrix(0, 1, 1, 0): Fraction(1, 4)}),
+            ArithmeticError, "count_pair_partitions")
+        run(exact_count, "math", off_by_one,
+            lambda: exact_count._pair_count_sum(6, 3, 2),
+            ArithmeticError, "_pair_count_sum")
         """
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -335,9 +462,15 @@ def test_result_guards_raise_under_optimize():
     lines = proc.stdout.splitlines()
     assert lines[0] == "optimize 1"
     expected = [
-        "monochromatic_edge_count: planted draw has a monochromatic edge",
+        "_monochromatic_orbit_count: planted draw has a monochromatic edge",
         "math: k-cycle count",
         "ball_element_count: radius-1 ball has 5 elements, closed form says 6",
+        "type_weight: typed partition count",
+        "_bichromatic_partition_count: typed partition count",
+        "partition_count: partition count",
+        "count_partitions_of_type: typed partition count",
+        "count_pair_partitions: pair partition count",
+        "_pair_count_sum: pair partition count",
     ]
     assert len(lines) == 1 + len(expected), proc.stdout
     for line, prefix in zip(lines[1:], expected):

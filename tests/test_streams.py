@@ -1,0 +1,110 @@
+"""Pinned sha256 digests of seeded sampler and experiment outputs.
+
+The samplers draw from numpy's Philox generator through `permutation`,
+`permuted` and `choice`. A numpy release that changed how any of these
+consume the stream would silently re-seed every result; these digests make
+such a change fail loudly instead. They were recorded with the per-block
+loop samplers, before the array samplers replaced them, so they also pin
+that the rewrite kept every stream.
+"""
+
+import hashlib
+
+import pytest
+
+from sofic_lab.harness import ExperimentConfig, cli_dispatch, run_experiment
+
+# (command, n, k, d, seed, stream)
+CLI_CASES = [
+    ("sample-uniform", 10, 2, 3, 1, 0),
+    ("sample-uniform", 12, 3, 2, 5, 0),
+    ("sample-uniform", 40, 4, 3, 2, 7),
+    ("sample-uniform", 30, 6, 2, 7, 0),
+    ("sample-uniform", 600, 3, 2, 11, 0),
+    ("sample-planted", 10, 2, 3, 0, 0),
+    ("sample-planted", 12, 3, 3, 1, 0),
+    ("sample-planted", 24, 4, 4, 9, 3),
+    ("sample-planted", 120, 6, 20, 3, 0),
+    ("sample-planted", 600, 3, 2, 11, 0),
+]
+
+EXPERIMENT_CASES = [
+    ("sofic", {"n": 60, "k": 3, "d": 2, "replicas": 4, "seed": 5}),
+    ("sofic", {"n": 30, "k": 6, "d": 3, "replicas": 3, "seed": 8}),
+    ("local-convergence", {"n": 60, "k": 3, "d": 2, "replicas": 4, "seed": 5}),
+    ("local-convergence", {"n": 24, "k": 4, "d": 3, "replicas": 3, "seed": 2}),
+    ("density", {"n": 30, "k": 3, "d": 5, "level": 1, "replicas": 4,
+                 "tree_samples": 2000, "seed": 9}),
+]
+
+CLI_DIGESTS = {
+    "sample-uniform-n10-k2-d3-seed1-stream0":
+        "2d4019b6303c10e65ff75d66439b0b92a79e5dae1b457fb59be8a8f82f73ef90",
+    "sample-uniform-n12-k3-d2-seed5-stream0":
+        "a22a0f60519fdf74e57c2576ec7a23a7b114908661351e815fc9d8e5fca7532c",
+    "sample-uniform-n40-k4-d3-seed2-stream7":
+        "6f4faa335a04a59aaffe1a39b3978e1b13019076a345e4e33dfb76aa60e7e132",
+    "sample-uniform-n30-k6-d2-seed7-stream0":
+        "028619fa74da67b37cc3ab2cfbe9e795d9f81e6f008bc0ded59d1032fbf6a477",
+    "sample-uniform-n600-k3-d2-seed11-stream0":
+        "6b3680f34a50682040847c4a132e84a57603880362f9af70ffa137d11c70865d",
+    "sample-planted-n10-k2-d3-seed0-stream0":
+        "5aa6f6b31fc53f46cc9d4ec512a359297977a05b9763b6518d5734f82f38832a",
+    "sample-planted-n12-k3-d3-seed1-stream0":
+        "1e8b93842131a74d681c149cb75dbfa86ea165ae3767286481c0a75bc0c261cc",
+    "sample-planted-n24-k4-d4-seed9-stream3":
+        "16149cc25a234638663a41d60ff7ec1b54da857eabfb27e7a6cdec4637a7a720",
+    "sample-planted-n120-k6-d20-seed3-stream0":
+        "ed2a06c5d6bd3645b4b850f2872881ac407899b39024e70a281181012eedda85",
+    "sample-planted-n600-k3-d2-seed11-stream0":
+        "bf1d6c4d529bd3ae1d85f7512f69b0adb0f6564567ff0f2ab8ca79d3297b21b9",
+}
+
+EXPERIMENT_DIGESTS = {
+    "sofic-n60-k3-d2":
+        "f80571e13f477e141023e1caeb2279874608be41c08bbb33686f2bf325fb10f9",
+    "sofic-n30-k6-d3":
+        "26df639a67b91bf6512582ac19e3e3d008ffe87085f9f0d8f9c1cd927acefd0a",
+    "local-convergence-n60-k3-d2":
+        "5877774fc9e807d2390e62a3b60b94dd9cf4d370368f117a4f3b9dfe04284fb1",
+    "local-convergence-n24-k4-d3":
+        "13bba8937a9f9b75002d7d16a87dee724dd567a176cf8abee7d71e0db4af739d",
+    "density-n30-k3-d5":
+        "eb85a2339e0db14f88dbff0666070f8a7d58c96a94bc09b1eb9d743d672ce40f",
+}
+
+
+def _sha256(*blobs):
+    h = hashlib.sha256()
+    for blob in blobs:
+        h.update(blob)
+    return h.hexdigest()
+
+
+def _cli_id(case):
+    return "%s-n%d-k%d-d%d-seed%d-stream%d" % case
+
+
+def _experiment_id(case):
+    kind, params = case
+    return "%s-n%d-k%d-d%d" % (kind, params["n"], params["k"], params["d"])
+
+
+@pytest.mark.parametrize("case", CLI_CASES, ids=_cli_id)
+def test_cli_sampler_output_digest(case, tmp_path):
+    command, n, k, d, seed, stream = case
+    out = tmp_path / "instance.json"
+    argv = [command, "--n", str(n), "--k", str(k), "--d", str(d),
+            "--seed", str(seed), "--stream", str(stream), "--output", str(out)]
+    assert cli_dispatch(argv) == 0
+    assert _sha256(out.read_bytes()) == CLI_DIGESTS[_cli_id(case)]
+
+
+@pytest.mark.parametrize("case", EXPERIMENT_CASES, ids=_experiment_id)
+def test_experiment_output_digest(case, tmp_path, monkeypatch):
+    # the CSV records the output path, so it is kept relative
+    kind, params = case
+    monkeypatch.chdir(tmp_path)
+    run_experiment(ExperimentConfig(kind, dict(params), "run"), workers=1)
+    digest = _sha256((tmp_path / "run.csv").read_bytes(), (tmp_path / "run.json").read_bytes())
+    assert digest == EXPERIMENT_DIGESTS[_experiment_id(case)]
