@@ -13,9 +13,10 @@ from fractions import Fraction
 from time import perf_counter
 
 from ._errors import ScaleRefusal
-from .group_model import ModelParams
-from .hypergraph import Coloring, PairTypeMatrix, build_hypergraph, monochromatic_edge_count
-from .samplers import _type_count_vectors, type_weight
+from .analytics import bichromatic_pair_types
+from .group_model import ModelParams, typed_partition_count
+from .hypergraph import Coloring, build_hypergraph, monochromatic_edge_count
+from .samplers import _counts_at_scale, _type_count_vectors
 
 PROPER_SEARCH_MAX_N = 40
 BUDGET_SEARCH_MAX_N = 32
@@ -357,12 +358,7 @@ def partition_count(n, k):
     """Number of partitions of an n-set into blocks of size k."""
     if n % k:
         raise ValueError("k must divide n")
-    b = n // k
-    num = math.factorial(n)
-    den = math.factorial(k) ** b * math.factorial(b)
-    if num % den:
-        raise ArithmeticError("partition count %d/%d is not an integer" % (num, den))
-    return num // den
+    return typed_partition_count((n,), [((k,), n // k)])
 
 
 def count_partitions_of_type(n, chi, type_vector):
@@ -373,25 +369,15 @@ def count_partitions_of_type(n, chi, type_vector):
     monochromatic block types (j = 0 or k) and any color split.
     """
     k = len(type_vector) - 1
-    counts = []
-    for t in type_vector:
-        c = Fraction(t) * n
-        if c.denominator != 1 or c < 0:
-            raise ValueError("type entry %r is not a count at scale n=%d" % (t, n))
-        counts.append(int(c))
+    counts = _counts_at_scale(type_vector, n)
     ones = sum(chi[v] for v in range(n))
     if sum(counts) * k != n:
         raise ValueError("type does not describe n/k blocks")
     if sum(j * c for j, c in enumerate(counts)) != ones:
         raise ValueError("type needs %d ones, coloring has %d"
                          % (sum(j * c for j, c in enumerate(counts)), ones))
-    num = math.factorial(ones) * math.factorial(n - ones)
-    den = 1
-    for j, c in enumerate(counts):
-        den *= (math.factorial(j) * math.factorial(k - j)) ** c * math.factorial(c)
-    if num % den:
-        raise ArithmeticError("typed partition count %d/%d is not an integer" % (num, den))
-    return num // den
+    return typed_partition_count(
+        (ones, n - ones), [((j, k - j), c) for j, c in enumerate(counts)])
 
 
 def _overlap_counts(n, chi, chi_tilde):
@@ -408,17 +394,14 @@ def count_pair_partitions(n, chi, chi_tilde, type_map):
     carry (so values must sum to 1/k). The count is
     prod N_ij! / (prod_eps c_eps! prod_eps prod_ij e_ij!^c_eps).
     """
-    items = []
     k = None
-    for eps, t in type_map.items():
+    for eps in type_map:
         if k is None:
             k = eps.total()
         elif eps.total() != k:
             raise ValueError("pair types must share a single k")
-        c = Fraction(t) * n
-        if c.denominator != 1 or c < 0:
-            raise ValueError("type weight %r is not a count at scale n=%d" % (t, n))
-        items.append((eps, int(c)))
+    counts = _counts_at_scale(type_map.values(), n, "type weight")
+    items = [(eps.as_tuple(), c) for eps, c in zip(type_map, counts)]
     if k is None or n % k:
         raise ValueError("empty type map or k does not divide n")
     if sum(c for _, c in items) != n // k:
@@ -426,30 +409,21 @@ def count_pair_partitions(n, chi, chi_tilde, type_map):
     overlap = _overlap_counts(n, chi, chi_tilde)
     for i in (0, 1):
         for j in (0, 1):
-            supplied = sum(c * eps.as_tuple()[2 * i + j] for eps, c in items)
+            supplied = sum(c * shape[2 * i + j] for shape, c in items)
             if supplied != overlap[i][j]:
                 raise ValueError(
                     "overlap class (%d,%d): types supply %d vertices, "
                     "colorings have %d" % (i, j, supplied, overlap[i][j])
                 )
-    num = 1
-    for i in (0, 1):
-        for j in (0, 1):
-            num *= math.factorial(overlap[i][j])
-    den = 1
-    for eps, c in items:
-        den *= math.factorial(c)
-        for e in eps.as_tuple():
-            den *= math.factorial(e) ** c
-    if num % den:
-        raise ArithmeticError("pair partition count %d/%d is not an integer" % (num, den))
-    return num // den
+    return typed_partition_count(overlap[0] + overlap[1], items)
 
 
 def _bichromatic_partition_count(n, k, ones):
     """Number of k-partitions with every block bichromatic for a coloring
     with the given number of ones."""
-    return sum(type_weight(k, c) for c in _type_count_vectors(k, n // k, ones))
+    shapes = [(j, k - j) for j in range(1, k)]
+    return sum(typed_partition_count((ones, n - ones), zip(shapes, c))
+               for c in _type_count_vectors(k, n // k, ones))
 
 
 def exact_first_moment(params: ModelParams, max_n=None):
@@ -485,55 +459,36 @@ def exact_equitable_first_moment(params: ModelParams, max_n=None):
     return math.comb(n, n // 2) * Fraction(good, partition_count(n, k)) ** params.d
 
 
-def _bichromatic_pair_atoms(k):
-    atoms = []
-    for e00 in range(k + 1):
-        for e01 in range(k + 1 - e00):
-            for e10 in range(k + 1 - e00 - e01):
-                e11 = k - e00 - e01 - e10
-                eps = PairTypeMatrix(e00, e01, e10, e11)
-                if eps.is_bichromatic_pair():
-                    atoms.append(eps)
-    return atoms
-
-
 def _pair_count_sum(n, k, flips):
     """Sum of pair-partition counts over every feasible bichromatic-both
     type map for balanced colorings at the given flip count."""
     overlap = [n // 2 - flips // 2, flips // 2, flips // 2, n // 2 - flips // 2]
-    atoms = [eps.as_tuple() for eps in _bichromatic_pair_atoms(k)]
-    blocks = n // k
-    num = 1
-    for x in overlap:
-        num *= math.factorial(x)
+    atoms = [eps.as_tuple() for eps in bichromatic_pair_types(k)]
+    chosen = []
     total = 0
 
-    def rec(i, blocks_left, rem, den):
+    def rec(i, blocks_left, rem):
         nonlocal total
         if i == len(atoms):
             if blocks_left == 0 and not any(rem):
-                if num % den:
-                    raise ArithmeticError("pair partition count %d/%d is not an integer" % (num, den))
-                total += num // den
+                total += typed_partition_count(overlap, chosen)
             return
         eps = atoms[i]
         cmax = blocks_left
         for pos in range(4):
             if eps[pos]:
                 cmax = min(cmax, rem[pos] // eps[pos])
-        factor = 1
-        for e in eps:
-            factor *= math.factorial(e)
-        for c in range(cmax + 1):
-            if c:
-                for pos in range(4):
-                    rem[pos] -= eps[pos]
-            rec(i + 1, blocks_left - c, rem,
-                den * math.factorial(c) * factor**c)
+        rec(i + 1, blocks_left, rem)
+        for c in range(1, cmax + 1):
+            for pos in range(4):
+                rem[pos] -= eps[pos]
+            chosen.append((eps, c))
+            rec(i + 1, blocks_left - c, rem)
+            chosen.pop()
         for pos in range(4):
             rem[pos] += cmax * eps[pos]
 
-    rec(0, blocks, overlap[:], 1)
+    rec(0, n // k, overlap[:])
     return total
 
 

@@ -392,16 +392,38 @@ def check_sofic(hom, words, delta):
     )
 
 
+def typed_partition_count(class_sizes, block_types):
+    """Exact number of partitions of a set split into classes of the given
+    sizes N_i into blocks of prescribed shapes.
+
+    block_types pairs each shape e, a block with e_i elements from class i,
+    with its number of blocks c; together the blocks must fill every class.
+    The count is prod_i N_i! / prod_(e,c) c! prod_i e_i!^c: lay each class
+    out in order and cut it into the blocks' class-i parts, then divide out
+    the orders within every part and among blocks of equal shape.
+    """
+    num = 1
+    for size in class_sizes:
+        num *= math.factorial(size)
+    den = 1
+    for shape, c in block_types:
+        inner = 1
+        for e in shape:
+            inner *= math.factorial(e)
+        den *= math.factorial(c) * inner**c
+    count, rest = divmod(num, den)
+    if rest:
+        raise ArithmeticError("typed partition count %d/%d is not an integer" % (num, den))
+    return count
+
+
 def uniform_permutation_count(n, k):
-    """Number of permutations of [n] that split into n/k disjoint k-cycles."""
+    """Number of permutations of [n] that split into n/k disjoint k-cycles:
+    the k-partitions of [n], times (k-1)! cyclic orders per block."""
     if n % k != 0:
         return 0
     b = n // k
-    num = math.factorial(n) * math.factorial(k - 1) ** b
-    den = math.factorial(k) ** b * math.factorial(b)
-    if num % den:
-        raise ArithmeticError("k-cycle count %d/%d is not an integer" % (num, den))
-    return num // den
+    return typed_partition_count((n,), [((k,), b)]) * math.factorial(k - 1) ** b
 
 
 def uniform_hom_count(params):

@@ -18,7 +18,6 @@ reproduces the same output. Passing a live numpy Generator instead chains
 draws within one experiment.
 """
 
-import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._errors import ScaleRefusal
-from .group_model import ModelParams, UniformHom
+from .group_model import ModelParams, UniformHom, typed_partition_count
 from .hypergraph import build_hypergraph, monochromatic_edge_count
 
 REJECTION_ORACLE_MAX_N = 40
@@ -125,34 +124,20 @@ def _type_count_vectors(k, blocks, ones):
     return out
 
 
-def type_weight(k, counts):
-    """Exact number of typed balanced partitions with c_j blocks of j ones.
-
-    This is (n/2)!^2 divided by prod_j j!^c_j (k-j)!^c_j c_j!, where
-    n = k * sum(counts); one factorial per color class, one overcount factor
-    per block interior, and one c_j! for reordering equal-type blocks (the
-    matching between one-side and zero-side blocks absorbs the other).
-    """
-    ones = sum(j * c for j, c in zip(range(1, k), counts))
-    zeros = sum((k - j) * c for j, c in zip(range(1, k), counts))
-    num = math.factorial(ones) * math.factorial(zeros)
-    den = 1
-    for j, c in zip(range(1, k), counts):
-        den *= (math.factorial(j) * math.factorial(k - j)) ** c * math.factorial(c)
-    if num % den:
-        raise ArithmeticError("typed partition count %d/%d is not an integer" % (num, den))
-    return num // den
-
-
 @lru_cache(maxsize=None)
 def _balanced_type_table(n, k):
-    """All balanced bichromatic types at scale n with exact and float weights."""
+    """All balanced bichromatic types at scale n with their probabilities.
+
+    A type with c_j blocks of j ones weighs as many partitions as it has:
+    two color classes of n/2 vertices, c_j blocks of shape (j, k-j).
+    """
     if n % k or n % 2:
         raise ValueError("need n divisible by both k and 2")
     types = _type_count_vectors(k, n // k, n // 2)
     if not types:
         raise ValueError("no bichromatic type exists for n=%d, k=%d" % (n, k))
-    weights = [type_weight(k, c) for c in types]
+    shapes = [(j, k - j) for j in range(1, k)]
+    weights = [typed_partition_count((n // 2, n // 2), zip(shapes, c)) for c in types]
     wmax = max(weights)
     probs = np.empty(len(weights))
     for i, w in enumerate(weights):
@@ -167,13 +152,13 @@ def _balanced_type_table(n, k):
             )
         probs[i] = x
     probs /= probs.sum()
-    return tuple(types), tuple(weights), probs
+    return tuple(types), probs
 
 
 def _draw_type_counts(n, k, gen):
     """Block counts (c_1..c_{k-1}) drawn with probability proportional to
     their weight at a balanced coloring."""
-    types, _, probs = _balanced_type_table(n, k)
+    types, probs = _balanced_type_table(n, k)
     return types[int(gen.choice(len(types), p=probs))]
 
 
@@ -196,15 +181,22 @@ def sample_type_vector(n, k, chi, rng):
     return (Fraction(0),) + tuple(Fraction(c, n) for c in counts) + (Fraction(0),)
 
 
+def _counts_at_scale(entries, n, what="type entry"):
+    """The counts t * n of fractional entries t, each of which must be a
+    nonnegative integer at scale n."""
+    counts = []
+    for t in entries:
+        c = Fraction(t) * n
+        if c.denominator != 1 or c < 0:
+            raise ValueError("%s %r is not a count at scale n=%d" % (what, t, n))
+        counts.append(int(c))
+    return counts
+
+
 def _counts_from_type(n, k, type_vector):
     if len(type_vector) != k + 1:
         raise ValueError("type vector must have k+1 entries")
-    counts = []
-    for t in type_vector:
-        c = Fraction(t) * n
-        if c.denominator != 1 or c < 0:
-            raise ValueError("type entry %r is not a count at scale n=%d" % (t, n))
-        counts.append(int(c))
+    counts = _counts_at_scale(type_vector, n)
     if counts[0] or counts[k]:
         raise ValueError("bichromatic types need t_0 = t_k = 0")
     return counts[1:k]

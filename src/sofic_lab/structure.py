@@ -78,7 +78,6 @@ def _support_tables(graph, chi):
     their non-support vertices inside the shrinking core.
     """
     supports = critical_edges(graph, chi)
-    assert len({idx for idx, _ in supports}) == len(supports)
     full = []
     rest = []
     by_support = defaultdict(list)
@@ -134,7 +133,8 @@ def core_decomposition(graph, chi, l_max=None):
         new_core = frozenset(
             v for v in everything if live_count.get(v, 0) >= 3
         )
-        assert new_core <= core, "peeling must be monotone"
+        if not new_core <= core:
+            raise RuntimeError("peeling must be monotone")
         attached = frozenset(
             v
             for v in everything - new_core
@@ -219,7 +219,8 @@ def core_decomposition_reference(n, k, edges, chi, l_max=None):
         for v, w in itertools.permutations(sorted(attached), 2):
             if any(ev & ew for ev in witness[v] for ew in witness[w]):
                 entangled.add((v, w))
-        assert all((w, v) in entangled for v, w in entangled)
+        if any((w, v) not in entangled for v, w in entangled):
+            raise RuntimeError("entanglement must be symmetric")
         levels.append(
             CoreLevel(new_core, attached, frozenset(v for v, _ in entangled))
         )

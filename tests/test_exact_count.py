@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -8,6 +9,7 @@ from helpers import all_k_partitions, hom_from_cycles, partition_type_counts, ra
 
 from sofic_lab import ScaleRefusal
 from sofic_lab.exact_count import (
+    MOMENT_MAX_N,
     CountReport,
     cluster_radius,
     cluster_size,
@@ -353,6 +355,33 @@ def planted_average_at_distance(params, chi, delta):
         if monochromatic_edge_count(g, chi) == 0:
             values.append(count_at_distance(g, chi, delta).value)
     return Fraction(sum(values), len(values))
+
+
+# sha256 of the moments' reprs for d in (1, 3), every even n <= MOMENT_MAX_N
+# divisible by k, and every even flip count; recorded with the per-formula
+# counts before the typed-partition core replaced them, so they pin the
+# closed forms well past the n <= 6 that enumeration reaches
+MOMENT_DIGESTS = {
+    2: "36aa400390898df1832e344283a210a67c2d2624d62acedc38910e1edcbf3076",
+    3: "cf44c43726861ef295a21caacc3f1faa563343058b08450ca5b8e25c36682af2",
+    4: "f8e8b8279e54c086d624e45cbd5cad46cb37114cb3ada3c8d09a6355076b641f",
+    6: "d843ccc47729e2ded659cccccdc1550bb0dd44f80de0c526ce2287d339eb1090",
+}
+
+
+@pytest.mark.parametrize("k", sorted(MOMENT_DIGESTS))
+def test_exact_moment_digests(k):
+    h = hashlib.sha256()
+    for d in (1, 3):
+        for n in range(2, MOMENT_MAX_N + 1, 2):
+            if n % k:
+                continue
+            p = ModelParams(d=d, k=k, n=n)
+            h.update(repr(exact_first_moment(p)).encode())
+            h.update(repr(exact_equitable_first_moment(p)).encode())
+            for flips in range(0, n + 1, 2):
+                h.update(repr(exact_planted_distance_moment(p, Fraction(flips, n))).encode())
+    assert h.hexdigest() == MOMENT_DIGESTS[k]
 
 
 def test_planted_distance_moment_endpoints():

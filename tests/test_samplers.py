@@ -19,7 +19,7 @@ from helpers import (
 from scipy import stats
 
 from sofic_lab import ScaleRefusal
-from sofic_lab.group_model import ModelParams, enumerate_uniform_homs
+from sofic_lab.group_model import ModelParams, enumerate_uniform_homs, typed_partition_count
 from sofic_lab.hypergraph import Coloring, build_hypergraph, monochromatic_edge_count
 from sofic_lab.samplers import (
     RngState,
@@ -30,7 +30,6 @@ from sofic_lab.samplers import (
     sample_planted_hom_rejection,
     sample_type_vector,
     sample_uniform_hom,
-    type_weight,
 )
 
 CHI_SQUARE_ALPHA = 1e-3
@@ -97,6 +96,13 @@ def brute_force_type_census(n, k, chi):
         if t is not None:
             census[t] += 1
     return census
+
+
+def type_weight(k, counts):
+    """Typed partitions at a balanced coloring with c_j blocks of j ones: two
+    color classes of n/2 vertices, c_j blocks of shape (j, k-j)."""
+    half = k * sum(counts) // 2
+    return typed_partition_count((half, half), zip([(j, k - j) for j in range(1, k)], counts))
 
 
 def test_type_weight_matches_brute_force():
@@ -382,35 +388,40 @@ def test_planted_sampler_rejects_unbalanced_coloring():
 
 
 def test_result_guards_raise_under_optimize():
-    # the result guards of the planted draw, the k-cycle count, the ball size
-    # and the partition counts' divisibility must survive python -O, which
-    # strips assert statements
+    # the result guards of the planted draw, the ball size, the peeling and
+    # the typed partition count's divisibility must survive python -O, which
+    # strips assert statements; every partition count goes through the one
+    # core in group_model, so perturbing math there once reaches them all
     child = textwrap.dedent(
         """
         import math
         import sys
         import types
         from fractions import Fraction
-        from sofic_lab import exact_count, group_model, samplers, tree_markov
+        from sofic_lab import exact_count, group_model, samplers, structure, tree_markov
         from sofic_lab.group_model import ModelParams
-        from sofic_lab.hypergraph import Coloring, PairTypeMatrix
+        from sofic_lab.hypergraph import Coloring, PairTypeMatrix, build_hypergraph
         from sofic_lab.samplers import RngState
 
-        def run(module, name, replacement, call, error, label=None):
-            original = getattr(module, name)
-            setattr(module, name, replacement(original))
+        def report(label, call, error):
             try:
                 call()
             except error as exc:
-                print(f"{label or name}: {exc}")
+                print(f"{label}: {exc}")
             else:
-                print(f"{label or name}: no raise")
+                print(f"{label}: no raise")
+
+        def run(module, name, replacement, call, error):
+            original = getattr(module, name)
+            setattr(module, name, replacement(original))
+            try:
+                report(name, call, error)
             finally:
                 setattr(module, name, original)
 
-        def off_by_one(m):
-            return types.SimpleNamespace(
-                factorial=lambda x: m.factorial(x) + 1, comb=m.comb)
+        class NeverBelow(frozenset):
+            def __le__(self, other):
+                return False
 
         print("optimize", sys.flags.optimize)
         params = ModelParams(d=2, k=3, n=6)
@@ -418,34 +429,45 @@ def test_result_guards_raise_under_optimize():
             lambda: samplers.sample_planted_hom(
                 params, Coloring.equitable_split(6), RngState(1)),
             RuntimeError)
-        run(group_model, "math", off_by_one,
-            lambda: group_model.uniform_permutation_count(6, 3),
-            ArithmeticError)
         run(tree_markov, "ball_element_count", lambda f: lambda *a: f(*a) + 1,
             lambda: tree_markov.build_ball(params, 1),
             RuntimeError)
-        run(samplers, "math", off_by_one,
-            lambda: samplers.type_weight(4, (0, 2, 0)),
-            ArithmeticError, "type_weight")
-        run(samplers, "math", off_by_one,
-            lambda: exact_count._bichromatic_partition_count(6, 3, 3),
-            ArithmeticError, "_bichromatic_partition_count")
-        run(exact_count, "math", off_by_one,
-            lambda: exact_count.partition_count(6, 3),
-            ArithmeticError, "partition_count")
-        run(exact_count, "math", off_by_one,
-            lambda: exact_count.count_partitions_of_type(
+        chi = Coloring.equitable_split(12)
+        graph = build_hypergraph(samplers.sample_planted_hom(
+            ModelParams(d=3, k=3, n=12), chi, RngState(0)))
+        structure.frozenset = NeverBelow
+        try:
+            report("frozenset", lambda: structure.core_decomposition(graph, chi),
+                   RuntimeError)
+        finally:
+            del structure.frozenset
+        run(structure, "itertools",
+            lambda m: types.SimpleNamespace(permutations=m.combinations),
+            lambda: structure.core_decomposition_reference(
+                12, 3, [e for _, e in graph.edges], chi),
+            RuntimeError)
+
+        group_model.math = types.SimpleNamespace(
+            factorial=lambda x: math.factorial(x) + 1)
+        routes = {
+            "typed_partition_count": lambda: group_model.typed_partition_count(
+                (4, 4), [((2, 2), 2)]),
+            "uniform_permutation_count": lambda: group_model.uniform_permutation_count(6, 3),
+            "_balanced_type_table": lambda: samplers._balanced_type_table(8, 4),
+            "_bichromatic_partition_count":
+                lambda: exact_count._bichromatic_partition_count(6, 3, 3),
+            "partition_count": lambda: exact_count.partition_count(6, 3),
+            "count_partitions_of_type": lambda: exact_count.count_partitions_of_type(
                 4, Coloring.from_string("0011"), (0, Fraction(1, 2), 0)),
-            ArithmeticError, "count_partitions_of_type")
-        run(exact_count, "math", off_by_one,
-            lambda: exact_count.count_pair_partitions(
+            "count_pair_partitions": lambda: exact_count.count_pair_partitions(
                 4, Coloring.from_string("0011"), Coloring.from_string("0101"),
                 {PairTypeMatrix(1, 0, 0, 1): Fraction(1, 4),
                  PairTypeMatrix(0, 1, 1, 0): Fraction(1, 4)}),
-            ArithmeticError, "count_pair_partitions")
-        run(exact_count, "math", off_by_one,
-            lambda: exact_count._pair_count_sum(6, 3, 2),
-            ArithmeticError, "_pair_count_sum")
+            "_pair_count_sum": lambda: exact_count._pair_count_sum(6, 3, 2),
+        }
+        for label, call in routes.items():
+            report(label, call, ArithmeticError)
+        group_model.math = math
         """
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -463,14 +485,17 @@ def test_result_guards_raise_under_optimize():
     assert lines[0] == "optimize 1"
     expected = [
         "_monochromatic_orbit_count: planted draw has a monochromatic edge",
-        "math: k-cycle count",
         "ball_element_count: radius-1 ball has 5 elements, closed form says 6",
-        "type_weight: typed partition count",
+        "frozenset: peeling must be monotone",
+        "itertools: entanglement must be symmetric",
+        "typed_partition_count: typed partition count",
+        "uniform_permutation_count: typed partition count",
+        "_balanced_type_table: typed partition count",
         "_bichromatic_partition_count: typed partition count",
-        "partition_count: partition count",
+        "partition_count: typed partition count",
         "count_partitions_of_type: typed partition count",
-        "count_pair_partitions: pair partition count",
-        "_pair_count_sum: pair partition count",
+        "count_pair_partitions: typed partition count",
+        "_pair_count_sum: typed partition count",
     ]
     assert len(lines) == 1 + len(expected), proc.stdout
     for line, prefix in zip(lines[1:], expected):
