@@ -251,13 +251,6 @@ def balance_polynomial(
 # the bias parameter of the planted pair measure
 
 
-def _bias_to_distance(b: mp.mpf, k: int) -> mp.mpf:
-    base = 1 - mp.mpf(2) ** (2 - k)
-    num = b * (base + (b / 2) ** (k - 1))
-    den = base + 2 * (b / 2) ** k + 2 * ((1 - b) / 2) ** k
-    return num / den
-
-
 def _bias_to_distance_with_derivative(b: mp.mpf, k: int) -> tuple[mp.mpf, mp.mpf]:
     base = 1 - mp.mpf(2) ** (2 - k)
     half_pow = (b / 2) ** (k - 1)
@@ -357,7 +350,7 @@ def distance_of_bias(delta0, k: int, precision: int | None = None) -> mp.mpf:
         b = _to_mpf(delta0)
         if not 0 <= b <= 1:
             raise ValueError(f"bias must lie in [0, 1], got {delta0}")
-        return _bias_to_distance(b, k)
+        return _bias_to_distance_with_derivative(b, k)[0]
 
 
 def bias_of_distance(delta, k: int, precision: int | None = None) -> mp.mpf:

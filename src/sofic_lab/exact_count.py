@@ -14,9 +14,9 @@ from time import perf_counter
 
 from ._errors import ScaleRefusal
 from .analytics import bichromatic_pair_types
-from .group_model import ModelParams, typed_partition_count
-from .hypergraph import Coloring, build_hypergraph, monochromatic_edge_count
-from .samplers import _counts_at_scale, _type_count_vectors
+from .group_model import ModelParams, typed_partition_count, typed_partition_sum
+from .hypergraph import Coloring, monochromatic_edge_count
+from .samplers import _counts_at_scale
 
 PROPER_SEARCH_MAX_N = 40
 BUDGET_SEARCH_MAX_N = 32
@@ -368,9 +368,11 @@ def count_partitions_of_type(n, chi, type_vector):
     number of ones of chi; unlike the balanced sampler table this admits
     monochromatic block types (j = 0 or k) and any color split.
     """
+    if len(chi) != n:
+        raise ValueError("coloring length mismatch")
     k = len(type_vector) - 1
     counts = _counts_at_scale(type_vector, n)
-    ones = sum(chi[v] for v in range(n))
+    ones = sum(chi)
     if sum(counts) * k != n:
         raise ValueError("type does not describe n/k blocks")
     if sum(j * c for j, c in enumerate(counts)) != ones:
@@ -380,13 +382,6 @@ def count_partitions_of_type(n, chi, type_vector):
         (ones, n - ones), [((j, k - j), c) for j, c in enumerate(counts)])
 
 
-def _overlap_counts(n, chi, chi_tilde):
-    counts = [[0, 0], [0, 0]]
-    for v in range(n):
-        counts[chi[v]][chi_tilde[v]] += 1
-    return counts
-
-
 def count_pair_partitions(n, chi, chi_tilde, type_map):
     """Exact number of k-partitions whose pair-type histogram equals type_map.
 
@@ -394,6 +389,8 @@ def count_pair_partitions(n, chi, chi_tilde, type_map):
     carry (so values must sum to 1/k). The count is
     prod N_ij! / (prod_eps c_eps! prod_eps prod_ij e_ij!^c_eps).
     """
+    if len(chi) != n or len(chi_tilde) != n:
+        raise ValueError("coloring length mismatch")
     k = None
     for eps in type_map:
         if k is None:
@@ -406,7 +403,9 @@ def count_pair_partitions(n, chi, chi_tilde, type_map):
         raise ValueError("empty type map or k does not divide n")
     if sum(c for _, c in items) != n // k:
         raise ValueError("pair types must describe exactly n/k blocks")
-    overlap = _overlap_counts(n, chi, chi_tilde)
+    overlap = [[0, 0], [0, 0]]
+    for a, b in zip(chi, chi_tilde):
+        overlap[a][b] += 1
     for i in (0, 1):
         for j in (0, 1):
             supplied = sum(c * shape[2 * i + j] for shape, c in items)
@@ -421,9 +420,7 @@ def count_pair_partitions(n, chi, chi_tilde, type_map):
 def _bichromatic_partition_count(n, k, ones):
     """Number of k-partitions with every block bichromatic for a coloring
     with the given number of ones."""
-    shapes = [(j, k - j) for j in range(1, k)]
-    return sum(typed_partition_count((ones, n - ones), zip(shapes, c))
-               for c in _type_count_vectors(k, n // k, ones))
+    return typed_partition_sum((ones, n - ones), [(j, k - j) for j in range(1, k)])
 
 
 def exact_first_moment(params: ModelParams, max_n=None):
@@ -459,39 +456,6 @@ def exact_equitable_first_moment(params: ModelParams, max_n=None):
     return math.comb(n, n // 2) * Fraction(good, partition_count(n, k)) ** params.d
 
 
-def _pair_count_sum(n, k, flips):
-    """Sum of pair-partition counts over every feasible bichromatic-both
-    type map for balanced colorings at the given flip count."""
-    overlap = [n // 2 - flips // 2, flips // 2, flips // 2, n // 2 - flips // 2]
-    atoms = [eps.as_tuple() for eps in bichromatic_pair_types(k)]
-    chosen = []
-    total = 0
-
-    def rec(i, blocks_left, rem):
-        nonlocal total
-        if i == len(atoms):
-            if blocks_left == 0 and not any(rem):
-                total += typed_partition_count(overlap, chosen)
-            return
-        eps = atoms[i]
-        cmax = blocks_left
-        for pos in range(4):
-            if eps[pos]:
-                cmax = min(cmax, rem[pos] // eps[pos])
-        rec(i + 1, blocks_left, rem)
-        for c in range(1, cmax + 1):
-            for pos in range(4):
-                rem[pos] -= eps[pos]
-            chosen.append((eps, c))
-            rec(i + 1, blocks_left - c, rem)
-            chosen.pop()
-        for pos in range(4):
-            rem[pos] += cmax * eps[pos]
-
-    rec(0, n // k, overlap[:])
-    return total
-
-
 def exact_planted_distance_moment(params: ModelParams, delta, max_n=None):
     """E[number of proper equitable colorings at distance delta] under the
     planted model, exactly.
@@ -507,8 +471,11 @@ def exact_planted_distance_moment(params: ModelParams, delta, max_n=None):
     n, k = params.n, params.k
     flips = _flip_count(n, delta)
     proper_single = _bichromatic_partition_count(n, k, n // 2)
-    pair_single = _pair_count_sum(n, k, flips)
-    candidates = math.comb(n // 2, flips // 2) ** 2
+    # overlap classes (0,0), (0,1), (1,0), (1,1) of two balanced colorings
+    same, moved = n // 2 - flips // 2, flips // 2
+    pair_single = typed_partition_sum(
+        (same, moved, moved, same), [eps.as_tuple() for eps in bichromatic_pair_types(k)])
+    candidates = math.comb(n // 2, moved) ** 2
     return candidates * Fraction(pair_single, proper_single) ** params.d
 
 

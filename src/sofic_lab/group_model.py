@@ -11,6 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -392,6 +393,19 @@ def check_sofic(hom, words, delta):
     )
 
 
+@lru_cache(maxsize=256)
+def _factorial_product(sizes):
+    """prod_i N_i!, cached because a type table reuses its classes and shapes."""
+    return math.prod(math.factorial(size) for size in sizes)
+
+
+def _exact_quotient(num, den, what):
+    count, rest = divmod(num, den)
+    if rest:
+        raise ArithmeticError("%s %d/%d is not an integer" % (what, num, den))
+    return count
+
+
 def typed_partition_count(class_sizes, block_types):
     """Exact number of partitions of a set split into classes of the given
     sizes N_i into blocks of prescribed shapes.
@@ -402,19 +416,40 @@ def typed_partition_count(class_sizes, block_types):
     out in order and cut it into the blocks' class-i parts, then divide out
     the orders within every part and among blocks of equal shape.
     """
-    num = 1
-    for size in class_sizes:
-        num *= math.factorial(size)
-    den = 1
-    for shape, c in block_types:
-        inner = 1
-        for e in shape:
-            inner *= math.factorial(e)
-        den *= math.factorial(c) * inner**c
-    count, rest = divmod(num, den)
-    if rest:
-        raise ArithmeticError("typed partition count %d/%d is not an integer" % (num, den))
-    return count
+    den = math.prod(math.factorial(c) * _factorial_product(tuple(shape)) ** c
+                    for shape, c in block_types)
+    return _exact_quotient(_factorial_product(tuple(class_sizes)), den,
+                           "typed partition count")
+
+
+def typed_partition_sum(class_sizes, shapes):
+    """Sum of typed_partition_count over every way of filling the classes
+    with blocks whose shapes, all of one size k, are in shapes.
+
+    With m = n/k blocks the sum is
+    prod_i N_i! / (m! k!^m) * [x^N] (sum_e multinomial(k; e) x^e)^m, since the
+    multinomial theorem gives each block-count vector c the coefficient
+    m!/prod_e c_e! * prod_e multinomial(k; e)^c_e.  Exponents that overshoot
+    a class size are dropped as the power is built.
+    """
+    sizes = tuple(class_sizes)
+    k = sum(shapes[0])
+    m, rest = divmod(sum(sizes), k)
+    if rest or any(sum(shape) != k for shape in shapes):
+        raise ValueError("shapes need one block size k, and k must divide n")
+    atoms = [(shape, math.factorial(k) // _factorial_product(tuple(shape))) for shape in shapes]
+    power = {(0,) * len(sizes): 1}
+    for _ in range(m):
+        product = {}
+        for exponent, coeff in power.items():
+            for shape, weight in atoms:
+                key = tuple(a + e for a, e in zip(exponent, shape))
+                if all(a <= size for a, size in zip(key, sizes)):
+                    product[key] = product.get(key, 0) + coeff * weight
+        power = product
+    return _exact_quotient(
+        _factorial_product(sizes) * power.get(sizes, 0),
+        math.factorial(m) * math.factorial(k) ** m, "typed partition sum")
 
 
 def uniform_permutation_count(n, k):

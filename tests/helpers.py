@@ -4,7 +4,8 @@ and the loop oracles for the array samplers."""
 import itertools
 from fractions import Fraction
 
-from sofic_lab.group_model import UniformHom
+from sofic_lab.analytics import bichromatic_pair_types
+from sofic_lab.group_model import UniformHom, typed_partition_count
 from sofic_lab.hypergraph import build_hypergraph, monochromatic_edge_count
 from sofic_lab.samplers import RngState, sample_type_vector
 
@@ -90,6 +91,40 @@ def type_count_vectors_recursion_oracle(k, blocks, ones):
 
     rec(1, blocks, ones)
     return out
+
+
+def pair_count_sum_recursion_oracle(n, k, flips):
+    """Oracle for the planted second moment's pair sum: the recursion over
+    the bichromatic pair atoms that adds one typed_partition_count per
+    feasible type map of balanced colorings at the given flip count."""
+    overlap = [n // 2 - flips // 2, flips // 2, flips // 2, n // 2 - flips // 2]
+    atoms = [eps.as_tuple() for eps in bichromatic_pair_types(k)]
+    chosen = []
+    total = 0
+
+    def rec(i, blocks_left, rem):
+        nonlocal total
+        if i == len(atoms):
+            if blocks_left == 0 and not any(rem):
+                total += typed_partition_count(overlap, chosen)
+            return
+        eps = atoms[i]
+        cmax = blocks_left
+        for pos in range(4):
+            if eps[pos]:
+                cmax = min(cmax, rem[pos] // eps[pos])
+        rec(i + 1, blocks_left, rem)
+        for c in range(1, cmax + 1):
+            for pos in range(4):
+                rem[pos] -= eps[pos]
+            chosen.append((eps, c))
+            rec(i + 1, blocks_left - c, rem)
+            chosen.pop()
+        for pos in range(4):
+            rem[pos] += cmax * eps[pos]
+
+    rec(0, n // k, overlap[:])
+    return total
 
 
 def _oracle_generator(rng):

@@ -251,8 +251,7 @@ def test_bias_map_polynomials_match_the_map():
             b = Fraction(i, 21)
             with working_precision():
                 point = mp.mpf(i) / 21
-                value = analytics._bias_to_distance(point, k)
-                _, derivative = analytics._bias_to_distance_with_derivative(point, k)
+                value, derivative = analytics._bias_to_distance_with_derivative(point, k)
                 exact_value = evaluate(num, b) / evaluate(den, b)
                 exact_slope = evaluate(slope, b) / evaluate(den, b) ** 2
                 assert abs(value - analytics._to_mpf(exact_value)) <= mp.mpf("1e-30")

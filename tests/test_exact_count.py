@@ -5,7 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import all_k_partitions, hom_from_cycles, partition_type_counts, random_uniform_images
+from helpers import (
+    all_k_partitions,
+    hom_from_cycles,
+    pair_count_sum_recursion_oracle,
+    partition_type_counts,
+    random_uniform_images,
+)
 
 from sofic_lab import ScaleRefusal
 from sofic_lab.exact_count import (
@@ -26,7 +32,13 @@ from sofic_lab.exact_count import (
     partition_count,
     proper_equitable_colorings,
 )
-from sofic_lab.group_model import ModelParams, enumerate_uniform_homs
+from sofic_lab.analytics import bichromatic_pair_types
+from sofic_lab.group_model import (
+    ModelParams,
+    enumerate_uniform_homs,
+    typed_partition_count,
+    typed_partition_sum,
+)
 from sofic_lab.hypergraph import (
     Coloring,
     PairTypeMatrix,
@@ -35,6 +47,7 @@ from sofic_lab.hypergraph import (
     monochromatic_edge_count,
     pair_type_matrix,
 )
+from sofic_lab.samplers import _type_count_vectors
 
 
 def all_colorings(n):
@@ -258,6 +271,52 @@ def test_count_partitions_of_type_infeasible():
         count_partitions_of_type(4, chi, (0, Fraction(1, 3), 0))
 
 
+def test_count_partitions_of_type_rejects_wrong_coloring_length():
+    t = (0, Fraction(1, 2), 0)
+    for bits in ("001111", "001"):
+        with pytest.raises(ValueError, match="coloring length mismatch"):
+            count_partitions_of_type(4, Coloring.from_string(bits), t)
+
+
+def test_typed_partition_sum_matches_per_type_sum():
+    # single coloring: blocks of shape (j, k-j), summed type by type
+    for k in range(2, 7):
+        shapes = [(j, k - j) for j in range(1, k)]
+        for n in range(k, 61, k):
+            for ones in range(n + 1):
+                expected = sum(
+                    typed_partition_count((ones, n - ones), zip(shapes, c))
+                    for c in _type_count_vectors(k, n // k, ones)
+                )
+                assert typed_partition_sum((ones, n - ones), shapes) == expected, (k, n, ones)
+
+
+def pair_sum(n, k, flips):
+    same, moved = n // 2 - flips // 2, flips // 2
+    shapes = [eps.as_tuple() for eps in bichromatic_pair_types(k)]
+    return typed_partition_sum((same, moved, moved, same), shapes)
+
+
+def test_typed_partition_sum_matches_pair_recursion_oracle():
+    for k in (3, 4, 5, 6):
+        step = math.lcm(k, 2)
+        for n in range(step, 25, step):
+            for flips in range(0, n + 1, 2):
+                assert pair_sum(n, k, flips) == pair_count_sum_recursion_oracle(n, k, flips), (
+                    n, k, flips)
+    assert pair_sum(30, 5, 10) == pair_count_sum_recursion_oracle(30, 5, 10)
+
+
+def test_typed_partition_sum_validation():
+    with pytest.raises(ValueError):
+        typed_partition_sum((3, 3), [(1, 2), (1, 1)])
+    with pytest.raises(ValueError):
+        typed_partition_sum((3, 2), [(1, 2), (2, 1)])
+    # n = 0 has the one empty partition; unreachable classes give 0
+    assert typed_partition_sum((0, 0), [(1, 1)]) == 1
+    assert typed_partition_sum((4, 0), [(1, 1)]) == 0
+
+
 def brute_pair_partition_census(n, k, chi, chi_tilde):
     census = {}
     for parts in all_k_partitions(range(n), k):
@@ -310,6 +369,19 @@ def test_count_pair_partitions_diagonal_reduction():
     assert count_pair_partitions(6, chi, chi, t_pair) == count_partitions_of_type(
         6, chi, t_single
     )
+
+
+def test_count_pair_partitions_rejects_wrong_coloring_length():
+    good = Coloring.from_string("0101")
+    t = {
+        PairTypeMatrix(1, 0, 0, 1): Fraction(1, 4),
+        PairTypeMatrix(0, 1, 1, 0): Fraction(1, 4),
+    }
+    for bits in ("001111", "001"):
+        bad = Coloring.from_string(bits)
+        for chi, chi_tilde in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match="coloring length mismatch"):
+                count_pair_partitions(4, chi, chi_tilde, t)
 
 
 def test_count_pair_partitions_names_violated_marginal():

@@ -448,14 +448,16 @@ def test_result_guards_raise_under_optimize():
             RuntimeError)
 
         group_model.math = types.SimpleNamespace(
-            factorial=lambda x: math.factorial(x) + 1)
+            factorial=lambda x: math.factorial(x) + 1, prod=math.prod)
+        # products cached under the real factorial would dodge the stub
+        group_model._factorial_product.cache_clear()
         routes = {
             "typed_partition_count": lambda: group_model.typed_partition_count(
                 (4, 4), [((2, 2), 2)]),
             "uniform_permutation_count": lambda: group_model.uniform_permutation_count(6, 3),
             "_balanced_type_table": lambda: samplers._balanced_type_table(8, 4),
-            "_bichromatic_partition_count":
-                lambda: exact_count._bichromatic_partition_count(6, 3, 3),
+            "typed_partition_sum": lambda: group_model.typed_partition_sum(
+                (3, 3), [(1, 2), (2, 1)]),
             "partition_count": lambda: exact_count.partition_count(6, 3),
             "count_partitions_of_type": lambda: exact_count.count_partitions_of_type(
                 4, Coloring.from_string("0011"), (0, Fraction(1, 2), 0)),
@@ -463,7 +465,9 @@ def test_result_guards_raise_under_optimize():
                 4, Coloring.from_string("0011"), Coloring.from_string("0101"),
                 {PairTypeMatrix(1, 0, 0, 1): Fraction(1, 4),
                  PairTypeMatrix(0, 1, 1, 0): Fraction(1, 4)}),
-            "_pair_count_sum": lambda: exact_count._pair_count_sum(6, 3, 2),
+            "exact_first_moment": lambda: exact_count.exact_first_moment(params),
+            "exact_planted_distance_moment":
+                lambda: exact_count.exact_planted_distance_moment(params, Fraction(1, 3)),
         }
         for label, call in routes.items():
             report(label, call, ArithmeticError)
@@ -491,11 +495,12 @@ def test_result_guards_raise_under_optimize():
         "typed_partition_count: typed partition count",
         "uniform_permutation_count: typed partition count",
         "_balanced_type_table: typed partition count",
-        "_bichromatic_partition_count: typed partition count",
+        "typed_partition_sum: typed partition sum",
         "partition_count: typed partition count",
         "count_partitions_of_type: typed partition count",
         "count_pair_partitions: typed partition count",
-        "_pair_count_sum: typed partition count",
+        "exact_first_moment: typed partition count",
+        "exact_planted_distance_moment: typed partition sum",
     ]
     assert len(lines) == 1 + len(expected), proc.stdout
     for line, prefix in zip(lines[1:], expected):
