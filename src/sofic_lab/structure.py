@@ -262,16 +262,26 @@ class ExpansivityReport:
 def expansivity_scan(graph, chi, t_max, random_trials=0, rng=None):
     """Measure how many supported edges concentrate on small vertex sets.
 
-    Exhaustively scans every set of size 1..t_max (refusing if that means
+    Exhaustively scores every set of size 1..t_max (refusing if that means
     more than EXPANSIVITY_MAX_SUBSETS subsets), then runs seeded greedy
     growth from random supported edges for sizes up to the cluster radius
-    ``cluster_radius(n, k)``. The greedy phase is a documented heuristic:
-    each trial starts from a supported edge's owner and one co-vertex and
-    repeatedly adds the candidate vertex with the best excess gain,
-    recording the best excess seen along the trajectory.
+    ``cluster_radius(n, k)``.
+
+    The exhaustive phase counts edge by edge: a supported edge is heavy in
+    T exactly when T holds its owner and one more of its vertices, so each
+    edge adds one to the sets of size 2..t_max it makes heavy, and every set
+    no edge reaches scores -2|T|. Walking the reached sets in
+    ``combinations`` order from the witness {0} at -2 gives the same
+    maximum, witness and violation order as scoring all sets would. The
+    dict holds at most ``subset_count`` keys, and that count is still what
+    the refusal bounds.
+
+    The greedy phase is a documented heuristic: each trial starts from a
+    supported edge's owner and one co-vertex and repeatedly adds the
+    candidate vertex with the best excess gain, recording the best excess
+    seen along the trajectory.
     """
     _check_proper(graph, chi)
-    supports, full, _, by_support, _ = _support_tables(graph, chi)
     if not 1 <= t_max <= graph.n:
         raise ValueError("t_max must be between 1 and n")
     subset_count = sum(math.comb(graph.n, t) for t in range(1, t_max + 1))
@@ -280,6 +290,7 @@ def expansivity_scan(graph, chi, t_max, random_trials=0, rng=None):
             "exhaustive scan would enumerate %d subsets" % subset_count,
             count=subset_count,
         )
+    supports, full, rest, by_support, _ = _support_tables(graph, chi)
     covering = defaultdict(list)
     for ce, verts in enumerate(full):
         for u in verts:
@@ -292,17 +303,27 @@ def expansivity_scan(graph, chi, t_max, random_trials=0, rng=None):
         heavy = sum(1 for ce in owned if len(full[ce] & subset) >= 2)
         return heavy - 2 * len(subset)
 
-    best = None
-    best_witness = None
+    heavy_count = defaultdict(int)
+    for (_, v), verts, others in zip(supports, full, rest):
+        outside = [u for u in range(graph.n) if u not in verts]
+        for a in range(1, min(len(others), t_max - 1) + 1):
+            for inside in itertools.combinations(others, a):
+                for b in range(t_max - a):
+                    for extra in itertools.combinations(outside, b):
+                        heavy_count[tuple(sorted((v,) + inside + extra))] += 1
+    best, best_witness = -2, frozenset({0})
     violations = []
-    for t in range(1, t_max + 1):
-        for combo in itertools.combinations(range(graph.n), t):
-            subset = frozenset(combo)
-            val = excess(subset)
-            if best is None or val > best:
-                best, best_witness = val, subset
-            if val > 0:
-                violations.append(subset)
+    # Only sets scoring above the starting -2 can move the maximum or be
+    # violations.
+    contenders = [
+        key for key, count in heavy_count.items() if count > 2 * len(key) - 2
+    ]
+    for key in sorted(contenders, key=lambda key: (len(key), key)):
+        val = heavy_count[key] - 2 * len(key)
+        if val > best:
+            best, best_witness = val, frozenset(key)
+        if val > 0:
+            violations.append(frozenset(key))
 
     size_cap = cluster_radius(graph.n, graph.k)
     random_best = None

@@ -11,7 +11,10 @@ against pullbacks of colored finite instances.
 The root-status sampler at the end estimates how often the tree root lands
 in the core / attached / overlap sets of the peeling hierarchy without
 materializing a ball: it lazily expands only the edges the status
-computation actually inspects.
+computation actually inspects. Its positions route draws every edge's
+support position but keeps only the supported edges, the only ones the
+status code reads, and builds their members on first read; its colors
+route builds every edge and is the oracle.
 """
 
 import itertools
@@ -32,6 +35,7 @@ from .group_model import (
     word_inverse,
     word_product,
 )
+from .samplers import _as_generator
 
 DEFAULT_BALL_MAX_ELEMENTS = 100_000
 BRUTE_PATTERN_MAX_ELEMENTS = 20
@@ -481,7 +485,7 @@ class _Node:
 
 
 class _Edge:
-    __slots__ = ("members", "support")
+    __slots__ = ("owner", "members", "support")
 
 
 class _RootStatusSampler:
@@ -492,11 +496,15 @@ class _RootStatusSampler:
     * positions: under the tree measure the support position of every edge
       is independent and uniform over the k positions with probability
       1/(2^(k-1)-1) each (unsupported otherwise), so one categorical draw
-      per edge suffices;
+      per edge suffices. Only the supported edges are kept: the status
+      code never looks inside an unsupported one, so dropping it after its
+      draw leaves every status, and the stream, as they were. A kept
+      edge's member vertices are built the first time they are read;
     * colors: sample the proper completion given the already-colored
-      vertex, then read the support off the colors.
+      vertex, then read the support off the colors. This route builds every
+      edge, members and all.
 
-    The routes agree in distribution; the second exists to validate the
+    The routes agree in distribution; the second is the oracle for the
     first and is the slower one.
     """
 
@@ -507,39 +515,51 @@ class _RootStatusSampler:
         self.gen = gen
         self.use_colors = use_colors
 
-    def _new_edge(self, owner, draw):
+    def _colored_edge(self, owner, completion):
         edge = _Edge()
         k = self.k
-        if self.use_colors:
-            completion = draw
-            if owner.color == 0:
-                completion += 1
-            bits = [(completion >> j) & 1 for j in range(k - 1)]
-            colors = [owner.color] + bits
-            ones = sum(colors)
-            if ones == 1:
-                edge.support = colors.index(1)
-            elif ones == k - 1:
-                edge.support = colors.index(0)
-            else:
-                edge.support = None
-            edge.members = (owner,) + tuple(
-                _Node(edge, j + 1, bits[j]) for j in range(k - 1)
-            )
+        if owner.color == 0:
+            completion += 1
+        bits = [(completion >> j) & 1 for j in range(k - 1)]
+        colors = [owner.color] + bits
+        ones = sum(colors)
+        if ones == 1:
+            edge.support = colors.index(1)
+        elif ones == k - 1:
+            edge.support = colors.index(0)
         else:
-            edge.support = draw if draw < k else None
-            edge.members = (owner,) + tuple(
-                _Node(edge, j + 1, None) for j in range(k - 1)
-            )
+            edge.support = None
+        edge.members = (owner,) + tuple(
+            _Node(edge, j + 1, bits[j]) for j in range(k - 1)
+        )
         return edge
+
+    def _supported_edge(self, owner, support):
+        edge = _Edge()
+        edge.owner = owner
+        edge.support = support
+        edge.members = None
+        return edge
+
+    def _members(self, edge):
+        """The edge's vertices, owner first, built on first read."""
+        if edge.members is None:
+            edge.members = (edge.owner,) + tuple(
+                _Node(edge, j, None) for j in range(1, self.k)
+            )
+        return edge.members
 
     def _edges_of(self, node):
         if node.fresh is None:
             count = self.d if node.incoming is None else self.d - 1
-            draws = self.gen.integers(self.modulus, size=count) if count else ()
-            node.fresh = tuple(
-                self._new_edge(node, int(r)) for r in draws
-            )
+            draws = self.gen.integers(self.modulus, size=count).tolist() if count else ()
+            if self.use_colors:
+                node.fresh = tuple(self._colored_edge(node, r) for r in draws)
+            else:
+                k = self.k
+                node.fresh = tuple(
+                    self._supported_edge(node, r) for r in draws if r < k
+                )
         pairs = [(edge, 0) for edge in node.fresh]
         if node.incoming is not None:
             pairs.append((node.incoming, node.slot))
@@ -563,7 +583,7 @@ class _RootStatusSampler:
     def _is_witness(self, edge, pos, level):
         return all(
             self._in_core(member, level - 1)
-            for j, member in enumerate(edge.members)
+            for j, member in enumerate(self._members(edge))
             if j != pos
         )
 
@@ -588,16 +608,16 @@ class _RootStatusSampler:
         for edge in root_edges:
             s = edge.support
             if s and self._is_witness(edge, s, level) and not self._in_core(
-                edge.members[s], level
+                self._members(edge)[s], level
             ):
                 return "attached_overlap"
         for e in witnesses:
-            for u in e.members[1:]:
+            for u in self._members(e)[1:]:
                 for f, _ in self._edges_of(u):
                     if f is e or f.support is None:
                         continue
                     s = f.support
-                    partner = f.members[s]
+                    partner = self._members(f)[s]
                     if self._is_witness(f, s, level) and not self._in_core(
                         partner, level
                     ):
@@ -640,16 +660,14 @@ def sample_root_core_status(d, k, level, rng, use_colors=False):
     outside. Expands only what the status computation inspects, so it works
     at depths whose full balls would be astronomically large."""
     _check_core_sampler_args(d, k, level)
-    gen = rng.generator() if hasattr(rng, "generator") else rng
-    return _RootStatusSampler(d, k, gen, use_colors).root_status(level)
+    return _RootStatusSampler(d, k, _as_generator(rng), use_colors).root_status(level)
 
 
 def core_density_estimate(d, k, level, samples, rng, use_colors=False):
     _check_core_sampler_args(d, k, level)
     if samples < 1:
         raise ValueError("need at least one sample")
-    gen = rng.generator()
-    sampler = _RootStatusSampler(d, k, gen, use_colors)
+    sampler = _RootStatusSampler(d, k, _as_generator(rng), use_colors)
     core = attached = overlap = 0
     for _ in range(samples):
         status = sampler.root_status(level)

@@ -1,12 +1,18 @@
-"""Shared test utilities: small hand-built homomorphisms, random instances
-and the loop oracles for the array samplers."""
+"""Shared test utilities: small hand-built homomorphisms, random instances,
+the loop oracles for the array samplers and the full-walk expansivity
+oracle."""
 
 import itertools
+from collections import defaultdict
 from fractions import Fraction
 
 from sofic_lab.analytics import bichromatic_pair_types
 from sofic_lab.group_model import UniformHom, typed_partition_count
-from sofic_lab.hypergraph import build_hypergraph, monochromatic_edge_count
+from sofic_lab.hypergraph import (
+    build_hypergraph,
+    critical_edges,
+    monochromatic_edge_count,
+)
 from sofic_lab.samplers import RngState, sample_type_vector
 
 
@@ -220,3 +226,35 @@ def check_uniform_permutation_loop_oracle(img, n, k, gen_index):
                 "generator %d has an orbit of size %d, want exactly %d"
                 % (gen_index, size, k)
             )
+
+
+def expansivity_exhaustive_oracle(graph, chi, t_max):
+    """Full-walk oracle for the exhaustive phase of
+    structure.expansivity_scan: score every set of size 1..t_max from
+    scratch, in combinations order. Returns (max excess, witness,
+    violations)."""
+    full = []
+    by_support = defaultdict(list)
+    for ce, (idx, v) in enumerate(critical_edges(graph, chi)):
+        full.append(frozenset(graph.edges[idx][1]))
+        by_support[v].append(ce)
+
+    def excess(subset):
+        owned = set()
+        for v in subset:
+            owned.update(by_support.get(v, ()))
+        heavy = sum(1 for ce in owned if len(full[ce] & subset) >= 2)
+        return heavy - 2 * len(subset)
+
+    best = None
+    best_witness = None
+    violations = []
+    for t in range(1, t_max + 1):
+        for combo in itertools.combinations(range(graph.n), t):
+            subset = frozenset(combo)
+            val = excess(subset)
+            if best is None or val > best:
+                best, best_witness = val, subset
+            if val > 0:
+                violations.append(subset)
+    return best, best_witness, tuple(violations)

@@ -74,6 +74,19 @@ EXPERIMENT_DIGESTS = {
 }
 
 
+# (n, k, d, sampler seed, scan seed): planted instances scanned by
+# `expansivity --t-max 3 --random-trials 4`; the first has 36 exhaustive
+# violations, the second one found by the greedy phase only.
+EXPANSIVITY_CASES = [(12, 3, 12, 4, 5), (30, 3, 8, 2, 5)]
+
+EXPANSIVITY_DIGESTS = {
+    "expansivity-n12-k3-d12":
+        "300e7f7d9e09bacad5d9717677b0e35d08a1e6fbab7f05202914b720abba2ab2",
+    "expansivity-n30-k3-d8":
+        "a381730905e58f88b933d0ac81f9900a09d68bc608266c15887146d89f7262b4",
+}
+
+
 def _sha256(*blobs):
     h = hashlib.sha256()
     for blob in blobs:
@@ -108,3 +121,22 @@ def test_experiment_output_digest(case, tmp_path, monkeypatch):
     run_experiment(ExperimentConfig(kind, dict(params), "run"), workers=1)
     digest = _sha256((tmp_path / "run.csv").read_bytes(), (tmp_path / "run.json").read_bytes())
     assert digest == EXPERIMENT_DIGESTS[_experiment_id(case)]
+
+
+@pytest.mark.parametrize(
+    "case", EXPANSIVITY_CASES, ids=lambda c: "expansivity-n%d-k%d-d%d" % c[:3]
+)
+def test_cli_expansivity_output_digest(case, tmp_path, monkeypatch, capsys):
+    # the params line echoes the input path, so it is kept relative
+    n, k, d, seed, scan_seed = case
+    monkeypatch.chdir(tmp_path)
+    assert cli_dispatch(["sample-planted", "--n", str(n), "--k", str(k),
+                         "--d", str(d), "--seed", str(seed),
+                         "--output", "instance.json"]) == 0
+    capsys.readouterr()
+    assert cli_dispatch(["expansivity", "--input", "instance.json",
+                         "--t-max", "3", "--random-trials", "4",
+                         "--seed", str(scan_seed)]) == 0
+    out = capsys.readouterr().out
+    assert _sha256(out.encode()) == EXPANSIVITY_DIGESTS[
+        "expansivity-n%d-k%d-d%d" % (n, k, d)]

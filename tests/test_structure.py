@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from helpers import expansivity_exhaustive_oracle
 
 from sofic_lab._errors import ScaleRefusal
 from sofic_lab.group_model import ModelParams
@@ -14,6 +15,7 @@ from sofic_lab.hypergraph import (
     critical_edges,
     monochromatic_edge_count,
 )
+from sofic_lab import structure
 from sofic_lab.samplers import RngState, sample_planted_hom
 from sofic_lab.structure import (
     CoreLevel,
@@ -242,6 +244,30 @@ def test_expansivity_random_phase_is_deterministic():
     )
 
 
+# (k, d, n): sparse planted instances with no violations, then dense ones
+# with 26-110 violations each at t_max=3.
+SPARSE_SCAN_SHAPES = [(6, 20, 60), (3, 8, 30), (4, 12, 24), (6, 30, 60)]
+DENSE_SCAN_SHAPES = [(3, 12, 12), (4, 20, 12), (3, 16, 18)]
+
+
+@pytest.mark.parametrize(
+    "shapes, seeds",
+    [(SPARSE_SCAN_SHAPES, range(6)), (DENSE_SCAN_SHAPES, range(4))],
+    ids=["sparse", "dense"],
+)
+def test_expansivity_scan_matches_full_walk_oracle(shapes, seeds):
+    for k, d, n in shapes:
+        for seed in seeds:
+            graph, chi = _planted_graph(k, d, n, seed)
+            for t_max in (1, 2, 3):
+                report = expansivity_scan(graph, chi, t_max)
+                assert (
+                    report.exhaustive_max_excess,
+                    report.exhaustive_witness,
+                    report.violations,
+                ) == expansivity_exhaustive_oracle(graph, chi, t_max)
+
+
 def test_expansivity_validation():
     graph, chi = _planted_graph(6, 20, 60, 0)
     with pytest.raises(ValueError, match="t_max"):
@@ -251,6 +277,19 @@ def test_expansivity_validation():
     with pytest.raises(ScaleRefusal) as err:
         expansivity_scan(graph, chi, t_max=10)
     assert err.value.count == sum(math.comb(60, t) for t in range(1, 11))
+
+
+def test_expansivity_refuses_before_support_tables(monkeypatch):
+    graph, chi = _planted_graph(6, 20, 60, 0)
+
+    def no_tables(*args):
+        raise AssertionError("support tables built before the argument checks")
+
+    monkeypatch.setattr(structure, "_support_tables", no_tables)
+    with pytest.raises(ValueError, match="t_max"):
+        expansivity_scan(graph, chi, t_max=0)
+    with pytest.raises(ScaleRefusal):
+        expansivity_scan(graph, chi, t_max=10)
 
 
 def test_rigidity_empty_region_and_vacuous_threshold():

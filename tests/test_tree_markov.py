@@ -1,5 +1,6 @@
 """Tree windows: pattern counting, exact sampling, pullbacks, core status."""
 
+import hashlib
 import math
 import random
 from collections import Counter
@@ -391,6 +392,34 @@ def test_core_status_validation():
     first = core_density_estimate(5, 3, 1, 500, RngState(9))
     second = core_density_estimate(5, 3, 1, 500, RngState(9))
     assert first == second
+
+
+def test_core_status_accepts_generator_or_rng_state():
+    for seed in range(4):
+        assert core_density_estimate(
+            5, 3, 2, 300, RngState(seed)
+        ) == core_density_estimate(5, 3, 2, 300, RngState(seed).generator())
+        assert sample_root_core_status(
+            5, 3, 1, RngState(seed)
+        ) == sample_root_core_status(5, 3, 1, RngState(seed).generator())
+
+
+# (d, k, level); the digest covers the (core, attached, overlap) tallies of
+# 400 samples per seed and the next draw left on the generator, so it pins
+# both the statuses and how much of the stream each batch consumed.
+TALLY_CASES = [(20, 6, 4), (5, 3, 2), (5, 3, 1), (8, 4, 3), (12, 5, 4), (12, 4, 2)]
+TALLY_DIGEST = "f538d2ab93b84d5ccfa3808a05ae375580740292f269326f539826b78d517ec6"
+
+
+def test_core_density_tally_digest():
+    rows = []
+    for d, k, level in TALLY_CASES:
+        for seed in range(5):
+            gen = RngState(seed).generator()
+            est = core_density_estimate(d, k, level, 400, gen)
+            rows.append((d, k, level, seed, est.core_count, est.attached_count,
+                         est.overlap_count, int(gen.integers(2**62))))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == TALLY_DIGEST
 
 
 def census_per_vertex_oracle(hom, coloring, domain):
