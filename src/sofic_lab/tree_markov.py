@@ -552,7 +552,9 @@ class _RootStatusSampler:
     def _edges_of(self, node):
         if node.fresh is None:
             count = self.d if node.incoming is None else self.d - 1
-            draws = self.gen.integers(self.modulus, size=count).tolist() if count else ()
+            draws = (
+                self.gen.integers(self.modulus, size=count).tolist() if count else ()
+            )
             if self.use_colors:
                 node.fresh = tuple(self._colored_edge(node, r) for r in draws)
             else:
