@@ -1,9 +1,29 @@
-"""Exact enumeration and closed-form counting at oracle scale.
+"""Exact counting at oracle scale.
 
-Counts proper and near-proper colorings of labeled hypergraphs by
-backtracking, evaluates the closed-form typed-partition counts, and combines
-them into exact model moments. Everything here is big-integer or big-rational
-arithmetic; no floating point enters any value.
+Counts proper and near-proper colorings of labeled hypergraphs with one
+forward pass over the vertices (_frontier_table), evaluates the closed-form
+typed-partition counts, and combines them into exact model moments.
+Everything here is big-integer or big-rational arithmetic; no floating point
+enters any value.
+
+The pass colors the vertices in a greedy order that keeps few edges open (an
+open edge has a colored and an uncolored vertex). Its state holds each open
+edge that is still monochromatic, with its color, and two weights against a
+reference coloring: a, the ref-0 vertices colored 1, and b, the ref-1
+vertices colored 0. States with the same key are merged, so the cost grows
+with the number of states on the frontier, not with the number of colorings:
+count_proper at (d, k, n) = (5, 4, 40) holds about 260 MB at its peak. Each
+count reads coefficients of the final (a, b) table:
+
+- count_proper: the whole table (no weights tracked; with eps > 0 the state
+  also counts the monochromatic edges closed, up to floor(eps * n)).
+- count_equitable: the entry a = n/2 against the all-0 reference.
+- count_at_distance at f flips: the entry (f/2, f/2) against chi.
+- cluster_size: the entries (j, j) with 2j <= floor(n * 2^(-k/2)).
+
+The two collect functions run the same pass with each coloring kept as an
+int, and list them lexicographically over a breadth-first vertex order, 0
+first.
 """
 
 import math
@@ -44,212 +64,138 @@ def _check_scale(n, bound, what):
         )
 
 
-def _constraint_order(n, edges):
-    """Visit vertices so each new one shares edges with colored ones."""
+def _frontier_order(n, k, edges, edges_of):
+    """Greedy vertex order: each step takes the vertex that leaves the fewest
+    open edges (edges with some but not all vertices colored)."""
+    colored = [0] * len(edges)
+    left = set(range(n))
+    order = []
+    while left:
+        v = min(left, key=lambda u: (
+            sum((colored[ei] == 0) - (colored[ei] == k - 1) for ei in edges_of[u]), u))
+        left.remove(v)
+        order.append(v)
+        for ei in edges_of[v]:
+            colored[ei] += 1
+    return order
+
+
+def _search_rank(n, edges, edges_of):
+    """Position of each vertex in the breadth-first order over shared edges,
+    roots in index order. Collected colorings are listed lexicographically
+    over this order, 0 first."""
+    rank = [-1] * n
+    pos = 0
+    for root in range(n):
+        if rank[root] >= 0:
+            continue
+        rank[root] = pos
+        queue = deque([root])
+        pos += 1
+        while queue:
+            for ei in edges_of[queue.popleft()]:
+                for w in edges[ei]:
+                    if rank[w] < 0:
+                        rank[w] = pos
+                        pos += 1
+                        queue.append(w)
+    return rank
+
+
+def _frontier_table(graph, targets=None, ref=None, budget=0, halve=False,
+                    collect=False):
+    """Colorings with at most budget monochromatic edges, tabulated by the
+    weights (a, b): a counts the ref-0 vertices colored 1 and b the ref-1
+    vertices colored 0 (ref defaults to all 0, so a is the number of ones).
+
+    One forward pass colors the vertices in _frontier_order. A state packs
+    into one int the color of every open edge that is still monochromatic
+    (two bits per edge; bichromatic edges drop out), then a and b, then the
+    number of monochromatic edges closed so far. With targets, the weights
+    are tracked and every state that can no longer reach a target (a, b) with
+    the vertices left is pruned, so the table holds target entries only.
+
+    halve: color the first vertex 0 and double; valid only for counts that
+    are invariant under a color swap. collect: the values are the colorings
+    themselves, sorted by _search_rank, instead of their number.
+    """
+    n = graph.n
+    edges = [e for _, e in graph.edges]
     edges_of = [[] for _ in range(n)]
     for ei, e in enumerate(edges):
         for v in e:
             edges_of[v].append(ei)
-    order = []
-    seen = [False] * n
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for ei in edges_of[v]:
-                for w in edges[ei]:
-                    if not seen[w]:
-                        seen[w] = True
-                        queue.append(w)
-    return order, edges_of
-
-
-class _ColoringSearch:
-    """Backtracking count of colorings under edge and side constraints.
-
-    budget: number of monochromatic edges allowed. At zero budget an edge
-    with k-1 vertices one color forces its last vertex, and the search
-    propagates such forcings to a fixed point.
-
-    equitable: require exactly n/2 ones. ref with diff_target or diff_max:
-    constrain the Hamming distance (as a flip count) to the reference.
-
-    halve: explore only colorings giving the first vertex color 0 and double
-    the result; valid only when all active constraints are swap-invariant.
-    """
-
-    def __init__(self, graph, budget=0, equitable=False, ref=None,
-                 diff_target=None, diff_max=None, collect=False, halve=False):
-        self.n, self.k = graph.n, graph.k
-        self.edges = [e for _, e in graph.edges]
-        self.m = len(self.edges)
-        self.order, self.edges_of = _constraint_order(self.n, self.edges)
-        self.budget_left = budget
-        self.equitable = equitable
-        self.half = self.n // 2
-        if equitable and self.n % 2:
-            raise ValueError("equitable search needs even n")
-        self.ref = ref
-        self.diff_target = diff_target
-        self.diff_max = diff_max
-        self.collect = collect
-        self.halve = halve
-        if halve and (ref is not None or collect):
-            raise ValueError("halving is only valid for swap-invariant counts")
-        self.color = [-1] * self.n
-        self.tot = [0] * self.m
-        self.ones = [0] * self.m
-        # an edge is live while it is incomplete and could still complete
-        # monochromatically
-        self.live_flag = [True] * self.m
-        self.live = self.m
-        self.colored = 0
-        self.ones_used = 0
-        self.zeros_used = 0
-        self.diff_used = 0
-        self.count = 0
-        self.found = []
-
-    def _edge_live(self, ei):
-        t, o = self.tot[ei], self.ones[ei]
-        return t < self.k and (o == 0 or o == t)
-
-    def _assign(self, v, c, trail):
-        """Color v, update all bookkeeping; False means a constraint broke.
-
-        Bookkeeping is completed even on failure so one undo pass reverts it.
-        """
-        self.color[v] = c
-        trail.append(v)
-        self.colored += 1
-        self.ones_used += c
-        self.zeros_used += 1 - c
-        ok = True
-        if self.ref is not None and c != self.ref[v]:
-            self.diff_used += 1
-        for ei in self.edges_of[v]:
-            was = self.live_flag[ei]
-            self.tot[ei] += 1
-            self.ones[ei] += c
-            now = self._edge_live(ei)
-            self.live_flag[ei] = now
-            self.live += now - was
-            if self.tot[ei] == self.k and self.ones[ei] in (0, self.k):
-                self.budget_left -= 1
-                if self.budget_left < 0:
-                    ok = False
-        if self.equitable and (self.ones_used > self.half or self.zeros_used > self.half):
-            ok = False
-        if self.ref is not None:
-            limit = self.diff_max if self.diff_max is not None else self.diff_target
-            if self.diff_used > limit:
-                ok = False
-            if self.diff_target is not None:
-                if self.diff_target - self.diff_used > self.n - self.colored:
-                    ok = False
-        return ok
-
-    def _undo(self, trail):
-        for v in reversed(trail):
-            c = self.color[v]
-            for ei in self.edges_of[v]:
-                was = self.live_flag[ei]
-                if self.tot[ei] == self.k and self.ones[ei] in (0, self.k):
-                    self.budget_left += 1
-                self.tot[ei] -= 1
-                self.ones[ei] -= c
-                now = self._edge_live(ei)
-                self.live_flag[ei] = now
-                self.live += now - was
-            self.color[v] = -1
-            self.colored -= 1
-            self.ones_used -= c
-            self.zeros_used -= 1 - c
-            if self.ref is not None and c != self.ref[v]:
-                self.diff_used -= 1
-
-    def _forced(self, ei):
-        if self.tot[ei] != self.k - 1 or not self.live_flag[ei]:
-            return None
-        for v in self.edges[ei]:
-            if self.color[v] == -1:
-                return v, (1 if self.ones[ei] == 0 else 0)
-        raise AssertionError("live edge with k-1 colored must have a free vertex")
-
-    def _assign_propagate(self, v, c, trail):
-        if not self._assign(v, c, trail):
-            return False
-        if self.budget_left > 0:
-            return True
-        queue = deque(self.edges_of[v])
-        while queue:
-            forced = self._forced(queue.popleft())
-            if forced is None:
-                continue
-            w, wc = forced
-            if not self._assign(w, wc, trail):
-                return False
-            queue.extend(self.edges_of[w])
-        return True
-
-    def _free_completions(self):
-        """Closed-form count of the remaining free colorings once no edge
-        can complete monochromatically."""
-        free = [v for v in range(self.n) if self.color[v] == -1]
-        if self.ref is None and not self.equitable:
-            return 1 << len(free)
-        if self.ref is None:
-            return math.comb(len(free), self.half - self.ones_used)
-        r1 = sum(self.ref[v] for v in free)
-        r0 = len(free) - r1
-        a = self.half - self.ones_used
-        lo = self.diff_target if self.diff_target is not None else 0
-        hi = self.diff_target if self.diff_target is not None else self.diff_max
-        total = 0
-        # x of the r1 reference-ones stay 1; the flip count is r1-x plus a-x
-        for x in range(max(0, a - r0), min(r1, a) + 1):
-            diff = self.diff_used + (r1 - x) + (a - x)
-            if lo <= diff <= hi:
-                total += math.comb(r1, x) * math.comb(r0, a - x)
-        return total
-
-    def _leaf_ok(self):
-        if self.equitable and self.ones_used != self.half:
-            return False
-        if self.diff_target is not None and self.diff_used != self.diff_target:
-            return False
-        return True
-
-    def _dfs(self, idx):
-        while idx < self.n and self.color[self.order[idx]] != -1:
-            idx += 1
-        if idx == self.n:
-            if self._leaf_ok():
-                self.count += 1
-                if self.collect:
-                    self.found.append(Coloring(self.color))
-            return
-        # once the budget absorbs every live edge the rest is a closed form;
-        # under halving the first vertex must already be pinned to 0
-        if (not self.collect and self.budget_left >= self.live
-                and not (self.halve and self.colored == 0)):
-            self.count += self._free_completions()
-            return
-        v = self.order[idx]
-        first = self.halve and self.colored == 0
-        for c in (0,) if first else (0, 1):
-            trail = []
-            if self._assign_propagate(v, c, trail):
-                self._dfs(idx + 1)
-            self._undo(trail)
-
-    def run(self):
-        self._dfs(0)
-        return 2 * self.count if self.halve else self.count
+    order = _frontier_order(n, graph.k, edges, edges_of)
+    ref = [0] * n if ref is None else list(ref)
+    wa = wb = 0
+    if targets:
+        # one spare value each: a weight one past its target is pruned
+        wa = (max(a for a, _ in targets) + 1).bit_length()
+        wb = (max(b for _, b in targets) + 1).bit_length()
+        left = [ref.count(0), ref.count(1)]
+    a_shift = 2 * len(edges)
+    b_shift = a_shift + wa
+    mono_shift = b_shift + wb
+    weights = ~(-1 << wa + wb)
+    if collect:
+        rank = _search_rank(n, edges, edges_of)
+    colored = [0] * len(edges)
+    table = {0: [0] if collect else 1}
+    for i, v in enumerate(order):
+        opens = keeps = closes = 0
+        for ei in edges_of[v]:
+            bit = 1 << 2 * ei
+            if colored[ei] == 0:
+                opens |= bit
+            elif colored[ei] == graph.k - 1:
+                closes |= bit
+            else:
+                keeps |= bit
+            colored[ei] += 1
+        allowed = None
+        if targets:
+            left[ref[v]] -= 1
+            allowed = {
+                a | b << wa
+                for ta, tb in targets
+                for a in range(max(0, ta - left[0]), ta + 1)
+                for b in range(max(0, tb - left[1]), tb + 1)
+            }
+        drop = ~((keeps | closes) * 3)
+        new = {}
+        get = new.get
+        for c in (0,) if halve and i == 0 else (0, 1):
+            # an edge stays monochromatic only if it already was in color c
+            mask = drop | keeps << c
+            close = closes << c
+            add = opens << c
+            if targets and c != ref[v]:
+                add += 1 << (a_shift if c else b_shift)
+            lift = 1 << n - 1 - rank[v] if collect and c else 0
+            for key, val in table.items():
+                y = (key & mask) + add
+                hit = key & close
+                if hit:
+                    hit = hit.bit_count()
+                    if (y >> mono_shift) + hit > budget:
+                        continue
+                    y += hit << mono_shift
+                if allowed is not None and (y >> a_shift) & weights not in allowed:
+                    continue
+                if lift:
+                    val = [x | lift for x in val]
+                old = get(y)
+                new[y] = val if old is None else old + val
+        table = new
+    out = {}
+    for key, val in table.items():
+        ab = (key >> a_shift) & ~(-1 << wa), (key >> b_shift) & ~(-1 << wb)
+        out[ab] = out[ab] + val if ab in out else val
+    if collect:
+        shifts = [n - 1 - r for r in rank]
+        return {ab: [Coloring((x >> s) & 1 for s in shifts) for x in sorted(val)]
+                for ab, val in out.items()}
+    return {ab: 2 * val if halve else val for ab, val in out.items()}
 
 
 def count_proper(graph, eps=0, max_n=None):
@@ -265,8 +211,14 @@ def count_proper(graph, eps=0, max_n=None):
     budget = math.floor(eps * graph.n)
     bound = PROPER_SEARCH_MAX_N if budget == 0 else BUDGET_SEARCH_MAX_N
     _check_scale(graph.n, max_n if max_n is not None else bound, "count_proper")
-    value = _ColoringSearch(graph, budget=budget, halve=True).run()
+    value = _frontier_table(graph, budget=budget, halve=True).get((0, 0), 0)
     return CountReport(value, "enumeration", perf_counter() - start)
+
+
+def _equitable_target(graph):
+    if graph.n % 2:
+        raise ValueError("equitable colorings need even n")
+    return graph.n // 2, 0
 
 
 def count_equitable(graph, max_n=None):
@@ -274,7 +226,8 @@ def count_equitable(graph, max_n=None):
     start = perf_counter()
     _check_scale(graph.n, max_n if max_n is not None else PROPER_SEARCH_MAX_N,
                  "count_equitable")
-    value = _ColoringSearch(graph, equitable=True, halve=True).run()
+    target = _equitable_target(graph)
+    value = _frontier_table(graph, targets=[target], halve=True).get(target, 0)
     return CountReport(value, "enumeration", perf_counter() - start)
 
 
@@ -282,18 +235,15 @@ def proper_equitable_colorings(graph, max_n=None):
     """All proper equitable colorings, materialized."""
     _check_scale(graph.n, max_n if max_n is not None else MOMENT_MAX_N,
                  "proper_equitable_colorings")
-    search = _ColoringSearch(graph, equitable=True, collect=True)
-    search.run()
-    return search.found
+    target = _equitable_target(graph)
+    return _frontier_table(graph, targets=[target], collect=True).get(target, [])
 
 
 def proper_colorings(graph, max_n=None):
     """All proper colorings (equitable or not), materialized."""
     _check_scale(graph.n, max_n if max_n is not None else MOMENT_MAX_N,
                  "proper_colorings")
-    search = _ColoringSearch(graph, collect=True)
-    search.run()
-    return search.found
+    return _frontier_table(graph, collect=True).get((0, 0), [])
 
 
 def _require_proper_equitable(graph, chi):
@@ -322,7 +272,9 @@ def count_at_distance(graph, chi, delta, max_n=None):
                  "count_at_distance")
     _require_proper_equitable(graph, chi)
     flips = _flip_count(graph.n, delta)
-    value = _ColoringSearch(graph, equitable=True, ref=chi, diff_target=flips).run()
+    # an equitable coloring at flips f from chi moves f/2 vertices each way
+    target = flips // 2, flips // 2
+    value = _frontier_table(graph, targets=[target], ref=chi).get(target, 0)
     return CountReport(value, "enumeration", perf_counter() - start)
 
 
@@ -332,25 +284,13 @@ def cluster_radius(n, k):
 
 
 def cluster_size(graph, chi, max_n=None):
-    """Proper equitable colorings within Hamming distance 2^(-k/2) of chi.
-
-    Small radii use the distance-pruned search directly; otherwise the full
-    proper-equitable family is enumerated and filtered, whichever space is
-    smaller.
-    """
+    """Proper equitable colorings within Hamming distance 2^(-k/2) of chi."""
     start = perf_counter()
     _check_scale(graph.n, max_n if max_n is not None else PROPER_SEARCH_MAX_N,
                  "cluster_size")
     _require_proper_equitable(graph, chi)
-    radius = cluster_radius(graph.n, graph.k)
-    if 4 * radius < graph.n:
-        value = _ColoringSearch(graph, equitable=True, ref=chi, diff_max=radius).run()
-    else:
-        found = proper_equitable_colorings(graph, max_n=graph.n)
-        value = sum(
-            1 for c in found
-            if sum(a != b for a, b in zip(c, chi)) <= radius
-        )
+    targets = [(j, j) for j in range(cluster_radius(graph.n, graph.k) // 2 + 1)]
+    value = sum(_frontier_table(graph, targets=targets, ref=chi).values())
     return CountReport(value, "enumeration", perf_counter() - start)
 
 
@@ -497,6 +437,6 @@ def count_good_colorings(graph, threshold, max_n=None):
                  "count_good_colorings")
     value = sum(
         1 for chi in proper_equitable_colorings(graph, max_n=graph.n)
-        if cluster_size(graph, chi).value <= Fraction(threshold)
+        if cluster_size(graph, chi, max_n=graph.n).value <= Fraction(threshold)
     )
     return CountReport(value, "enumeration", perf_counter() - start)

@@ -1,14 +1,16 @@
 """Shared test utilities: small hand-built homomorphisms, random instances,
-the loop oracles for the array samplers and the full-walk expansivity
-oracle."""
+the loop oracles for the array samplers, the full-walk expansivity oracle
+and the backtracking coloring-search oracle."""
 
 import itertools
-from collections import defaultdict
+import math
+from collections import defaultdict, deque
 from fractions import Fraction
 
 from sofic_lab.analytics import bichromatic_pair_types
 from sofic_lab.group_model import UniformHom, typed_partition_count
 from sofic_lab.hypergraph import (
+    Coloring,
     build_hypergraph,
     critical_edges,
     monochromatic_edge_count,
@@ -258,3 +260,221 @@ def expansivity_exhaustive_oracle(graph, chi, t_max):
             if val > 0:
                 violations.append(subset)
     return best, best_witness, tuple(violations)
+
+
+def _constraint_order(n, edges):
+    """Visit vertices so each new one shares edges with colored ones."""
+    edges_of = [[] for _ in range(n)]
+    for ei, e in enumerate(edges):
+        for v in e:
+            edges_of[v].append(ei)
+    order = []
+    seen = [False] * n
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for ei in edges_of[v]:
+                for w in edges[ei]:
+                    if not seen[w]:
+                        seen[w] = True
+                        queue.append(w)
+    return order, edges_of
+
+
+class _ColoringSearch:
+    """Backtracking count of colorings under edge and side constraints.
+
+    budget: number of monochromatic edges allowed. At zero budget an edge
+    with k-1 vertices one color forces its last vertex, and the search
+    propagates such forcings to a fixed point.
+
+    equitable: require exactly n/2 ones. ref with diff_target or diff_max:
+    constrain the Hamming distance (as a flip count) to the reference.
+
+    halve: explore only colorings giving the first vertex color 0 and double
+    the result; valid only when all active constraints are swap-invariant.
+    """
+
+    def __init__(self, graph, budget=0, equitable=False, ref=None,
+                 diff_target=None, diff_max=None, collect=False, halve=False):
+        self.n, self.k = graph.n, graph.k
+        self.edges = [e for _, e in graph.edges]
+        self.m = len(self.edges)
+        self.order, self.edges_of = _constraint_order(self.n, self.edges)
+        self.budget_left = budget
+        self.equitable = equitable
+        self.half = self.n // 2
+        if equitable and self.n % 2:
+            raise ValueError("equitable search needs even n")
+        self.ref = ref
+        self.diff_target = diff_target
+        self.diff_max = diff_max
+        self.collect = collect
+        self.halve = halve
+        if halve and (ref is not None or collect):
+            raise ValueError("halving is only valid for swap-invariant counts")
+        self.color = [-1] * self.n
+        self.tot = [0] * self.m
+        self.ones = [0] * self.m
+        # an edge is live while it is incomplete and could still complete
+        # monochromatically
+        self.live_flag = [True] * self.m
+        self.live = self.m
+        self.colored = 0
+        self.ones_used = 0
+        self.zeros_used = 0
+        self.diff_used = 0
+        self.count = 0
+        self.found = []
+
+    def _edge_live(self, ei):
+        t, o = self.tot[ei], self.ones[ei]
+        return t < self.k and (o == 0 or o == t)
+
+    def _assign(self, v, c, trail):
+        """Color v, update all bookkeeping; False means a constraint broke.
+
+        Bookkeeping is completed even on failure so one undo pass reverts it.
+        """
+        self.color[v] = c
+        trail.append(v)
+        self.colored += 1
+        self.ones_used += c
+        self.zeros_used += 1 - c
+        ok = True
+        if self.ref is not None and c != self.ref[v]:
+            self.diff_used += 1
+        for ei in self.edges_of[v]:
+            was = self.live_flag[ei]
+            self.tot[ei] += 1
+            self.ones[ei] += c
+            now = self._edge_live(ei)
+            self.live_flag[ei] = now
+            self.live += now - was
+            if self.tot[ei] == self.k and self.ones[ei] in (0, self.k):
+                self.budget_left -= 1
+                if self.budget_left < 0:
+                    ok = False
+        if self.equitable and (self.ones_used > self.half or self.zeros_used > self.half):
+            ok = False
+        if self.ref is not None:
+            limit = self.diff_max if self.diff_max is not None else self.diff_target
+            if self.diff_used > limit:
+                ok = False
+            if self.diff_target is not None:
+                if self.diff_target - self.diff_used > self.n - self.colored:
+                    ok = False
+        return ok
+
+    def _undo(self, trail):
+        for v in reversed(trail):
+            c = self.color[v]
+            for ei in self.edges_of[v]:
+                was = self.live_flag[ei]
+                if self.tot[ei] == self.k and self.ones[ei] in (0, self.k):
+                    self.budget_left += 1
+                self.tot[ei] -= 1
+                self.ones[ei] -= c
+                now = self._edge_live(ei)
+                self.live_flag[ei] = now
+                self.live += now - was
+            self.color[v] = -1
+            self.colored -= 1
+            self.ones_used -= c
+            self.zeros_used -= 1 - c
+            if self.ref is not None and c != self.ref[v]:
+                self.diff_used -= 1
+
+    def _forced(self, ei):
+        if self.tot[ei] != self.k - 1 or not self.live_flag[ei]:
+            return None
+        for v in self.edges[ei]:
+            if self.color[v] == -1:
+                return v, (1 if self.ones[ei] == 0 else 0)
+        raise AssertionError("live edge with k-1 colored must have a free vertex")
+
+    def _assign_propagate(self, v, c, trail):
+        if not self._assign(v, c, trail):
+            return False
+        if self.budget_left > 0:
+            return True
+        queue = deque(self.edges_of[v])
+        while queue:
+            forced = self._forced(queue.popleft())
+            if forced is None:
+                continue
+            w, wc = forced
+            if not self._assign(w, wc, trail):
+                return False
+            queue.extend(self.edges_of[w])
+        return True
+
+    def _free_completions(self):
+        """Closed-form count of the remaining free colorings once no edge
+        can complete monochromatically."""
+        free = [v for v in range(self.n) if self.color[v] == -1]
+        if self.ref is None and not self.equitable:
+            return 1 << len(free)
+        if self.ref is None:
+            return math.comb(len(free), self.half - self.ones_used)
+        r1 = sum(self.ref[v] for v in free)
+        r0 = len(free) - r1
+        a = self.half - self.ones_used
+        lo = self.diff_target if self.diff_target is not None else 0
+        hi = self.diff_target if self.diff_target is not None else self.diff_max
+        total = 0
+        # x of the r1 reference-ones stay 1; the flip count is r1-x plus a-x
+        for x in range(max(0, a - r0), min(r1, a) + 1):
+            diff = self.diff_used + (r1 - x) + (a - x)
+            if lo <= diff <= hi:
+                total += math.comb(r1, x) * math.comb(r0, a - x)
+        return total
+
+    def _leaf_ok(self):
+        if self.equitable and self.ones_used != self.half:
+            return False
+        if self.diff_target is not None and self.diff_used != self.diff_target:
+            return False
+        return True
+
+    def _dfs(self, idx):
+        while idx < self.n and self.color[self.order[idx]] != -1:
+            idx += 1
+        if idx == self.n:
+            if self._leaf_ok():
+                self.count += 1
+                if self.collect:
+                    self.found.append(Coloring(self.color))
+            return
+        # once the budget absorbs every live edge the rest is a closed form;
+        # under halving the first vertex must already be pinned to 0
+        if (not self.collect and self.budget_left >= self.live
+                and not (self.halve and self.colored == 0)):
+            self.count += self._free_completions()
+            return
+        v = self.order[idx]
+        first = self.halve and self.colored == 0
+        for c in (0,) if first else (0, 1):
+            trail = []
+            if self._assign_propagate(v, c, trail):
+                self._dfs(idx + 1)
+            self._undo(trail)
+
+    def run(self):
+        self._dfs(0)
+        return 2 * self.count if self.halve else self.count
+
+
+def coloring_search_oracle(graph, **constraints):
+    """Backtracking oracle for the exact_count frontier pass: the count under
+    the given constraints (see _ColoringSearch), or with collect=True the
+    colorings in search order, which is lexicographic over _constraint_order
+    with 0 first."""
+    search = _ColoringSearch(graph, **constraints)
+    count = search.run()
+    return search.found if constraints.get("collect") else count

@@ -7,13 +7,14 @@ from fractions import Fraction
 import pytest
 from helpers import (
     all_k_partitions,
+    coloring_search_oracle,
     hom_from_cycles,
     pair_count_sum_recursion_oracle,
     partition_type_counts,
     random_uniform_images,
 )
 
-from sofic_lab import ScaleRefusal
+from sofic_lab import ScaleRefusal, exact_count
 from sofic_lab.exact_count import (
     MOMENT_MAX_N,
     CountReport,
@@ -30,6 +31,7 @@ from sofic_lab.exact_count import (
     exact_planted_distance_moment,
     is_good_coloring,
     partition_count,
+    proper_colorings,
     proper_equitable_colorings,
 )
 from sofic_lab.analytics import bichromatic_pair_types
@@ -47,7 +49,12 @@ from sofic_lab.hypergraph import (
     monochromatic_edge_count,
     pair_type_matrix,
 )
-from sofic_lab.samplers import _type_count_vectors
+from sofic_lab.samplers import (
+    RngState,
+    _type_count_vectors,
+    sample_planted_hom,
+    sample_uniform_hom,
+)
 
 
 def all_colorings(n):
@@ -514,3 +521,93 @@ def test_scale_refusals():
     p34 = ModelParams(d=1, k=2, n=34)
     g34 = build_hypergraph(random_uniform_images(p34, random.Random(1)))
     assert count_proper(g34, eps=Fraction(1, 34), max_n=34).value > 0
+
+
+def seeded_graph(kind, d, k, n, seed):
+    params = ModelParams(d=d, k=k, n=n)
+    if kind == "planted":
+        chi = Coloring.equitable_split(n)
+        return build_hypergraph(sample_planted_hom(params, chi, RngState(seed, 1))), chi
+    return build_hypergraph(sample_uniform_hom(params, RngState(seed, 1))), None
+
+
+def cluster_size_oracle(graph, chi):
+    # the two routes cluster_size took before the frontier pass
+    radius = cluster_radius(graph.n, graph.k)
+    if 4 * radius < graph.n:
+        return coloring_search_oracle(graph, equitable=True, ref=chi, diff_max=radius)
+    return sum(
+        1 for c in coloring_search_oracle(graph, equitable=True, collect=True)
+        if sum(a != b for a, b in zip(c, chi)) <= radius
+    )
+
+
+# (4, 3, 24) is the exact-count benchmark shape; k=3 and k=4 clusters take
+# the old filter route (4r >= n), k=6 at n=12 the distance-pruned one
+@pytest.mark.parametrize("kind,d,k,n,seed", [
+    ("uniform", 4, 3, 24, 7),
+    ("planted", 4, 3, 24, 7),
+    ("uniform", 2, 4, 16, 7),
+    ("uniform", 3, 3, 18, 7),
+    ("planted", 4, 6, 12, 7),
+])
+def test_frontier_pass_matches_search_oracle(kind, d, k, n, seed):
+    g, chi = seeded_graph(kind, d, k, n, seed)
+    for budget in (0, 1, 2):
+        assert count_proper(g, Fraction(budget, n)).value == coloring_search_oracle(
+            g, budget=budget, halve=True), budget
+    equitable = coloring_search_oracle(g, equitable=True, collect=True)
+    assert proper_equitable_colorings(g) == equitable
+    assert proper_colorings(g) == coloring_search_oracle(g, collect=True)
+    assert count_equitable(g).value == coloring_search_oracle(g, equitable=True, halve=True)
+    refs = [chi] if chi is not None else [equitable[0], equitable[-1]]
+    for ref in refs:
+        for flips in range(0, n + 1, 2):
+            assert count_at_distance(g, ref, Fraction(flips, n)).value == coloring_search_oracle(
+                g, equitable=True, ref=ref, diff_target=flips), flips
+        assert cluster_size(g, ref).value == cluster_size_oracle(g, ref)
+
+
+# sha256 of the exact-count benchmark draws' counts (seed 1, streams 1..120:
+# odd streams count_proper of a uniform draw, even ones count_at_distance
+# 1/4 of a planted draw), recorded with the backtracking search
+EXACT_COUNT_DRAWS_DIGEST = "b908956905696f229f01afacab0eaa8c7d1a4c70cd0bb1e58c1adc6ee6a44c2b"
+
+
+def test_exact_count_draws_digest():
+    params = ModelParams(d=4, k=3, n=24)
+    chi = Coloring.equitable_split(24)
+    h = hashlib.sha256()
+    for stream in range(1, 121):
+        if stream % 2:
+            g = build_hypergraph(sample_uniform_hom(params, RngState(1, stream)))
+            value = count_proper(g).value
+        else:
+            g = build_hypergraph(sample_planted_hom(params, chi, RngState(1, stream)))
+            value = count_at_distance(g, chi, Fraction(1, 4)).value
+        h.update(b"%d\n" % value)
+    assert h.hexdigest() == EXACT_COUNT_DRAWS_DIGEST
+
+
+def test_count_proper_pinned_beyond_benchmark_shape():
+    # recorded with the backtracking search, which took seconds here
+    g = build_hypergraph(sample_uniform_hom(ModelParams(d=3, k=4, n=24), RngState(2, 1)))
+    assert count_proper(g).value == 1661782
+
+
+def test_count_good_colorings_forwards_max_n(monkeypatch):
+    monkeypatch.setattr(exact_count, "PROPER_SEARCH_MAX_N", 8)
+    monkeypatch.setattr(exact_count, "GOOD_SEARCH_MAX_N", 8)
+    p = ModelParams(d=4, k=3, n=12)
+    g = build_hypergraph(random_uniform_images(p, random.Random(1)))
+    with pytest.raises(ScaleRefusal):
+        count_good_colorings(g, 22)
+    brute = brute_proper_equitable(g)
+    radius = cluster_radius(12, 3)
+    expected = sum(
+        1 for chi in brute
+        if sum(hamming_distance(c, chi) * 12 <= radius for c in brute) <= 22
+    )
+    # 26 of the 62 proper equitable colorings have clusters of at most 22
+    assert 0 < expected < len(brute)
+    assert count_good_colorings(g, 22, max_n=12).value == expected

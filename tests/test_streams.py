@@ -9,6 +9,7 @@ that the rewrite kept every stream.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +87,33 @@ EXPANSIVITY_DIGESTS = {
         "a381730905e58f88b933d0ac81f9900a09d68bc608266c15887146d89f7262b4",
 }
 
+# (fixture, command and options): stdout of `count` and `rigidity` on
+# committed instances, recorded with the backtracking coloring search. The
+# rigidity search returns the first hit in its listing order, so the two
+# witnesses also pin the order of proper_colorings; the third region is rigid.
+COUNTING_CLI_CASES = [
+    ("count_instance", "count",
+     "71b45d933543a80900464f8d5b664873b1020ffcf6fd2f7e91bf381ed22c7410"),
+    ("count_instance", "count --eps 1/8",
+     "ec551a53c8c3f26176eeb72295594df0849707d6557df079e1452c244a34cefc"),
+    ("count_instance", "count --equitable",
+     "f8dc43c9f28d58d803cf19077de7ccd398e930b5fbac3a181c9d760d8d778788"),
+    ("rigidity_09_n24_k3_d3", "count",
+     "e0c4ab8d73065f9bdbbc1dd133b19c8724d7a4e160a076cfb9ad91e611748858"),
+    ("rigidity_09_n24_k3_d3", "count --eps 1/24",
+     "6909ae061d65a70ac46c351712214721b35bb7470441683ecaf9c11b40604c60"),
+    ("rigidity_09_n24_k3_d3", "count --equitable",
+     "acd2572c61b9067f9b251bec4f2d3fcd7866621092a56cba4aa894684f5fa2b8"),
+    ("rigidity_08_n24_k3_d2", "rigidity --rho 1/24 --level 0",
+     "c93f6a290856aa61117eb1984acd7d3c03de9912cd55a476f506700892ec995d"),
+    ("rigidity_09_n24_k3_d3", "rigidity --rho 1/24 --level 1",
+     "eafed80f4e09cc9ceeff878948c9c1955e023566105476286948631448ac9295"),
+    ("rigidity_08_n24_k3_d2", "rigidity --rho 1/24 --level 1",
+     "b00c47c1b8bb3eecb0d2ca296f87232833d475d6cf877aee8fa5ed8dbb239112"),
+]
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
 
 def _sha256(*blobs):
     h = hashlib.sha256()
@@ -140,3 +168,14 @@ def test_cli_expansivity_output_digest(case, tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert _sha256(out.encode()) == EXPANSIVITY_DIGESTS[
         "expansivity-n%d-k%d-d%d" % (n, k, d)]
+
+
+@pytest.mark.parametrize(
+    "case", COUNTING_CLI_CASES, ids=lambda c: "%s %s" % c[:2])
+def test_cli_counting_output_digest(case, monkeypatch, capsys):
+    # the params line echoes the input path, so it is kept relative
+    fixture, command, digest = case
+    argv = command.split()
+    monkeypatch.chdir(FIXTURES)
+    assert cli_dispatch(argv[:1] + ["--input", fixture + ".json"] + argv[1:]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == digest

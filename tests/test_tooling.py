@@ -1,9 +1,24 @@
-"""Checks on the library source itself."""
+"""Checks on the library source itself and on the demos that use it."""
 
 import ast
+import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "sofic_lab"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "sofic_lab"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+# sha256 of the stdout of the deterministic demos, recorded with the
+# backtracking coloring search
+DEMO_STDOUT_DIGESTS = {
+    "sample_and_count.py": "d048e1fe4e95e4e25fbfabd78b16d1b4989386456bc4891713675de5c9c73813",
+    "core_and_rigidity.py": "eb17f42e7e08b92c6dcef903e1bb36b743f94b61739eae144eb9096dbdd59db9",
+}
 
 
 def test_no_assert_statements_in_library():
@@ -18,3 +33,14 @@ def test_no_assert_statements_in_library():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    # experiment_pipeline writes under tempfile's directory, so point it here
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
+    result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                            capture_output=True, timeout=300)
+    assert result.returncode == 0, result.stderr.decode()
+    if demo.name in DEMO_STDOUT_DIGESTS:
+        assert hashlib.sha256(result.stdout).hexdigest() == DEMO_STDOUT_DIGESTS[demo.name]
