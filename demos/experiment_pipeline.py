@@ -13,22 +13,21 @@ from pathlib import Path
 
 from sofic_lab import ExperimentConfig, run_experiment
 
-workdir = Path(tempfile.mkdtemp(prefix="sofic_demo_"))
+with tempfile.TemporaryDirectory(prefix="sofic_demo_") as workdir:
+    config = ExperimentConfig(
+        kind="first-moment",
+        params={"d": 2, "k": 2, "n": 4, "seeds": list(range(12))},
+        output=str(Path(workdir) / "first_moment_demo"),
+    )
+    result = run_experiment(config, workers=3)
 
-config = ExperimentConfig(
-    kind="first-moment",
-    params={"d": 2, "k": 2, "n": 4, "seeds": list(range(12))},
-    output=str(workdir / "first_moment_demo"),
-)
-result = run_experiment(config, workers=3)
+    print("summary:")
+    for key in ("mean", "exact_float", "exact_equals_enumeration", "pass"):
+        print("  %s: %s" % (key, result.summary[key]))
 
-print("summary:")
-for key in ("mean", "exact_float", "exact_equals_enumeration", "pass"):
-    print("  %s: %s" % (key, result.summary[key]))
+    print()
+    print("CSV written to", result.csv_path)
+    print(Path(result.csv_path).read_text(), end="")
 
-print()
-print("CSV written to", result.csv_path)
-print(Path(result.csv_path).read_text(), end="")
-
-print()
-print("JSON keys:", sorted(json.loads(Path(result.json_path).read_text())))
+    print()
+    print("JSON keys:", sorted(json.loads(Path(result.json_path).read_text())))

@@ -11,15 +11,13 @@ Results are mpmath floats at a configurable working precision.  The default
 is 128 bits because the interesting regimes (k near 25, degree counts in the
 hundreds of millions) involve rates of order 2^-k and identity checks at
 tolerances of order 2^-2k, which double precision cannot resolve.  Precision
-can be set per call, or globally through the SOFIC_LAB_PRECISION environment
-variable.
+is set per call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -29,7 +27,6 @@ import mpmath as mp
 from .hypergraph import GeneratorTypeMatrix, PairTypeMatrix
 
 DEFAULT_PRECISION_BITS = 128
-PRECISION_ENV_VAR = "SOFIC_LAB_PRECISION"
 
 # Newton/bisection iteration cap for the bias inversion.
 _MAX_SOLVER_ITERATIONS = 200
@@ -37,8 +34,7 @@ _MAX_SOLVER_ITERATIONS = 200
 
 def _resolve_precision(precision: int | None) -> int:
     if precision is None:
-        raw = os.environ.get(PRECISION_ENV_VAR)
-        precision = int(raw) if raw else DEFAULT_PRECISION_BITS
+        precision = DEFAULT_PRECISION_BITS
     precision = int(precision)
     if precision < 53:
         raise ValueError(
@@ -50,8 +46,7 @@ def _resolve_precision(precision: int | None) -> int:
 def working_precision(precision: int | None = None):
     """Context manager selecting the mpmath precision for a computation.
 
-    ``precision`` is a bit count; when omitted, the SOFIC_LAB_PRECISION
-    environment variable applies, and failing that the 128-bit default.
+    ``precision`` is a bit count; when omitted, the 128-bit default applies.
     """
     return mp.workprec(_resolve_precision(precision))
 
@@ -220,15 +215,14 @@ def balance_polynomial(
     d: int,
     k: int,
     precision: int | None = None,
-    factored: bool = False,
 ) -> mp.mpf:
     """Polynomial whose interior root pins the ones-density of critical type
     vectors to 1/2.
 
     The direct form is sum over j in [1, k-1] of
-    (k x - j) binomial(k, j) ((1-x)/x)^(j (1-d)/d); ``factored=True``
-    evaluates the equivalent product form used to show the root is unique.
-    The two agree to working precision and are negative on (0, 1/2).
+    (k x - j) binomial(k, j) ((1-x)/x)^(j (1-d)/d).  It is negative on
+    (0, 1/2); the tests check it against the product form used to show the
+    root is unique.
     """
     _check_k(k)
     if d != int(d) or d < 2:
@@ -238,10 +232,6 @@ def balance_polynomial(
         if not 0 < v < 1:
             raise ValueError(f"argument must lie strictly inside (0, 1), got {x}")
         y = ((1 - v) / v) ** (mp.mpf(1 - d) / d)
-        if factored:
-            return k * (
-                (v * (1 + y) - y) * (1 + y) ** (k - 1) - v + (1 - v) * y**k
-            )
         return mp.fsum(
             (k * v - j) * math.comb(k, j) * y**j for j in range(1, k)
         )
@@ -748,11 +738,10 @@ def degrees_from_offset(k: int, eta, precision: int | None = None) -> DegreeChoi
     report the offset that count actually realizes."""
     _check_k(k)
     with working_precision(precision):
-        e = _to_mpf(eta)
-        ratio = mp.log(2) / 2 * mp.mpf(2) ** k - (1 + mp.log(2)) / 2 + e
+        ratio = ratio_from_offset(k, eta, precision=mp.mp.prec)
         d = int(mp.nint(ratio * k))
-        implied = e + (d - ratio * k) / k
-        in_window = bool(0 < implied < (1 - mp.log(2)) / 2)
+        implied = _to_mpf(eta) + (d - ratio * k) / k
+        in_window = bool(0 < implied < offset_window_top(precision=mp.mp.prec))
         return DegreeChoice(d=d, implied_eta=implied, in_window=in_window)
 
 
@@ -800,11 +789,15 @@ def _binomial_tail_at_least(n: int, j_min: int, t: mp.mpf) -> mp.mpf:
     return 1 - head
 
 
+# Built at import under mpmath's default 53-bit precision, so the level at
+# which the iteration stops does not depend on a call's working precision.
+_FIXED_POINT_TOLERANCE = mp.mpf("1e-12")
+_FIXED_POINT_MAX_LEVELS = 256
+
+
 def core_fixed_point(
     d: int,
     k: int,
-    tol=mp.mpf("1e-12"),
-    max_levels: int = 256,
     precision: int | None = None,
 ) -> FixedPointTrace:
     """Iterate the recursion for the probability that a direction survives
@@ -815,18 +808,17 @@ def core_fixed_point(
     neighbors reaches 3, raised to the k-1 other edge slots.  The sequence
     decreases monotonically (checked exactly each step; an increase raises
     ArithmeticError) and the iteration
-    stops once consecutive iterates differ by less than tol or after
-    max_levels steps.
+    stops once consecutive iterates differ by less than 1e-12 or after 256
+    steps.
     """
     if d != int(d) or d < 1:
         raise ValueError(f"generator count d must be an integer >= 1, got {d}")
     _check_k(k)
     with working_precision(precision):
-        tolerance = _to_mpf(tol)
         lambda0 = 1 / (mp.mpf(2) ** (k - 1) - 1)
         trace = [lambda0]
         converged = False
-        while len(trace) <= max_levels:
+        while len(trace) <= _FIXED_POINT_MAX_LEVELS:
             survival = _binomial_tail_at_least(d - 1, 3, trace[-1])
             nxt = lambda0 * survival ** (k - 1)
             if not nxt <= trace[-1]:
@@ -834,7 +826,7 @@ def core_fixed_point(
                     f"core recursion increased from {trace[-1]} to {nxt}"
                 )
             trace.append(nxt)
-            if abs(trace[-1] - trace[-2]) < tolerance:
+            if abs(trace[-1] - trace[-2]) < _FIXED_POINT_TOLERANCE:
                 converged = True
                 break
         p_inf = trace[-1]

@@ -143,11 +143,16 @@ def _write_csv(target, header, rows, record):
     target.write(_params_line(record) + "\n")
 
 
-def _write_csv_path(path, header, rows, record):
+def _open_for_write(path, newline=None):
+    """Open a text file for writing, creating its parent directory first."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    return open(path, "w", newline=newline)
+
+
+def _write_csv_path(path, header, rows, record):
+    with _open_for_write(path, newline="") as fh:
         _write_csv(fh, header, rows, record)
 
 
@@ -165,10 +170,7 @@ def _jsonable(value):
 
 
 def _write_json(path, data):
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
+    with _open_for_write(path) as fh:
         json.dump(_jsonable(data), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -191,10 +193,7 @@ def save_instance(hom, path=None, chi=None):
     if path is None:
         sys.stdout.write(text)
     else:
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(path, "w") as fh:
+        with _open_for_write(path) as fh:
             fh.write(text)
     return data
 
@@ -421,10 +420,7 @@ def _enumeration_planted_distance(params, chi, delta):
     return Fraction(total, homs)
 
 
-def _should_enumerate(config, mparams):
-    flag = config.params.get("enumerate")
-    if flag is not None:
-        return bool(flag)
+def _should_enumerate(mparams):
     return uniform_hom_count(mparams) <= ENUMERATION_AVERAGE_MAX_HOMS
 
 
@@ -461,7 +457,6 @@ def _density_summary(config, rows):
         level=int(params["level"]),
         samples=int(params.get("tree_samples", 100_000)),
         rng=tree_rng,
-        use_colors=bool(params.get("use_colors", False)),
     )
     tree = float(estimate.rigid_frequency())
     combined = math.sqrt(stderr**2 + estimate.rigid_stderr() ** 2)
@@ -523,7 +518,7 @@ def run_experiment(config, workers=1):
         exact = exact_first_moment(mparams)
         enumeration = (
             _enumeration_first_moment(mparams)
-            if _should_enumerate(config, mparams)
+            if _should_enumerate(mparams)
             else None
         )
         summary = _moment_summary(config, good_rows, "z", exact, enumeration)
@@ -534,7 +529,7 @@ def run_experiment(config, workers=1):
         exact = exact_planted_distance_moment(mparams, delta)
         enumeration = (
             _enumeration_planted_distance(mparams, chi, delta)
-            if _should_enumerate(config, mparams)
+            if _should_enumerate(mparams)
             else None
         )
         summary = _moment_summary(config, good_rows, "z_delta", exact, enumeration)
@@ -562,13 +557,20 @@ def run_experiment(config, workers=1):
     else:
         raise AssertionError("unhandled kind %r" % config.kind)
 
+    return _write_report(config, fields, csv_rows, summary, failures)
+
+
+def _write_report(config, fields, csv_rows, summary, failures):
+    """Write <output>.csv (the replica rows between the replica/seed/stream
+    and error columns, then the params footer) and <output>.json (the
+    summary with the run's kind, params, replica and failure counts)."""
     summary.update(
         kind=config.kind,
-        params=dict(params),
+        params=dict(config.params),
         replicas=config.replicas,
         failures=failures,
     )
-    record = {"kind": config.kind, **params, "output": config.output}
+    record = {"kind": config.kind, **config.params, "output": config.output}
     csv_path = config.output + ".csv"
     json_path = config.output + ".json"
     header = ("replica", "seed", "stream") + fields + ("error",)
@@ -672,10 +674,6 @@ def _run_concentration(config):
     tails = {str(float(thr)): frac for thr, frac in report.tail_fractions}
     widest = report.tail_fractions[-1][1]
     summary = {
-        "kind": config.kind,
-        "params": dict(params),
-        "replicas": config.replicas,
-        "failures": 0,
         "mean": report.mean,
         "mean_float": float(report.mean),
         "tails": tails,
@@ -687,13 +685,7 @@ def _run_concentration(config):
         [i, base.seed, base.stream + i, value, deviation, None]
         for i, (value, deviation) in enumerate(zip(report.values, report.deviations))
     ]
-    record = {"kind": config.kind, **params, "output": config.output}
-    csv_path = config.output + ".csv"
-    json_path = config.output + ".json"
-    header = ("replica", "seed", "stream", "value", "deviation", "error")
-    _write_csv_path(csv_path, header, csv_rows, record)
-    _write_json(json_path, summary)
-    return ExperimentResult(csv_path, json_path, summary)
+    return _write_report(config, ("value", "deviation"), csv_rows, summary, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -884,7 +876,6 @@ def _cmd_core_density(args):
             "k": args.k,
             "level": args.level,
             "samples": args.samples,
-            "use_colors": args.use_colors,
             "seed": args.seed,
             "stream": args.stream,
         }
@@ -895,7 +886,6 @@ def _cmd_core_density(args):
         level=args.level,
         samples=args.samples,
         rng=RngState(args.seed, args.stream),
-        use_colors=args.use_colors,
     )
     print(
         "rigid=%s rigid_float=%s stderr=%s"
@@ -1209,7 +1199,6 @@ def build_parser():
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--use-colors", action="store_true", help="sample full colors instead of support positions")
     _add_common(p)
     p.set_defaults(func=_cmd_core_density)
 

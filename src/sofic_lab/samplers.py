@@ -30,6 +30,7 @@ from .group_model import ModelParams, UniformHom, typed_partition_count
 from .hypergraph import build_hypergraph, monochromatic_edge_count
 
 REJECTION_ORACLE_MAX_N = 40
+REJECTION_ORACLE_MAX_TRIES = 100_000
 
 _UINT64_MASK = (1 << 64) - 1
 
@@ -300,7 +301,7 @@ def sample_planted_hom(params: ModelParams, chi, rng) -> UniformHom:
     return hom
 
 
-def sample_planted_hom_rejection(params: ModelParams, chi, rng, max_tries=100000):
+def sample_planted_hom_rejection(params: ModelParams, chi, rng):
     """Cross-check oracle: per-generator rejection, no type tables involved.
 
     The planted measure is the uniform one conditioned on the product event
@@ -320,11 +321,13 @@ def sample_planted_hom_rejection(params: ModelParams, chi, rng, max_tries=100000
     single = ModelParams(d=1, k=params.k, n=params.n)
     images = []
     for _ in range(params.d):
-        for _ in range(max_tries):
+        for _ in range(REJECTION_ORACLE_MAX_TRIES):
             candidate = sample_uniform_hom(single, gen)
             if monochromatic_edge_count(build_hypergraph(candidate), chi) == 0:
                 images.append(list(candidate.images[0]))
                 break
         else:
-            raise RuntimeError("rejection sampler exceeded %d tries" % max_tries)
+            raise RuntimeError(
+                "rejection sampler exceeded %d tries" % REJECTION_ORACLE_MAX_TRIES
+            )
     return UniformHom(params, images)

@@ -11,10 +11,9 @@ against pullbacks of colored finite instances.
 The root-status sampler at the end estimates how often the tree root lands
 in the core / attached / overlap sets of the peeling hierarchy without
 materializing a ball: it lazily expands only the edges the status
-computation actually inspects. Its positions route draws every edge's
-support position but keeps only the supported edges, the only ones the
-status code reads, and builds their members on first read; its colors
-route builds every edge and is the oracle.
+computation actually inspects. It draws every edge's support position but
+keeps only the supported edges, the only ones the status code reads, and
+builds their members on first read.
 """
 
 import itertools
@@ -474,12 +473,11 @@ def local_convergence_stat(hom, coloring, domain, pattern):
 
 
 class _Node:
-    __slots__ = ("incoming", "slot", "color", "fresh", "core_memo")
+    __slots__ = ("incoming", "slot", "fresh", "core_memo")
 
-    def __init__(self, incoming, slot, color):
+    def __init__(self, incoming, slot):
         self.incoming = incoming
         self.slot = slot
-        self.color = color
         self.fresh = None
         self.core_memo = {}
 
@@ -491,48 +489,22 @@ class _Edge:
 class _RootStatusSampler:
     """Lazily sampled support field around the tree root.
 
-    Two interchangeable routes draw each edge:
-
-    * positions: under the tree measure the support position of every edge
-      is independent and uniform over the k positions with probability
-      1/(2^(k-1)-1) each (unsupported otherwise), so one categorical draw
-      per edge suffices. Only the supported edges are kept: the status
-      code never looks inside an unsupported one, so dropping it after its
-      draw leaves every status, and the stream, as they were. A kept
-      edge's member vertices are built the first time they are read;
-    * colors: sample the proper completion given the already-colored
-      vertex, then read the support off the colors. This route builds every
-      edge, members and all.
-
-    The routes agree in distribution; the second is the oracle for the
-    first and is the slower one.
+    Under the tree measure the support position of every edge is
+    independent and uniform over the k positions with probability
+    1/(2^(k-1)-1) each (unsupported otherwise), so one categorical draw per
+    edge suffices. Only the supported edges are kept: the status code never
+    looks inside an unsupported one, so dropping it after its draw leaves
+    every status, and the stream, as they were. A kept edge's member
+    vertices are built the first time they are read. The tests keep the
+    slower colors route, which samples each edge's proper completion and
+    reads the support off its colors, as core_density_colors_oracle.
     """
 
-    def __init__(self, d, k, gen, use_colors):
+    def __init__(self, d, k, gen):
         self.d = d
         self.k = k
         self.modulus = 2 ** (k - 1) - 1
         self.gen = gen
-        self.use_colors = use_colors
-
-    def _colored_edge(self, owner, completion):
-        edge = _Edge()
-        k = self.k
-        if owner.color == 0:
-            completion += 1
-        bits = [(completion >> j) & 1 for j in range(k - 1)]
-        colors = [owner.color] + bits
-        ones = sum(colors)
-        if ones == 1:
-            edge.support = colors.index(1)
-        elif ones == k - 1:
-            edge.support = colors.index(0)
-        else:
-            edge.support = None
-        edge.members = (owner,) + tuple(
-            _Node(edge, j + 1, bits[j]) for j in range(k - 1)
-        )
-        return edge
 
     def _supported_edge(self, owner, support):
         edge = _Edge()
@@ -545,7 +517,7 @@ class _RootStatusSampler:
         """The edge's vertices, owner first, built on first read."""
         if edge.members is None:
             edge.members = (edge.owner,) + tuple(
-                _Node(edge, j, None) for j in range(1, self.k)
+                _Node(edge, j) for j in range(1, self.k)
             )
         return edge.members
 
@@ -555,13 +527,8 @@ class _RootStatusSampler:
             draws = (
                 self.gen.integers(self.modulus, size=count).tolist() if count else ()
             )
-            if self.use_colors:
-                node.fresh = tuple(self._colored_edge(node, r) for r in draws)
-            else:
-                k = self.k
-                node.fresh = tuple(
-                    self._supported_edge(node, r) for r in draws if r < k
-                )
+            k = self.k
+            node.fresh = tuple(self._supported_edge(node, r) for r in draws if r < k)
         pairs = [(edge, 0) for edge in node.fresh]
         if node.incoming is not None:
             pairs.append((node.incoming, node.slot))
@@ -592,8 +559,7 @@ class _RootStatusSampler:
     def root_status(self, level):
         if level == 0:
             return "core"
-        root_color = int(self.gen.integers(2)) if self.use_colors else None
-        root = _Node(None, None, root_color)
+        root = _Node(None, None)
         root_edges = [edge for edge, _ in self._edges_of(root)]
         witnesses = [
             edge
@@ -616,7 +582,7 @@ class _RootStatusSampler:
         for e in witnesses:
             for u in self._members(e)[1:]:
                 for f, _ in self._edges_of(u):
-                    if f is e or f.support is None:
+                    if f is e:
                         continue
                     s = f.support
                     partner = self._members(f)[s]
@@ -657,19 +623,19 @@ class CoreDensityEstimate:
         return sqrt(p * (1.0 - p) / self.samples)
 
 
-def sample_root_core_status(d, k, level, rng, use_colors=False):
+def sample_root_core_status(d, k, level, rng):
     """One draw of the root's status: core / attached / attached_overlap /
     outside. Expands only what the status computation inspects, so it works
     at depths whose full balls would be astronomically large."""
     _check_core_sampler_args(d, k, level)
-    return _RootStatusSampler(d, k, _as_generator(rng), use_colors).root_status(level)
+    return _RootStatusSampler(d, k, _as_generator(rng)).root_status(level)
 
 
-def core_density_estimate(d, k, level, samples, rng, use_colors=False):
+def core_density_estimate(d, k, level, samples, rng):
     _check_core_sampler_args(d, k, level)
     if samples < 1:
         raise ValueError("need at least one sample")
-    sampler = _RootStatusSampler(d, k, _as_generator(rng), use_colors)
+    sampler = _RootStatusSampler(d, k, _as_generator(rng))
     core = attached = overlap = 0
     for _ in range(samples):
         status = sampler.root_status(level)

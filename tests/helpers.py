@@ -1,6 +1,7 @@
 """Shared test utilities: small hand-built homomorphisms, random instances,
-the loop oracles for the array samplers, the full-walk expansivity oracle
-and the backtracking coloring-search oracle."""
+the loop oracles for the array samplers, the full-walk expansivity oracle,
+the backtracking coloring-search oracle and the colors-route oracle of the
+tree root-status sampler."""
 
 import itertools
 import math
@@ -15,7 +16,8 @@ from sofic_lab.hypergraph import (
     critical_edges,
     monochromatic_edge_count,
 )
-from sofic_lab.samplers import RngState, sample_type_vector
+from sofic_lab.samplers import RngState, _as_generator, sample_type_vector
+from sofic_lab.tree_markov import CoreDensityEstimate, _check_core_sampler_args
 
 
 def hom_from_cycles(params, cycles_per_gen):
@@ -478,3 +480,145 @@ def coloring_search_oracle(graph, **constraints):
     search = _ColoringSearch(graph, **constraints)
     count = search.run()
     return search.found if constraints.get("collect") else count
+
+
+class _ColorNode:
+    __slots__ = ("incoming", "slot", "color", "fresh", "core_memo")
+
+    def __init__(self, incoming, slot, color):
+        self.incoming = incoming
+        self.slot = slot
+        self.color = color
+        self.fresh = None
+        self.core_memo = {}
+
+
+class _ColorEdge:
+    __slots__ = ("members", "support")
+
+
+class _ColorsRootStatusSampler:
+    """The colors route of tree_markov's root-status sampler: sample the
+    proper completion of every edge given its already-colored vertex, then
+    read the support position off the colors. Every edge is built, members
+    and all, and the root's color is drawn first."""
+
+    def __init__(self, d, k, gen):
+        self.d = d
+        self.k = k
+        self.modulus = 2 ** (k - 1) - 1
+        self.gen = gen
+
+    def _colored_edge(self, owner, completion):
+        edge = _ColorEdge()
+        k = self.k
+        if owner.color == 0:
+            completion += 1
+        bits = [(completion >> j) & 1 for j in range(k - 1)]
+        colors = [owner.color] + bits
+        ones = sum(colors)
+        if ones == 1:
+            edge.support = colors.index(1)
+        elif ones == k - 1:
+            edge.support = colors.index(0)
+        else:
+            edge.support = None
+        edge.members = (owner,) + tuple(
+            _ColorNode(edge, j + 1, bits[j]) for j in range(k - 1)
+        )
+        return edge
+
+    def _edges_of(self, node):
+        if node.fresh is None:
+            count = self.d if node.incoming is None else self.d - 1
+            draws = (
+                self.gen.integers(self.modulus, size=count).tolist() if count else ()
+            )
+            node.fresh = tuple(self._colored_edge(node, r) for r in draws)
+        pairs = [(edge, 0) for edge in node.fresh]
+        if node.incoming is not None:
+            pairs.append((node.incoming, node.slot))
+        return pairs
+
+    def _in_core(self, node, level):
+        if level == 0:
+            return True
+        hit = node.core_memo.get(level)
+        if hit is not None:
+            return hit
+        count = 0
+        for edge, pos in self._edges_of(node):
+            if edge.support == pos and self._is_witness(edge, pos, level):
+                count += 1
+                if count == 3:
+                    break
+        node.core_memo[level] = count >= 3
+        return count >= 3
+
+    def _is_witness(self, edge, pos, level):
+        return all(
+            self._in_core(member, level - 1)
+            for j, member in enumerate(edge.members)
+            if j != pos
+        )
+
+    def root_status(self, level):
+        if level == 0:
+            return "core"
+        root = _ColorNode(None, None, int(self.gen.integers(2)))
+        root_edges = [edge for edge, _ in self._edges_of(root)]
+        witnesses = [
+            edge
+            for edge in root_edges
+            if edge.support == 0 and self._is_witness(edge, 0, level)
+        ]
+        if len(witnesses) >= 3:
+            return "core"
+        if not witnesses:
+            return "outside"
+        for edge in root_edges:
+            s = edge.support
+            if s and self._is_witness(edge, s, level) and not self._in_core(
+                edge.members[s], level
+            ):
+                return "attached_overlap"
+        for e in witnesses:
+            for u in e.members[1:]:
+                for f, _ in self._edges_of(u):
+                    if f is e or f.support is None:
+                        continue
+                    s = f.support
+                    partner = f.members[s]
+                    if self._is_witness(f, s, level) and not self._in_core(
+                        partner, level
+                    ):
+                        return "attached_overlap"
+        return "attached"
+
+
+def core_density_colors_oracle(d, k, level, samples, rng):
+    """Colors-route oracle for tree_markov.core_density_estimate: the same
+    tally, with every edge's support read off a sampled proper completion
+    instead of drawn directly. The routes agree in distribution only; they
+    consume the stream differently."""
+    _check_core_sampler_args(d, k, level)
+    sampler = _ColorsRootStatusSampler(d, k, _as_generator(rng))
+    core = attached = overlap = 0
+    for _ in range(samples):
+        status = sampler.root_status(level)
+        if status == "core":
+            core += 1
+        elif status == "attached":
+            attached += 1
+        elif status == "attached_overlap":
+            attached += 1
+            overlap += 1
+    return CoreDensityEstimate(
+        d=d,
+        k=k,
+        level=level,
+        samples=samples,
+        core_count=core,
+        attached_count=attached,
+        overlap_count=overlap,
+    )

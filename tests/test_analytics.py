@@ -176,6 +176,15 @@ def test_dominant_type_exact_values():
         assert star[0] == 0 and star[k] == 0
 
 
+def balance_polynomial_product_form(x, d, k):
+    """The product form of balance_polynomial that shows its interior root
+    is unique, at the same default working precision."""
+    with working_precision():
+        v = mp.mpf(x)
+        y = ((1 - v) / v) ** (mp.mpf(1 - d) / d)
+        return k * ((v * (1 + y) - y) * (1 + y) ** (k - 1) - v + (1 - v) * y**k)
+
+
 def test_balance_polynomial():
     for d, k in ((2, 3), (7, 4), (10, 5)):
         assert abs(balance_polynomial(0.5, d, k)) <= mp.mpf("1e-30")
@@ -183,7 +192,7 @@ def test_balance_polynomial():
     d, k = 10, 5
     for x in (0.1, 0.25, 0.4):
         direct = balance_polynomial(x, d, k)
-        factored = balance_polynomial(x, d, k, factored=True)
+        factored = balance_polynomial_product_form(x, d, k)
         assert abs(direct - factored) <= mp.mpf("1e-20")
         with working_precision():
             v = mp.mpf(x)
@@ -604,20 +613,10 @@ def test_core_fixed_point_large_k_regime():
 
 
 def test_working_precision_controls():
-    saved = os.environ.pop("SOFIC_LAB_PRECISION", None)
-    try:
-        with working_precision():
-            assert mp.mp.prec == 128
-        with working_precision(256):
-            assert mp.mp.prec == 256
-        os.environ["SOFIC_LAB_PRECISION"] = "80"
-        with working_precision():
-            assert mp.mp.prec == 80
-    finally:
-        if saved is None:
-            os.environ.pop("SOFIC_LAB_PRECISION", None)
-        else:
-            os.environ["SOFIC_LAB_PRECISION"] = saved
+    with working_precision():
+        assert mp.mp.prec == 128
+    with working_precision(256):
+        assert mp.mp.prec == 256
     with pytest.raises(ValueError):
         working_precision(40)
     # per-call override is honored

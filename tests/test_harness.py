@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -236,6 +237,20 @@ def test_scan_stdout_route(capsys):
     assert lines[-1].startswith("# params: ")
 
 
+# sha256 of the stdout of `sofic-lab analytic scan --k 25 --eta 0.12
+# --grid-points 33`, recorded while degrees_from_offset still retyped the
+# formulas of ratio_from_offset and offset_window_top.
+ETA_SCAN_STDOUT_DIGEST = "ac645bb576dc865999b7c8481dd99f04735ee75cf7ac5c70d781aad01675dd9f"
+
+
+def test_scan_at_offset_stdout_digest(capsys):
+    code = cli_dispatch(["analytic", "scan", "--k", "25", "--eta", "0.12",
+                         "--grid-points", "33"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ETA_SCAN_STDOUT_DIGEST
+
+
 # ---------------------------------------------------------------------------
 # structure-facing commands
 
@@ -347,6 +362,9 @@ def test_exit_codes(tmp_path, capsys):
     assert run_cli(capsys, ["sample-uniform", "--n", "7", "--k", "3", "--d", "1"])[0] == 2
     assert run_cli(capsys, ["--help"])[0] == 0
     assert run_cli(capsys, [])[0] == 2
+    removed = ["core-density", "--d", "5", "--k", "3", "--level", "1", "--samples", "10",
+               "--use-colors"]
+    assert run_cli(capsys, removed)[0] == 2
 
 
 # ---------------------------------------------------------------------------

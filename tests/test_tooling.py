@@ -21,17 +21,40 @@ DEMO_STDOUT_DIGESTS = {
 }
 
 
+def _library_nodes():
+    """(file name, node) for every syntax node of the library source."""
+    paths = sorted(SRC.glob("*.py"))
+    assert paths, SRC
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            yield path.name, node
+
+
 def test_no_assert_statements_in_library():
     # python -O strips assert statements, so a guard written as one vanishes
     # from optimized runs; every check in the library must raise explicitly
-    paths = sorted(SRC.glob("*.py"))
-    assert paths, SRC
     found = [
-        "%s:%d" % (path.name, node.lineno)
-        for path in paths
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        "%s:%d" % (name, node.lineno)
+        for name, node in _library_nodes()
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def _reads_environment(node):
+    if isinstance(node, ast.Attribute):
+        return (node.attr in ("environ", "getenv")
+                and isinstance(node.value, ast.Name) and node.value.id == "os")
+    if isinstance(node, ast.ImportFrom) and node.module == "os":
+        return any(alias.name in ("environ", "getenv") for alias in node.names)
+    return False
+
+
+def test_library_reads_no_environment_variables():
+    # an environment variable is an input that no "# params:" line records,
+    # so an artifact could not be reproduced from itself
+    found = ["%s:%d" % (name, node.lineno)
+             for name, node in _library_nodes() if _reads_environment(node)]
     assert found == []
 
 
@@ -42,5 +65,6 @@ def test_demo_runs(demo, tmp_path):
     result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                             capture_output=True, timeout=300)
     assert result.returncode == 0, result.stderr.decode()
+    assert list(tmp_path.glob("sofic_demo_*")) == []
     if demo.name in DEMO_STDOUT_DIGESTS:
         assert hashlib.sha256(result.stdout).hexdigest() == DEMO_STDOUT_DIGESTS[demo.name]

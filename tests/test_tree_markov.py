@@ -7,7 +7,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from helpers import random_uniform_images
+from helpers import core_density_colors_oracle, random_uniform_images
 from scipy import stats
 
 from sofic_lab._errors import ScaleRefusal
@@ -317,8 +317,8 @@ def test_core_status_exact_marginals_level1():
     assert exact_union == Fraction(211, 243)
 
     draws = 40_000
-    for use_colors, seed in ((False, 21), (True, 22)):
-        est = core_density_estimate(5, 3, 1, draws, RngState(seed), use_colors)
+    for estimate, seed in ((core_density_estimate, 21), (core_density_colors_oracle, 22)):
+        est = estimate(5, 3, 1, draws, RngState(seed))
         se_core = math.sqrt(float(exact_core * (1 - exact_core)) / draws)
         se_union = math.sqrt(float(exact_union * (1 - exact_union)) / draws)
         assert abs(float(est.core_frequency()) - float(exact_core)) < 4.5 * se_core
@@ -348,7 +348,7 @@ def test_core_status_level2_and_fixed_point_link():
 def test_core_status_routes_agree_on_overlap():
     draws = 40_000
     plain = core_density_estimate(5, 3, 1, draws, RngState(31))
-    colored = core_density_estimate(5, 3, 1, draws, RngState(32), use_colors=True)
+    colored = core_density_colors_oracle(5, 3, 1, draws, RngState(32))
     gap = abs(
         float(plain.rigid_frequency()) - float(colored.rigid_frequency())
     )
@@ -409,17 +409,29 @@ def test_core_status_accepts_generator_or_rng_state():
 # both the statuses and how much of the stream each batch consumed.
 TALLY_CASES = [(20, 6, 4), (5, 3, 2), (5, 3, 1), (8, 4, 3), (12, 5, 4), (12, 4, 2)]
 TALLY_DIGEST = "f538d2ab93b84d5ccfa3808a05ae375580740292f269326f539826b78d517ec6"
+# The same digest of the colors route, recorded while it was still a library
+# route (core_density_estimate with use_colors=True), before it moved to the
+# tests as core_density_colors_oracle.
+COLORS_TALLY_DIGEST = "3171b82268a8a7f1091b02fd7fead624064ca0b5f901ef7a75acb65614ee0fa0"
 
 
-def test_core_density_tally_digest():
+def _tally_digest(estimate):
     rows = []
     for d, k, level in TALLY_CASES:
         for seed in range(5):
             gen = RngState(seed).generator()
-            est = core_density_estimate(d, k, level, 400, gen)
+            est = estimate(d, k, level, 400, gen)
             rows.append((d, k, level, seed, est.core_count, est.attached_count,
                          est.overlap_count, int(gen.integers(2**62))))
-    assert hashlib.sha256(repr(rows).encode()).hexdigest() == TALLY_DIGEST
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def test_core_density_tally_digest():
+    assert _tally_digest(core_density_estimate) == TALLY_DIGEST
+
+
+def test_core_density_colors_oracle_digest():
+    assert _tally_digest(core_density_colors_oracle) == COLORS_TALLY_DIGEST
 
 
 def census_per_vertex_oracle(hom, coloring, domain):
