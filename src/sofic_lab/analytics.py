@@ -241,16 +241,24 @@ def balance_polynomial(
 # the bias parameter of the planted pair measure
 
 
-def _bias_to_distance_with_derivative(b: mp.mpf, k: int) -> tuple[mp.mpf, mp.mpf]:
-    base = 1 - mp.mpf(2) ** (2 - k)
+def _bias_map_terms(b: mp.mpf, k: int, base: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
+    """Numerator and denominator of the bias-to-distance map at b, whose
+    value is their quotient; ``base`` is 1 - 2^(2-k)."""
+    tails = 2 * (b / 2) ** k
+    num = b * base + tails
+    den = base + tails + 2 * ((1 - b) / 2) ** k
+    return num, den
+
+
+def _bias_map_slope(
+    b: mp.mpf, k: int, base: mp.mpf, num: mp.mpf, den: mp.mpf
+) -> mp.mpf:
+    """Derivative of the bias-to-distance map at b, from the terms that
+    _bias_map_terms returned there."""
     half_pow = (b / 2) ** (k - 1)
-    num = b * base + 2 * (b / 2) ** k
-    den = base + 2 * (b / 2) ** k + 2 * ((1 - b) / 2) ** k
     num_d = base + k * half_pow
     den_d = k * half_pow - k * ((1 - b) / 2) ** (k - 1)
-    value = num / den
-    derivative = (num_d * den - num * den_d) / den**2
-    return value, derivative
+    return (num_d * den - num * den_d) / den**2
 
 
 def _poly_mul(p: list[int], q: list[int]) -> list[int]:
@@ -340,7 +348,8 @@ def distance_of_bias(delta0, k: int, precision: int | None = None) -> mp.mpf:
         b = _to_mpf(delta0)
         if not 0 <= b <= 1:
             raise ValueError(f"bias must lie in [0, 1], got {delta0}")
-        return _bias_to_distance_with_derivative(b, k)[0]
+        num, den = _bias_map_terms(b, k, 1 - mp.mpf(2) ** (2 - k))
+        return num / den
 
 
 def bias_of_distance(delta, k: int, precision: int | None = None) -> mp.mpf:
@@ -371,17 +380,20 @@ def _solve_bias(x: mp.mpf, k: int) -> mp.mpf:
     if x == 0 or x == 1:
         return x
     tol = mp.mpf(10) ** -13
+    base = 1 - mp.mpf(2) ** (2 - k)
     lo, hi = mp.mpf(0), mp.mpf(1)
     b = x
     for _ in range(_MAX_SOLVER_ITERATIONS):
-        value, derivative = _bias_to_distance_with_derivative(b, k)
-        residual = value - x
+        num, den = _bias_map_terms(b, k, base)
+        residual = num / den - x
         if abs(residual) <= tol:
             return b
         if residual < 0:
             lo = b
         else:
             hi = b
+        # the slope is only needed for a step, so the final check skips it
+        derivative = _bias_map_slope(b, k, base, num, den)
         if derivative > 0:
             b = b - residual / derivative
         else:
@@ -405,8 +417,28 @@ def _log_edge_factor(b: mp.mpf, k: int) -> mp.mpf:
     return mp.log(1 - (1 - b**k - (1 - b) ** k) / (mp.mpf(2) ** (k - 1) - 1))
 
 
-def _pair_distance_rate(x: mp.mpf, d: int, k: int) -> mp.mpf:
-    return _eta(x) + _eta(1 - x) + mp.mpf(d) / k * _log_edge_factor(x, k)
+class _RateTerms(NamedTuple):
+    """The logarithms the rate formulas read at one argument v in [0, 1],
+    each evaluated once, so that every formula sharing a term reads the same
+    mpf.  The logs of 0 are -inf; the entropy keeps 0 log 0 = 0."""
+
+    entropy: mp.mpf  # eta(v) + eta(1 - v)
+    log: mp.mpf  # log v
+    log_complement: mp.mpf  # log(1 - v)
+    log_edge: mp.mpf  # _log_edge_factor(v, k)
+
+
+def _rate_terms(v: mp.mpf, k: int) -> _RateTerms:
+    log_v = mp.log(v)
+    log_complement = mp.log(1 - v)
+    entropy = (0 if v == 0 else -v * log_v) + (
+        0 if v == 1 else -(1 - v) * log_complement
+    )
+    return _RateTerms(entropy, log_v, log_complement, _log_edge_factor(v, k))
+
+
+def _pair_distance_rate(terms: _RateTerms, d: int, k: int) -> mp.mpf:
+    return terms.entropy + mp.mpf(d) / k * terms.log_edge
 
 
 def pair_distance_rate(x, d: int, k: int, precision: int | None = None) -> mp.mpf:
@@ -423,21 +455,24 @@ def pair_distance_rate(x, d: int, k: int, precision: int | None = None) -> mp.mp
         v = _to_mpf(x)
         if not 0 <= v <= 1:
             raise ValueError(f"argument must lie in [0, 1], got {x}")
-        return _pair_distance_rate(v, d, k)
+        return _pair_distance_rate(_rate_terms(v, k), d, k)
 
 
-def _planted_distance_rate(x: mp.mpf, b: mp.mpf, d: int, k: int) -> mp.mpf:
-    # b is the solved bias of x, passed in so a caller that already holds
-    # it does not solve twice.
-    h_x = _eta(x) + _eta(1 - x)
-    h_b = _eta(b) + _eta(1 - b)
-    cross = _cross_entropy2(x, b)
-    closed = (1 - mp.mpf(d)) * h_x + d * cross + mp.mpf(d) / k * _log_edge_factor(b, k)
+def _planted_distance_rate(
+    x: mp.mpf, at_x: _RateTerms, at_b: _RateTerms, d: int, k: int
+) -> mp.mpf:
+    # at_x and at_b are the terms at x and at its solved bias b in (0, 1),
+    # passed in so a caller that already holds them evaluates no log twice.
+    h_x = at_x.entropy
+    h_b = at_b.entropy
+    # the binary cross entropy -x log b - (1-x) log(1-b)
+    cross = -(x * at_b.log) - (1 - x) * at_b.log_complement
+    closed = (1 - mp.mpf(d)) * h_x + d * cross + mp.mpf(d) / k * at_b.log_edge
     # Second route: start from the pair rate at the bias and trade entropy
     # terms.  The two expressions are algebraically equal, so any gap here
     # means a transcription error in one of them.
     alternate = (
-        _pair_distance_rate(b, d, k)
+        _pair_distance_rate(at_b, d, k)
         - (h_b - cross)
         + (mp.mpf(d) - 1) * (cross - h_x)
     )
@@ -467,7 +502,8 @@ def planted_distance_rate(
             raise ValueError(f"distance must lie in [0, 1], got {delta}")
         if x == 0 or x == 1:
             return mp.mpf(0)
-        return _planted_distance_rate(x, _solve_bias(x, k), d, k)
+        at_b = _rate_terms(_solve_bias(x, k), k)
+        return _planted_distance_rate(x, _rate_terms(x, k), at_b, d, k)
 
 
 # ---------------------------------------------------------------------------
@@ -682,12 +718,14 @@ def distance_rate_scan(
         for i in range(grid_points):
             x = lo + (hi - lo) * i / (grid_points - 1)
             b = _solve_bias(x, k)
+            at_x = _rate_terms(x, k)
+            at_b = _rate_terms(b, k)
             rows.append(
                 DistanceScanRow(
                     delta=x,
                     delta0=b,
-                    planted_rate=_planted_distance_rate(x, b, d, k),
-                    pair_rate=_pair_distance_rate(x, d, k),
+                    planted_rate=_planted_distance_rate(x, at_x, at_b, d, k),
+                    pair_rate=_pair_distance_rate(at_x, d, k),
                     proper_rate=base_rate,
                 )
             )
@@ -766,26 +804,31 @@ class FixedPointTrace:
     converged: bool
 
 
-def _binomial_tail_at_least(n: int, j_min: int, t: mp.mpf) -> mp.mpf:
-    """P(Bin(n, t) >= j_min) for small j_min, via log-space terms."""
+def _log_binomial_heads(n: int, j_min: int) -> tuple[mp.mpf, ...] | None:
+    """log binomial(n, j) for j < j_min, as lgamma(n+1) - lgamma(j+1) -
+    lgamma(n-j+1); None when n < j_min, where every tail is 0."""
     if n < j_min:
-        return mp.mpf(0)
-    if t == 0:
+        return None
+    log_n = mp.loggamma(n + 1)
+    return tuple(
+        log_n - mp.loggamma(j + 1) - mp.loggamma(n - j + 1) for j in range(j_min)
+    )
+
+
+def _binomial_tail_at_least(
+    n: int, log_heads: tuple[mp.mpf, ...] | None, t: mp.mpf
+) -> mp.mpf:
+    """P(Bin(n, t) >= j_min) for small j_min, via log-space terms, from
+    log_heads = _log_binomial_heads(n, j_min)."""
+    if log_heads is None or t == 0:
         return mp.mpf(0)
     if t == 1:
         return mp.mpf(1)
     log_t = mp.log(t)
     log_1mt = mp.log(1 - t)
     head = mp.mpf(0)
-    for j in range(j_min):
-        log_term = (
-            mp.loggamma(n + 1)
-            - mp.loggamma(j + 1)
-            - mp.loggamma(n - j + 1)
-            + j * log_t
-            + (n - j) * log_1mt
-        )
-        head += mp.exp(log_term)
+    for j, log_binomial in enumerate(log_heads):
+        head += mp.exp(log_binomial + j * log_t + (n - j) * log_1mt)
     return 1 - head
 
 
@@ -818,8 +861,11 @@ def core_fixed_point(
         lambda0 = 1 / (mp.mpf(2) ** (k - 1) - 1)
         trace = [lambda0]
         converged = False
+        # the log-binomial terms do not depend on the level, so each
+        # binomial count gets its terms once per call
+        log_heads = _log_binomial_heads(d - 1, 3)
         while len(trace) <= _FIXED_POINT_MAX_LEVELS:
-            survival = _binomial_tail_at_least(d - 1, 3, trace[-1])
+            survival = _binomial_tail_at_least(d - 1, log_heads, trace[-1])
             nxt = lambda0 * survival ** (k - 1)
             if not nxt <= trace[-1]:
                 raise ArithmeticError(
@@ -830,7 +876,7 @@ def core_fixed_point(
                 converged = True
                 break
         p_inf = trace[-1]
-        mu_core = _binomial_tail_at_least(d, 3, p_inf)
+        mu_core = _binomial_tail_at_least(d, _log_binomial_heads(d, 3), p_inf)
         mu_core_attached = 1 - (1 - p_inf) ** d
         return FixedPointTrace(
             p=tuple(trace),

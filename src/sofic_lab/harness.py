@@ -71,14 +71,19 @@ from .tree_markov import (
 
 SCAN_CSV_HEADER = ("delta", "delta0", "psi0", "psi", "f_dk")
 
-EXPERIMENT_KINDS = (
-    "first-moment",
-    "planted-distance",
-    "density",
-    "sofic",
-    "local-convergence",
-    "concentration",
-)
+# Each experiment kind with the params keys it reads.  A config may hold no
+# other key: a misspelt one would run with its default and still be echoed
+# into the "# params:" footer as if it had taken effect.
+_REPLICA_KEYS = ("d", "k", "n", "replicas", "seeds", "seed", "stream")
+EXPERIMENT_KINDS = {
+    "first-moment": _REPLICA_KEYS + ("mean_tolerance",),
+    "planted-distance": _REPLICA_KEYS + ("delta", "mean_tolerance"),
+    "density": _REPLICA_KEYS + ("level", "tree_samples", "sigma_tolerance"),
+    "sofic": _REPLICA_KEYS + ("delta", "min_fraction"),
+    "local-convergence": _REPLICA_KEYS + ("edge_label", "deviation_tolerance"),
+    # one stream per replica from seed/stream, so a seeds list is not read
+    "concentration": ("d", "k", "n", "replicas", "seed", "stream", "tail_tolerance"),
+}
 
 ENUMERATION_AVERAGE_MAX_HOMS = 10_000
 CONCENTRATION_THRESHOLDS = (Fraction(1, 20), Fraction(1, 10), Fraction(1, 5))
@@ -251,6 +256,13 @@ class ExperimentConfig:
             raise ValueError(
                 "unknown experiment kind %r; choose from %s"
                 % (self.kind, ", ".join(EXPERIMENT_KINDS))
+            )
+        unread = sorted(set(self.params) - set(EXPERIMENT_KINDS[self.kind]))
+        if unread:
+            raise ValueError(
+                "%s experiments do not read params %s; they read %s"
+                % (self.kind, ", ".join(map(repr, unread)),
+                   ", ".join(EXPERIMENT_KINDS[self.kind]))
             )
         if not self.output:
             raise ValueError("experiment config needs a non-empty output prefix")

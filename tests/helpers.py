@@ -1,14 +1,29 @@
 """Shared test utilities: small hand-built homomorphisms, random instances,
 the loop oracles for the array samplers, the full-walk expansivity oracle,
-the backtracking coloring-search oracle and the colors-route oracle of the
-tree root-status sampler."""
+the backtracking coloring-search oracle, the colors-route oracle of the
+tree root-status sampler, and the per-point oracles of the distance-rate
+scan and the core fixed point."""
 
 import itertools
 import math
 from collections import defaultdict, deque
 from fractions import Fraction
 
-from sofic_lab.analytics import bichromatic_pair_types
+import mpmath as mp
+
+from sofic_lab.analytics import (
+    _FIXED_POINT_MAX_LEVELS,
+    _FIXED_POINT_TOLERANCE,
+    _cross_entropy2,
+    _eta,
+    _log_edge_factor,
+    DistanceRateScan,
+    DistanceScanRow,
+    FixedPointTrace,
+    bichromatic_pair_types,
+    proper_rate,
+    working_precision,
+)
 from sofic_lab.group_model import UniformHom, typed_partition_count
 from sofic_lab.hypergraph import (
     Coloring,
@@ -622,3 +637,134 @@ def core_density_colors_oracle(d, k, level, samples, rng):
         attached_count=attached,
         overlap_count=overlap,
     )
+
+
+def _pair_distance_rate_oracle(x, d, k):
+    return _eta(x) + _eta(1 - x) + mp.mpf(d) / k * _log_edge_factor(x, k)
+
+
+def _bias_to_distance_with_derivative_oracle(b, k):
+    base = 1 - mp.mpf(2) ** (2 - k)
+    half_pow = (b / 2) ** (k - 1)
+    num = b * base + 2 * (b / 2) ** k
+    den = base + 2 * (b / 2) ** k + 2 * ((1 - b) / 2) ** k
+    num_d = base + k * half_pow
+    den_d = k * half_pow - k * ((1 - b) / 2) ** (k - 1)
+    return num / den, (num_d * den - num * den_d) / den**2
+
+
+def _solve_bias_oracle(x, k):
+    # Newton inside a bracket with the slope computed on every evaluation,
+    # the final residual check included
+    tol = mp.mpf(10) ** -13
+    lo, hi = mp.mpf(0), mp.mpf(1)
+    b = x
+    for _ in range(200):
+        value, derivative = _bias_to_distance_with_derivative_oracle(b, k)
+        residual = value - x
+        if abs(residual) <= tol:
+            return b
+        if residual < 0:
+            lo = b
+        else:
+            hi = b
+        if derivative > 0:
+            b = b - residual / derivative
+        else:
+            b = (lo + hi) / 2
+        if not lo < b < hi:
+            b = (lo + hi) / 2
+    raise RuntimeError("bias inversion did not converge")
+
+
+def _planted_distance_rate_oracle(x, b, d, k):
+    h_x = _eta(x) + _eta(1 - x)
+    h_b = _eta(b) + _eta(1 - b)
+    cross = _cross_entropy2(x, b)
+    closed = (1 - mp.mpf(d)) * h_x + d * cross + mp.mpf(d) / k * _log_edge_factor(b, k)
+    alternate = (
+        _pair_distance_rate_oracle(b, d, k)
+        - (h_b - cross)
+        + (mp.mpf(d) - 1) * (cross - h_x)
+    )
+    if not abs(closed - alternate) <= mp.mpf(10) ** -9:
+        raise ArithmeticError("planted rate routes disagree at distance %s" % x)
+    return closed
+
+
+def scan_row_oracle(x, d, k, proper):
+    """Oracle for one row of analytics.distance_rate_scan at distance x in
+    (0, 1), under the caller's working precision: the bias solved with the
+    Newton slope computed alongside every map value, and each rate
+    evaluated on its own with every logarithm taken afresh."""
+    b = _solve_bias_oracle(x, k)
+    return DistanceScanRow(
+        delta=x,
+        delta0=b,
+        planted_rate=_planted_distance_rate_oracle(x, b, d, k),
+        pair_rate=_pair_distance_rate_oracle(x, d, k),
+        proper_rate=proper,
+    )
+
+
+def distance_rate_scan_oracle(d, k, grid_points, precision=None):
+    """analytics.distance_rate_scan with every row from scan_row_oracle."""
+    with working_precision(precision):
+        lo = mp.mpf(2) ** (-mp.mpf(k) / 2)
+        hi = 1 - lo
+        proper = proper_rate(d, k, precision=mp.mp.prec)
+        rows = [
+            scan_row_oracle(lo + (hi - lo) * i / (grid_points - 1), d, k, proper)
+            for i in range(grid_points)
+        ]
+        ranked = sorted(range(grid_points), key=lambda i: rows[i].planted_rate)
+        best, runner_up = rows[ranked[-1]], rows[ranked[-2]]
+        return DistanceRateScan(
+            rows=tuple(rows),
+            argmax_delta=best.delta,
+            max_rate=best.planted_rate,
+            margin=best.planted_rate - runner_up.planted_rate,
+        )
+
+
+def _binomial_tail_at_least_oracle(n, j_min, t):
+    if n < j_min or t == 0:
+        return mp.mpf(0)
+    if t == 1:
+        return mp.mpf(1)
+    log_t = mp.log(t)
+    log_1mt = mp.log(1 - t)
+    head = mp.mpf(0)
+    for j in range(j_min):
+        log_term = (
+            mp.loggamma(n + 1)
+            - mp.loggamma(j + 1)
+            - mp.loggamma(n - j + 1)
+            + j * log_t
+            + (n - j) * log_1mt
+        )
+        head += mp.exp(log_term)
+    return 1 - head
+
+
+def core_fixed_point_oracle(d, k, precision=None):
+    """Oracle for analytics.core_fixed_point: the same recursion with every
+    log-gamma term recomputed at every level."""
+    with working_precision(precision):
+        lambda0 = 1 / (mp.mpf(2) ** (k - 1) - 1)
+        trace = [lambda0]
+        converged = False
+        while len(trace) <= _FIXED_POINT_MAX_LEVELS:
+            survival = _binomial_tail_at_least_oracle(d - 1, 3, trace[-1])
+            trace.append(lambda0 * survival ** (k - 1))
+            if abs(trace[-1] - trace[-2]) < _FIXED_POINT_TOLERANCE:
+                converged = True
+                break
+        p_inf = trace[-1]
+        return FixedPointTrace(
+            p=tuple(trace),
+            p_inf=p_inf,
+            mu_core=_binomial_tail_at_least_oracle(d, 3, p_inf),
+            mu_core_attached=1 - (1 - p_inf) ** d,
+            converged=converged,
+        )

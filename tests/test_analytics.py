@@ -12,6 +12,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from helpers import core_fixed_point_oracle, distance_rate_scan_oracle
 from sofic_lab import analytics
 from sofic_lab.analytics import (
     AnalyticParams,
@@ -260,7 +261,10 @@ def test_bias_map_polynomials_match_the_map():
             b = Fraction(i, 21)
             with working_precision():
                 point = mp.mpf(i) / 21
-                value, derivative = analytics._bias_to_distance_with_derivative(point, k)
+                base = 1 - mp.mpf(2) ** (2 - k)
+                num_b, den_b = analytics._bias_map_terms(point, k, base)
+                value = num_b / den_b
+                derivative = analytics._bias_map_slope(point, k, base, num_b, den_b)
                 exact_value = evaluate(num, b) / evaluate(den, b)
                 exact_slope = evaluate(slope, b) / evaluate(den, b) ** 2
                 assert abs(value - analytics._to_mpf(exact_value)) <= mp.mpf("1e-30")
@@ -309,6 +313,8 @@ def test_result_guards_raise_under_optimize():
         print("optimize", sys.flags.optimize)
         run("_pair_distance_rate", lambda f: lambda *a: f(*a) + 1e-6,
             lambda: analytics.planted_distance_rate(0.3, 20, 6))
+        run("_pair_distance_rate", lambda f: lambda *a: f(*a) + 1e-6,
+            lambda: analytics.distance_rate_scan(20, 6, grid_points=5))
         run("bichromatic_pair_types", lambda f: lambda k: f(k)[:-1],
             lambda: analytics.optimal_pair_type(0.3, 4))
         run("_cross_entropy2", lambda f: lambda *a: f(*a) + 1e-6,
@@ -335,6 +341,7 @@ def test_result_guards_raise_under_optimize():
     lines = proc.stdout.splitlines()
     assert lines[0] == "optimize 1"
     expected = [
+        "_pair_distance_rate: planted rate routes disagree",
         "_pair_distance_rate: planted rate routes disagree",
         "bichromatic_pair_types: weights sum to",
         "_cross_entropy2: entropy gap",
@@ -551,6 +558,85 @@ def test_distance_rate_scan_rows_equal_direct_solves():
         for row in scan.rows:
             assert row.delta0 == bias_of_distance(row.delta, k)
             assert row.planted_rate == planted_distance_rate(row.delta, d, k)
+
+
+# the rate-scan benchmark shapes: k = 17..25 at the degree of offset 0.12,
+# grids of 33, 41 and 49 points, plus two small-k shapes
+ORACLE_SCAN_SHAPES = [
+    (degrees_from_offset(k, 0.12).d, k, grid)
+    for k in range(17, 26)
+    for grid in (33, 41, 49)
+] + [(20, 6, 21), (5, 3, 11)]
+
+
+def _assert_scans_equal(scan, oracle):
+    assert len(scan.rows) == len(oracle.rows)
+    for row, expected in zip(scan.rows, oracle.rows):
+        for field in analytics.DistanceScanRow._fields:
+            assert getattr(row, field) == getattr(expected, field), field
+    assert scan.argmax_delta == oracle.argmax_delta
+    assert scan.max_rate == oracle.max_rate
+    assert scan.margin == oracle.margin
+
+
+def _assert_traces_equal(trace, oracle):
+    for field in ("p", "p_inf", "mu_core", "mu_core_attached", "converged"):
+        assert getattr(trace, field) == getattr(oracle, field), field
+
+
+@pytest.mark.parametrize("d,k,grid", ORACLE_SCAN_SHAPES, ids=str)
+def test_distance_rate_scan_and_fixed_point_equal_oracles(d, k, grid):
+    # shared logs, a lazy slope and hoisted log-binomials must not move a bit
+    _assert_scans_equal(distance_rate_scan(d, k, grid_points=grid),
+                        distance_rate_scan_oracle(d, k, grid))
+    _assert_traces_equal(core_fixed_point(d, k), core_fixed_point_oracle(d, k))
+
+
+@pytest.mark.parametrize("precision", [53, 256])
+def test_distance_rate_scan_and_fixed_point_equal_oracles_at_precision(precision):
+    # at 53 bits the route check fails on the k = 21 and k = 25 shapes (in
+    # the oracle too), so a small-k shape serves both precisions
+    _assert_scans_equal(
+        distance_rate_scan(20, 6, grid_points=21, precision=precision),
+        distance_rate_scan_oracle(20, 6, 21, precision=precision),
+    )
+    _assert_traces_equal(core_fixed_point(20, 6, precision=precision),
+                         core_fixed_point_oracle(20, 6, precision=precision))
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    original = getattr(owner, name)
+
+    def counted(*args):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_distance_rate_scan_evaluates_each_term_once(monkeypatch):
+    counts = {}
+    for name in ("_log_edge_factor", "_bias_map_terms", "_bias_map_slope"):
+        _count_calls(monkeypatch, analytics, name, counts)
+    d, k, grid = degrees_from_offset(25, 0.12).d, 25, 41
+    distance_rate_scan(d, k, grid_points=grid)
+    # one edge factor at the distance and one at its bias
+    assert counts["_log_edge_factor"] == 2 * grid
+    # every solve ends on a value whose residual passes without a slope
+    assert counts["_bias_map_slope"] == counts["_bias_map_terms"] - grid
+    assert counts["_bias_map_slope"] > 0
+
+
+def test_core_fixed_point_loggamma_calls_do_not_grow_with_levels(monkeypatch):
+    counts = {}
+    _count_calls(monkeypatch, mp, "loggamma", counts)
+    calls_and_levels = []
+    for d, k in ((6, 3), (50, 6), (772231, 17)):  # 5, 4 and 8 levels
+        counts.clear()
+        trace = core_fixed_point(d, k)
+        calls_and_levels.append((counts["loggamma"], len(trace.p)))
+    assert len({levels for _, levels in calls_and_levels}) > 1
+    assert {calls for calls, _ in calls_and_levels} == {14}
 
 
 def test_offset_maps():

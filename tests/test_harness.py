@@ -386,6 +386,23 @@ def test_experiment_config_validation():
         ExperimentConfig.from_json_dict({"kind": "first-moment"})
 
 
+def test_experiment_config_refuses_params_its_kind_does_not_read():
+    # a misspelt key would otherwise run with the default and be echoed
+    # into the params footer as though it had been applied
+    with pytest.raises(ValueError, match="do not read params 'tree_sample'"):
+        ExperimentConfig("density", {"d": 5, "k": 3, "n": 30, "level": 1,
+                                     "replicas": 2, "tree_sample": 10}, "out")
+    with pytest.raises(ValueError, match="'enumerate', 'use_colors'"):
+        ExperimentConfig("density", {"replicas": 2, "use_colors": True,
+                                     "enumerate": False}, "out")
+    with pytest.raises(ValueError, match="'level'"):
+        ExperimentConfig("first-moment", {"replicas": 2, "level": 1}, "out")
+    with pytest.raises(ValueError, match="'seeds'"):
+        ExperimentConfig("concentration", {"seeds": [1, 2]}, "out")
+    ExperimentConfig("density", {"d": 5, "k": 3, "n": 30, "level": 1, "replicas": 2,
+                                 "tree_samples": 10, "sigma_tolerance": 2}, "out")
+
+
 def test_experiment_replica_states():
     config = ExperimentConfig("first-moment", {"replicas": 3, "seed": 9}, "out")
     assert config.replica_states() == [RngState(9, 0), RngState(9, 1), RngState(9, 2)]
