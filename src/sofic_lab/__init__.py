@@ -5,22 +5,31 @@ growth-rate analytics, core/rigidity structure, and the tree Markov measure."""
 from ._errors import ScaleRefusal
 from .analytics import (
     balance_polynomial,
+    bias_of_distance,
     core_fixed_point,
+    cross_entropy2,
     degrees_from_offset,
+    distance_of_bias,
     distance_rate_scan,
     dominant_type,
+    entropy2,
     entropy_gap_report,
+    optimal_pair_type,
     planted_distance_rate,
     proper_rate,
     type_rate,
     working_precision,
 )
 from .exact_count import (
+    cluster_size,
     count_at_distance,
+    count_good_colorings,
     count_proper,
     exact_first_moment,
     exact_planted_distance_moment,
+    is_good_coloring,
     proper_colorings,
+    proper_equitable_colorings,
 )
 from .group_model import (
     ModelParams,
@@ -36,6 +45,7 @@ from .hypergraph import (
     Coloring,
     LabeledHypergraph,
     build_hypergraph,
+    generator_type,
     monochromatic_edge_count,
 )
 from .samplers import RngState, sample_planted_hom, sample_uniform_hom
@@ -66,21 +76,31 @@ __all__ = [
     "Coloring",
     "LabeledHypergraph",
     "build_hypergraph",
+    "generator_type",
     "monochromatic_edge_count",
     "RngState",
     "sample_planted_hom",
     "sample_uniform_hom",
+    "cluster_size",
     "count_at_distance",
+    "count_good_colorings",
     "count_proper",
     "exact_first_moment",
     "exact_planted_distance_moment",
+    "is_good_coloring",
     "proper_colorings",
+    "proper_equitable_colorings",
     "balance_polynomial",
+    "bias_of_distance",
     "core_fixed_point",
+    "cross_entropy2",
     "degrees_from_offset",
+    "distance_of_bias",
     "distance_rate_scan",
     "dominant_type",
+    "entropy2",
     "entropy_gap_report",
+    "optimal_pair_type",
     "planted_distance_rate",
     "proper_rate",
     "type_rate",

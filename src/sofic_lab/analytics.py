@@ -886,43 +886,3 @@ def core_fixed_point(
             converged=converged,
         )
 
-
-# ---------------------------------------------------------------------------
-# parameter record
-
-
-@dataclass(frozen=True)
-class AnalyticParams:
-    """Parameters for the analytic layer: generator count, edge size, an
-    optional offset that d is supposed to realize, and an optional working
-    precision in bits.
-
-    When an offset is given, construction checks that d is the rounding of
-    the offset-parametrized ratio times k.
-    """
-
-    d: int
-    k: int
-    eta: float | None = None
-    precision: int | None = None
-
-    def __post_init__(self) -> None:
-        _check_d(self.d)
-        _check_k(self.k)
-        if self.precision is not None:
-            _resolve_precision(self.precision)
-        if self.eta is not None:
-            with working_precision(self.precision):
-                ratio = ratio_from_offset(self.k, self.eta, precision=mp.mp.prec)
-                if abs(self.d - ratio * self.k) > mp.mpf("0.5") + mp.mpf(10) ** -9:
-                    raise ValueError(
-                        f"d={self.d} does not realize offset {self.eta} "
-                        f"at k={self.k}; expected about {mp.nstr(ratio * self.k, 12)}"
-                    )
-
-    @classmethod
-    def from_offset(
-        cls, k: int, eta, precision: int | None = None
-    ) -> "AnalyticParams":
-        choice = degrees_from_offset(k, eta, precision=precision)
-        return cls(d=choice.d, k=k, eta=float(choice.implied_eta), precision=precision)

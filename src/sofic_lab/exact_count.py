@@ -36,7 +36,6 @@ from ._errors import ScaleRefusal
 from .analytics import bichromatic_pair_types
 from .group_model import ModelParams, typed_partition_count, typed_partition_sum
 from .hypergraph import Coloring, monochromatic_edge_count
-from .samplers import _counts_at_scale
 
 PROPER_SEARCH_MAX_N = 40
 BUDGET_SEARCH_MAX_N = 32
@@ -299,62 +298,6 @@ def partition_count(n, k):
     if n % k:
         raise ValueError("k must divide n")
     return typed_partition_count((n,), [((k,), n // k)])
-
-
-def count_partitions_of_type(n, chi, type_vector):
-    """Exact number of k-partitions with c_j = t_j * n blocks of j ones.
-
-    Evaluates (pn)!((1-p)n)! / prod_j j!^c_j (k-j)!^c_j c_j! where pn is the
-    number of ones of chi; unlike the balanced sampler table this admits
-    monochromatic block types (j = 0 or k) and any color split.
-    """
-    if len(chi) != n:
-        raise ValueError("coloring length mismatch")
-    k = len(type_vector) - 1
-    counts = _counts_at_scale(type_vector, n)
-    ones = sum(chi)
-    if sum(counts) * k != n:
-        raise ValueError("type does not describe n/k blocks")
-    if sum(j * c for j, c in enumerate(counts)) != ones:
-        raise ValueError("type needs %d ones, coloring has %d"
-                         % (sum(j * c for j, c in enumerate(counts)), ones))
-    return typed_partition_count(
-        (ones, n - ones), [((j, k - j), c) for j, c in enumerate(counts)])
-
-
-def count_pair_partitions(n, chi, chi_tilde, type_map):
-    """Exact number of k-partitions whose pair-type histogram equals type_map.
-
-    type_map sends a PairTypeMatrix to the fraction of vertices its blocks
-    carry (so values must sum to 1/k). The count is
-    prod N_ij! / (prod_eps c_eps! prod_eps prod_ij e_ij!^c_eps).
-    """
-    if len(chi) != n or len(chi_tilde) != n:
-        raise ValueError("coloring length mismatch")
-    k = None
-    for eps in type_map:
-        if k is None:
-            k = eps.total()
-        elif eps.total() != k:
-            raise ValueError("pair types must share a single k")
-    counts = _counts_at_scale(type_map.values(), n, "type weight")
-    items = [(eps.as_tuple(), c) for eps, c in zip(type_map, counts)]
-    if k is None or n % k:
-        raise ValueError("empty type map or k does not divide n")
-    if sum(c for _, c in items) != n // k:
-        raise ValueError("pair types must describe exactly n/k blocks")
-    overlap = [[0, 0], [0, 0]]
-    for a, b in zip(chi, chi_tilde):
-        overlap[a][b] += 1
-    for i in (0, 1):
-        for j in (0, 1):
-            supplied = sum(c * shape[2 * i + j] for shape, c in items)
-            if supplied != overlap[i][j]:
-                raise ValueError(
-                    "overlap class (%d,%d): types supply %d vertices, "
-                    "colorings have %d" % (i, j, supplied, overlap[i][j])
-                )
-    return typed_partition_count(overlap[0] + overlap[1], items)
 
 
 def _bichromatic_partition_count(n, k, ones):

@@ -298,7 +298,7 @@ def evaluate_word(hom, word, v):
     """Apply sigma(word) to vertex v, rightmost syllable first.
 
     The per-vertex route, kept as the oracle for the composed arrays of
-    word_image, check_sofic and the local pattern census.
+    check_sofic and the local pattern census.
     """
     if not 0 <= v < hom.params.n:
         raise ValueError("vertex %r out of range 0..%d" % (v, hom.params.n - 1))
@@ -328,11 +328,6 @@ def _word_arrays(hom, words):
                 perm = generators[g][perm]
         arrays.append(perm)
     return arrays
-
-
-def word_image(hom, word):
-    """The full permutation array of sigma(word), as a list."""
-    return _word_arrays(hom, [word])[0].tolist()
 
 
 @dataclass(frozen=True)

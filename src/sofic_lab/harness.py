@@ -212,18 +212,33 @@ def load_instance(path):
     return hom, chi
 
 
-def _resolve_chi(hom, chi_from_file, chi_arg):
-    if chi_arg is not None:
-        chi = Coloring.from_string(chi_arg)
-        if len(chi) != hom.params.n:
+def _open_instance(args, coloring=True, **head):
+    """The opening of every command that reads an instance file (--input).
+
+    Returns the homomorphism, its coloring (--chi if given, else the file's;
+    None for a command that reads no coloring) and a function that builds
+    the "# params:" record: head (the command and, where it has one, its
+    route), the input path, n, k and d, the command's own fields, then seed
+    and stream.
+    """
+    hom, chi = load_instance(args.input)
+    params = hom.params
+    if not coloring:
+        chi = None
+    elif args.chi is not None:
+        chi = Coloring.from_string(args.chi)
+        if len(chi) != params.n:
             raise ValueError(
-                "--chi has length %d but the instance has n=%d"
-                % (len(chi), hom.params.n)
+                "--chi has length %d but the instance has n=%d" % (len(chi), params.n)
             )
-        return chi
-    if chi_from_file is not None:
-        return chi_from_file
-    raise ValueError("no coloring: the instance file has no \"chi\" and --chi was not given")
+    elif chi is None:
+        raise ValueError("no coloring: the instance file has no \"chi\" and --chi was not given")
+    head.update(input=args.input, n=params.n, k=params.k, d=params.d)
+
+    def record(**fields):
+        return {**head, **fields, "seed": args.seed, "stream": args.stream}
+
+    return hom, chi, record
 
 
 def _as_fraction(value):
@@ -373,15 +388,6 @@ def _replica_worker(task):
         return index, None, "%s: %s" % (type(exc).__name__, exc)
 
 
-_ROW_FIELDS = {
-    "first-moment": ("z",),
-    "planted-distance": ("z_delta",),
-    "density": ("density",),
-    "sofic": ("mult_fraction", "trace_fraction", "is_sofic"),
-    "local-convergence": ("max_deviation", "improper_fraction"),
-}
-
-
 def _run_replicas(config, workers):
     states = config.replica_states()
     tasks = [
@@ -508,21 +514,16 @@ def run_experiment(config, workers=1):
         return _run_concentration(config)
 
     states, results = _run_replicas(config, workers)
-    fields = _ROW_FIELDS[config.kind]
-    csv_rows = []
-    good_rows = []
-    failures = 0
-    for (index, row, error), state in zip(results, states):
-        cells = [index, state.seed, state.stream]
-        if row is None:
-            failures += 1
-            cells += [None] * len(fields) + [error]
-        else:
-            good_rows.append(row)
-            cells += [row[f] for f in fields] + [None]
-        csv_rows.append(cells)
+    good_rows = [row for _, row, _ in results if row is not None]
     if not good_rows:
-        raise ValueError("every replica failed; first error: %s" % csv_rows[0][-1])
+        raise ValueError("every replica failed; first error: %s" % results[0][2])
+    # every row of a kind has the same keys, in the order _replica_row gives
+    fields = tuple(good_rows[0])
+    csv_rows = []
+    for (index, row, error), state in zip(results, states):
+        cells = [None] * len(fields) + [error] if row is None else list(row.values()) + [None]
+        csv_rows.append([index, state.seed, state.stream] + cells)
+    failures = len(results) - len(good_rows)
 
     params = config.params
     if config.kind == "first-moment":
@@ -748,22 +749,10 @@ def _cmd_sample_planted(args):
 
 
 def _cmd_count(args):
-    hom, chi = load_instance(args.input)
+    hom, _, record = _open_instance(args, coloring=False, command="count")
     if args.equitable and args.eps != 0:
         raise ValueError("--equitable counts proper colorings only; drop --eps")
-    _announce(
-        {
-            "command": "count",
-            "input": args.input,
-            "n": hom.params.n,
-            "k": hom.params.k,
-            "d": hom.params.d,
-            "eps": args.eps,
-            "equitable": args.equitable,
-            "seed": args.seed,
-            "stream": args.stream,
-        }
-    )
+    _announce(record(eps=args.eps, equitable=args.equitable))
     graph = build_hypergraph(hom)
     if args.equitable:
         report = count_equitable(graph)
@@ -860,21 +849,8 @@ def _cmd_analytic(args):
 
 def _cmd_core_density(args):
     if args.input is not None:
-        hom, chi_file = load_instance(args.input)
-        chi = _resolve_chi(hom, chi_file, args.chi)
-        _announce(
-            {
-                "command": "core-density",
-                "route": "finite",
-                "input": args.input,
-                "n": hom.params.n,
-                "k": hom.params.k,
-                "d": hom.params.d,
-                "level": args.level,
-                "seed": args.seed,
-                "stream": args.stream,
-            }
-        )
+        hom, chi, record = _open_instance(args, command="core-density", route="finite")
+        _announce(record(level=args.level))
         density = density_report(build_hypergraph(hom), chi, args.level)
         print("rigid_density=%s rigid_density_float=%s" % (density, _fmt(float(density))))
         return 0
@@ -920,21 +896,8 @@ def _cmd_core_density(args):
 
 
 def _cmd_expansivity(args):
-    hom, chi_file = load_instance(args.input)
-    chi = _resolve_chi(hom, chi_file, args.chi)
-    _announce(
-        {
-            "command": "expansivity",
-            "input": args.input,
-            "n": hom.params.n,
-            "k": hom.params.k,
-            "d": hom.params.d,
-            "t_max": args.t_max,
-            "random_trials": args.random_trials,
-            "seed": args.seed,
-            "stream": args.stream,
-        }
-    )
+    hom, chi, record = _open_instance(args, command="expansivity")
+    _announce(record(t_max=args.t_max, random_trials=args.random_trials))
     report = expansivity_scan(
         build_hypergraph(hom),
         chi,
@@ -961,8 +924,7 @@ def _cmd_expansivity(args):
 
 
 def _cmd_rigidity(args):
-    hom, chi_file = load_instance(args.input)
-    chi = _resolve_chi(hom, chi_file, args.chi)
+    hom, chi, record = _open_instance(args, command="rigidity")
     graph = build_hypergraph(hom)
     decomposition = core_decomposition(graph, chi)
     level = args.level
@@ -970,20 +932,7 @@ def _cmd_rigidity(args):
         level = len(decomposition.levels) - 1
     region = decomposition.rigid_set(level)
     rho = Fraction(args.rho)
-    _announce(
-        {
-            "command": "rigidity",
-            "input": args.input,
-            "n": hom.params.n,
-            "k": hom.params.k,
-            "d": hom.params.d,
-            "level": level,
-            "region_size": len(region),
-            "rho": rho,
-            "seed": args.seed,
-            "stream": args.stream,
-        }
-    )
+    _announce(record(level=level, region_size=len(region), rho=rho))
     witness = rigidity_violation_search(graph, chi, region, rho)
     if witness is None:
         print("violation=none")
@@ -997,29 +946,17 @@ def _cmd_rigidity(args):
 
 
 def _cmd_local_convergence(args):
-    hom, chi_file = load_instance(args.input)
-    chi = _resolve_chi(hom, chi_file, args.chi)
-    params = hom.params
-    tree_params = ModelParams(d=params.d, k=params.k, n=params.k)
+    hom, chi, record = _open_instance(args, command="local-convergence")
+    tree_params = ModelParams(d=hom.params.d, k=hom.params.k, n=hom.params.k)
     if args.radius is not None:
         domain = build_ball(tree_params, args.radius)
     else:
         domain = single_edge_domain(tree_params, label=args.edge_label)
     q = count_proper_patterns(domain)
-    record = {
-        "command": "local-convergence",
-        "input": args.input,
-        "n": params.n,
-        "k": params.k,
-        "d": params.d,
-        "elements": len(domain),
-        "q": q,
-        "seed": args.seed,
-        "stream": args.stream,
-    }
+    params_record = record(elements=len(domain), q=q)
     if args.pattern is not None:
-        record["pattern"] = args.pattern
-    _announce(record)
+        params_record["pattern"] = args.pattern
+    _announce(params_record)
     if args.pattern is not None:
         bits = [int(c) for c in args.pattern]
         if len(bits) != len(domain):
@@ -1055,7 +992,7 @@ def _cmd_local_convergence(args):
 
 
 def _cmd_sofic_check(args):
-    hom, _ = load_instance(args.input)
+    hom, _, record = _open_instance(args, coloring=False, command="sofic-check")
     params = hom.params
     if args.words == "generators":
         words = generator_words(params)
@@ -1064,20 +1001,7 @@ def _cmd_sofic_check(args):
     else:
         words = generator_words(params) + generator_pair_words(params)
     delta = Fraction(args.delta)
-    _announce(
-        {
-            "command": "sofic-check",
-            "input": args.input,
-            "n": params.n,
-            "k": params.k,
-            "d": params.d,
-            "words": args.words,
-            "word_count": len(words),
-            "delta": delta,
-            "seed": args.seed,
-            "stream": args.stream,
-        }
-    )
+    _announce(record(words=args.words, word_count=len(words), delta=delta))
     report = check_sofic(hom, words, delta)
     print(
         "mult_fraction=%s trace_fraction=%s multiplicative=%s trace_preserving=%s sofic=%s"

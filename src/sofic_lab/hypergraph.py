@@ -3,8 +3,8 @@
 Every uniform homomorphism induces a hypergraph on its vertex set whose edges
 are the orbits of the generator subgroups, one perfect k-partition per
 generator label. Colorings are 0/1 vectors; this module evaluates them:
-monochromatic and critical edges, Hamming distance, and the per-generator and
-pairwise type statistics that drive the moment computations.
+monochromatic and critical edges, and the per-generator and pairwise type
+statistics that drive the moment computations.
 """
 
 from dataclasses import dataclass
@@ -145,11 +145,6 @@ def monochromatic_edge_count(graph, coloring):
     return count
 
 
-def is_eps_proper(graph, coloring, eps):
-    """At most eps * n monochromatic edges."""
-    return monochromatic_edge_count(graph, coloring) <= Fraction(eps) * graph.n
-
-
 def critical_edges(graph, coloring):
     """All (edge index, supporting vertex) pairs.
 
@@ -168,14 +163,6 @@ def critical_edges(graph, coloring):
             zeros = [v for v in edge if coloring[v] == 0]
             out.append((idx, zeros[0]))
     return out
-
-
-def hamming_distance(c1, c2):
-    """Normalized disagreement count, an exact fraction in [0, 1]."""
-    if len(c1) != len(c2):
-        raise ValueError("colorings have different lengths")
-    diff = sum(1 for a, b in zip(c1, c2) if a != b)
-    return Fraction(diff, len(c1))
 
 
 @dataclass(frozen=True)
@@ -201,32 +188,6 @@ class PairTypeMatrix:
 
     def as_tuple(self):
         return (self.e00, self.e01, self.e10, self.e11)
-
-
-def pair_type_matrix(edge, chi, chi_tilde):
-    counts = [[0, 0], [0, 0]]
-    for v in edge:
-        counts[chi[v]][chi_tilde[v]] += 1
-    return PairTypeMatrix(counts[0][0], counts[0][1], counts[1][0], counts[1][1])
-
-
-def pair_type_map(graph, chi, chi_tilde, label):
-    """The empirical pair-type distribution of one generator's partition.
-
-    Requires every part of the label's partition to be bichromatic under both
-    colorings. Returns a map from PairTypeMatrix to the fraction of vertices
-    (1/n per part ... n/k parts total, so values sum to 1/k).
-    """
-    t = {}
-    for edge in graph.label_edges(label):
-        eps = pair_type_matrix(edge, chi, chi_tilde)
-        if not eps.is_bichromatic_pair():
-            raise ValueError(
-                "part %r of label %d is not bichromatic under both colorings (type %r)"
-                % (edge, label, eps.as_tuple())
-            )
-        t[eps] = t.get(eps, Fraction(0)) + Fraction(1, graph.n)
-    return t
 
 
 class GeneratorTypeMatrix:

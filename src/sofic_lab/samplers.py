@@ -25,12 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._errors import ScaleRefusal
 from .group_model import ModelParams, UniformHom, typed_partition_count
-from .hypergraph import build_hypergraph, monochromatic_edge_count
-
-REJECTION_ORACLE_MAX_N = 40
-REJECTION_ORACLE_MAX_TRIES = 100_000
 
 _UINT64_MASK = (1 << 64) - 1
 
@@ -167,42 +162,6 @@ def _coloring_array(chi):
     return np.fromiter(chi, dtype=np.intp, count=len(chi))
 
 
-def sample_type_vector(n, k, chi, rng):
-    """Draw a block-type vector with probability proportional to its weight.
-
-    Returns (t_0..t_k) as exact fractions of n, with t_0 = t_k = 0. chi must
-    be equitable; the type distribution depends on it only through that.
-    """
-    gen = _as_generator(rng)
-    if len(chi) != n:
-        raise ValueError("coloring length mismatch")
-    if 2 * sum(chi) != n:
-        raise ValueError("type sampling requires an equitable coloring")
-    counts = _draw_type_counts(n, k, gen)
-    return (Fraction(0),) + tuple(Fraction(c, n) for c in counts) + (Fraction(0),)
-
-
-def _counts_at_scale(entries, n, what="type entry"):
-    """The counts t * n of fractional entries t, each of which must be a
-    nonnegative integer at scale n."""
-    counts = []
-    for t in entries:
-        c = Fraction(t) * n
-        if c.denominator != 1 or c < 0:
-            raise ValueError("%s %r is not a count at scale n=%d" % (what, t, n))
-        counts.append(int(c))
-    return counts
-
-
-def _counts_from_type(n, k, type_vector):
-    if len(type_vector) != k + 1:
-        raise ValueError("type vector must have k+1 entries")
-    counts = _counts_at_scale(type_vector, n)
-    if counts[0] or counts[k]:
-        raise ValueError("bichromatic types need t_0 = t_k = 0")
-    return counts[1:k]
-
-
 def _typed_blocks(chi, k, counts, gen):
     """Blocks of a uniform k-partition with c_j blocks of j ones, as the
     rows of an array; each row is sorted and rows go by least vertex.
@@ -238,25 +197,6 @@ def _typed_blocks(chi, k, counts, gen):
     # RSS against 0.5 MB for the default kind, measured on x86-64)
     blocks = np.sort(np.concatenate(rows), axis=1, kind="stable")
     return blocks[np.argsort(blocks[:, 0], kind="stable")]
-
-
-def sample_bichromatic_partition(n, chi, type_vector, rng):
-    """Uniform k-partition of the given type: all blocks bichromatic, c_j of
-    them with exactly j ones.
-
-    Shuffle-and-cut each color class into blocks of the prescribed sizes,
-    then match one-side blocks of size j to zero-side blocks of size k-j by
-    a uniform matching. Each typed partition arises from the same number of
-    (shuffle, shuffle, matching) triples, so the output is exactly uniform.
-    Returns the blocks as sorted tuples, in sorted order.
-    """
-    gen = _as_generator(rng)
-    k = len(type_vector) - 1
-    counts = _counts_from_type(n, k, type_vector)
-    if len(chi) != n:
-        raise ValueError("coloring length mismatch")
-    blocks = _typed_blocks(_coloring_array(chi), k, counts, gen)
-    return [tuple(row) for row in blocks.tolist()]
 
 
 def _monochromatic_orbit_count(images, chi, k):
@@ -299,35 +239,3 @@ def sample_planted_hom(params: ModelParams, chi, rng) -> UniformHom:
     if _monochromatic_orbit_count(images, chi, params.k):
         raise RuntimeError("planted draw has a monochromatic edge")
     return hom
-
-
-def sample_planted_hom_rejection(params: ModelParams, chi, rng):
-    """Cross-check oracle: per-generator rejection, no type tables involved.
-
-    The planted measure is the uniform one conditioned on the product event
-    "every generator's orbits are bichromatic", so conditioning each
-    generator independently reproduces it. Refuses n beyond the oracle range
-    since acceptance probabilities degenerate.
-    """
-    if params.n > REJECTION_ORACLE_MAX_N:
-        raise ScaleRefusal(
-            "rejection oracle supports n <= %d, got n=%d"
-            % (REJECTION_ORACLE_MAX_N, params.n),
-            count=params.n,
-        )
-    params.require_uniform()
-    params.require_equitable()
-    gen = _as_generator(rng)
-    single = ModelParams(d=1, k=params.k, n=params.n)
-    images = []
-    for _ in range(params.d):
-        for _ in range(REJECTION_ORACLE_MAX_TRIES):
-            candidate = sample_uniform_hom(single, gen)
-            if monochromatic_edge_count(build_hypergraph(candidate), chi) == 0:
-                images.append(list(candidate.images[0]))
-                break
-        else:
-            raise RuntimeError(
-                "rejection sampler exceeded %d tries" % REJECTION_ORACLE_MAX_TRIES
-            )
-    return UniformHom(params, images)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from ._errors import ScaleRefusal
 from .exact_count import cluster_radius, proper_colorings
 from .hypergraph import Coloring, critical_edges, monochromatic_edge_count
-from .samplers import RngState
+from .samplers import RngState, _as_generator
 
 EXPANSIVITY_MAX_SUBSETS = 2_000_000
 
@@ -290,6 +290,7 @@ def expansivity_scan(graph, chi, t_max, random_trials=0, rng=None):
             "exhaustive scan would enumerate %d subsets" % subset_count,
             count=subset_count,
         )
+    gen = _as_generator(rng if rng is not None else RngState(0))
     supports, full, rest, by_support, _ = _support_tables(graph, chi)
     covering = defaultdict(list)
     for ce, verts in enumerate(full):
@@ -330,7 +331,6 @@ def expansivity_scan(graph, chi, t_max, random_trials=0, rng=None):
     random_witness = None
     trials_run = 0
     if random_trials > 0 and size_cap > t_max and by_support:
-        gen = (rng if rng is not None else RngState(0)).generator()
         owners = sorted(by_support)
         for _ in range(random_trials):
             trials_run += 1

@@ -30,7 +30,6 @@ from .group_model import (
     ModelParams,
     ReducedWord,
     _word_arrays,
-    evaluate_word,
     word_inverse,
     word_product,
 )
@@ -318,10 +317,6 @@ def enumerate_proper_patterns(domain, max_elements=BRUTE_PATTERN_MAX_ELEMENTS):
             yield Pattern(dict(zip(domain.elements, bits)))
 
 
-def count_proper_patterns_brute(domain, max_elements=BRUTE_PATTERN_MAX_ELEMENTS):
-    return sum(1 for _ in enumerate_proper_patterns(domain, max_elements))
-
-
 def cylinder_probability(domain, pattern):
     """Measure of the set of tree colorings extending the pattern.
 
@@ -344,7 +339,7 @@ def sample_proper_pattern(domain, rng):
     that avoid going monochromatic. Multiplying the choice counts gives
     exactly the proper-pattern total, so the draw is uniform.
     """
-    gen = rng.generator() if hasattr(rng, "generator") else rng
+    gen = _as_generator(rng)
     k = domain.k
     assignment = {IDENTITY: int(gen.integers(2))}
     if domain.edges:
@@ -365,32 +360,6 @@ def sample_proper_pattern(domain, rng):
             assignment[w] = (completion >> j) & 1
             j += 1
     return Pattern(assignment)
-
-
-def pullback_vertex_map(hom, v, domain):
-    """Which finite-model vertex sits under each tree element at v.
-
-    Element g maps to the image of v under g^{-1}; the identity maps to v
-    itself. The map need not be injective when the finite model has short
-    cycles through v. This per-vertex route is the oracle for the window
-    matrices of local_pattern_census and local_convergence_stat.
-    """
-    params = hom.params
-    return {
-        g: evaluate_word(hom, word_inverse(params, g), v)
-        for g in domain.elements
-    }
-
-
-def pullback_is_injective(hom, v, domain):
-    window = pullback_vertex_map(hom, v, domain)
-    return len(set(window.values())) == len(window)
-
-
-def pullback_pattern(hom, coloring, v, domain):
-    """Read a finite coloring through the tree window at v."""
-    window = pullback_vertex_map(hom, v, domain)
-    return Pattern({g: coloring[u] for g, u in window.items()})
 
 
 @dataclass(frozen=True)
@@ -414,7 +383,9 @@ def _pullback_windows(hom, coloring, domain):
 
     Row i of the vertex matrix is sigma(g_i^{-1}) for the i-th domain
     element, so column v lists the vertices under the window at v (the
-    pullback_vertex_map at v); the color matrix reads the coloring through it.
+    identity sits over v itself, and the list need not be injective when
+    the finite model has short cycles through v); the color matrix reads
+    the coloring through it.
     """
     params = hom.params
     if len(coloring) != params.n:
@@ -621,14 +592,6 @@ class CoreDensityEstimate:
     def rigid_stderr(self):
         p = float(self.rigid_frequency())
         return sqrt(p * (1.0 - p) / self.samples)
-
-
-def sample_root_core_status(d, k, level, rng):
-    """One draw of the root's status: core / attached / attached_overlap /
-    outside. Expands only what the status computation inspects, so it works
-    at depths whose full balls would be astronomically large."""
-    _check_core_sampler_args(d, k, level)
-    return _RootStatusSampler(d, k, _as_generator(rng)).root_status(level)
 
 
 def core_density_estimate(d, k, level, samples, rng):

@@ -1,8 +1,10 @@
 """Shared test utilities: small hand-built homomorphisms, random instances,
-the loop oracles for the array samplers, the full-walk expansivity oracle,
-the backtracking coloring-search oracle, the colors-route oracle of the
-tree root-status sampler, and the per-point oracles of the distance-rate
-scan and the core fixed point."""
+the loop oracles for the array samplers, the rejection sampler of the
+planted model, Hamming distance and pair types by hand, the brute-force
+pattern count and the per-vertex pullback of tree windows, the full-walk
+expansivity oracle, the backtracking coloring-search oracle, the
+colors-route oracle of the tree root-status sampler, and the per-point
+oracles of the distance-rate scan and the core fixed point."""
 
 import itertools
 import math
@@ -24,15 +26,32 @@ from sofic_lab.analytics import (
     proper_rate,
     working_precision,
 )
-from sofic_lab.group_model import UniformHom, typed_partition_count
+from sofic_lab._errors import ScaleRefusal
+from sofic_lab.group_model import (
+    ModelParams,
+    UniformHom,
+    evaluate_word,
+    typed_partition_count,
+    word_inverse,
+)
 from sofic_lab.hypergraph import (
     Coloring,
+    PairTypeMatrix,
     build_hypergraph,
     critical_edges,
     monochromatic_edge_count,
 )
-from sofic_lab.samplers import RngState, _as_generator, sample_type_vector
-from sofic_lab.tree_markov import CoreDensityEstimate, _check_core_sampler_args
+from sofic_lab.samplers import RngState, _as_generator, _draw_type_counts, sample_uniform_hom
+from sofic_lab.tree_markov import (
+    BRUTE_PATTERN_MAX_ELEMENTS,
+    CoreDensityEstimate,
+    Pattern,
+    _check_core_sampler_args,
+    enumerate_proper_patterns,
+)
+
+REJECTION_ORACLE_MAX_N = 40
+REJECTION_ORACLE_MAX_TRIES = 100_000
 
 
 def hom_from_cycles(params, cycles_per_gen):
@@ -180,19 +199,19 @@ def sample_uniform_images_loop_oracle(params, rng):
     return images
 
 
-def sample_bichromatic_partition_loop_oracle(n, chi, type_vector, rng):
-    """Per-block loop oracle for samplers.sample_bichromatic_partition."""
+def typed_blocks_loop_oracle(chi, k, counts, rng):
+    """Per-block loop oracle for samplers._typed_blocks: the partition with
+    c_j blocks of j ones for counts (c_1..c_{k-1}), as sorted tuples in
+    sorted order."""
     gen = _oracle_generator(rng)
-    k = len(type_vector) - 1
-    counts = [int(Fraction(t) * n) for t in type_vector]
+    n = len(chi)
     ones = [v for v in range(n) if chi[v] == 1]
     zeros = [v for v in range(n) if chi[v] == 0]
     ones = [ones[i] for i in gen.permutation(len(ones))]
     zeros = [zeros[i] for i in gen.permutation(len(zeros))]
     parts = []
     pos_one = pos_zero = 0
-    for j in range(1, k):
-        c = counts[j]
+    for j, c in enumerate(counts, start=1):
         if not c:
             continue
         one_blocks = [ones[pos_one + j * i : pos_one + j * (i + 1)] for i in range(c)]
@@ -215,15 +234,47 @@ def sample_planted_images_loop_oracle(params, chi, rng):
     gen = _oracle_generator(rng)
     images = []
     for _ in range(params.d):
-        t = sample_type_vector(params.n, params.k, chi, gen)
+        counts = _draw_type_counts(params.n, params.k, gen)
         img = [0] * params.n
-        for part in sample_bichromatic_partition_loop_oracle(params.n, chi, t, gen):
+        for part in typed_blocks_loop_oracle(chi, params.k, counts, gen):
             cycle_on_block_oracle(part, gen, img)
         images.append(img)
     hom = UniformHom(params, images)
     if monochromatic_edge_count(build_hypergraph(hom), chi):
         raise RuntimeError("planted draw has a monochromatic edge")
     return images
+
+
+def sample_planted_hom_rejection(params, chi, rng):
+    """Cross-check oracle: per-generator rejection, no type tables involved.
+
+    The planted measure is the uniform one conditioned on the product event
+    "every generator's orbits are bichromatic", so conditioning each
+    generator independently reproduces it. Refuses n beyond the oracle range
+    since acceptance probabilities degenerate.
+    """
+    if params.n > REJECTION_ORACLE_MAX_N:
+        raise ScaleRefusal(
+            "rejection oracle supports n <= %d, got n=%d"
+            % (REJECTION_ORACLE_MAX_N, params.n),
+            count=params.n,
+        )
+    params.require_uniform()
+    params.require_equitable()
+    gen = _as_generator(rng)
+    single = ModelParams(d=1, k=params.k, n=params.n)
+    images = []
+    for _ in range(params.d):
+        for _ in range(REJECTION_ORACLE_MAX_TRIES):
+            candidate = sample_uniform_hom(single, gen)
+            if monochromatic_edge_count(build_hypergraph(candidate), chi) == 0:
+                images.append(list(candidate.images[0]))
+                break
+        else:
+            raise RuntimeError(
+                "rejection sampler exceeded %d tries" % REJECTION_ORACLE_MAX_TRIES
+            )
+    return UniformHom(params, images)
 
 
 def check_uniform_permutation_loop_oracle(img, n, k, gen_index):
@@ -245,6 +296,67 @@ def check_uniform_permutation_loop_oracle(img, n, k, gen_index):
                 "generator %d has an orbit of size %d, want exactly %d"
                 % (gen_index, size, k)
             )
+
+
+def hamming_distance(c1, c2):
+    """Normalized disagreement count, an exact fraction in [0, 1]."""
+    if len(c1) != len(c2):
+        raise ValueError("colorings have different lengths")
+    diff = sum(1 for a, b in zip(c1, c2) if a != b)
+    return Fraction(diff, len(c1))
+
+
+def pair_type_matrix(edge, chi, chi_tilde):
+    """Overlap counts of one part against two colorings."""
+    counts = [[0, 0], [0, 0]]
+    for v in edge:
+        counts[chi[v]][chi_tilde[v]] += 1
+    return PairTypeMatrix(counts[0][0], counts[0][1], counts[1][0], counts[1][1])
+
+
+def pair_type_map(graph, chi, chi_tilde, label):
+    """The empirical pair-type distribution of one generator's partition.
+
+    Requires every part of the label's partition to be bichromatic under both
+    colorings. Returns a map from PairTypeMatrix to the fraction of vertices
+    (1/n per part ... n/k parts total, so values sum to 1/k).
+    """
+    t = {}
+    for edge in graph.label_edges(label):
+        eps = pair_type_matrix(edge, chi, chi_tilde)
+        if not eps.is_bichromatic_pair():
+            raise ValueError(
+                "part %r of label %d is not bichromatic under both colorings (type %r)"
+                % (edge, label, eps.as_tuple())
+            )
+        t[eps] = t.get(eps, Fraction(0)) + Fraction(1, graph.n)
+    return t
+
+
+def count_proper_patterns_brute(domain, max_elements=BRUTE_PATTERN_MAX_ELEMENTS):
+    """Oracle for tree_markov.count_proper_patterns: every pattern tried."""
+    return sum(1 for _ in enumerate_proper_patterns(domain, max_elements))
+
+
+def pullback_vertex_map(hom, v, domain):
+    """Which finite-model vertex sits under each tree element at v.
+
+    Element g maps to the image of v under g^{-1}; the identity maps to v
+    itself. The map need not be injective when the finite model has short
+    cycles through v. This per-vertex route is the oracle for the window
+    matrices of local_pattern_census and local_convergence_stat.
+    """
+    params = hom.params
+    return {
+        g: evaluate_word(hom, word_inverse(params, g), v)
+        for g in domain.elements
+    }
+
+
+def pullback_pattern(hom, coloring, v, domain):
+    """Read a finite coloring through the tree window at v."""
+    window = pullback_vertex_map(hom, v, domain)
+    return Pattern({g: coloring[u] for g, u in window.items()})
 
 
 def expansivity_exhaustive_oracle(graph, chi, t_max):

@@ -15,7 +15,6 @@ import pytest
 from helpers import core_fixed_point_oracle, distance_rate_scan_oracle
 from sofic_lab import analytics
 from sofic_lab.analytics import (
-    AnalyticParams,
     DegreeChoice,
     balance_polynomial,
     bias_of_distance,
@@ -707,19 +706,3 @@ def test_working_precision_controls():
         working_precision(40)
     # per-call override is honored
     assert abs(proper_rate(2, 2, precision=96)) <= mp.mpf("1e-25")
-
-
-def test_analytic_params():
-    plain = AnalyticParams(d=20, k=6)
-    assert plain.eta is None
-    with pytest.raises(ValueError):
-        AnalyticParams(d=100, k=25, eta=0.12)
-    with pytest.raises(ValueError):
-        AnalyticParams(d=-1, k=6)
-    with pytest.raises(ValueError):
-        AnalyticParams(d=20, k=6, precision=10)
-    built = AnalyticParams.from_offset(25, 0.12)
-    assert built.d == degrees_from_offset(25, 0.12).d
-    assert built.k == 25
-    assert built.eta is not None
-    AnalyticParams(d=0, k=3)

@@ -8,8 +8,10 @@ import pytest
 from helpers import (
     all_k_partitions,
     coloring_search_oracle,
+    hamming_distance,
     hom_from_cycles,
     pair_count_sum_recursion_oracle,
+    pair_type_matrix,
     partition_type_counts,
     random_uniform_images,
 )
@@ -23,8 +25,6 @@ from sofic_lab.exact_count import (
     count_at_distance,
     count_equitable,
     count_good_colorings,
-    count_pair_partitions,
-    count_partitions_of_type,
     count_proper,
     exact_equitable_first_moment,
     exact_first_moment,
@@ -41,14 +41,7 @@ from sofic_lab.group_model import (
     typed_partition_count,
     typed_partition_sum,
 )
-from sofic_lab.hypergraph import (
-    Coloring,
-    PairTypeMatrix,
-    build_hypergraph,
-    hamming_distance,
-    monochromatic_edge_count,
-    pair_type_matrix,
-)
+from sofic_lab.hypergraph import Coloring, build_hypergraph, monochromatic_edge_count
 from sofic_lab.samplers import (
     RngState,
     _type_count_vectors,
@@ -230,12 +223,18 @@ def test_partition_count():
     assert partition_count(9, 3) == sum(1 for _ in all_k_partitions(range(9), 3))
 
 
+# A partition's type against one coloring counts its blocks by their ones: c_j
+# blocks of shape (j, k - j) over the classes (ones, zeros) of the coloring.
+# Against two colorings a block's shape is its pair type (e00, e01, e10, e11)
+# over the four overlap classes.
+
+
 def test_count_partitions_of_type_known_cases():
-    chi = Coloring.from_string("0011")
-    assert count_partitions_of_type(4, chi, (0, Fraction(1, 2), 0)) == 2
-    assert count_partitions_of_type(4, chi, (Fraction(1, 4), 0, Fraction(1, 4))) == 1
-    # single block containing j ones
-    assert count_partitions_of_type(3, Coloring.from_string("110"), (0, 0, Fraction(1, 3), 0)) == 1
+    # coloring 0011: two blocks of one 1 each, or one block of 0s and one of 1s
+    assert typed_partition_count((2, 2), [((1, 1), 2)]) == 2
+    assert typed_partition_count((2, 2), [((0, 2), 1), ((2, 0), 1)]) == 1
+    # coloring 110: a single block containing j = 2 ones
+    assert typed_partition_count((2, 1), [((2, 1), 1)]) == 1
 
 
 def brute_typed_partition_census(n, k, chi):
@@ -262,27 +261,13 @@ def brute_typed_partition_census(n, k, chi):
 )
 def test_count_partitions_of_type_matches_brute_force(n, k, bits):
     chi = Coloring.from_string(bits)
+    ones = sum(chi)
     census = brute_typed_partition_census(n, k, chi)
     for counts, expected in census.items():
-        t = tuple(Fraction(c, n) for c in counts)
-        assert count_partitions_of_type(n, chi, t) == expected
+        block_types = [((j, k - j), c) for j, c in enumerate(counts)]
+        assert typed_partition_count((ones, n - ones), block_types) == expected
     # census totals the whole partition space
     assert sum(census.values()) == partition_count(n, k)
-
-
-def test_count_partitions_of_type_infeasible():
-    chi = Coloring.from_string("0011")
-    with pytest.raises(ValueError):
-        count_partitions_of_type(4, chi, (0, 0, Fraction(1, 2)))
-    with pytest.raises(ValueError):
-        count_partitions_of_type(4, chi, (0, Fraction(1, 3), 0))
-
-
-def test_count_partitions_of_type_rejects_wrong_coloring_length():
-    t = (0, Fraction(1, 2), 0)
-    for bits in ("001111", "001"):
-        with pytest.raises(ValueError, match="coloring length mismatch"):
-            count_partitions_of_type(4, Coloring.from_string(bits), t)
 
 
 def test_typed_partition_sum_matches_per_type_sum():
@@ -324,6 +309,14 @@ def test_typed_partition_sum_validation():
     assert typed_partition_sum((4, 0), [(1, 1)]) == 0
 
 
+def overlap_classes(chi, chi_tilde):
+    """Sizes of the classes (0,0), (0,1), (1,0), (1,1) of two colorings."""
+    overlap = [0, 0, 0, 0]
+    for a, b in zip(chi, chi_tilde):
+        overlap[2 * a + b] += 1
+    return overlap
+
+
 def brute_pair_partition_census(n, k, chi, chi_tilde):
     census = {}
     for parts in all_k_partitions(range(n), k):
@@ -350,54 +343,25 @@ def test_count_pair_partitions_matches_brute_force(n, k, bits, bits_tilde):
     chi_tilde = Coloring.from_string(bits_tilde)
     census = brute_pair_partition_census(n, k, chi, chi_tilde)
     for key, expected in census.items():
-        type_map = {PairTypeMatrix(*e): Fraction(c, n) for e, c in key}
-        assert count_pair_partitions(n, chi, chi_tilde, type_map) == expected
+        assert typed_partition_count(overlap_classes(chi, chi_tilde), key) == expected
 
 
 def test_count_pair_partitions_known_case():
     chi = Coloring.from_string("0011")
     chi_tilde = Coloring.from_string("0101")
-    t = {
-        PairTypeMatrix(1, 0, 0, 1): Fraction(1, 4),
-        PairTypeMatrix(0, 1, 1, 0): Fraction(1, 4),
-    }
-    assert count_pair_partitions(4, chi, chi_tilde, t) == 1
+    overlap = overlap_classes(chi, chi_tilde)
+    assert overlap == [1, 1, 1, 1]
+    assert typed_partition_count(overlap, [((1, 0, 0, 1), 1), ((0, 1, 1, 0), 1)]) == 1
 
 
 def test_count_pair_partitions_diagonal_reduction():
     # chi = chi_tilde collapses pair types onto the diagonal, recovering the
     # single-coloring typed count
     chi = Coloring.from_string("000111")
-    t_single = (0, Fraction(1, 6), Fraction(1, 6), 0)
-    t_pair = {
-        PairTypeMatrix(2, 0, 0, 1): Fraction(1, 6),
-        PairTypeMatrix(1, 0, 0, 2): Fraction(1, 6),
-    }
-    assert count_pair_partitions(6, chi, chi, t_pair) == count_partitions_of_type(
-        6, chi, t_single
-    )
-
-
-def test_count_pair_partitions_rejects_wrong_coloring_length():
-    good = Coloring.from_string("0101")
-    t = {
-        PairTypeMatrix(1, 0, 0, 1): Fraction(1, 4),
-        PairTypeMatrix(0, 1, 1, 0): Fraction(1, 4),
-    }
-    for bits in ("001111", "001"):
-        bad = Coloring.from_string(bits)
-        for chi, chi_tilde in ((bad, good), (good, bad)):
-            with pytest.raises(ValueError, match="coloring length mismatch"):
-                count_pair_partitions(4, chi, chi_tilde, t)
-
-
-def test_count_pair_partitions_names_violated_marginal():
-    chi = Coloring.from_string("0011")
-    chi_tilde = Coloring.from_string("0101")
-    t = {PairTypeMatrix(1, 0, 0, 1): Fraction(1, 2)}
-    with pytest.raises(ValueError) as exc:
-        count_pair_partitions(4, chi, chi_tilde, t)
-    assert "overlap class" in str(exc.value)
+    single = typed_partition_count((3, 3), [((1, 2), 1), ((2, 1), 1)])
+    pair = typed_partition_count(
+        overlap_classes(chi, chi), [((2, 0, 0, 1), 1), ((1, 0, 0, 2), 1)])
+    assert pair == single
 
 
 def enumeration_average(params, count_fn):

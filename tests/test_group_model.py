@@ -29,7 +29,6 @@ from sofic_lab.group_model import (
     reduce_word,
     uniform_hom_count,
     uniform_permutation_count,
-    word_image,
     word_inverse,
     word_product,
 )
@@ -402,7 +401,7 @@ def test_word_image_matches_evaluate_word():
     p = ModelParams(d=3, k=3, n=30)
     hom = random_uniform_images(p, random.Random(9))
     for word in _oracle_word_sets(p)[2] + generator_pair_words(p):
-        assert word_image(hom, word) == [
+        assert _word_arrays(hom, [word])[0].tolist() == [
             evaluate_word(hom, word, v) for v in range(p.n)
         ]
 
@@ -414,8 +413,6 @@ def test_word_evaluation_rejects_bad_generator(bad):
     word = ReducedWord(((0, 1), (bad, 1)))
     with pytest.raises(ValueError, match="generator index"):
         evaluate_word(hom, word, 0)
-    with pytest.raises(ValueError, match="generator index"):
-        word_image(hom, word)
     with pytest.raises(ValueError, match="generator index"):
         _word_arrays(hom, [IDENTITY, word])
     with pytest.raises(ValueError, match="generator index"):

@@ -2,7 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import hom_from_cycles, random_uniform_images
+from helpers import (
+    hamming_distance,
+    hom_from_cycles,
+    pair_type_map,
+    pair_type_matrix,
+    random_uniform_images,
+)
 
 from sofic_lab.group_model import ModelParams
 from sofic_lab.hypergraph import (
@@ -12,11 +18,7 @@ from sofic_lab.hypergraph import (
     build_hypergraph,
     critical_edges,
     generator_type,
-    hamming_distance,
-    is_eps_proper,
     monochromatic_edge_count,
-    pair_type_map,
-    pair_type_matrix,
 )
 
 
@@ -65,10 +67,6 @@ def test_monochromatic_count_hand_example():
     assert monochromatic_edge_count(g, Coloring.from_string("111000")) == 2
     assert monochromatic_edge_count(g, Coloring.from_string("110000")) == 1
     assert monochromatic_edge_count(g, Coloring.from_string("110100")) == 0
-    assert is_eps_proper(g, Coloring.from_string("110100"), 0)
-    assert not is_eps_proper(g, Coloring.from_string("110000"), 0)
-    # the budget is eps * n, inclusive
-    assert is_eps_proper(g, Coloring.from_string("110000"), Fraction(1, 6))
 
 
 def test_monochromatic_count_matches_brute():

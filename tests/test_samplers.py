@@ -3,7 +3,6 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +10,11 @@ import pytest
 from helpers import (
     all_k_partitions,
     partition_type_counts,
-    sample_bichromatic_partition_loop_oracle,
+    sample_planted_hom_rejection,
     sample_planted_images_loop_oracle,
     sample_uniform_images_loop_oracle,
     type_count_vectors_recursion_oracle,
+    typed_blocks_loop_oracle,
 )
 from scipy import stats
 
@@ -23,12 +23,13 @@ from sofic_lab.group_model import ModelParams, enumerate_uniform_homs, typed_par
 from sofic_lab.hypergraph import Coloring, build_hypergraph, monochromatic_edge_count
 from sofic_lab.samplers import (
     RngState,
+    _as_generator,
+    _coloring_array,
+    _draw_type_counts,
     _monochromatic_orbit_count,
     _type_count_vectors,
-    sample_bichromatic_partition,
+    _typed_blocks,
     sample_planted_hom,
-    sample_planted_hom_rejection,
-    sample_type_vector,
     sample_uniform_hom,
 )
 
@@ -41,6 +42,13 @@ def assert_uniform_chi_square(counter, support, n_samples):
     _, pvalue = stats.chisquare(observed)
     assert pvalue > CHI_SQUARE_ALPHA
     assert sum(observed) == n_samples
+
+
+def typed_partition(chi, k, counts, rng):
+    """The blocks of a uniform partition with c_j blocks of j ones, as
+    sorted tuples in sorted order."""
+    blocks = _typed_blocks(_coloring_array(chi), k, counts, _as_generator(rng))
+    return [tuple(row) for row in blocks.tolist()]
 
 
 def test_rng_state_determinism():
@@ -118,22 +126,23 @@ def test_type_weight_matches_brute_force():
     assert type_weight(3, (2, 2)) == census[(2, 2)]
 
 
+# The type draws give the block counts (c_1..c_{k-1}); the type vector
+# (t_0..t_k) of the paper is (0, c_1/n, ..., c_{k-1}/n, 0).
+
+
 def test_type_vector_k2_unique_atom():
     gen = RngState(7).generator()
-    chi = Coloring.equitable_split(8)
     for _ in range(5):
-        t = sample_type_vector(8, 2, chi, gen)
-        assert t == (0, Fraction(1, 2), 0)
+        assert _draw_type_counts(8, 2, gen) == (4,)
 
 
 def test_type_vector_ratio_k4_n8():
     # exact weights are 18 and 16, so the two types split 18/34 vs 16/34
-    chi = Coloring.equitable_split(8)
     gen = RngState(88).generator()
     n_samples = 100000
-    counts = Counter(sample_type_vector(8, 4, chi, gen) for _ in range(n_samples))
-    heavy = (0, 0, Fraction(1, 4), 0, 0)
-    light = (0, Fraction(1, 8), 0, Fraction(1, 8), 0)
+    counts = Counter(_draw_type_counts(8, 4, gen) for _ in range(n_samples))
+    heavy = (0, 2, 0)
+    light = (1, 0, 1)
     assert set(counts) == {heavy, light}
     assert abs(counts[heavy] / n_samples - 18 / 34) < 0.02
     assert abs(counts[light] / n_samples - 16 / 34) < 0.02
@@ -142,28 +151,24 @@ def test_type_vector_ratio_k4_n8():
 def test_type_vector_mode_is_dominant_type():
     # k=3 at balanced colorings has a single feasible type, the one sitting
     # on the dominant proportions (1/6, 1/6)
-    chi = Coloring.equitable_split(120)
-    t = sample_type_vector(120, 3, chi, RngState(1))
-    assert t == (0, Fraction(1, 6), Fraction(1, 6), 0)
+    assert _draw_type_counts(120, 3, RngState(1).generator()) == (20, 20)
 
     # k=4, n=24: feasible count vectors are (0,6,0),(1,4,1),(2,2,2),(3,0,3);
     # (2,2,2) is the closest lattice point to n times the dominant
     # proportions (1/14, 3/28, 1/14) and must carry the largest weight
     weights = {c: type_weight(4, c) for c in [(0, 6, 0), (1, 4, 1), (2, 2, 2), (3, 0, 3)]}
     assert max(weights, key=weights.get) == (2, 2, 2)
-    chi = Coloring.equitable_split(24)
     gen = RngState(55).generator()
-    counts = Counter(sample_type_vector(24, 4, chi, gen) for _ in range(20000))
-    assert max(counts, key=counts.get) == (0, Fraction(1, 12), Fraction(1, 12), Fraction(1, 12), 0)
+    counts = Counter(_draw_type_counts(24, 4, gen) for _ in range(20000))
+    assert max(counts, key=counts.get) == (2, 2, 2)
 
 
 def test_partition_sampler_k2_n4():
     chi = Coloring.from_string("0011")
-    t = (0, Fraction(1, 2), 0)
     gen = RngState(31).generator()
     n_samples = 30000
     counts = Counter(
-        tuple(sample_bichromatic_partition(4, chi, t, gen)) for _ in range(n_samples)
+        tuple(typed_partition(chi, 2, (2,), gen)) for _ in range(n_samples)
     )
     expected = {((0, 2), (1, 3)), ((0, 3), (1, 2))}
     assert set(counts) == expected
@@ -173,17 +178,15 @@ def test_partition_sampler_k2_n4():
 
 def test_partition_sampler_output_type_is_exact():
     chi = Coloring.equitable_split(12)
-    t = (0, Fraction(2, 12), Fraction(2, 12), 0)
     gen = RngState(4).generator()
     for _ in range(20):
-        parts = sample_bichromatic_partition(12, chi, t, gen)
+        parts = typed_partition(chi, 3, (2, 2), gen)
         assert sorted(v for p in parts for v in p) == list(range(12))
         assert partition_type_counts(parts, chi, 3) == (2, 2)
 
 
 def test_partition_sampler_uniform_over_type_class():
     chi = Coloring.equitable_split(8)
-    t = (0, Fraction(1, 8), 0, Fraction(1, 8), 0)
     support = [
         tuple(parts)
         for parts in all_k_partitions(range(8), 4)
@@ -193,20 +196,15 @@ def test_partition_sampler_uniform_over_type_class():
     gen = RngState(66).generator()
     n_samples = 20000
     counts = Counter(
-        tuple(sample_bichromatic_partition(8, chi, t, gen)) for _ in range(n_samples)
+        tuple(typed_partition(chi, 4, (1, 0, 1), gen)) for _ in range(n_samples)
     )
     assert_uniform_chi_square(counts, support, n_samples)
 
 
 def test_partition_sampler_rejects_bad_types():
-    chi = Coloring.from_string("0011")
-    with pytest.raises(ValueError):
-        sample_bichromatic_partition(4, chi, (0, Fraction(1, 4), Fraction(1, 8)), RngState(0))
-    with pytest.raises(ValueError):
-        sample_bichromatic_partition(4, chi, (Fraction(1, 4), 0, Fraction(1, 4)), RngState(0))
-    with pytest.raises(ValueError):
-        # sums do not match the color classes
-        sample_bichromatic_partition(4, chi, (0, Fraction(1, 4), 0), RngState(0))
+    # one block of one 1 and one 0 does not use up two of each color
+    with pytest.raises(ValueError, match="infeasible"):
+        typed_partition(Coloring.from_string("0011"), 2, (1,), RngState(0))
 
 
 def test_planted_hom_always_proper():
@@ -292,9 +290,11 @@ def test_rejection_oracle_scale_refusal():
 
 def test_type_sampler_input_validation():
     with pytest.raises(ValueError):
-        sample_type_vector(6, 3, Coloring.from_string("111100"), RngState(0))
+        sample_planted_hom(ModelParams(d=1, k=3, n=6), Coloring.from_string("111100"),
+                           RngState(0))
     with pytest.raises(ValueError):
-        sample_type_vector(9, 3, Coloring.from_string("110100100"), RngState(0))
+        sample_planted_hom(ModelParams(d=1, k=3, n=9), Coloring.from_string("110100100"),
+                           RngState(0))
 
 
 # (d, k, n): k = 2 and k = 6, d = 0 and d = 1, and the shapes the benchmark uses
@@ -343,10 +343,10 @@ def test_planted_sampler_matches_loop_oracle(d, k, n):
 def test_partition_sampler_matches_loop_oracle(k, n):
     chi = Coloring(RngState(k).generator().permutation([0, 1] * (n // 2)).tolist())
     for seed in ORACLE_SEEDS:
-        t = sample_type_vector(n, k, chi, RngState(seed, stream=1))
+        counts = _draw_type_counts(n, k, RngState(seed, stream=1).generator())
         gen, oracle_gen = RngState(seed).generator(), RngState(seed).generator()
-        parts = sample_bichromatic_partition(n, chi, t, gen)
-        assert parts == sample_bichromatic_partition_loop_oracle(n, chi, t, oracle_gen)
+        parts = typed_partition(chi, k, counts, gen)
+        assert parts == typed_blocks_loop_oracle(chi, k, counts, oracle_gen)
         assert all(type(v) is int for part in parts for v in part)
         assert_same_stream_afterwards(gen, oracle_gen)
 
@@ -400,7 +400,7 @@ def test_result_guards_raise_under_optimize():
         from fractions import Fraction
         from sofic_lab import exact_count, group_model, samplers, structure, tree_markov
         from sofic_lab.group_model import ModelParams
-        from sofic_lab.hypergraph import Coloring, PairTypeMatrix, build_hypergraph
+        from sofic_lab.hypergraph import Coloring, build_hypergraph
         from sofic_lab.samplers import RngState
 
         def report(label, call, error):
@@ -459,12 +459,6 @@ def test_result_guards_raise_under_optimize():
             "typed_partition_sum": lambda: group_model.typed_partition_sum(
                 (3, 3), [(1, 2), (2, 1)]),
             "partition_count": lambda: exact_count.partition_count(6, 3),
-            "count_partitions_of_type": lambda: exact_count.count_partitions_of_type(
-                4, Coloring.from_string("0011"), (0, Fraction(1, 2), 0)),
-            "count_pair_partitions": lambda: exact_count.count_pair_partitions(
-                4, Coloring.from_string("0011"), Coloring.from_string("0101"),
-                {PairTypeMatrix(1, 0, 0, 1): Fraction(1, 4),
-                 PairTypeMatrix(0, 1, 1, 0): Fraction(1, 4)}),
             "exact_first_moment": lambda: exact_count.exact_first_moment(params),
             "exact_planted_distance_moment":
                 lambda: exact_count.exact_planted_distance_moment(params, Fraction(1, 3)),
@@ -497,8 +491,6 @@ def test_result_guards_raise_under_optimize():
         "_balanced_type_table: typed partition count",
         "typed_partition_sum: typed partition sum",
         "partition_count: typed partition count",
-        "count_partitions_of_type: typed partition count",
-        "count_pair_partitions: typed partition count",
         "exact_first_moment: typed partition count",
         "exact_planted_distance_moment: typed partition sum",
     ]

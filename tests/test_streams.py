@@ -1,4 +1,5 @@
-"""Pinned sha256 digests of seeded sampler and experiment outputs.
+"""Pinned sha256 digests of seeded sampler and experiment outputs, and of
+the full stdout of the CLI commands.
 
 The samplers draw from numpy's Philox generator through `permutation`,
 `permuted` and `choice`. A numpy release that changed how any of these
@@ -9,6 +10,7 @@ that the rewrite kept every stream.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -112,6 +114,49 @@ COUNTING_CLI_CASES = [
      "b00c47c1b8bb3eecb0d2ca296f87232833d475d6cf877aee8fa5ed8dbb239112"),
 ]
 
+# (fixture or None, command and options): the full stdout, "# params:" line
+# included, of the commands whose records echo the instance file or the
+# sampler arguments. Recorded while each command still built its record by
+# hand, so these pin the key order of every "# params:" line as well. The
+# sampler cases print the instance JSON after the record.
+STDOUT_CLI_CASES = [
+    (None, "sample-uniform --n 12 --k 3 --d 2 --seed 5",
+     "2b162eda285c46ce428c4b078e0a0020c4e43d823e06b0b7742a7c1b9ac83f31"),
+    (None, "sample-planted --n 12 --k 3 --d 3 --seed 1 --stream 2",
+     "68e77b3cf8e1675c822cef0ea54164d7aa6bcc0079e763ab26553f831f3cce0d"),
+    (None, "sample-planted --n 6 --k 3 --d 2 --chi 101010",
+     "9c3fc9fc7fe8f731272e716fe5f098f0b9f7885f595bb33350b6221cbcc37aca"),
+    ("rigidity_09_n24_k3_d3", "core-density --level 1",
+     "0fbb021f5712027d2a74e8e1a96bf31dc49f9c1b01462b3ad359b6a4033869d0"),
+    ("rigidity_08_n24_k3_d2", "core-density --level 0 --chi 111111111111000000000000",
+     "cc364ae84d997c7a68eaab8d1099c87b6fac1af510f85bdcdbf9f26251b1e439"),
+    ("rigidity_09_n24_k3_d3", "local-convergence",
+     "276becdaeee6b059dd0bb676726ad336d09bdaf7a3bbc2ff59d48a7c43f51f34"),
+    ("rigidity_09_n24_k3_d3", "local-convergence --edge-label 2 --pattern 011",
+     "cec380fc0ba0cb328c58619035b899e25f7a3e0ca967b38f337f5607e8f95ea3"),
+    ("count_instance", "local-convergence --radius 1",
+     "fca6a69a7d9c682dc25b8e46d57809bc5ca1f045e92b41d4c6ce99773bcaf0e8"),
+    ("rigidity_09_n24_k3_d3", "sofic-check",
+     "36ae336a14102c9ded1cacf462f0cb218c6e0942d25b792c6a092682da03118b"),
+    ("count_instance", "sofic-check --words pairs --delta 1/4 --seed 3",
+     "0fed15ee3dcc9ba6d4e984a2e5be5bb6bbd8d78b27db307d63c6cbbdc099a13d"),
+    (None, "moments first --n 6 --k 3 --d 2",
+     "1a5e56d5433a29611f55f68d78091a7b41682989e90a3ff6a667c212cb89b4ba"),
+    (None, "moments first --n 6 --k 3 --d 2 --equitable",
+     "d3f210b9bd3b512dad71b872922d56fc6256d7189571d58501a65da940bc7af8"),
+    (None, "moments planted-distance --n 6 --k 3 --d 2 --delta 1/3",
+     "42121851ebf5f361660676070b64b878905de9ce88c794b61c80a4702edfc54a"),
+]
+
+# The config and the output prefix are relative paths, since the params
+# line echoes both.
+EXPERIMENT_STDOUT_CONFIG = {
+    "kind": "sofic",
+    "params": {"n": 30, "k": 3, "d": 2, "replicas": 3, "seed": 4, "delta": "1/5"},
+    "output": "out/run",
+}
+EXPERIMENT_STDOUT_DIGEST = "510639953cf45502cd876b84e583923b2427b1e436a4df9c9721025ee245136a"
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -179,3 +224,23 @@ def test_cli_counting_output_digest(case, monkeypatch, capsys):
     monkeypatch.chdir(FIXTURES)
     assert cli_dispatch(argv[:1] + ["--input", fixture + ".json"] + argv[1:]) == 0
     assert _sha256(capsys.readouterr().out.encode()) == digest
+
+
+@pytest.mark.parametrize(
+    "case", STDOUT_CLI_CASES, ids=lambda c: "%s %s" % (c[0] or "-", c[1]))
+def test_cli_stdout_digest(case, monkeypatch, capsys):
+    # the params line echoes the input path, so it is kept relative
+    fixture, command, digest = case
+    argv = command.split()
+    if fixture is not None:
+        argv[1:1] = ["--input", fixture + ".json"]
+    monkeypatch.chdir(FIXTURES)
+    assert cli_dispatch(argv) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == digest
+
+
+def test_cli_experiment_stdout_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(EXPERIMENT_STDOUT_CONFIG))
+    assert cli_dispatch(["experiment", "config.json"]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == EXPERIMENT_STDOUT_DIGEST

@@ -231,6 +231,17 @@ def test_expansivity_planted_instances_are_clean():
         assert report.size_cap == 7
 
 
+def test_expansivity_takes_rng_state_or_generator_only():
+    graph, chi = _planted_graph(6, 20, 60, 3)
+    for seed in (11, 12):
+        assert expansivity_scan(
+            graph, chi, t_max=2, random_trials=4, rng=RngState(seed)
+        ) == expansivity_scan(
+            graph, chi, t_max=2, random_trials=4, rng=RngState(seed).generator())
+    with pytest.raises(TypeError, match="RngState or numpy Generator"):
+        expansivity_scan(graph, chi, t_max=2, random_trials=4, rng=11)
+
+
 def test_expansivity_random_phase_is_deterministic():
     graph, chi = _planted_graph(6, 20, 60, 3)
     first = expansivity_scan(graph, chi, t_max=2, random_trials=4, rng=RngState(11))

@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "sofic_lab"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 # sha256 of the stdout of the deterministic demos.  The two counting demos
 # were recorded with the backtracking coloring search, and the frontier pass
@@ -60,6 +62,93 @@ def test_library_reads_no_environment_variables():
     found = ["%s:%d" % (name, node.lineno)
              for name, node in _library_nodes() if _reads_environment(node)]
     assert found == []
+
+
+def _names_in(node):
+    """Every name a node mentions: bare names, attribute names and the
+    names it imports."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.rsplit(".", 1)[-1])
+    return names
+
+
+def _strings_in(node):
+    return {sub.value for sub in ast.walk(node)
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str)}
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _library_definitions():
+    """The library's top-level definitions and the names its other top-level
+    code reads.
+
+    Returns {(file name, name): node} for every function, class and assigned
+    name but the dunders, and the names read by the remaining module-level
+    statements, the dunder definitions and the entries of __all__. A
+    module's own imports are not reads: a name the package re-exports is
+    reached through __all__."""
+    definitions = {}
+    read = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name == "__all__":
+                    read |= _strings_in(node)
+                elif _is_dunder(name):
+                    read |= _names_in(node)
+                else:
+                    definitions[path.name, name] = node
+            if not names:
+                read |= _names_in(node)
+    return definitions, read
+
+
+def _names_used_outside_tests():
+    """The names the demos and perfbench/ read, the functions perfbench/
+    wraps by name in LAYER_FUNCTIONS, and the CLI entry points."""
+    names = set()
+    for path in DEMOS + PERFBENCH:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names |= _names_in(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "LAYER_FUNCTIONS"
+                    for t in node.targets):
+                names |= _strings_in(node.value)
+    entry_points = (ROOT / "pyproject.toml").read_text()
+    names |= set(re.findall(r'"sofic_lab[\w.]*:(\w+)"', entry_points))
+    return names
+
+
+def test_every_library_definition_is_reached_outside_tests():
+    # code that only the tests call is an oracle and lives in tests/helpers.py,
+    # or a wrapper whose tests can call the core it wraps
+    definitions, read = _library_definitions()
+    reached = set()
+    frontier = read | _names_used_outside_tests()
+    while frontier:
+        found = {key for key in definitions if key[1] in frontier} - reached
+        reached |= found
+        frontier = set().union(*(_names_in(definitions[key]) for key in found))
+    unreached = sorted("%s:%s" % key for key in definitions if key not in reached)
+    assert unreached == []
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)

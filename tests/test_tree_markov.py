@@ -7,7 +7,13 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from helpers import core_density_colors_oracle, random_uniform_images
+from helpers import (
+    core_density_colors_oracle,
+    count_proper_patterns_brute,
+    pullback_pattern,
+    pullback_vertex_map,
+    random_uniform_images,
+)
 from scipy import stats
 
 from sofic_lab._errors import ScaleRefusal
@@ -30,17 +36,12 @@ from sofic_lab.tree_markov import (
     build_ball,
     core_density_estimate,
     count_proper_patterns,
-    count_proper_patterns_brute,
     cylinder_probability,
     domain_from_edges,
     enumerate_proper_patterns,
     local_convergence_stat,
     local_pattern_census,
-    pullback_is_injective,
-    pullback_pattern,
-    pullback_vertex_map,
     sample_proper_pattern,
-    sample_root_core_status,
     single_edge_domain,
 )
 
@@ -227,6 +228,15 @@ def test_sampler_k2_edge():
     assert set(seen) == {(0, 1), (1, 0)}
 
 
+def test_sampler_takes_rng_state_or_generator_only():
+    domain = build_ball(ModelParams(d=2, k=3, n=6), 1)
+    for seed in range(4):
+        assert sample_proper_pattern(domain, RngState(seed)) == sample_proper_pattern(
+            domain, RngState(seed).generator())
+    with pytest.raises(TypeError, match="RngState or numpy Generator"):
+        sample_proper_pattern(domain, 5)
+
+
 def test_markov_consistency_radius2_vs_radius1():
     params = ModelParams(d=2, k=3, n=6)
     small = build_ball(params, 1)
@@ -277,7 +287,7 @@ def test_pullback_injectivity_and_properness():
     for v in range(hom.params.n):
         window = pullback_vertex_map(hom, v, domain)
         assert window[IDENTITY] == v
-        if pullback_is_injective(hom, v, domain):
+        if len(set(window.values())) == len(window):
             injective += 1
             assert pullback_pattern(hom, chi, v, domain).is_proper_on(domain)
     census = local_pattern_census(hom, chi, domain)
@@ -378,17 +388,25 @@ def test_core_status_subcritical_regime_dies_out():
     assert est.union_frequency() <= Fraction(1, 100)
 
 
+def _one_status(d, k, level, rng):
+    """(core, attached, overlap) tallies of a single root-status draw."""
+    est = core_density_estimate(d, k, level, 1, rng)
+    return est.core_count, est.attached_count, est.overlap_count
+
+
 def test_core_status_validation():
     with pytest.raises(ValueError, match="k >= 3"):
-        sample_root_core_status(4, 2, 1, RngState(0))
+        _one_status(4, 2, 1, RngState(0))
     with pytest.raises(ValueError, match="level"):
-        sample_root_core_status(4, 3, -1, RngState(0))
+        _one_status(4, 3, -1, RngState(0))
     with pytest.raises(ValueError, match="sample"):
         core_density_estimate(4, 3, 1, 0, RngState(0))
     with pytest.raises(ScaleRefusal):
-        sample_root_core_status(20_000, 3, 1, RngState(0))
-    assert sample_root_core_status(4, 3, 0, RngState(0)) == "core"
-    assert sample_root_core_status(0, 3, 2, RngState(0)) == "outside"
+        _one_status(20_000, 3, 1, RngState(0))
+    # level 0 puts every root in the core; with d = 0 the root has no witness
+    # edge, so it is outside
+    assert _one_status(4, 3, 0, RngState(0)) == (1, 0, 0)
+    assert _one_status(0, 3, 2, RngState(0)) == (0, 0, 0)
     first = core_density_estimate(5, 3, 1, 500, RngState(9))
     second = core_density_estimate(5, 3, 1, 500, RngState(9))
     assert first == second
@@ -399,9 +417,8 @@ def test_core_status_accepts_generator_or_rng_state():
         assert core_density_estimate(
             5, 3, 2, 300, RngState(seed)
         ) == core_density_estimate(5, 3, 2, 300, RngState(seed).generator())
-        assert sample_root_core_status(
-            5, 3, 1, RngState(seed)
-        ) == sample_root_core_status(5, 3, 1, RngState(seed).generator())
+        assert _one_status(5, 3, 1, RngState(seed)) == _one_status(
+            5, 3, 1, RngState(seed).generator())
 
 
 # (d, k, level); the digest covers the (core, attached, overlap) tallies of
