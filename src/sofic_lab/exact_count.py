@@ -119,7 +119,7 @@ def _frontier_table(graph, targets=None, ref=None, budget=0, halve=False,
     themselves, sorted by _search_rank, instead of their number.
     """
     n = graph.n
-    edges = [e for _, e in graph.edges]
+    edges = graph.blocks.reshape(-1, graph.k).tolist()
     edges_of = [[] for _ in range(n)]
     for ei, e in enumerate(edges):
         for v in e:
@@ -197,7 +197,7 @@ def _frontier_table(graph, targets=None, ref=None, budget=0, halve=False,
     return {ab: 2 * val if halve else val for ab, val in out.items()}
 
 
-def count_proper(graph, eps=0, max_n=None):
+def count_proper(graph, eps=0):
     """Number of colorings with at most eps * n monochromatic edges."""
     start = perf_counter()
     eps = Fraction(eps)
@@ -209,7 +209,7 @@ def count_proper(graph, eps=0, max_n=None):
         return CountReport(2**graph.n, "closed_form", perf_counter() - start)
     budget = math.floor(eps * graph.n)
     bound = PROPER_SEARCH_MAX_N if budget == 0 else BUDGET_SEARCH_MAX_N
-    _check_scale(graph.n, max_n if max_n is not None else bound, "count_proper")
+    _check_scale(graph.n, bound, "count_proper")
     value = _frontier_table(graph, budget=budget, halve=True).get((0, 0), 0)
     return CountReport(value, "enumeration", perf_counter() - start)
 
@@ -220,28 +220,25 @@ def _equitable_target(graph):
     return graph.n // 2, 0
 
 
-def count_equitable(graph, max_n=None):
+def count_equitable(graph):
     """Number of proper equitable colorings."""
     start = perf_counter()
-    _check_scale(graph.n, max_n if max_n is not None else PROPER_SEARCH_MAX_N,
-                 "count_equitable")
+    _check_scale(graph.n, PROPER_SEARCH_MAX_N, "count_equitable")
     target = _equitable_target(graph)
     value = _frontier_table(graph, targets=[target], halve=True).get(target, 0)
     return CountReport(value, "enumeration", perf_counter() - start)
 
 
-def proper_equitable_colorings(graph, max_n=None):
+def proper_equitable_colorings(graph):
     """All proper equitable colorings, materialized."""
-    _check_scale(graph.n, max_n if max_n is not None else MOMENT_MAX_N,
-                 "proper_equitable_colorings")
+    _check_scale(graph.n, MOMENT_MAX_N, "proper_equitable_colorings")
     target = _equitable_target(graph)
     return _frontier_table(graph, targets=[target], collect=True).get(target, [])
 
 
-def proper_colorings(graph, max_n=None):
+def proper_colorings(graph):
     """All proper colorings (equitable or not), materialized."""
-    _check_scale(graph.n, max_n if max_n is not None else MOMENT_MAX_N,
-                 "proper_colorings")
+    _check_scale(graph.n, MOMENT_MAX_N, "proper_colorings")
     return _frontier_table(graph, collect=True).get((0, 0), [])
 
 
@@ -264,11 +261,10 @@ def _flip_count(n, delta):
     return flips
 
 
-def count_at_distance(graph, chi, delta, max_n=None):
+def count_at_distance(graph, chi, delta):
     """Proper equitable colorings at Hamming distance exactly delta from chi."""
     start = perf_counter()
-    _check_scale(graph.n, max_n if max_n is not None else PROPER_SEARCH_MAX_N,
-                 "count_at_distance")
+    _check_scale(graph.n, PROPER_SEARCH_MAX_N, "count_at_distance")
     _require_proper_equitable(graph, chi)
     flips = _flip_count(graph.n, delta)
     # an equitable coloring at flips f from chi moves f/2 vertices each way
@@ -282,11 +278,10 @@ def cluster_radius(n, k):
     return math.isqrt(n * n // 2**k)
 
 
-def cluster_size(graph, chi, max_n=None):
+def cluster_size(graph, chi):
     """Proper equitable colorings within Hamming distance 2^(-k/2) of chi."""
     start = perf_counter()
-    _check_scale(graph.n, max_n if max_n is not None else PROPER_SEARCH_MAX_N,
-                 "cluster_size")
+    _check_scale(graph.n, PROPER_SEARCH_MAX_N, "cluster_size")
     _require_proper_equitable(graph, chi)
     targets = [(j, j) for j in range(cluster_radius(graph.n, graph.k) // 2 + 1)]
     value = sum(_frontier_table(graph, targets=targets, ref=chi).values())
@@ -306,14 +301,13 @@ def _bichromatic_partition_count(n, k, ones):
     return typed_partition_sum((ones, n - ones), [(j, k - j) for j in range(1, k)])
 
 
-def exact_first_moment(params: ModelParams, max_n=None):
+def exact_first_moment(params: ModelParams):
     """E[number of proper colorings] under the uniform model, exactly.
 
     Grouping colorings by their number of ones, each contributes the d-th
     power of the single-generator bichromatic-partition probability.
     """
-    _check_scale(params.n, max_n if max_n is not None else MOMENT_MAX_N,
-                 "exact_first_moment")
+    _check_scale(params.n, MOMENT_MAX_N, "exact_first_moment")
     if params.d == 0:
         return Fraction(2**params.n)
     params.require_uniform()
@@ -326,10 +320,9 @@ def exact_first_moment(params: ModelParams, max_n=None):
     return result
 
 
-def exact_equitable_first_moment(params: ModelParams, max_n=None):
+def exact_equitable_first_moment(params: ModelParams):
     """E[number of proper equitable colorings] under the uniform model."""
-    _check_scale(params.n, max_n if max_n is not None else MOMENT_MAX_N,
-                 "exact_equitable_first_moment")
+    _check_scale(params.n, MOMENT_MAX_N, "exact_equitable_first_moment")
     params.require_uniform()
     params.require_equitable()
     if params.d == 0:
@@ -339,7 +332,7 @@ def exact_equitable_first_moment(params: ModelParams, max_n=None):
     return math.comb(n, n // 2) * Fraction(good, partition_count(n, k)) ** params.d
 
 
-def exact_planted_distance_moment(params: ModelParams, delta, max_n=None):
+def exact_planted_distance_moment(params: ModelParams, delta):
     """E[number of proper equitable colorings at distance delta] under the
     planted model, exactly.
 
@@ -347,8 +340,7 @@ def exact_planted_distance_moment(params: ModelParams, delta, max_n=None):
     moment is the count of candidates times the d-th power of the
     per-generator conditional probability.
     """
-    _check_scale(params.n, max_n if max_n is not None else MOMENT_MAX_N,
-                 "exact_planted_distance_moment")
+    _check_scale(params.n, MOMENT_MAX_N, "exact_planted_distance_moment")
     params.require_uniform()
     params.require_equitable()
     n, k = params.n, params.k
@@ -362,7 +354,7 @@ def exact_planted_distance_moment(params: ModelParams, delta, max_n=None):
     return candidates * Fraction(pair_single, proper_single) ** params.d
 
 
-def is_good_coloring(graph, chi, threshold, max_n=None):
+def is_good_coloring(graph, chi, threshold):
     """Equitable, proper, and cluster no larger than the threshold."""
     if len(chi) != graph.n:
         raise ValueError("coloring length mismatch")
@@ -370,16 +362,15 @@ def is_good_coloring(graph, chi, threshold, max_n=None):
         return False
     if monochromatic_edge_count(graph, chi) != 0:
         return False
-    return cluster_size(graph, chi, max_n=max_n).value <= Fraction(threshold)
+    return cluster_size(graph, chi).value <= Fraction(threshold)
 
 
-def count_good_colorings(graph, threshold, max_n=None):
+def count_good_colorings(graph, threshold):
     """Number of good colorings, by full enumeration."""
     start = perf_counter()
-    _check_scale(graph.n, max_n if max_n is not None else GOOD_SEARCH_MAX_N,
-                 "count_good_colorings")
+    _check_scale(graph.n, GOOD_SEARCH_MAX_N, "count_good_colorings")
     value = sum(
-        1 for chi in proper_equitable_colorings(graph, max_n=graph.n)
-        if cluster_size(graph, chi, max_n=graph.n).value <= Fraction(threshold)
+        1 for chi in proper_equitable_colorings(graph)
+        if cluster_size(graph, chi).value <= Fraction(threshold)
     )
     return CountReport(value, "enumeration", perf_counter() - start)

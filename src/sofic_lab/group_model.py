@@ -44,21 +44,6 @@ class ModelParams:
         if self.n < 1:
             raise ValueError("vertex count n must be positive, got %r" % (self.n,))
 
-    @property
-    def ratio(self):
-        """d/k as an exact fraction."""
-        return Fraction(self.d, self.k)
-
-    @property
-    def lambda0(self):
-        """Per-edge support probability 1/(2^(k-1) - 1)."""
-        return Fraction(1, 2 ** (self.k - 1) - 1)
-
-    @property
-    def lam(self):
-        """Expected number of supported edges per vertex, d * lambda0."""
-        return self.d * self.lambda0
-
     def require_uniform(self):
         if self.n % self.k != 0:
             raise ValueError(
@@ -493,18 +478,18 @@ def _uniform_permutations(n, k):
     yield from build(tuple(range(n)), {})
 
 
-def enumerate_uniform_homs(params, max_count=DEFAULT_ENUMERATION_BOUND):
+def enumerate_uniform_homs(params):
     """Yield every uniform homomorphism exactly once.
 
-    Refuses when the closed-form total exceeds max_count, since the stream
-    is materialized per generator.
+    Refuses when the closed-form total exceeds DEFAULT_ENUMERATION_BOUND,
+    since the stream is materialized per generator.
     """
     params.require_uniform()
     total = uniform_hom_count(params)
-    if total > max_count:
+    if total > DEFAULT_ENUMERATION_BOUND:
         raise ScaleRefusal(
             "enumeration of %d uniform homomorphisms exceeds bound %d"
-            % (total, max_count),
+            % (total, DEFAULT_ENUMERATION_BOUND),
             count=total,
         )
     per_generator = list(_uniform_permutations(params.n, params.k))

@@ -10,6 +10,8 @@ statistics that drive the moment computations.
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .group_model import UniformHom
 
 
@@ -62,87 +64,104 @@ class Coloring:
     def is_equitable(self):
         return 2 * self.ones() == len(self.bits)
 
-    def flipped(self):
-        """The color-swapped coloring 1 - chi."""
-        return Coloring(1 - b for b in self.bits)
+
+def _coloring_array(coloring, n):
+    """The colors of vertices 0..n-1 as an integer array."""
+    if len(coloring) != n:
+        raise ValueError(
+            "coloring has %d entries for %d vertices" % (len(coloring), n)
+        )
+    return np.fromiter(coloring, dtype=np.intp, count=n)
 
 
 class LabeledHypergraph:
     """Vertex set 0..n-1 plus generator-labeled k-edges.
 
-    For each label the edges form a perfect partition of the vertex set into
-    blocks of size k; this is validated at construction. Edges are stored
-    sorted (by label, then least vertex) so all counts and reports are
-    reproducible.
+    The edges of each label partition the vertex set into n/k blocks of size
+    k, so they are stored as one read-only integer array ``blocks`` of shape
+    (d, n/k, k): blocks[i] holds the label-i edges, each row sorted and the
+    rows ordered by least vertex. Edge number i * n/k + j is blocks[i, j], so
+    all counts and reports are reproducible. The constructor puts any
+    array-like of that shape in this order and checks that every label's
+    rows partition the vertex set.
     """
 
-    __slots__ = ("n", "k", "d", "edges")
+    __slots__ = ("n", "k", "d", "blocks")
 
-    def __init__(self, n, k, d, edges):
-        edges = sorted(
-            (int(label), tuple(sorted(edge))) for label, edge in edges
-        )
+    def __init__(self, n, k, d, blocks):
         if n % k != 0:
             raise ValueError("n must be a multiple of k")
-        per_label = {i: [] for i in range(d)}
-        for label, edge in edges:
-            if label not in per_label:
-                raise ValueError("edge label %r out of range 0..%d" % (label, d - 1))
-            if len(edge) != k or len(set(edge)) != k:
-                raise ValueError("edge %r must have k=%d distinct vertices" % (edge, k))
-            per_label[label].append(edge)
-        for label, label_edges in per_label.items():
-            covered = sorted(v for e in label_edges for v in e)
-            if covered != list(range(n)):
-                raise ValueError("label %d edges do not partition the vertex set" % label)
+        blocks = np.asarray(blocks)
+        if blocks.shape != (d, n // k, k):
+            raise ValueError(
+                "blocks have shape %r, need (d, n/k, k) = %r"
+                % (blocks.shape, (d, n // k, k))
+            )
+        if blocks.size and blocks.dtype.kind not in "iu":
+            raise ValueError("block entries must be integers")
+        blocks = np.sort(blocks.astype(np.intp, copy=False), axis=2)
+        covered = np.sort(blocks.reshape(d, n), axis=1) == np.arange(n)
+        bad = np.flatnonzero(~covered.all(axis=1))
+        if bad.size:
+            raise ValueError(
+                "label %d edges do not partition the vertex set" % bad[0]
+            )
+        blocks = blocks[np.arange(d)[:, None], np.argsort(blocks[:, :, 0], axis=1)]
+        blocks.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "blocks", blocks)
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledHypergraph is immutable")
 
-    def label_edges(self, label):
-        return [e for lab, e in self.edges if lab == label]
+    @property
+    def edges(self):
+        """All edges as (label, vertex tuple) pairs, in edge-number order."""
+        return tuple(
+            (label, tuple(row))
+            for label, rows in enumerate(self.blocks.tolist())
+            for row in rows
+        )
 
     def __repr__(self):
         return "LabeledHypergraph(n=%d, k=%d, d=%d, %d edges)" % (
             self.n,
             self.k,
             self.d,
-            len(self.edges),
+            self.d * self.n // self.k,
         )
 
 
 def build_hypergraph(hom: UniformHom) -> LabeledHypergraph:
-    """Orbits of each generator, one labeled edge per orbit."""
+    """Orbits of each generator, one labeled edge per orbit.
+
+    Stacking the powers img^0..img^(k-1) of every generator, entry (i, v)
+    of the stack lists the orbit of v under generator i; each orbit is kept
+    once, at its least vertex.
+    """
     p = hom.params
-    edges = []
-    for i, img in enumerate(hom.images):
-        seen = [False] * p.n
-        for start in range(p.n):
-            if seen[start]:
-                continue
-            orbit = []
-            v = start
-            while not seen[v]:
-                seen[v] = True
-                orbit.append(v)
-                v = img[v]
-            edges.append((i, tuple(orbit)))
-    return LabeledHypergraph(p.n, p.k, p.d, edges)
+    img = np.array(hom.images, dtype=np.intp).reshape(p.d, p.n)
+    labels = np.arange(p.d)[:, None]
+    powers = [np.broadcast_to(np.arange(p.n), (p.d, p.n))]
+    for _ in range(1, p.k):
+        powers.append(img[labels, powers[-1]])
+    powers = np.array(powers)
+    least = powers.min(axis=0) == np.arange(p.n)
+    blocks = powers.transpose(1, 2, 0)[least].reshape(p.d, p.n // p.k, p.k)
+    return LabeledHypergraph(p.n, p.k, p.d, blocks)
+
+
+def _edge_colors(graph, coloring):
+    """The colors on every edge, one row per edge in edge-number order."""
+    chi = _coloring_array(coloring, graph.n)
+    return chi[graph.blocks.reshape(-1, graph.k)]
 
 
 def monochromatic_edge_count(graph, coloring):
-    if len(coloring) != graph.n:
-        raise ValueError("coloring length %d != vertex count %d" % (len(coloring), graph.n))
-    count = 0
-    for _, edge in graph.edges:
-        first = coloring[edge[0]]
-        if all(coloring[v] == first for v in edge[1:]):
-            count += 1
-    return count
+    ones = _edge_colors(graph, coloring).sum(axis=1)
+    return int(np.count_nonzero((ones == 0) | (ones == graph.k)))
 
 
 def critical_edges(graph, coloring):
@@ -154,15 +173,14 @@ def critical_edges(graph, coloring):
     """
     if graph.k == 2:
         raise ValueError("supporting vertices are undefined for k=2; need k >= 3")
-    out = []
-    for idx, (_, edge) in enumerate(graph.edges):
-        ones = [v for v in edge if coloring[v] == 1]
-        if len(ones) == 1:
-            out.append((idx, ones[0]))
-        elif len(ones) == graph.k - 1:
-            zeros = [v for v in edge if coloring[v] == 0]
-            out.append((idx, zeros[0]))
-    return out
+    colors = _edge_colors(graph, coloring)
+    ones = colors.sum(axis=1)
+    idx = np.flatnonzero((ones == 1) | (ones == graph.k - 1))
+    # the support carries color 1 when it is the only 1, color 0 otherwise
+    lone = (ones[idx] == 1)[:, None]
+    pos = np.argmax(colors[idx] == lone, axis=1)
+    support = graph.blocks.reshape(-1, graph.k)[idx, pos]
+    return list(zip(idx.tolist(), support.tolist()))
 
 
 @dataclass(frozen=True)
@@ -193,9 +211,9 @@ class PairTypeMatrix:
 class GeneratorTypeMatrix:
     """Per-generator histogram of color-1 counts over edges.
 
-    entry(i, j) is the fraction of vertices contributed by label-i edges with
+    rows[i][j] is the fraction of vertices contributed by label-i edges with
     exactly j ones, i.e. (number of such edges)/n. Rows sum to 1/k. The row
-    mean p(i) = sum_j j*entry(i,j) equals the global fraction of 1-colored
+    mean p(i) = sum_j j*rows[i][j] equals the global fraction of 1-colored
     vertices, hence is the same for every row.
     """
 
@@ -218,23 +236,6 @@ class GeneratorTypeMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("GeneratorTypeMatrix is immutable")
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
-    def row_sum(self, i):
-        return sum(self.rows[i])
-
-    def row_mean(self, i):
-        """p for row i: the sum of j * entry(i, j)."""
-        return sum(j * x for j, x in enumerate(self.rows[i]))
-
-    def shared_mean(self):
-        p = self.row_mean(0)
-        for i in range(1, self.d):
-            if self.row_mean(i) != p:
-                raise ValueError("rows have differing means; matrix is out of model")
-        return p
-
     def __eq__(self, other):
         return isinstance(other, GeneratorTypeMatrix) and self.rows == other.rows
 
@@ -244,12 +245,11 @@ class GeneratorTypeMatrix:
 
 def generator_type(graph, coloring):
     """The full d x (k+1) type matrix of a coloring."""
-    if len(coloring) != graph.n:
-        raise ValueError("coloring length mismatch")
-    rows = [[0] * (graph.k + 1) for _ in range(graph.d)]
-    for label, edge in graph.edges:
-        ones = sum(coloring[v] for v in edge)
-        rows[label][ones] += 1
+    d, k = graph.d, graph.k
+    ones = _edge_colors(graph, coloring).sum(axis=1)
+    # edge e has label e // (n/k); shift each label's counts to its own row
+    labels = np.arange(ones.size) // (graph.n // k)
+    rows = np.bincount(labels * (k + 1) + ones, minlength=d * (k + 1))
     return GeneratorTypeMatrix(
-        [[Fraction(c, graph.n) for c in row] for row in rows]
+        [[Fraction(c, graph.n) for c in row] for row in rows.reshape(d, k + 1).tolist()]
     )

@@ -26,6 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .group_model import ModelParams, UniformHom, typed_partition_count
+from .hypergraph import _coloring_array
 
 _UINT64_MASK = (1 << 64) - 1
 
@@ -158,10 +159,6 @@ def _draw_type_counts(n, k, gen):
     return types[int(gen.choice(len(types), p=probs))]
 
 
-def _coloring_array(chi):
-    return np.fromiter(chi, dtype=np.intp, count=len(chi))
-
-
 def _typed_blocks(chi, k, counts, gen):
     """Blocks of a uniform k-partition with c_j blocks of j ones, as the
     rows of an array; each row is sorted and rows go by least vertex.
@@ -225,9 +222,7 @@ def sample_planted_hom(params: ModelParams, chi, rng) -> UniformHom:
     params.require_uniform()
     params.require_equitable()
     gen = _as_generator(rng)
-    if len(chi) != params.n:
-        raise ValueError("coloring length mismatch")
-    chi = _coloring_array(chi)
+    chi = _coloring_array(chi, params.n)
     if 2 * int(chi.sum()) != params.n:
         raise ValueError("type sampling requires an equitable coloring")
     images = []

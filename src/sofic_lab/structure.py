@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from ._errors import ScaleRefusal
 from .exact_count import cluster_radius, proper_colorings
-from .hypergraph import Coloring, critical_edges, monochromatic_edge_count
+from .hypergraph import critical_edges, monochromatic_edge_count
 from .samplers import RngState, _as_generator
 
 EXPANSIVITY_MAX_SUBSETS = 2_000_000
@@ -78,12 +78,12 @@ def _support_tables(graph, chi):
     their non-support vertices inside the shrinking core.
     """
     supports = critical_edges(graph, chi)
+    rows = graph.blocks.reshape(-1, graph.k)[[idx for idx, _ in supports]].tolist()
     full = []
     rest = []
     by_support = defaultdict(list)
     member_slots = defaultdict(list)
-    for ce, (idx, v) in enumerate(supports):
-        verts = graph.edges[idx][1]
+    for ce, ((_, v), verts) in enumerate(zip(supports, rows)):
         full.append(frozenset(verts))
         rest.append(tuple(u for u in verts if u != v))
         by_support[v].append(ce)
@@ -93,10 +93,6 @@ def _support_tables(graph, chi):
 
 
 def _check_proper(graph, chi):
-    if len(chi) != graph.n:
-        raise ValueError(
-            "coloring has %d entries for %d vertices" % (len(chi), graph.n)
-        )
     bad = monochromatic_edge_count(graph, chi)
     if bad:
         raise ValueError(
@@ -368,7 +364,7 @@ def expansivity_scan(graph, chi, t_max, random_trials=0, rng=None):
     )
 
 
-def rigidity_violation_search(graph, chi, region, rho, max_n=None):
+def rigidity_violation_search(graph, chi, region, rho):
     """Look for a proper coloring that half-moves the region.
 
     The region is rigid at threshold rho when every proper coloring either
@@ -387,7 +383,7 @@ def rigidity_violation_search(graph, chi, region, rho, max_n=None):
     if rho <= 0:
         raise ValueError("rho must be positive")
     n = graph.n
-    for candidate in proper_colorings(graph, max_n=max_n):
+    for candidate in proper_colorings(graph):
         disagreements = sum(1 for v in region if chi[v] != candidate[v])
         if (
             Fraction(disagreements) >= rho * n

@@ -33,6 +33,7 @@ from .group_model import (
     word_inverse,
     word_product,
 )
+from .hypergraph import _coloring_array
 from .samplers import _as_generator
 
 DEFAULT_BALL_MAX_ELEMENTS = 100_000
@@ -171,13 +172,13 @@ def ball_element_count(d, k, radius):
     return total
 
 
-def build_ball(params, radius, max_elements=DEFAULT_BALL_MAX_ELEMENTS):
+def build_ball(params, radius):
     """The ball of the given edge-layer radius around the identity."""
     count = ball_element_count(params.d, params.k, radius)
-    if count > max_elements:
+    if count > DEFAULT_BALL_MAX_ELEMENTS:
         raise ScaleRefusal(
             "radius-%d ball has %d elements (budget %d)"
-            % (radius, count, max_elements),
+            % (radius, count, DEFAULT_BALL_MAX_ELEMENTS),
             count=count,
         )
     elements = {IDENTITY}
@@ -272,9 +273,6 @@ class Pattern:
         )
         return "Pattern({%s})" % bits
 
-    def restricted_to(self, words):
-        return Pattern({w: self.assignment[w] for w in words})
-
     def is_proper_on(self, domain):
         for word in domain.elements:
             if word not in self.assignment:
@@ -302,9 +300,9 @@ def count_proper_patterns(domain):
     return count
 
 
-def enumerate_proper_patterns(domain, max_elements=BRUTE_PATTERN_MAX_ELEMENTS):
+def enumerate_proper_patterns(domain):
     """Yield every proper pattern by brute force; oracle-scale domains only."""
-    if len(domain) > max_elements:
+    if len(domain) > BRUTE_PATTERN_MAX_ELEMENTS:
         raise ScaleRefusal(
             "brute-force enumeration over %d elements refused" % len(domain),
             count=len(domain),
@@ -388,14 +386,10 @@ def _pullback_windows(hom, coloring, domain):
     the coloring through it.
     """
     params = hom.params
-    if len(coloring) != params.n:
-        raise ValueError(
-            "coloring has %d entries, the model has n=%d" % (len(coloring), params.n)
-        )
+    colors = _coloring_array(coloring, params.n)
     inverses = [word_inverse(params, g) for g in domain.elements]
     vertices = np.stack(_word_arrays(hom, inverses))
-    colors = np.fromiter(coloring, dtype=np.int64, count=params.n)[vertices]
-    return vertices, colors
+    return vertices, colors[vertices]
 
 
 def local_pattern_census(hom, coloring, domain):

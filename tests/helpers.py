@@ -1,7 +1,8 @@
 """Shared test utilities: small hand-built homomorphisms, random instances,
 the loop oracles for the array samplers, the rejection sampler of the
-planted model, Hamming distance and pair types by hand, the brute-force
-pattern count and the per-vertex pullback of tree windows, the full-walk
+planted model, the orbit walk of the hypergraph build, Hamming distance,
+pair types and the test-only views of the type matrix and of patterns by
+hand, the brute-force pattern count and the per-vertex pullback of tree windows, the full-walk
 expansivity oracle, the backtracking coloring-search oracle, the
 colors-route oracle of the tree root-status sampler, and the per-point
 oracles of the distance-rate scan and the core fixed point."""
@@ -43,7 +44,6 @@ from sofic_lab.hypergraph import (
 )
 from sofic_lab.samplers import RngState, _as_generator, _draw_type_counts, sample_uniform_hom
 from sofic_lab.tree_markov import (
-    BRUTE_PATTERN_MAX_ELEMENTS,
     CoreDensityEstimate,
     Pattern,
     _check_core_sampler_args,
@@ -298,6 +298,44 @@ def check_uniform_permutation_loop_oracle(img, n, k, gen_index):
             )
 
 
+def orbit_edges_oracle(hom):
+    """Oracle for build_hypergraph: walk each generator's orbits from every
+    unseen vertex, and sort the (label, sorted orbit) pairs."""
+    edges = []
+    for label, img in enumerate(hom.images):
+        seen = [False] * hom.params.n
+        for start in range(hom.params.n):
+            if seen[start]:
+                continue
+            orbit = []
+            v = start
+            while not seen[v]:
+                seen[v] = True
+                orbit.append(v)
+                v = img[v]
+            edges.append((label, tuple(sorted(orbit))))
+    return tuple(sorted(edges))
+
+
+def type_row_mean(matrix, i):
+    """p for row i of a GeneratorTypeMatrix: the sum of j * rows[i][j]."""
+    return sum(j * x for j, x in enumerate(matrix.rows[i]))
+
+
+def shared_row_mean(matrix):
+    """The row mean of a GeneratorTypeMatrix, which a type matrix of the
+    model has in common across its rows; raises when the rows differ."""
+    means = {type_row_mean(matrix, i) for i in range(matrix.d)}
+    if len(means) != 1:
+        raise ValueError("rows have differing means; matrix is out of model")
+    return means.pop()
+
+
+def restricted_pattern(pattern, words):
+    """The pattern's assignment on the given words only."""
+    return Pattern({w: pattern[w] for w in words})
+
+
 def hamming_distance(c1, c2):
     """Normalized disagreement count, an exact fraction in [0, 1]."""
     if len(c1) != len(c2):
@@ -322,7 +360,7 @@ def pair_type_map(graph, chi, chi_tilde, label):
     (1/n per part ... n/k parts total, so values sum to 1/k).
     """
     t = {}
-    for edge in graph.label_edges(label):
+    for edge in map(tuple, graph.blocks[label].tolist()):
         eps = pair_type_matrix(edge, chi, chi_tilde)
         if not eps.is_bichromatic_pair():
             raise ValueError(
@@ -333,9 +371,9 @@ def pair_type_map(graph, chi, chi_tilde, label):
     return t
 
 
-def count_proper_patterns_brute(domain, max_elements=BRUTE_PATTERN_MAX_ELEMENTS):
+def count_proper_patterns_brute(domain):
     """Oracle for tree_markov.count_proper_patterns: every pattern tried."""
-    return sum(1 for _ in enumerate_proper_patterns(domain, max_elements))
+    return sum(1 for _ in enumerate_proper_patterns(domain))
 
 
 def pullback_vertex_map(hom, v, domain):
@@ -366,8 +404,9 @@ def expansivity_exhaustive_oracle(graph, chi, t_max):
     violations)."""
     full = []
     by_support = defaultdict(list)
+    edges = graph.edges
     for ce, (idx, v) in enumerate(critical_edges(graph, chi)):
-        full.append(frozenset(graph.edges[idx][1]))
+        full.append(frozenset(edges[idx][1]))
         by_support[v].append(ce)
 
     def excess(subset):

@@ -481,10 +481,6 @@ def test_scale_refusals():
         count_proper(g, eps=Fraction(1, 44))
     with pytest.raises(ScaleRefusal):
         exact_first_moment(ModelParams(d=2, k=2, n=26))
-    # explicit overrides widen the bound
-    p34 = ModelParams(d=1, k=2, n=34)
-    g34 = build_hypergraph(random_uniform_images(p34, random.Random(1)))
-    assert count_proper(g34, eps=Fraction(1, 34), max_n=34).value > 0
 
 
 def seeded_graph(kind, d, k, n, seed):
@@ -566,6 +562,9 @@ def test_count_good_colorings_forwards_max_n(monkeypatch):
     g = build_hypergraph(random_uniform_images(p, random.Random(1)))
     with pytest.raises(ScaleRefusal):
         count_good_colorings(g, 22)
+    # the bounds are module constants; widen both to n for the comparison
+    monkeypatch.setattr(exact_count, "PROPER_SEARCH_MAX_N", 12)
+    monkeypatch.setattr(exact_count, "GOOD_SEARCH_MAX_N", 12)
     brute = brute_proper_equitable(g)
     radius = cluster_radius(12, 3)
     expected = sum(
@@ -574,4 +573,4 @@ def test_count_good_colorings_forwards_max_n(monkeypatch):
     )
     # 26 of the 62 proper equitable colorings have clusters of at most 22
     assert 0 < expected < len(brute)
-    assert count_good_colorings(g, 22, max_n=12).value == expected
+    assert count_good_colorings(g, 22).value == expected

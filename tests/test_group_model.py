@@ -257,7 +257,7 @@ def test_enumeration_matches_closed_formula(d, k, n):
 
 def test_enumeration_refuses_large():
     with pytest.raises(ScaleRefusal):
-        list(enumerate_uniform_homs(ModelParams(d=4, k=2, n=20), max_count=1000))
+        list(enumerate_uniform_homs(ModelParams(d=4, k=2, n=20)))
 
 
 def test_uniform_permutation_count_oracle():

@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from helpers import (
     hamming_distance,
     hom_from_cycles,
+    orbit_edges_oracle,
     pair_type_map,
     pair_type_matrix,
     random_uniform_images,
+    shared_row_mean,
+    type_row_mean,
 )
 
 from sofic_lab.group_model import ModelParams
@@ -20,6 +24,7 @@ from sofic_lab.hypergraph import (
     generator_type,
     monochromatic_edge_count,
 )
+from sofic_lab.samplers import RngState, sample_planted_hom, sample_uniform_hom
 
 
 def random_coloring(n, rng):
@@ -31,7 +36,27 @@ def test_build_hypergraph_small():
     hom = hom_from_cycles(p, [[(0, 1), (2, 3)], [(0, 2), (1, 3)]])
     g = build_hypergraph(hom)
     assert g.edges == ((0, (0, 1)), (0, (2, 3)), (1, (0, 2)), (1, (1, 3)))
-    assert g.label_edges(1) == [(0, 2), (1, 3)]
+    assert g.blocks.tolist() == [[[0, 1], [2, 3]], [[0, 2], [1, 3]]]
+    with pytest.raises(ValueError):
+        g.blocks[0, 0, 0] = 1
+
+
+# (n, k, d): the sofic-census, exact-count and core-density shapes, then
+# k=2, a single edge per label (n=k) and no generators at all
+@pytest.mark.parametrize("n,k,d", [
+    (24, 3, 4), (120, 6, 20), (600, 3, 2), (12, 2, 3), (6, 6, 2), (12, 3, 0),
+])
+def test_build_hypergraph_matches_orbit_walk(n, k, d):
+    params = ModelParams(d=d, k=k, n=n)
+    chi = Coloring.equitable_split(n)
+    for seed in range(5):
+        for hom in (sample_uniform_hom(params, RngState(seed, 1)),
+                    sample_planted_hom(params, chi, RngState(seed, 2))):
+            g = build_hypergraph(hom)
+            assert g.blocks.shape == (d, n // k, k)
+            assert g.edges == orbit_edges_oracle(hom)
+    if d == 0:
+        assert g.edges == ()
 
 
 def test_build_hypergraph_edges_are_orbits():
@@ -48,16 +73,27 @@ def test_build_hypergraph_edges_are_orbits():
 
 
 def test_hypergraph_partition_validation():
+    # overlapping rows
+    with pytest.raises(ValueError, match="partition"):
+        LabeledHypergraph(4, 2, 1, [[[0, 1], [1, 2]]])
+    # a missing row
+    with pytest.raises(ValueError, match="shape"):
+        LabeledHypergraph(4, 2, 1, [[[0, 1]]])
+    # ragged rows
     with pytest.raises(ValueError):
-        LabeledHypergraph(4, 2, 1, [(0, (0, 1)), (0, (1, 2))])
-    with pytest.raises(ValueError):
-        LabeledHypergraph(4, 2, 1, [(0, (0, 1))])
-    with pytest.raises(ValueError):
-        LabeledHypergraph(4, 2, 1, [(0, (0, 1, 2)), (0, (3,))])
-    with pytest.raises(ValueError):
-        LabeledHypergraph(4, 2, 1, [(1, (0, 1)), (1, (2, 3))])
-    with pytest.raises(ValueError):
-        LabeledHypergraph(5, 2, 1, [(0, (0, 1)), (0, (2, 3))])
+        LabeledHypergraph(4, 2, 1, [[[0, 1, 2], [3]]])
+    # an extra label
+    with pytest.raises(ValueError, match="shape"):
+        LabeledHypergraph(4, 2, 1, [[[0, 1], [2, 3]], [[0, 2], [1, 3]]])
+    # k does not divide n
+    with pytest.raises(ValueError, match="multiple"):
+        LabeledHypergraph(5, 2, 1, [[[0, 1], [2, 3]]])
+    with pytest.raises(ValueError, match="integers"):
+        LabeledHypergraph(4, 2, 1, [[[0.0, 1.0], [2.0, 3.0]]])
+    # rows come out sorted and ordered by least vertex
+    g = LabeledHypergraph(6, 3, 1, [[[5, 3, 4], [2, 0, 1]]])
+    assert g.edges == ((0, (0, 1, 2)), (0, (3, 4, 5)))
+    assert LabeledHypergraph(6, 3, 0, np.empty((0, 2, 3), dtype=int)).edges == ()
 
 
 def test_monochromatic_count_hand_example():
@@ -113,12 +149,24 @@ def test_critical_edges_match_definition():
         assert critical_edges(g, chi) == expected
 
 
+def test_coloring_length_is_checked():
+    # a short coloring must not index past its end, a long one must not be
+    # cut to size
+    p = ModelParams(d=2, k=3, n=6)
+    g = build_hypergraph(hom_from_cycles(p, [[(0, 1, 2), (3, 4, 5)], [(0, 3, 4), (1, 2, 5)]]))
+    for bits in ("11010", "1101000"):
+        chi = Coloring.from_string(bits)
+        for fn in (critical_edges, monochromatic_edge_count, generator_type):
+            with pytest.raises(ValueError, match="coloring has %d entries for 6" % len(bits)):
+                fn(g, chi)
+
+
 def test_hamming_distance():
     a = Coloring.from_string("0011")
     b = Coloring.from_string("0110")
     assert hamming_distance(a, a) == 0
     assert hamming_distance(a, b) == Fraction(1, 2)
-    assert hamming_distance(a, a.flipped()) == 1
+    assert hamming_distance(a, Coloring(1 - b for b in a)) == 1
     rng = random.Random(55)
     for _ in range(50):
         x, y, z = (random_coloring(10, rng) for _ in range(3))
@@ -147,7 +195,7 @@ def test_pair_type_counts_add_up_to_overlaps():
         chi_tilde = random_coloring(p.n, rng)
         for label in range(p.d):
             sums = [[0, 0], [0, 0]]
-            for edge in g.label_edges(label):
+            for edge in g.blocks[label].tolist():
                 eps = pair_type_matrix(edge, chi, chi_tilde)
                 sums[0][0] += eps.e00
                 sums[0][1] += eps.e01
@@ -189,7 +237,7 @@ def test_generator_type_hand_example():
     # label 0: edges with 2 and 1 ones; label 1: edges with 2 and 1 ones
     assert t.rows[0] == (0, Fraction(1, 6), Fraction(1, 6), 0)
     assert t.rows[1] == (0, Fraction(1, 6), Fraction(1, 6), 0)
-    assert t.shared_mean() == Fraction(1, 2)
+    assert shared_row_mean(t) == Fraction(1, 2)
 
 
 def test_generator_type_rows_and_mean():
@@ -200,10 +248,25 @@ def test_generator_type_rows_and_mean():
         chi = random_coloring(p.n, rng)
         t = generator_type(g, chi)
         for i in range(p.d):
-            assert t.row_sum(i) == Fraction(1, p.k)
+            assert sum(t.rows[i]) == Fraction(1, p.k)
             # every 1-colored vertex lies in exactly one label-i edge
-            assert t.row_mean(i) == Fraction(chi.ones(), p.n)
-        assert t.shared_mean() == Fraction(chi.ones(), p.n)
+            assert type_row_mean(t, i) == Fraction(chi.ones(), p.n)
+        assert shared_row_mean(t) == Fraction(chi.ones(), p.n)
+
+
+def test_generator_type_matches_definition():
+    # entry (i, j) is (number of label-i edges with exactly j ones) / n
+    rng = random.Random(4242)
+    for p in (ModelParams(d=3, k=4, n=20), ModelParams(d=4, k=3, n=24),
+              ModelParams(d=2, k=2, n=10)):
+        for _ in range(10):
+            g = build_hypergraph(random_uniform_images(p, rng))
+            chi = random_coloring(p.n, rng)
+            counts = [[0] * (p.k + 1) for _ in range(p.d)]
+            for label, edge in g.edges:
+                counts[label][sum(chi[v] for v in edge)] += 1
+            expected = [[Fraction(c, p.n) for c in row] for row in counts]
+            assert generator_type(g, chi) == GeneratorTypeMatrix(expected)
 
 
 def test_generator_type_matrix_validation():
@@ -213,14 +276,13 @@ def test_generator_type_matrix_validation():
         GeneratorTypeMatrix([(Fraction(1, 2), Fraction(-1, 2), 0)])
     m = GeneratorTypeMatrix([(0, Fraction(1, 2), 0), (Fraction(1, 2), 0, 0)])
     with pytest.raises(ValueError):
-        m.shared_mean()
+        shared_row_mean(m)
 
 
 def test_coloring_basics():
     c = Coloring.equitable_split(6)
     assert c.bits == (0, 0, 0, 1, 1, 1)
     assert c.is_equitable()
-    assert c.flipped().bits == (1, 1, 1, 0, 0, 0)
     with pytest.raises(ValueError):
         Coloring.equitable_split(5)
     with pytest.raises(ValueError):

@@ -20,11 +20,15 @@ from scipy import stats
 
 from sofic_lab import ScaleRefusal
 from sofic_lab.group_model import ModelParams, enumerate_uniform_homs, typed_partition_count
-from sofic_lab.hypergraph import Coloring, build_hypergraph, monochromatic_edge_count
+from sofic_lab.hypergraph import (
+    Coloring,
+    _coloring_array,
+    build_hypergraph,
+    monochromatic_edge_count,
+)
 from sofic_lab.samplers import (
     RngState,
     _as_generator,
-    _coloring_array,
     _draw_type_counts,
     _monochromatic_orbit_count,
     _type_count_vectors,
@@ -47,7 +51,7 @@ def assert_uniform_chi_square(counter, support, n_samples):
 def typed_partition(chi, k, counts, rng):
     """The blocks of a uniform partition with c_j blocks of j ones, as
     sorted tuples in sorted order."""
-    blocks = _typed_blocks(_coloring_array(chi), k, counts, _as_generator(rng))
+    blocks = _typed_blocks(_coloring_array(chi, len(chi)), k, counts, _as_generator(rng))
     return [tuple(row) for row in blocks.tolist()]
 
 
@@ -261,7 +265,7 @@ def test_planted_generators_independent():
         g = build_hypergraph(hom)
         marks = []
         for label in (0, 1):
-            ones = sorted(sum(chi[v] for v in e) for e in g.label_edges(label))
+            ones = sorted(sum(chi[v] for v in e) for e in g.blocks[label].tolist())
             marks.append(1 if ones == [2, 2] else 0)
         xs.append(marks[0])
         ys.append(marks[1])

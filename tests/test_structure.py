@@ -31,17 +31,14 @@ EMPTY = frozenset()
 
 def _no_critical_instance():
     # Both edges are split 2/2, so no vertex is alone in its color.
-    graph = LabeledHypergraph(8, 4, 1, [(0, (0, 1, 2, 3)), (0, (4, 5, 6, 7))])
+    graph = LabeledHypergraph(8, 4, 1, [[(0, 1, 2, 3), (4, 5, 6, 7)]])
     chi = Coloring((1, 1, 0, 0, 1, 1, 0, 0))
     return graph, chi
 
 
 def _degree_two_instance():
     graph = LabeledHypergraph(
-        6,
-        3,
-        2,
-        [(0, (0, 1, 2)), (0, (3, 4, 5)), (1, (0, 2, 4)), (1, (1, 3, 5))],
+        6, 3, 2, [[(0, 1, 2), (3, 4, 5)], [(0, 2, 4), (1, 3, 5)]]
     )
     chi = Coloring((1, 1, 0, 1, 0, 0))
     return graph, chi
@@ -54,12 +51,9 @@ def _small_core_instance():
         3,
         3,
         [
-            (0, (0, 1, 2)),
-            (0, (3, 4, 5)),
-            (1, (0, 1, 4)),
-            (1, (2, 3, 5)),
-            (2, (0, 2, 4)),
-            (2, (1, 3, 5)),
+            [(0, 1, 2), (3, 4, 5)],
+            [(0, 1, 4), (2, 3, 5)],
+            [(0, 2, 4), (1, 3, 5)],
         ],
     )
     chi = Coloring((1, 0, 0, 1, 0, 1))
@@ -71,11 +65,8 @@ def _crowded_pair_instance():
     # supported edges meeting it twice: excess 5 - 4 = 1.
     blocks = {0: (0, 1, 2), 1: (0, 1, 3)}
     rests = {0: (3, 4, 5), 1: (2, 4, 5)}
-    edges = []
-    for label, pick in enumerate((0, 1, 0, 1, 0)):
-        edges.append((label, blocks[pick]))
-        edges.append((label, rests[pick]))
-    graph = LabeledHypergraph(6, 3, 5, edges)
+    labels = [[blocks[pick], rests[pick]] for pick in (0, 1, 0, 1, 0)]
+    graph = LabeledHypergraph(6, 3, 5, labels)
     chi = Coloring((1, 0, 0, 0, 1, 1))
     return graph, chi
 
@@ -152,7 +143,7 @@ def test_decomposition_validation():
         core_decomposition(graph, Coloring((0, 1)))
     with pytest.raises(ValueError, match="l_max"):
         core_decomposition(graph, chi, l_max=-1)
-    pair_graph = LabeledHypergraph(4, 2, 1, [(0, (0, 1)), (0, (2, 3))])
+    pair_graph = LabeledHypergraph(4, 2, 1, [[(0, 1), (2, 3)]])
     with pytest.raises(ValueError, match="k >= 3"):
         core_decomposition(pair_graph, Coloring((0, 1, 0, 1)))
     with pytest.raises(ValueError, match="k >= 3"):

@@ -66,13 +66,15 @@ def test_library_reads_no_environment_variables():
 
 def _names_in(node):
     """Every name a node mentions: bare names, attribute names and the
-    names it imports."""
+    names it imports. An attribute name is listed once more with a leading
+    dot; that is the only way a method is reached, so a local variable that
+    shares a method's name does not reach it."""
     names = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
+            names |= {sub.attr, "." + sub.attr}
         elif isinstance(sub, ast.alias):
             names.add(sub.name.rsplit(".", 1)[-1])
     return names
@@ -87,15 +89,29 @@ def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
-def _library_definitions():
-    """The library's top-level definitions and the names its other top-level
-    code reads.
+def _class_parts(node):
+    """A class's own names and its methods but the dunders.
 
-    Returns {(file name, name): node} for every function, class and assigned
-    name but the dunders, and the names read by the remaining module-level
-    statements, the dunder definitions and the entries of __all__. A
-    module's own imports are not reads: a name the package re-exports is
-    reached through __all__."""
+    The dunder methods are the class's own code: they run whenever the
+    class is used. Every other method is reached by an attribute of its
+    name."""
+    methods = [sub for sub in node.body
+               if isinstance(sub, ast.FunctionDef) and not _is_dunder(sub.name)]
+    own = node.bases + node.keywords + node.decorator_list + [
+        sub for sub in node.body if sub not in methods]
+    return set().union(*map(_names_in, own)), methods
+
+
+def _library_definitions():
+    """The library's definitions and the names its other top-level code
+    reads.
+
+    Returns {(file name, qualified name): (name, names it reads)} for every
+    top-level function, class and assigned name and every method but the
+    dunders, and the names read by the remaining module-level statements,
+    the top-level dunder definitions and the entries of __all__. A module's
+    own imports are not reads: a name the package re-exports is reached
+    through __all__."""
     definitions = {}
     read = set()
     for path in sorted(SRC.glob("*.py")):
@@ -113,8 +129,14 @@ def _library_definitions():
                     read |= _strings_in(node)
                 elif _is_dunder(name):
                     read |= _names_in(node)
+                elif isinstance(node, ast.ClassDef):
+                    own, methods = _class_parts(node)
+                    definitions[path.name, name] = name, own
+                    for method in methods:
+                        definitions[path.name, "%s.%s" % (name, method.name)] = (
+                            "." + method.name, _names_in(method))
                 else:
-                    definitions[path.name, name] = node
+                    definitions[path.name, name] = name, _names_in(node)
             if not names:
                 read |= _names_in(node)
     return definitions, read
@@ -139,14 +161,16 @@ def _names_used_outside_tests():
 
 def test_every_library_definition_is_reached_outside_tests():
     # code that only the tests call is an oracle and lives in tests/helpers.py,
-    # or a wrapper whose tests can call the core it wraps
+    # or a wrapper whose tests can call the core it wraps; this holds for the
+    # methods of library classes too
     definitions, read = _library_definitions()
     reached = set()
     frontier = read | _names_used_outside_tests()
     while frontier:
-        found = {key for key in definitions if key[1] in frontier} - reached
+        found = {key for key, (name, _) in definitions.items()
+                 if name in frontier} - reached
         reached |= found
-        frontier = set().union(*(_names_in(definitions[key]) for key in found))
+        frontier = set().union(*(definitions[key][1] for key in found))
     unreached = sorted("%s:%s" % key for key in definitions if key not in reached)
     assert unreached == []
 

@@ -13,6 +13,7 @@ from helpers import (
     pullback_pattern,
     pullback_vertex_map,
     random_uniform_images,
+    restricted_pattern,
 )
 from scipy import stats
 
@@ -247,7 +248,7 @@ def test_markov_consistency_radius2_vs_radius1():
     from_big = Counter()
     direct = Counter()
     for _ in range(draws):
-        restricted = sample_proper_pattern(big, gen_big).restricted_to(small.elements)
+        restricted = restricted_pattern(sample_proper_pattern(big, gen_big), small.elements)
         from_big[_bits(restricted, small)] += 1
         direct[_bits(sample_proper_pattern(small, gen_small), small)] += 1
     keys = set(from_big) | set(direct)
