@@ -243,11 +243,11 @@ def proper_colorings(graph):
 
 
 def _require_proper_equitable(graph, chi):
-    if len(chi) != graph.n:
-        raise ValueError("coloring length mismatch")
+    # the count refuses a wrong-length coloring before anything reads it
+    bad = monochromatic_edge_count(graph, chi)
     if not chi.is_equitable():
         raise ValueError("reference coloring must be equitable")
-    if monochromatic_edge_count(graph, chi) != 0:
+    if bad:
         raise ValueError("reference coloring must be proper")
 
 
@@ -356,11 +356,9 @@ def exact_planted_distance_moment(params: ModelParams, delta):
 
 def is_good_coloring(graph, chi, threshold):
     """Equitable, proper, and cluster no larger than the threshold."""
-    if len(chi) != graph.n:
-        raise ValueError("coloring length mismatch")
-    if not chi.is_equitable():
-        return False
-    if monochromatic_edge_count(graph, chi) != 0:
+    # the count refuses a wrong-length coloring before anything reads it
+    proper = monochromatic_edge_count(graph, chi) == 0
+    if not chi.is_equitable() or not proper:
         return False
     return cluster_size(graph, chi).value <= Fraction(threshold)
 

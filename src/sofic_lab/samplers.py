@@ -18,10 +18,10 @@ reproduces the same output. Passing a live numpy Generator instead chains
 draws within one experiment.
 """
 
-import sys
+from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -123,10 +123,11 @@ def _type_count_vectors(k, blocks, ones):
 
 @lru_cache(maxsize=None)
 def _balanced_type_table(n, k):
-    """All balanced bichromatic types at scale n with their probabilities.
+    """All balanced bichromatic types at scale n with their cumulative weights.
 
     A type with c_j blocks of j ones weighs as many partitions as it has:
-    two color classes of n/2 vertices, c_j blocks of shape (j, k-j).
+    two color classes of n/2 vertices, c_j blocks of shape (j, k-j). The
+    weights stay exact integers, so no type is lost to float underflow.
     """
     if n % k or n % 2:
         raise ValueError("need n divisible by both k and 2")
@@ -134,29 +135,23 @@ def _balanced_type_table(n, k):
     if not types:
         raise ValueError("no bichromatic type exists for n=%d, k=%d" % (n, k))
     shapes = [(j, k - j) for j in range(1, k)]
-    weights = [typed_partition_count((n // 2, n // 2), zip(shapes, c)) for c in types]
-    wmax = max(weights)
-    probs = np.empty(len(weights))
-    for i, w in enumerate(weights):
-        x = float(Fraction(w, wmax))
-        # Correctly rounded division keeps the relative error at or below
-        # 2^-53 whenever the result is a normal float, so the 1e-12 guard
-        # reduces to catching underflow.
-        if w and x < sys.float_info.min:
-            raise ValueError(
-                "type weights for n=%d, k=%d are too skewed to collapse to "
-                "floats within 1e-12 relative error" % (n, k)
-            )
-        probs[i] = x
-    probs /= probs.sum()
-    return tuple(types), probs
+    weights = (typed_partition_count((n // 2, n // 2), zip(shapes, c)) for c in types)
+    return tuple(types), tuple(accumulate(weights))
 
 
 def _draw_type_counts(n, k, gen):
     """Block counts (c_1..c_{k-1}) drawn with probability proportional to
-    their weight at a balanced coloring."""
-    types, probs = _balanced_type_table(n, k)
-    return types[int(gen.choice(len(types), p=probs))]
+    their weight at a balanced coloring.
+
+    One gen.random() double u = m/2^53 is inverted against the exact
+    cumulative weights: the type is the first whose cumulative weight
+    exceeds u times the total, which is floor(m * total / 2^53) in
+    integers. That draws one double, as Generator.choice over the
+    normalized float weights does.
+    """
+    types, cum = _balanced_type_table(n, k)
+    m = int(gen.random() * 2**53)
+    return types[bisect_right(cum, m * cum[-1] >> 53)]
 
 
 def _typed_blocks(chi, k, counts, gen):

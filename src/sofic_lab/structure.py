@@ -19,6 +19,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from ._errors import ScaleRefusal
 from .exact_count import cluster_radius, proper_colorings
 from .hypergraph import critical_edges, monochromatic_edge_count
@@ -70,26 +72,21 @@ class CoreDecomposition:
         return self.level(l).rigid()
 
 
-def _support_tables(graph, chi):
-    """Per-critical-edge lookup tables shared by the peeling and the scan.
+def _supported_edges(graph, chi):
+    """Member rows and support vertex of every critical edge.
 
-    Supports depend only on the coloring, so they are computed once up
-    front; the level iteration then only tracks which edges still have all
-    their non-support vertices inside the shrinking core.
+    ``rows[i]`` is the sorted vertex row of the i-th critical edge, in
+    edge-number order, and ``owner[i]`` is the vertex supporting it. Supports
+    depend only on the coloring, so the peeling computes them once and then
+    only tracks which rows still lie inside the shrinking core.
     """
-    supports = critical_edges(graph, chi)
-    rows = graph.blocks.reshape(-1, graph.k)[[idx for idx, _ in supports]].tolist()
-    full = []
-    rest = []
-    by_support = defaultdict(list)
-    member_slots = defaultdict(list)
-    for ce, ((_, v), verts) in enumerate(zip(supports, rows)):
-        full.append(frozenset(verts))
-        rest.append(tuple(u for u in verts if u != v))
-        by_support[v].append(ce)
-        for u in rest[-1]:
-            member_slots[u].append(ce)
-    return supports, tuple(full), tuple(rest), dict(by_support), dict(member_slots)
+    supports = np.array(critical_edges(graph, chi), dtype=np.intp).reshape(-1, 2)
+    rows = graph.blocks.reshape(-1, graph.k)[supports[:, 0]]
+    return rows, supports[:, 1]
+
+
+def _members(mask):
+    return frozenset(np.flatnonzero(mask).tolist())
 
 
 def _check_proper(graph, chi):
@@ -112,56 +109,43 @@ def core_decomposition(graph, chi, l_max=None):
     stabilizes (detected by three identical consecutive levels) or stops at
     ``l_max`` (default n + 2, enough for any instance that stabilizes).
     """
-    _check_proper(graph, chi)
-    supports, full, rest, by_support, member_slots = _support_tables(graph, chi)
     if l_max is None:
         l_max = graph.n + 2
     if l_max < 0:
         raise ValueError("l_max must be nonnegative")
-
-    missing = [0] * len(supports)  # non-support members currently outside the core
-    live_count = {v: len(ces) for v, ces in by_support.items()}
-    everything = frozenset(range(graph.n))
-    levels = [CoreLevel(everything, frozenset(), frozenset())]
-    core = everything
+    _check_proper(graph, chi)
+    rows, owner = _supported_edges(graph, chi)
+    # an edge is live while every member but its owner sits in the core
+    is_owner = rows == owner[:, None]
+    core = np.ones(graph.n, dtype=bool)
+    levels = [CoreLevel(_members(core), frozenset(), frozenset())]
     stabilized_at = None
-    while stabilized_at is None and len(levels) <= l_max:
-        new_core = frozenset(
-            v for v in everything if live_count.get(v, 0) >= 3
-        )
-        if not new_core <= core:
+    while len(levels) <= l_max:
+        live = (core[rows] | is_owner).all(axis=1)
+        live_count = np.bincount(owner[live], minlength=graph.n)
+        new_core = live_count >= 3
+        if (new_core & ~core).any():
             raise RuntimeError("peeling must be monotone")
-        attached = frozenset(
-            v
-            for v in everything - new_core
-            if live_count.get(v, 0) >= 1
-        )
+        attached = (live_count >= 1) & ~new_core
         # An attached vertex joins the overlap part when one of its live
-        # witness edges shares a vertex with another attached vertex's live
-        # witness edge. Owner sets per vertex make that symmetric by
-        # construction.
-        owners = defaultdict(set)
-        live_edges = {}
-        for v in attached:
-            lives = [ce for ce in by_support[v] if missing[ce] == 0]
-            live_edges[v] = lives
-            for ce in lives:
-                for u in full[ce]:
-                    owners[u].add(v)
-        attached_overlap = frozenset(
-            v
-            for v in attached
-            if any(owners[u] - {v} for ce in live_edges[v] for u in full[ce])
+        # witness edges holds a vertex that another attached vertex's live
+        # witness edge holds too: a vertex covered by two distinct owners,
+        # which is where the least and the greatest covering owner differ.
+        witness = live & attached[owner]
+        members, owners = rows[witness], owner[witness]
+        least = np.full(graph.n, graph.n)
+        most = np.full(graph.n, -1)
+        np.minimum.at(least, members, owners[:, None])
+        np.maximum.at(most, members, owners[:, None])
+        shared = least < most
+        overlap = np.zeros(graph.n, dtype=bool)
+        overlap[owners[shared[members].any(axis=1)]] = True
+        levels.append(
+            CoreLevel(_members(new_core), _members(attached), _members(overlap))
         )
-        levels.append(CoreLevel(new_core, attached, attached_overlap))
         if len(levels) >= 3 and levels[-1] == levels[-2] == levels[-3]:
             stabilized_at = len(levels) - 3
             break
-        for w in core - new_core:
-            for ce in member_slots.get(w, ()):
-                missing[ce] += 1
-                if missing[ce] == 1:
-                    live_count[supports[ce][1]] -= 1
         core = new_core
     return CoreDecomposition(graph.n, tuple(levels), stabilized_at)
 
@@ -280,6 +264,8 @@ def expansivity_scan(graph, chi, t_max, random_trials=0, rng=None):
     _check_proper(graph, chi)
     if not 1 <= t_max <= graph.n:
         raise ValueError("t_max must be between 1 and n")
+    if random_trials < 0:
+        raise ValueError("random_trials must be nonnegative")
     subset_count = sum(math.comb(graph.n, t) for t in range(1, t_max + 1))
     if subset_count > EXPANSIVITY_MAX_SUBSETS:
         raise ScaleRefusal(
@@ -287,9 +273,13 @@ def expansivity_scan(graph, chi, t_max, random_trials=0, rng=None):
             count=subset_count,
         )
     gen = _as_generator(rng if rng is not None else RngState(0))
-    supports, full, rest, by_support, _ = _support_tables(graph, chi)
+    rows, owner = _supported_edges(graph, chi)
+    rows, owner = rows.tolist(), owner.tolist()
+    full = [frozenset(verts) for verts in rows]
+    by_support = defaultdict(list)
     covering = defaultdict(list)
-    for ce, verts in enumerate(full):
+    for ce, (v, verts) in enumerate(zip(owner, rows)):
+        by_support[v].append(ce)
         for u in verts:
             covering[u].append(ce)
 
@@ -301,7 +291,8 @@ def expansivity_scan(graph, chi, t_max, random_trials=0, rng=None):
         return heavy - 2 * len(subset)
 
     heavy_count = defaultdict(int)
-    for (_, v), verts, others in zip(supports, full, rest):
+    for v, row, verts in zip(owner, rows, full):
+        others = [u for u in row if u != v]
         outside = [u for u in range(graph.n) if u not in verts]
         for a in range(1, min(len(others), t_max - 1) + 1):
             for inside in itertools.combinations(others, a):

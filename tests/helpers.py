@@ -1,18 +1,20 @@
 """Shared test utilities: small hand-built homomorphisms, random instances,
-the loop oracles for the array samplers, the rejection sampler of the
-planted model, the orbit walk of the hypergraph build, Hamming distance,
-pair types and the test-only views of the type matrix and of patterns by
+the loop oracles for the array samplers, the float-route type draw, the
+rejection sampler of the planted model, the orbit walk of the hypergraph
+build, Hamming distance, pair types and the test-only views of the type matrix and of patterns by
 hand, the brute-force pattern count and the per-vertex pullback of tree windows, the full-walk
 expansivity oracle, the backtracking coloring-search oracle, the
 colors-route oracle of the tree root-status sampler, and the per-point
 oracles of the distance-rate scan and the core fixed point."""
 
+import functools
 import itertools
 import math
 from collections import defaultdict, deque
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 
 from sofic_lab.analytics import (
     _FIXED_POINT_MAX_LEVELS,
@@ -42,7 +44,13 @@ from sofic_lab.hypergraph import (
     critical_edges,
     monochromatic_edge_count,
 )
-from sofic_lab.samplers import RngState, _as_generator, _draw_type_counts, sample_uniform_hom
+from sofic_lab.samplers import (
+    RngState,
+    _as_generator,
+    _draw_type_counts,
+    _type_count_vectors,
+    sample_uniform_hom,
+)
 from sofic_lab.tree_markov import (
     CoreDensityEstimate,
     Pattern,
@@ -225,6 +233,25 @@ def typed_blocks_loop_oracle(chi, k, counts, rng):
         for i in range(c):
             parts.append(tuple(sorted(one_blocks[i] + zero_blocks[match[i]])))
     return sorted(parts)
+
+
+def type_draw_float_oracle(n, k, rng):
+    """Float-route oracle for samplers._draw_type_counts: each type weight
+    as a float relative to the largest, normalized, and one
+    Generator.choice over them. A weight below the least normal float
+    relative to the largest loses its precision (at n=4000, k=4, 15 of the
+    501 do), so this route only serves shapes where none does."""
+    types, probs = _float_type_table(n, k)
+    return types[int(_oracle_generator(rng).choice(len(types), p=probs))]
+
+
+@functools.lru_cache(maxsize=None)
+def _float_type_table(n, k):
+    types = _type_count_vectors(k, n // k, n // 2)
+    shapes = [(j, k - j) for j in range(1, k)]
+    weights = [typed_partition_count((n // 2, n // 2), zip(shapes, c)) for c in types]
+    probs = np.array([float(Fraction(w, max(weights))) for w in weights])
+    return types, probs / probs.sum()
 
 
 def sample_planted_images_loop_oracle(params, chi, rng):

@@ -187,6 +187,20 @@ def test_count_at_distance_rejects_bad_input():
         cluster_size(g, Coloring.from_string("0000"))
 
 
+def test_wrong_length_coloring_gets_one_message():
+    g = four_cycle_graph()
+    calls = [
+        lambda chi: count_at_distance(g, chi, Fraction(1, 2)),
+        lambda chi: cluster_size(g, chi),
+        lambda chi: is_good_coloring(g, chi, 8),
+    ]
+    for bits in ("01", "010", "01010"):
+        message = "coloring has %d entries for 4 vertices" % len(bits)
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call(Coloring.from_string(bits))
+
+
 def test_cluster_radius_exact_floor():
     assert cluster_radius(4, 2) == 2
     assert cluster_radius(10, 5) == 1

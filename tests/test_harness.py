@@ -294,6 +294,13 @@ def test_expansivity_and_rigidity_commands(tmp_path, capsys):
     assert "violations=0" in body[0]
 
     code, lines = run_cli(
+        capsys,
+        ["expansivity", "--input", str(path), "--t-max", "2", "--random-trials", "-3"],
+    )
+    assert code == 2
+    assert payload(lines) == []
+
+    code, lines = run_cli(
         capsys, ["rigidity", "--input", str(path), "--rho", "1/10"]
     )
     assert code == 0

@@ -14,6 +14,7 @@ from helpers import (
     sample_planted_images_loop_oracle,
     sample_uniform_images_loop_oracle,
     type_count_vectors_recursion_oracle,
+    type_draw_float_oracle,
     typed_blocks_loop_oracle,
 )
 from scipy import stats
@@ -318,6 +319,25 @@ def assert_same_stream_afterwards(gen, oracle_gen):
     assert gen.integers(2**62) == oracle_gen.integers(2**62)
 
 
+@pytest.mark.parametrize("n,k", [(120, 6), (24, 3)])
+def test_type_draw_matches_float_route_oracle(n, k):
+    # the exact inversion draws one double, as the float route's choice does
+    for seed in range(2000):
+        gen, oracle_gen = RngState(seed).generator(), RngState(seed).generator()
+        assert _draw_type_counts(n, k, gen) == type_draw_float_oracle(n, k, oracle_gen)
+        assert_same_stream_afterwards(gen, oracle_gen)
+
+
+def test_type_draw_survives_tiny_weights():
+    # 15 of the 501 weights at n=4000, k=4 are below the least normal float
+    # relative to the largest; the exact weights keep every type drawable
+    gen = RngState(1).generator()
+    for _ in range(3):
+        counts = _draw_type_counts(4000, 4, gen)
+        assert sum(counts) == 1000
+        assert sum(j * c for j, c in enumerate(counts, start=1)) == 2000
+
+
 @pytest.mark.parametrize("d,k,n", ORACLE_SHAPES)
 def test_uniform_sampler_matches_loop_oracle(d, k, n):
     p = ModelParams(d=d, k=k, n=n)
@@ -423,9 +443,18 @@ def test_result_guards_raise_under_optimize():
             finally:
                 setattr(module, name, original)
 
-        class NeverBelow(frozenset):
-            def __le__(self, other):
-                return False
+        class GrowingCounts:
+            # numpy, except that every bincount counts three more than the
+            # one before, so the second level's core outgrows the first's
+            def __init__(self, module):
+                self.module, self.extra = module, 0
+
+            def __getattr__(self, name):
+                return getattr(self.module, name)
+
+            def bincount(self, *args, **kwargs):
+                self.extra += 3
+                return self.module.bincount(*args, **kwargs) + self.extra - 3
 
         print("optimize", sys.flags.optimize)
         params = ModelParams(d=2, k=3, n=6)
@@ -439,12 +468,9 @@ def test_result_guards_raise_under_optimize():
         chi = Coloring.equitable_split(12)
         graph = build_hypergraph(samplers.sample_planted_hom(
             ModelParams(d=3, k=3, n=12), chi, RngState(0)))
-        structure.frozenset = NeverBelow
-        try:
-            report("frozenset", lambda: structure.core_decomposition(graph, chi),
-                   RuntimeError)
-        finally:
-            del structure.frozenset
+        run(structure, "np", GrowingCounts,
+            lambda: structure.core_decomposition(graph, chi),
+            RuntimeError)
         run(structure, "itertools",
             lambda m: types.SimpleNamespace(permutations=m.combinations),
             lambda: structure.core_decomposition_reference(
@@ -488,7 +514,7 @@ def test_result_guards_raise_under_optimize():
     expected = [
         "_monochromatic_orbit_count: planted draw has a monochromatic edge",
         "ball_element_count: radius-1 ball has 5 elements, closed form says 6",
-        "frozenset: peeling must be monotone",
+        "np: peeling must be monotone",
         "itertools: entanglement must be symmetric",
         "typed_partition_count: typed partition count",
         "uniform_permutation_count: typed partition count",

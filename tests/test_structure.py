@@ -143,6 +143,9 @@ def test_decomposition_validation():
         core_decomposition(graph, Coloring((0, 1)))
     with pytest.raises(ValueError, match="l_max"):
         core_decomposition(graph, chi, l_max=-1)
+    # the level budget is checked before any edge is read
+    with pytest.raises(ValueError, match="l_max"):
+        core_decomposition(graph, Coloring((1, 1, 1, 0, 0, 0)), l_max=-1)
     pair_graph = LabeledHypergraph(4, 2, 1, [[(0, 1), (2, 3)]])
     with pytest.raises(ValueError, match="k >= 3"):
         core_decomposition(pair_graph, Coloring((0, 1, 0, 1)))
@@ -166,10 +169,12 @@ def test_each_critical_edge_has_one_support():
             assert all(chi[u] != chi[v] for u in edge if u != v)
 
 
-def test_incremental_matches_reference_on_planted_instances():
+@pytest.mark.parametrize("l_max", [None, 1, 4])
+def test_array_peeling_matches_reference_on_planted_instances(l_max):
+    # level 4 is the one the core-density benchmark peels to
     for seed in range(20):
         graph, chi = _planted_graph(6, 20, 120, seed)
-        dec = _assert_same_decomposition(graph, chi)
+        dec = _assert_same_decomposition(graph, chi, l_max)
         for earlier, later in zip(dec.levels, dec.levels[1:]):
             assert later.core <= earlier.core
         for level in dec.levels:
@@ -177,9 +182,9 @@ def test_incremental_matches_reference_on_planted_instances():
             assert not (level.attached & level.core)
     for seed in range(20):
         graph, chi = _planted_graph(3, 3, 12, seed)
-        _assert_same_decomposition(graph, chi)
+        _assert_same_decomposition(graph, chi, l_max)
         graph, chi = _planted_graph(4, 4, 16, seed)
-        _assert_same_decomposition(graph, chi)
+        _assert_same_decomposition(graph, chi, l_max)
 
 
 def test_expansivity_singletons_never_count():
@@ -276,6 +281,8 @@ def test_expansivity_validation():
         expansivity_scan(graph, chi, t_max=0)
     with pytest.raises(ValueError, match="t_max"):
         expansivity_scan(graph, chi, t_max=61)
+    with pytest.raises(ValueError, match="random_trials"):
+        expansivity_scan(graph, chi, t_max=2, random_trials=-3)
     with pytest.raises(ScaleRefusal) as err:
         expansivity_scan(graph, chi, t_max=10)
     assert err.value.count == sum(math.comb(60, t) for t in range(1, 11))
@@ -284,12 +291,14 @@ def test_expansivity_validation():
 def test_expansivity_refuses_before_support_tables(monkeypatch):
     graph, chi = _planted_graph(6, 20, 60, 0)
 
-    def no_tables(*args):
-        raise AssertionError("support tables built before the argument checks")
+    def no_edges(*args):
+        raise AssertionError("supported edges read before the argument checks")
 
-    monkeypatch.setattr(structure, "_support_tables", no_tables)
+    monkeypatch.setattr(structure, "_supported_edges", no_edges)
     with pytest.raises(ValueError, match="t_max"):
         expansivity_scan(graph, chi, t_max=0)
+    with pytest.raises(ValueError, match="random_trials"):
+        expansivity_scan(graph, chi, t_max=2, random_trials=-1)
     with pytest.raises(ScaleRefusal):
         expansivity_scan(graph, chi, t_max=10)
 
