@@ -372,28 +372,48 @@ def bias_of_distance(delta, k: int, precision: int | None = None) -> mp.mpf:
         x = _to_mpf(delta)
         if not 0 <= x <= 1:
             raise ValueError(f"distance must lie in [0, 1], got {delta}")
-        return _solve_bias(x, k)
+        return _solve_bias(x, _point_constants(k))
 
 
-def _solve_bias(x: mp.mpf, k: int) -> mp.mpf:
+class _PointConstants(NamedTuple):
+    """The constants that the per-point helpers read for one k, built once
+    per public call at its working precision rather than at every point."""
+
+    k: int
+    bias_base: mp.mpf  # 1 - 2^(2-k), the base of _bias_map_terms
+    edge_norm: mp.mpf  # 2^(k-1) - 1, the normalizer of _log_edge_factor
+    solve_tol: mp.mpf  # 1e-13, the residual the bias solver accepts
+    route_tol: mp.mpf  # 1e-9, the gap the planted rate's two routes may show
+
+
+def _point_constants(k: int) -> _PointConstants:
+    return _PointConstants(
+        k,
+        1 - mp.mpf(2) ** (2 - k),
+        mp.mpf(2) ** (k - 1) - 1,
+        mp.mpf(10) ** -13,
+        mp.mpf(10) ** -9,
+    )
+
+
+def _solve_bias(x: mp.mpf, consts: _PointConstants) -> mp.mpf:
+    k = consts.k
     _certify_bias_map_monotone(k)
     if x == 0 or x == 1:
         return x
-    tol = mp.mpf(10) ** -13
-    base = 1 - mp.mpf(2) ** (2 - k)
     lo, hi = mp.mpf(0), mp.mpf(1)
     b = x
     for _ in range(_MAX_SOLVER_ITERATIONS):
-        num, den = _bias_map_terms(b, k, base)
+        num, den = _bias_map_terms(b, k, consts.bias_base)
         residual = num / den - x
-        if abs(residual) <= tol:
+        if abs(residual) <= consts.solve_tol:
             return b
         if residual < 0:
             lo = b
         else:
             hi = b
         # the slope is only needed for a step, so the final check skips it
-        derivative = _bias_map_slope(b, k, base, num, den)
+        derivative = _bias_map_slope(b, k, consts.bias_base, num, den)
         if derivative > 0:
             b = b - residual / derivative
         else:
@@ -410,11 +430,12 @@ def _solve_bias(x: mp.mpf, k: int) -> mp.mpf:
 # distance rate curves
 
 
-def _log_edge_factor(b: mp.mpf, k: int) -> mp.mpf:
+def _log_edge_factor(b: mp.mpf, consts: _PointConstants) -> mp.mpf:
     # log of the per-edge survival probability of a pair at bias b: the
     # chance a uniformly colored edge is proper under both colorings of an
     # independently b-flipped pair, normalized by the single-coloring case.
-    return mp.log(1 - (1 - b**k - (1 - b) ** k) / (mp.mpf(2) ** (k - 1) - 1))
+    k = consts.k
+    return mp.log(1 - (1 - b**k - (1 - b) ** k) / consts.edge_norm)
 
 
 class _RateTerms(NamedTuple):
@@ -425,20 +446,21 @@ class _RateTerms(NamedTuple):
     entropy: mp.mpf  # eta(v) + eta(1 - v)
     log: mp.mpf  # log v
     log_complement: mp.mpf  # log(1 - v)
-    log_edge: mp.mpf  # _log_edge_factor(v, k)
+    log_edge: mp.mpf  # _log_edge_factor(v, consts)
 
 
-def _rate_terms(v: mp.mpf, k: int) -> _RateTerms:
+def _rate_terms(v: mp.mpf, consts: _PointConstants) -> _RateTerms:
     log_v = mp.log(v)
     log_complement = mp.log(1 - v)
     entropy = (0 if v == 0 else -v * log_v) + (
         0 if v == 1 else -(1 - v) * log_complement
     )
-    return _RateTerms(entropy, log_v, log_complement, _log_edge_factor(v, k))
+    return _RateTerms(entropy, log_v, log_complement, _log_edge_factor(v, consts))
 
 
-def _pair_distance_rate(terms: _RateTerms, d: int, k: int) -> mp.mpf:
-    return terms.entropy + mp.mpf(d) / k * terms.log_edge
+def _pair_distance_rate(terms: _RateTerms, ratio: mp.mpf) -> mp.mpf:
+    # ratio is d / k
+    return terms.entropy + ratio * terms.log_edge
 
 
 def pair_distance_rate(x, d: int, k: int, precision: int | None = None) -> mp.mpf:
@@ -455,28 +477,34 @@ def pair_distance_rate(x, d: int, k: int, precision: int | None = None) -> mp.mp
         v = _to_mpf(x)
         if not 0 <= v <= 1:
             raise ValueError(f"argument must lie in [0, 1], got {x}")
-        return _pair_distance_rate(_rate_terms(v, k), d, k)
+        return _pair_distance_rate(_rate_terms(v, _point_constants(k)), mp.mpf(d) / k)
 
 
 def _planted_distance_rate(
-    x: mp.mpf, at_x: _RateTerms, at_b: _RateTerms, d: int, k: int
+    x: mp.mpf,
+    at_x: _RateTerms,
+    at_b: _RateTerms,
+    d: int,
+    ratio: mp.mpf,
+    consts: _PointConstants,
 ) -> mp.mpf:
     # at_x and at_b are the terms at x and at its solved bias b in (0, 1),
-    # passed in so a caller that already holds them evaluates no log twice.
+    # passed in so a caller that already holds them evaluates no log twice;
+    # ratio is d / k.
     h_x = at_x.entropy
     h_b = at_b.entropy
     # the binary cross entropy -x log b - (1-x) log(1-b)
     cross = -(x * at_b.log) - (1 - x) * at_b.log_complement
-    closed = (1 - mp.mpf(d)) * h_x + d * cross + mp.mpf(d) / k * at_b.log_edge
+    closed = (1 - mp.mpf(d)) * h_x + d * cross + ratio * at_b.log_edge
     # Second route: start from the pair rate at the bias and trade entropy
     # terms.  The two expressions are algebraically equal, so any gap here
     # means a transcription error in one of them.
     alternate = (
-        _pair_distance_rate(at_b, d, k)
+        _pair_distance_rate(at_b, ratio)
         - (h_b - cross)
         + (mp.mpf(d) - 1) * (cross - h_x)
     )
-    if not abs(closed - alternate) <= mp.mpf(10) ** -9:
+    if not abs(closed - alternate) <= consts.route_tol:
         raise ArithmeticError(
             f"planted rate routes disagree at distance {x}: {closed} vs {alternate}"
         )
@@ -502,8 +530,11 @@ def planted_distance_rate(
             raise ValueError(f"distance must lie in [0, 1], got {delta}")
         if x == 0 or x == 1:
             return mp.mpf(0)
-        at_b = _rate_terms(_solve_bias(x, k), k)
-        return _planted_distance_rate(x, _rate_terms(x, k), at_b, d, k)
+        consts = _point_constants(k)
+        at_b = _rate_terms(_solve_bias(x, consts), consts)
+        return _planted_distance_rate(
+            x, _rate_terms(x, consts), at_b, d, mp.mpf(d) / k, consts
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +594,7 @@ def optimal_pair_type(
             raise ValueError(
                 f"distance must lie strictly inside (0, 1), got {delta}"
             )
-        b = _solve_bias(x, k)
+        b = _solve_bias(x, _point_constants(k))
         agree = (1 - b) / 2
         disagree = b / 2
         normalizer = 1 / (
@@ -646,7 +677,7 @@ def entropy_gap_report(
             raise ValueError(
                 f"distance must lie in (0, 1/2] for the gap report, got {delta}"
             )
-        b = _solve_bias(x, k)
+        b = _solve_bias(x, _point_constants(k))
         epsilon_hat = 1 - x / b
         entropy_gap = (_eta(b) + _eta(1 - b)) - _cross_entropy2(x, b)
         identity = b * epsilon_hat * mp.log((1 - b) / b)
@@ -714,18 +745,22 @@ def distance_rate_scan(
         lo = mp.mpf(2) ** (-mp.mpf(k) / 2)
         hi = 1 - lo
         base_rate = proper_rate(d, k, precision=mp.mp.prec)
+        consts = _point_constants(k)
+        ratio = mp.mpf(d) / k
         rows = []
         for i in range(grid_points):
             x = lo + (hi - lo) * i / (grid_points - 1)
-            b = _solve_bias(x, k)
-            at_x = _rate_terms(x, k)
-            at_b = _rate_terms(b, k)
+            b = _solve_bias(x, consts)
+            at_x = _rate_terms(x, consts)
+            at_b = _rate_terms(b, consts)
             rows.append(
                 DistanceScanRow(
                     delta=x,
                     delta0=b,
-                    planted_rate=_planted_distance_rate(x, at_x, at_b, d, k),
-                    pair_rate=_pair_distance_rate(at_x, d, k),
+                    planted_rate=_planted_distance_rate(
+                        x, at_x, at_b, d, ratio, consts
+                    ),
+                    pair_rate=_pair_distance_rate(at_x, ratio),
                     proper_rate=base_rate,
                 )
             )

@@ -10,10 +10,10 @@ The pass colors the vertices in a greedy order that keeps few edges open (an
 open edge has a colored and an uncolored vertex). Its state holds each open
 edge that is still monochromatic, with its color, and two weights against a
 reference coloring: a, the ref-0 vertices colored 1, and b, the ref-1
-vertices colored 0. States with the same key are merged, so the cost grows
-with the number of states on the frontier, not with the number of colorings:
-count_proper at (d, k, n) = (5, 4, 40) holds about 260 MB at its peak. Each
-count reads coefficients of the final (a, b) table:
+vertices colored 0. A layer of states is a uint64 key array with an int64
+value array beside it, and states with the same key are merged, so the cost
+grows with the number of states on the frontier, not with the number of
+colorings. Each count reads coefficients of the final (a, b) table:
 
 - count_proper: the whole table (no weights tracked; with eps > 0 the state
   also counts the monochromatic edges closed, up to floor(eps * n)).
@@ -26,11 +26,14 @@ int, and list them lexicographically over a breadth-first vertex order, 0
 first.
 """
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from time import perf_counter
+
+import numpy as np
 
 from ._errors import ScaleRefusal
 from .analytics import bichromatic_pair_types
@@ -41,6 +44,10 @@ PROPER_SEARCH_MAX_N = 40
 BUDGET_SEARCH_MAX_N = 32
 MOMENT_MAX_N = 24
 GOOD_SEARCH_MAX_N = 16
+# the frontier pass keeps its values in int64, which hold 2^n up to n = 62
+TABLE_MAX_N = 62
+# state key slots per uint64 word, two bits each
+SLOTS_PER_WORD = 32
 
 
 @dataclass(frozen=True)
@@ -65,17 +72,29 @@ def _check_scale(n, bound, what):
 
 def _frontier_order(n, k, edges, edges_of):
     """Greedy vertex order: each step takes the vertex that leaves the fewest
-    open edges (edges with some but not all vertices colored)."""
+    open edges (edges with some but not all vertices colored), ties by index.
+
+    A vertex's score is the change in that number if it were colored next.
+    Coloring v changes only the scores of the members of v's edges, so only
+    those are updated."""
+    # an edge's share of each member's score, by its number of colored vertices
+    share = [(c == 0) - (c == k - 1) for c in range(k + 1)]
     colored = [0] * len(edges)
-    left = set(range(n))
+    score = [share[0] * len(es) for es in edges_of]
+    left = list(range(n))
     order = []
-    while left:
-        v = min(left, key=lambda u: (
-            sum((colored[ei] == 0) - (colored[ei] == k - 1) for ei in edges_of[u]), u))
+    for _ in range(n):
+        # left is ascending, so min breaks ties by index
+        v = min(left, key=score.__getitem__)
         left.remove(v)
         order.append(v)
         for ei in edges_of[v]:
-            colored[ei] += 1
+            c = colored[ei]
+            colored[ei] = c + 1
+            step = share[c + 1] - share[c]
+            if step:
+                for u in edges[ei]:
+                    score[u] += step
     return order
 
 
@@ -101,95 +120,187 @@ def _search_rank(n, edges, edges_of):
     return rank
 
 
+def _slot_plan(order, k, edges, edges_of):
+    """Per step of the order: the vertex and the slots of the edges it opens,
+    keeps open and closes, and the number of slots used. An edge takes the
+    least free slot when it opens and frees it when it closes."""
+    colored = [0] * len(edges)
+    slot_of = [0] * len(edges)
+    free = []
+    slots = 0
+    plan = []
+    for v in order:
+        opens, keeps, closes = [], [], []
+        for ei in edges_of[v]:
+            if colored[ei] == 0:
+                opens.append(ei)
+            elif colored[ei] == k - 1:
+                closes.append(slot_of[ei])
+            else:
+                keeps.append(slot_of[ei])
+            colored[ei] += 1
+        # a slot freed here may take an edge opened here: the step clears
+        # the closed slots before it marks the opened ones
+        for s in closes:
+            heapq.heappush(free, s)
+        for ei in opens:
+            if free:
+                slot_of[ei] = heapq.heappop(free)
+            else:
+                slot_of[ei] = slots
+                slots += 1
+        plan.append((v, [slot_of[ei] for ei in opens], keeps, closes))
+    return plan, slots
+
+
 def _frontier_table(graph, targets=None, ref=None, budget=0, halve=False,
                     collect=False):
     """Colorings with at most budget monochromatic edges, tabulated by the
     weights (a, b): a counts the ref-0 vertices colored 1 and b the ref-1
     vertices colored 0 (ref defaults to all 0, so a is the number of ones).
 
-    One forward pass colors the vertices in _frontier_order. A state packs
-    into one int the color of every open edge that is still monochromatic
-    (two bits per edge; bichromatic edges drop out), then a and b, then the
-    number of monochromatic edges closed so far. With targets, the weights
-    are tracked and every state that can no longer reach a target (a, b) with
-    the vertices left is pruned, so the table holds target entries only.
+    One forward pass colors the vertices in _frontier_order. A state holds
+    the color of every open edge that is still monochromatic (two bits in the
+    slot the edge holds while open, see _slot_plan; 0 once it is
+    bichromatic), then a and b, then the number of monochromatic edges closed
+    so far. A layer is an (m, W) uint64 array of state keys, slot s in word
+    s // SLOTS_PER_WORD and the counters in the last word, beside an int64
+    array of values. Each vertex step is whole-array work on both colors at
+    once: mask and add, then the closed-edge and weight tests, which set the
+    top bit of the last word in every pruned state; the states left are
+    sorted, and np.add.reduceat merges each run of equal keys. With targets,
+    every state that can no longer reach a target (a, b) with the vertices
+    left is pruned, so the table holds target entries only.
 
     halve: color the first vertex 0 and double; valid only for counts that
     are invariant under a color swap. collect: the values are the colorings
-    themselves, sorted by _search_rank, instead of their number.
+    themselves, one row each and never merged, and the table lists them
+    sorted by _search_rank instead of their number.
     """
-    n = graph.n
-    edges = graph.blocks.reshape(-1, graph.k).tolist()
+    n, k = graph.n, graph.k
+    # a value counts colorings of up to n vertices and must fit an int64
+    _check_scale(n, TABLE_MAX_N, "the frontier pass")
+    edges = graph.blocks.reshape(-1, k).tolist()
     edges_of = [[] for _ in range(n)]
     for ei, e in enumerate(edges):
         for v in e:
             edges_of[v].append(ei)
-    order = _frontier_order(n, graph.k, edges, edges_of)
+    plan, slots = _slot_plan(_frontier_order(n, k, edges, edges_of), k, edges, edges_of)
     ref = [0] * n if ref is None else list(ref)
     wa = wb = 0
     if targets:
         # one spare value each: a weight one past its target is pruned
         wa = (max(a for a, _ in targets) + 1).bit_length()
         wb = (max(b for _, b in targets) + 1).bit_length()
-        left = [ref.count(0), ref.count(1)]
-    a_shift = 2 * len(edges)
+    wm = budget.bit_length()
+    # the counters sit after the last slot, or open a word of their own;
+    # the top bit of that word marks a pruned state
+    cw = max(slots - 1, 0) // SLOTS_PER_WORD
+    a_shift = 2 * (slots - SLOTS_PER_WORD * cw)
+    if a_shift + wa + wb + wm > 63:
+        cw, a_shift = cw + 1, 0
+    width = cw + 1
     b_shift = a_shift + wa
     mono_shift = b_shift + wb
-    weights = ~(-1 << wa + wb)
+    pruned = 1 << 63
+    shift = [np.uint64(x) for x in range(64)]
+    one = np.uint64(1)
+    # the step constants, each key as one int with word w at bit 64 * w;
+    # color c adds step[ref[v]][c] to the weight index a | b << wa
+    step = [(0, 1), (1 << wa, 0)] if targets else [(0, 0), (0, 0)]
+    at = [64 * (s // SLOTS_PER_WORD) + 2 * (s % SLOTS_PER_WORD) for s in range(slots)]
+    ones = (1 << 64 * width) - 1
+    consts = []
+    for v, opens, keeps, closes in plan:
+        drop = ones ^ sum(3 << at[s] for s in keeps + closes)
+        kept = sum(1 << at[s] for s in keeps)
+        opened = sum(1 << at[s] for s in opens)
+        for c in (0, 1):
+            # an edge stays monochromatic only if it already was in color c
+            consts.append(drop | kept << c)
+            consts.append(opened << c | step[ref[v]][c] << 64 * cw + a_shift)
+    # per step, the masks by color, then the adds, each a (1, W) row
+    consts = np.array([x >> 64 * w & ((1 << 64) - 1) for x in consts for w in range(width)],
+                      dtype=np.uint64).reshape(len(plan), 2, 2, 1, width).swapaxes(1, 2)
+    # the bits of slot s that are set while its edge is monochromatic in
+    # color 0, and in color 1
+    hit_shift = [np.array([[x % 64], [x % 64 + 1]], dtype=np.uint64) for x in at]
+    # by monochromatic edges closed: pruned past the budget
+    over = np.array([0] * (budget + 1) + [pruned] * graph.d, dtype=np.uint64)
+    mono_mask = np.uint64(~(-1 << wm))
+    if targets:
+        # per step, by the weights a | b << wa after it: pruned unless some
+        # target is still in reach with the vertices left
+        ref_colors = np.array([ref[v] for v, *_ in plan])
+        left0 = (ref.count(0) - np.cumsum(ref_colors == 0))[:, None, None]
+        left1 = (ref.count(1) - np.cumsum(ref_colors == 1))[:, None, None]
+        a = np.arange(1 << wa)
+        b = np.arange(1 << wb)[:, None]
+        reach = np.zeros((len(plan), 1 << wb, 1 << wa), dtype=bool)
+        for ta, tb in targets:
+            reach |= (a >= ta - left0) & (a <= ta) & (b >= tb - left1) & (b <= tb)
+        unreachable = np.where(reach, np.uint64(0), np.uint64(pruned)).reshape(len(plan), -1)
+        weight_mask = np.uint64(~(-1 << wa + wb))
+    # color 1 sets the vertex's bit of a collected coloring
+    lift = np.zeros((n, 2, 1), dtype=np.int64)
     if collect:
         rank = _search_rank(n, edges, edges_of)
-    colored = [0] * len(edges)
-    table = {0: [0] if collect else 1}
-    for i, v in enumerate(order):
-        opens = keeps = closes = 0
-        for ei in edges_of[v]:
-            bit = 1 << 2 * ei
-            if colored[ei] == 0:
-                opens |= bit
-            elif colored[ei] == graph.k - 1:
-                closes |= bit
-            else:
-                keeps |= bit
-            colored[ei] += 1
-        allowed = None
+        lift[:, 1, 0] = [1 << n - 1 - rank[v] for v, *_ in plan]
+    keys = np.zeros((1, width), dtype=np.uint64)
+    values = np.array([0 if collect else 1], dtype=np.int64)
+    for i, (v, opens, keeps, closes) in enumerate(plan):
+        # the new states by color, (colors, m, W); the first vertex of a
+        # halved count takes color 0 only
+        colors = 1 if halve and i == 0 else 2
+        mask, add = consts[i, :, :colors]
+        layer = keys & mask
+        layer += add
+        last = layer[:, :, cw]
+        if closes:
+            # the closing edges still monochromatic in the new color
+            hits = 0
+            for s in closes:
+                hits = hits + (keys[:, at[s] // 64] >> hit_shift[s] & one)
+            if budget:
+                last += hits << shift[mono_shift]
+                hits = hits + ((keys[:, cw] >> shift[mono_shift]) & mono_mask)
+            last |= over[hits]
         if targets:
-            left[ref[v]] -= 1
-            allowed = {
-                a | b << wa
-                for ta, tb in targets
-                for a in range(max(0, ta - left[0]), ta + 1)
-                for b in range(max(0, tb - left[1]), tb + 1)
-            }
-        drop = ~((keeps | closes) * 3)
-        new = {}
-        get = new.get
-        for c in (0,) if halve and i == 0 else (0, 1):
-            # an edge stays monochromatic only if it already was in color c
-            mask = drop | keeps << c
-            close = closes << c
-            add = opens << c
-            if targets and c != ref[v]:
-                add += 1 << (a_shift if c else b_shift)
-            lift = 1 << n - 1 - rank[v] if collect and c else 0
-            for key, val in table.items():
-                y = (key & mask) + add
-                hit = key & close
-                if hit:
-                    hit = hit.bit_count()
-                    if (y >> mono_shift) + hit > budget:
-                        continue
-                    y += hit << mono_shift
-                if allowed is not None and (y >> a_shift) & weights not in allowed:
-                    continue
-                if lift:
-                    val = [x | lift for x in val]
-                old = get(y)
-                new[y] = val if old is None else old + val
-        table = new
+            last |= unreachable[i][(last >> shift[a_shift]) & weight_mask]
+        values = (values | lift[i, :colors]).ravel()
+        keys = layer.reshape(-1, width)
+        del layer, last
+        if closes or targets:
+            # drop the pruned states: a uint64 test, since numpy keeps freed
+            # bool arrays of each small size and the process would grow
+            live = (~keys[:, cw] >> shift[63]).nonzero()[0]
+            keys = keys[live]
+            values = values[live]
+            del live
+            if not len(values):
+                return {}
+        if collect:
+            continue
+        # sort equal keys together
+        perm = keys[:, 0].argsort() if width == 1 else np.lexsort(keys.T)
+        keys = keys[perm]
+        values = values[perm]
+        del perm
+        # merge each run of equal keys into its first row
+        starts = np.empty(len(values), dtype=np.uint64)
+        starts[0] = 1
+        np.bitwise_or.reduce(keys[1:] ^ keys[:-1], axis=1, out=starts[1:])
+        starts = starts.nonzero()[0]
+        values = np.add.reduceat(values, starts)
+        keys = keys[starts]
+    a = (keys[:, cw] >> np.uint64(a_shift)) & np.uint64(~(-1 << wa))
+    b = (keys[:, cw] >> np.uint64(b_shift)) & np.uint64(~(-1 << wb))
     out = {}
-    for key, val in table.items():
-        ab = (key >> a_shift) & ~(-1 << wa), (key >> b_shift) & ~(-1 << wb)
-        out[ab] = out[ab] + val if ab in out else val
+    for ab, val in zip(zip(a.tolist(), b.tolist()), values.tolist()):
+        if collect:
+            out.setdefault(ab, []).append(val)
+        else:
+            out[ab] = out.get(ab, 0) + val
     if collect:
         shifts = [n - 1 - r for r in rank]
         return {ab: [Coloring((x >> s) & 1 for s in shifts) for x in sorted(val)]

@@ -4,6 +4,7 @@ rejection sampler of the planted model, the orbit walk of the hypergraph
 build, Hamming distance, pair types and the test-only views of the type matrix and of patterns by
 hand, the brute-force pattern count and the per-vertex pullback of tree windows, the full-walk
 expansivity oracle, the backtracking coloring-search oracle, the
+dict-of-states frontier pass and its rescanning vertex order, the
 colors-route oracle of the tree root-status sampler, and the per-point
 oracles of the distance-rate scan and the core fixed point."""
 
@@ -21,7 +22,6 @@ from sofic_lab.analytics import (
     _FIXED_POINT_TOLERANCE,
     _cross_entropy2,
     _eta,
-    _log_edge_factor,
     DistanceRateScan,
     DistanceScanRow,
     FixedPointTrace,
@@ -30,6 +30,7 @@ from sofic_lab.analytics import (
     working_precision,
 )
 from sofic_lab._errors import ScaleRefusal
+from sofic_lab.exact_count import _search_rank
 from sofic_lab.group_model import (
     ModelParams,
     UniformHom,
@@ -675,6 +676,112 @@ def coloring_search_oracle(graph, **constraints):
     return search.found if constraints.get("collect") else count
 
 
+def edge_lists(graph):
+    """The edges as vertex lists, and each vertex's edge indices."""
+    edges = graph.blocks.reshape(-1, graph.k).tolist()
+    edges_of = [[] for _ in range(graph.n)]
+    for ei, e in enumerate(edges):
+        for v in e:
+            edges_of[v].append(ei)
+    return edges, edges_of
+
+
+def frontier_order_oracle(n, k, edges, edges_of):
+    """exact_count._frontier_order with every remaining vertex's score
+    recomputed from its edges at every step."""
+    colored = [0] * len(edges)
+    left = set(range(n))
+    order = []
+    while left:
+        v = min(left, key=lambda u: (
+            sum((colored[ei] == 0) - (colored[ei] == k - 1) for ei in edges_of[u]), u))
+        left.remove(v)
+        order.append(v)
+        for ei in edges_of[v]:
+            colored[ei] += 1
+    return order
+
+
+def frontier_table_oracle(graph, targets=None, ref=None, budget=0, halve=False,
+                          collect=False):
+    """exact_count._frontier_table as a dict of packed-int states walked one
+    state at a time: a key holds two bits per edge of the whole graph (set
+    while the edge is open and monochromatic), then a, b and the number of
+    monochromatic edges closed; collect keeps each state's colorings in a
+    list."""
+    n = graph.n
+    edges, edges_of = edge_lists(graph)
+    order = frontier_order_oracle(n, graph.k, edges, edges_of)
+    ref = [0] * n if ref is None else list(ref)
+    wa = wb = 0
+    if targets:
+        wa = (max(a for a, _ in targets) + 1).bit_length()
+        wb = (max(b for _, b in targets) + 1).bit_length()
+        left = [ref.count(0), ref.count(1)]
+    a_shift = 2 * len(edges)
+    b_shift = a_shift + wa
+    mono_shift = b_shift + wb
+    weights = ~(-1 << wa + wb)
+    if collect:
+        rank = _search_rank(n, edges, edges_of)
+    colored = [0] * len(edges)
+    table = {0: [0] if collect else 1}
+    for i, v in enumerate(order):
+        opens = keeps = closes = 0
+        for ei in edges_of[v]:
+            bit = 1 << 2 * ei
+            if colored[ei] == 0:
+                opens |= bit
+            elif colored[ei] == graph.k - 1:
+                closes |= bit
+            else:
+                keeps |= bit
+            colored[ei] += 1
+        allowed = None
+        if targets:
+            left[ref[v]] -= 1
+            allowed = {
+                a | b << wa
+                for ta, tb in targets
+                for a in range(max(0, ta - left[0]), ta + 1)
+                for b in range(max(0, tb - left[1]), tb + 1)
+            }
+        drop = ~((keeps | closes) * 3)
+        new = {}
+        get = new.get
+        for c in (0,) if halve and i == 0 else (0, 1):
+            mask = drop | keeps << c
+            close = closes << c
+            add = opens << c
+            if targets and c != ref[v]:
+                add += 1 << (a_shift if c else b_shift)
+            lift = 1 << n - 1 - rank[v] if collect and c else 0
+            for key, val in table.items():
+                y = (key & mask) + add
+                hit = key & close
+                if hit:
+                    hit = hit.bit_count()
+                    if (y >> mono_shift) + hit > budget:
+                        continue
+                    y += hit << mono_shift
+                if allowed is not None and (y >> a_shift) & weights not in allowed:
+                    continue
+                if lift:
+                    val = [x | lift for x in val]
+                old = get(y)
+                new[y] = val if old is None else old + val
+        table = new
+    out = {}
+    for key, val in table.items():
+        ab = (key >> a_shift) & ~(-1 << wa), (key >> b_shift) & ~(-1 << wb)
+        out[ab] = out[ab] + val if ab in out else val
+    if collect:
+        shifts = [n - 1 - r for r in rank]
+        return {ab: [Coloring((x >> s) & 1 for s in shifts) for x in sorted(val)]
+                for ab, val in out.items()}
+    return {ab: 2 * val if halve else val for ab, val in out.items()}
+
+
 class _ColorNode:
     __slots__ = ("incoming", "slot", "color", "fresh", "core_memo")
 
@@ -817,8 +924,12 @@ def core_density_colors_oracle(d, k, level, samples, rng):
     )
 
 
+def _log_edge_factor_oracle(b, k):
+    return mp.log(1 - (1 - b**k - (1 - b) ** k) / (mp.mpf(2) ** (k - 1) - 1))
+
+
 def _pair_distance_rate_oracle(x, d, k):
-    return _eta(x) + _eta(1 - x) + mp.mpf(d) / k * _log_edge_factor(x, k)
+    return _eta(x) + _eta(1 - x) + mp.mpf(d) / k * _log_edge_factor_oracle(x, k)
 
 
 def _bias_to_distance_with_derivative_oracle(b, k):
@@ -859,7 +970,7 @@ def _planted_distance_rate_oracle(x, b, d, k):
     h_x = _eta(x) + _eta(1 - x)
     h_b = _eta(b) + _eta(1 - b)
     cross = _cross_entropy2(x, b)
-    closed = (1 - mp.mpf(d)) * h_x + d * cross + mp.mpf(d) / k * _log_edge_factor(b, k)
+    closed = (1 - mp.mpf(d)) * h_x + d * cross + mp.mpf(d) / k * _log_edge_factor_oracle(b, k)
     alternate = (
         _pair_distance_rate_oracle(b, d, k)
         - (h_b - cross)

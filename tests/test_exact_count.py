@@ -8,6 +8,9 @@ import pytest
 from helpers import (
     all_k_partitions,
     coloring_search_oracle,
+    edge_lists,
+    frontier_order_oracle,
+    frontier_table_oracle,
     hamming_distance,
     hom_from_cycles,
     pair_count_sum_recursion_oracle,
@@ -542,6 +545,96 @@ def test_frontier_pass_matches_search_oracle(kind, d, k, n, seed):
         assert cluster_size(g, ref).value == cluster_size_oracle(g, ref)
 
 
+# (4, 3, 24) is the benchmark shape and (5, 4, 40) the largest count; the
+# frontier pass never runs at (20, 6, 120), the core-density shape, which
+# only checks the order on long rows of ties
+@pytest.mark.parametrize("d,k,n", [(4, 3, 24), (5, 4, 40), (2, 4, 16), (6, 6, 12),
+                                   (20, 6, 120)])
+def test_frontier_order_matches_rescanning_oracle(d, k, n):
+    for seed in range(30):
+        for kind in ("uniform", "planted"):
+            g, _ = seeded_graph(kind, d, k, n, seed)
+            edges, edges_of = edge_lists(g)
+            assert exact_count._frontier_order(n, k, edges, edges_of) == frontier_order_oracle(
+                n, k, edges, edges_of), (kind, seed)
+
+
+def test_slot_plan_holds_one_slot_per_open_edge():
+    for kind, d, k, n in [("uniform", 4, 3, 24), ("planted", 5, 4, 40), ("uniform", 12, 2, 16)]:
+        for seed in range(5):
+            g, _ = seeded_graph(kind, d, k, n, seed)
+            edges, edges_of = edge_lists(g)
+            order = exact_count._frontier_order(n, k, edges, edges_of)
+            plan, slots = exact_count._slot_plan(order, k, edges, edges_of)
+            held, colored, peak = set(), [0] * len(edges), 0
+            for v, opens, keeps, closes in plan:
+                assert set(keeps) | set(closes) <= held
+                held -= set(closes)
+                assert not held & set(opens) and len(set(opens)) == len(opens)
+                held |= set(opens)
+                for ei in edges_of[v]:
+                    colored[ei] += 1
+                peak = max(peak, sum(0 < c < k for c in colored))
+            # a closed edge's slot is reused, so no more slots than open edges
+            assert not held and slots == peak, (kind, seed)
+
+
+def frontier_table_cases(n, chi):
+    cases = [dict(budget=budget, halve=True) for budget in (0, 1, 2)]
+    cases += [dict(budget=1), dict(collect=True),
+              dict(targets=[(n // 2, 0)], halve=True),
+              dict(targets=[(n // 2, 0)], collect=True)]
+    cases += [dict(targets=[(f, f)], ref=chi) for f in range(n // 2 + 1)]
+    cases += [dict(targets=[(j, j) for j in range(n // 4 + 1)], ref=chi),
+              dict(targets=[(2, 1), (0, 3)], ref=chi, budget=2)]
+    return cases
+
+
+# 32 is the library's word; at 4 slots per word the keys of these small
+# shapes take two to ten words. The k=2 draws keep 30 and 32 edges open, so
+# at 32 slots per word their counters fill the top of the last word or take
+# a word of their own.
+@pytest.mark.parametrize("slots_per_word", [32, 4])
+@pytest.mark.parametrize("kind,d,k,n,seed", [
+    ("uniform", 4, 3, 24, 1),
+    ("planted", 4, 3, 24, 2),
+    ("uniform", 2, 4, 16, 3),
+    ("planted", 3, 3, 18, 4),
+    ("planted", 4, 6, 12, 5),
+    ("uniform", 2, 2, 8, 6),
+    ("planted", 10, 2, 16, 1),
+    ("planted", 12, 2, 16, 2),
+])
+def test_frontier_table_matches_dict_oracle(monkeypatch, slots_per_word, kind, d, k, n, seed):
+    monkeypatch.setattr(exact_count, "SLOTS_PER_WORD", slots_per_word)
+    g, chi = seeded_graph(kind, d, k, n, seed)
+    if chi is None:
+        chi = proper_equitable_colorings(g)[-1]
+    for case in frontier_table_cases(n, chi):
+        table = exact_count._frontier_table(g, **case)
+        assert table == frontier_table_oracle(g, **case), case
+        if not case.get("collect"):
+            assert all(type(value) is int for value in table.values()), case
+
+
+def test_counts_are_python_ints():
+    g, chi = seeded_graph("planted", 4, 3, 24, 1)
+    reports = [count_proper(g), count_proper(g, Fraction(1, 24)), count_equitable(g),
+               count_at_distance(g, chi, Fraction(1, 4)), cluster_size(g, chi)]
+    assert [type(report.value) for report in reports] == [int] * 5
+    assert all(report.value > 0 for report in reports)
+
+
+def test_frontier_table_refuses_beyond_int64_values(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the pass started")
+
+    monkeypatch.setattr(exact_count, "_frontier_order", no_work)
+    g = build_hypergraph(random_uniform_images(ModelParams(d=1, k=2, n=64), random.Random(0)))
+    with pytest.raises(ScaleRefusal, match="n <= 62, got n=64"):
+        exact_count._frontier_table(g)
+
+
 # sha256 of the exact-count benchmark draws' counts (seed 1, streams 1..120:
 # odd streams count_proper of a uniform draw, even ones count_at_distance
 # 1/4 of a planted draw), recorded with the backtracking search
@@ -567,6 +660,20 @@ def test_count_proper_pinned_beyond_benchmark_shape():
     # recorded with the backtracking search, which took seconds here
     g = build_hypergraph(sample_uniform_hom(ModelParams(d=3, k=4, n=24), RngState(2, 1)))
     assert count_proper(g).value == 1661782
+
+
+# the two instances at the largest scale PROPER_SEARCH_MAX_N admits, both
+# recorded with the dict-of-states pass (frontier_table_oracle): the uniform
+# count keeps at most 28 edges open, the planted one 33, so its keys take
+# two words
+def test_count_proper_pinned_at_largest_shape():
+    g = build_hypergraph(sample_uniform_hom(ModelParams(d=5, k=4, n=40), RngState(2, 1)))
+    assert count_proper(g).value == 3_107_177_398
+
+
+def test_count_at_distance_pinned_at_largest_shape():
+    g, chi = seeded_graph("planted", 5, 4, 40, 2)
+    assert count_at_distance(g, chi, Fraction(1, 4)).value == 3_913_697
 
 
 def test_count_good_colorings_forwards_max_n(monkeypatch):
