@@ -31,7 +31,7 @@ graph = build_hypergraph(hom)
 print("sampled a uniform homomorphism on", params.n, "points")
 print("generator images (vertex maps):")
 for i, image in enumerate(hom.images):
-    print("  s_%d -> %s" % (i, image))
+    print("  s_%d -> %s" % (i, tuple(image.tolist())))
 
 report = count_proper(graph)
 print("edges:", len(graph.edges))

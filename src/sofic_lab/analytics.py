@@ -31,6 +31,11 @@ DEFAULT_PRECISION_BITS = 128
 # Newton/bisection iteration cap for the bias inversion.
 _MAX_SOLVER_ITERATIONS = 200
 
+# Bits of precision beyond d.bit_length() that the planted rate's two routes,
+# sums of terms of size about d, need to agree to 1e-9: on the 2001-point
+# scan at k = 17..26 a margin of 30 always passed, and 29 failed at k = 21..23.
+_ROUTE_MARGIN_BITS = 30
+
 
 def _resolve_precision(precision: int | None) -> int:
     if precision is None:
@@ -511,6 +516,13 @@ def _planted_distance_rate(
     return closed
 
 
+def _check_route_precision(d: int) -> None:
+    need = int(d).bit_length() + _ROUTE_MARGIN_BITS
+    if mp.mp.prec < need:
+        raise ValueError(f"working precision {mp.mp.prec} bits cannot pass the 1e-9 "
+                         f"route check at d={d}; need at least {need} bits")
+
+
 def planted_distance_rate(
     delta, d: int, k: int, precision: int | None = None
 ) -> mp.mpf:
@@ -520,11 +532,12 @@ def planted_distance_rate(
     Computed from the closed form in terms of the solved bias, with an
     independent second route through pair_distance_rate required to agree to
     1e-9 (ArithmeticError otherwise).  The endpoint values at 0 and 1 are
-    continuity limits.
+    continuity limits.  A precision too low for that check raises ValueError.
     """
     _check_d(d)
     _check_k(k)
     with working_precision(precision):
+        _check_route_precision(d)
         x = _to_mpf(delta)
         if not 0 <= x <= 1:
             raise ValueError(f"distance must lie in [0, 1], got {delta}")
@@ -736,12 +749,14 @@ def distance_rate_scan(
 
     Each row carries the distance, the solved bias, the planted rate, the
     pair rate at the same distance, and the first-moment rate for reference.
+    A precision too low for the route check raises ValueError up front.
     """
     _check_d(d)
     _check_k(k)
     if grid_points < 3:
         raise ValueError(f"need at least 3 grid points, got {grid_points}")
     with working_precision(precision):
+        _check_route_precision(d)
         lo = mp.mpf(2) ** (-mp.mpf(k) / 2)
         hi = 1 - lo
         base_rate = proper_rate(d, k, precision=mp.mp.prec)

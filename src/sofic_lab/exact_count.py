@@ -296,15 +296,16 @@ def _frontier_table(graph, targets=None, ref=None, budget=0, halve=False,
     a = (keys[:, cw] >> np.uint64(a_shift)) & np.uint64(~(-1 << wa))
     b = (keys[:, cw] >> np.uint64(b_shift)) & np.uint64(~(-1 << wb))
     out = {}
-    for ab, val in zip(zip(a.tolist(), b.tolist()), values.tolist()):
-        if collect:
-            out.setdefault(ab, []).append(val)
-        else:
-            out[ab] = out.get(ab, 0) + val
     if collect:
-        shifts = [n - 1 - r for r in rank]
-        return {ab: [Coloring((x >> s) & 1 for s in shifts) for x in sorted(val)]
-                for ab, val in out.items()}
+        # sorted by value within each (a, b), each row's colors read off by
+        # one shift-and-mask
+        order = np.lexsort((values, b, a))
+        rows = (values[order, None] >> np.array([n - 1 - r for r in rank]) & 1).tolist()
+        for ab, row in zip(zip(a[order].tolist(), b[order].tolist()), rows):
+            out.setdefault(ab, []).append(Coloring(row))
+        return out
+    for ab, val in zip(zip(a.tolist(), b.tolist()), values.tolist()):
+        out[ab] = out.get(ab, 0) + val
     return {ab: 2 * val if halve else val for ab, val in out.items()}
 
 

@@ -154,50 +154,40 @@ def generator_pair_words(params):
 class UniformHom:
     """A homomorphism sending each generator to a disjoint union of k-cycles.
 
-    images[i][v] is the image of vertex v under generator i, stored as a
-    Python int whatever integer type the caller passed. Validity (integer
-    entries, each image a permutation with all orbits of size exactly k) is
-    checked once at construction; operations after that assume it.
+    images is one read-only np.intp array of shape (d, n): images[i, v] is
+    the image of vertex v under generator i. The constructor copies the
+    images, whatever integer type the caller passed, and checks them once
+    (integer entries, each image a permutation with all orbits of size
+    exactly k); operations after that assume it.
     """
 
     __slots__ = ("params", "images")
 
-    def __init__(self, params, images, _trusted=False):
-        # _trusted skips conversion and validation, for enumeration, which
-        # passes valid images of Python ints
+    def __init__(self, params, images):
         params.require_uniform()
-        if _trusted:
-            images = tuple(tuple(img) for img in images)
-        else:
-            images = [_index_array(img, i) for i, img in enumerate(images)]
-        if len(images) != params.d:
+        rows = [np.asarray(img) for img in images]
+        for i, row in enumerate(rows):
+            if row.size and row.dtype.kind not in "iu":
+                raise ValueError(
+                    "image of generator %d must hold integers, got %s entries"
+                    % (i, row.dtype)
+                )
+        if len(rows) != params.d:
             raise ValueError(
-                "expected %d generator images, got %d" % (params.d, len(images))
+                "expected %d generator images, got %d" % (params.d, len(rows))
             )
-        if not _trusted:
-            for i, img in enumerate(images):
-                _check_uniform_permutation(img, params.n, params.k, i)
-            images = tuple(tuple(img.tolist()) for img in images)
         self.params = params
-        self.images = images
-
-    def apply(self, gen, v, power=1):
-        """sigma(s_gen)^power applied to v; power may be any integer."""
-        img = self.images[gen]
-        power %= self.params.k
-        for _ in range(power):
-            v = img[v]
-        return v
+        self.images = _uniform_image_array(rows, params.n, params.k)
 
     def __eq__(self, other):
         return (
             isinstance(other, UniformHom)
             and self.params == other.params
-            and self.images == other.images
+            and np.array_equal(self.images, other.images)
         )
 
     def __hash__(self):
-        return hash((self.params, self.images))
+        return hash((self.params, self.images.tobytes()))
 
     def __repr__(self):
         return "UniformHom(d=%d, k=%d, n=%d)" % (
@@ -212,7 +202,7 @@ class UniformHom:
             "n": self.params.n,
             "k": self.params.k,
             "d": self.params.d,
-            "images": [list(img) for img in self.images],
+            "images": self.images.tolist(),
         }
 
     @classmethod
@@ -221,56 +211,61 @@ class UniformHom:
         return cls(params, data["images"])
 
 
-def _index_array(img, gen_index):
-    arr = np.asarray(img)
-    if arr.size and arr.dtype.kind not in "iu":
-        raise ValueError(
-            "image of generator %d must hold integers, got %s entries"
-            % (gen_index, arr.dtype)
-        )
-    return arr.astype(np.intp, copy=False)
+def _flat_permutation(images):
+    """The (d, n) images as one permutation of d*n points: generator i acts
+    on the points i*n .. i*n+n-1."""
+    d, n = images.shape
+    return (images + np.arange(0, d * n, n)[:, None]).ravel()
 
 
-def _check_uniform_permutation(img, n, k, gen_index):
-    """Raise ValueError unless the index array img is a permutation of
-    0..n-1 whose orbits all have size exactly k.
-
-    Every orbit has size k exactly when img^j has no fixed point for
-    0 < j < k and img^k is the identity; only on failure are the orbits
-    walked, to report the first bad one by least vertex.
+def _uniform_image_array(rows, n, k):
+    """The integer rows as one read-only (d, n) intp copy, once the whole
+    array passes _all_k_cycles. Only on failure are the rows walked, each
+    orbit from its least vertex, to name the first bad generator and orbit.
     """
-    if (
-        img.shape != (n,)
-        or img.min() < 0
-        or img.max() >= n
-        or np.count_nonzero(np.bincount(img, minlength=n)) != n
-    ):
-        raise ValueError("image of generator %d is not a permutation of 0..%d" % (gen_index, n - 1))
-    identity = np.arange(n)
-    power = img
+    if all(row.shape == (n,) for row in rows):
+        images = np.array(rows, dtype=np.intp).reshape(len(rows), n)
+        if _all_k_cycles(images, k):
+            images.flags.writeable = False
+            return images
+    for i, row in enumerate(rows):
+        if row.shape != (n,) or not np.array_equal(np.sort(row), np.arange(n)):
+            raise ValueError("image of generator %d is not a permutation of 0..%d" % (i, n - 1))
+        img = row.tolist()
+        seen = [False] * n
+        for start in range(n):
+            if seen[start]:
+                continue
+            size = 0
+            v = start
+            while not seen[v]:
+                seen[v] = True
+                v = img[v]
+                size += 1
+            if size != k:
+                raise ValueError(
+                    "generator %d has an orbit of size %d, want exactly %d" % (i, size, k)
+                )
+    raise RuntimeError("the whole-array and per-row image checks disagree")
+
+
+def _all_k_cycles(images, k):
+    """Whether every row of the (d, n) images is a permutation of 0..n-1
+    whose orbits all have size exactly k. With entries in 0..n-1, that holds
+    when the flat permutation is one (one bincount), its powers 1..k-1 have
+    no fixed point and its k-th power is the identity."""
+    n = images.shape[1]
+    flat = _flat_permutation(images)
+    if (images.min(initial=0) < 0 or images.max(initial=0) >= n
+            or np.count_nonzero(np.bincount(flat, minlength=flat.size)) != flat.size):
+        return False
+    identity = np.arange(flat.size)
+    power = flat
     for _ in range(1, k):
         if (power == identity).any():
-            break
-        power = img[power]
-    else:
-        if (power == identity).all():
-            return
-    img = img.tolist()
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        size = 0
-        v = start
-        while not seen[v]:
-            seen[v] = True
-            v = img[v]
-            size += 1
-        if size != k:
-            raise ValueError(
-                "generator %d has an orbit of size %d, want exactly %d"
-                % (gen_index, size, k)
-            )
+            return False
+        power = flat[power]
+    return bool((power == identity).all())
 
 
 def _check_generators(params, word):
@@ -289,8 +284,9 @@ def evaluate_word(hom, word, v):
         raise ValueError("vertex %r out of range 0..%d" % (v, hom.params.n - 1))
     _check_generators(hom.params, word)
     for g, e in reversed(word.syllables):
-        v = hom.apply(g, v, e)
-    return v
+        for _ in range(e % hom.params.k):
+            v = hom.images[g, v]
+    return int(v)
 
 
 def _word_arrays(hom, words):
@@ -304,13 +300,12 @@ def _word_arrays(hom, words):
     words = list(words)
     for w in words:
         _check_generators(params, w)
-    generators = [np.array(img, dtype=np.intp) for img in hom.images]
     arrays = []
     for w in words:
         perm = np.arange(params.n)
         for g, e in reversed(w.syllables):
             for _ in range(e % params.k):
-                perm = generators[g][perm]
+                perm = hom.images[g][perm]
         arrays.append(perm)
     return arrays
 
@@ -447,35 +442,28 @@ def uniform_hom_count(params):
     return uniform_permutation_count(params.n, params.k) ** params.d
 
 
-def _k_cycles_on(block):
-    """All k-cycles on a sorted vertex block, as {v: next} dicts."""
-    lead, rest = block[0], block[1:]
-    for order in itertools.permutations(rest):
-        cycle = (lead,) + order
-        yield {cycle[i]: cycle[(i + 1) % len(cycle)] for i in range(len(cycle))}
-
-
 def _uniform_permutations(n, k):
     """Yield every disjoint-k-cycle permutation of [n], each exactly once.
 
     Blocks are built with the least unused vertex as leader, so each unordered
-    partition into k-sets appears once, then every cycle on every block.
+    partition into k-sets appears once, then every cycle on every block: the
+    leader, then each order of the other k-1 vertices.
     """
 
-    def build(remaining, mapping):
+    def build(remaining, image):
         if not remaining:
-            yield tuple(mapping[v] for v in range(n))
+            yield tuple(image)
             return
-        lead = remaining[0]
-        rest = remaining[1:]
+        lead, rest = remaining[0], remaining[1:]
         for companions in itertools.combinations(rest, k - 1):
-            block = (lead,) + companions
             leftover = tuple(v for v in rest if v not in companions)
-            for cyc in _k_cycles_on(block):
-                mapping.update(cyc)
-                yield from build(leftover, mapping)
+            for order in itertools.permutations(companions):
+                cycle = (lead,) + order
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                    image[a] = b
+                yield from build(leftover, image)
 
-    yield from build(tuple(range(n)), {})
+    yield from build(tuple(range(n)), [0] * n)
 
 
 def enumerate_uniform_homs(params):
@@ -492,6 +480,6 @@ def enumerate_uniform_homs(params):
             % (total, DEFAULT_ENUMERATION_BOUND),
             count=total,
         )
-    per_generator = list(_uniform_permutations(params.n, params.k))
-    for combo in itertools.product(per_generator, repeat=params.d):
-        yield UniformHom(params, combo, _trusted=True)
+    per_generator = np.array(list(_uniform_permutations(params.n, params.k)), dtype=np.intp)
+    for combo in itertools.product(range(len(per_generator)), repeat=params.d):
+        yield UniformHom(params, per_generator[list(combo)])

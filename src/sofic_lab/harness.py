@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 
 from ._errors import ScaleRefusal
 from .analytics import (
@@ -618,18 +619,13 @@ def _reference_hom(params):
     """The fixed comparison point: every generator is the same product of
     k-cycles on consecutive blocks."""
     params.require_uniform()
-    image = []
-    for block in range(params.n // params.k):
-        base = block * params.k
-        image.extend(base + (j + 1) % params.k for j in range(params.k))
+    image = np.roll(np.arange(params.n).reshape(-1, params.k), -1, axis=1).ravel()
     return UniformHom(params, [image] * params.d)
 
 
 def _normalized_hom_distance(hom, ref):
-    total = 0
-    for img, ref_img in zip(hom.images, ref.images):
-        total += sum(1 for a, b in zip(img, ref_img) if a != b)
-    return Fraction(total, hom.params.d * hom.params.n)
+    moved = np.count_nonzero(hom.images != ref.images)
+    return Fraction(int(moved), hom.params.d * hom.params.n)
 
 
 def _deviation_histogram(deviations, width=HISTOGRAM_BIN_WIDTH):

@@ -21,8 +21,8 @@ class Coloring:
     __slots__ = ("bits",)
 
     def __init__(self, bits):
-        bits = tuple(int(b) for b in bits)
-        if any(b not in (0, 1) for b in bits):
+        bits = tuple(map(int, bits))
+        if not {0, 1}.issuperset(bits):
             raise ValueError("coloring entries must be 0 or 1")
         object.__setattr__(self, "bits", bits)
 
@@ -142,11 +142,10 @@ def build_hypergraph(hom: UniformHom) -> LabeledHypergraph:
     once, at its least vertex.
     """
     p = hom.params
-    img = np.array(hom.images, dtype=np.intp).reshape(p.d, p.n)
     labels = np.arange(p.d)[:, None]
     powers = [np.broadcast_to(np.arange(p.n), (p.d, p.n))]
     for _ in range(1, p.k):
-        powers.append(img[labels, powers[-1]])
+        powers.append(hom.images[labels, powers[-1]])
     powers = np.array(powers)
     least = powers.min(axis=0) == np.arange(p.n)
     blocks = powers.transpose(1, 2, 0)[least].reshape(p.d, p.n // p.k, p.k)

@@ -25,7 +25,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .group_model import ModelParams, UniformHom, typed_partition_count
+from .group_model import ModelParams, UniformHom, _flat_permutation, typed_partition_count
 from .hypergraph import _coloring_array
 
 _UINT64_MASK = (1 << 64) - 1
@@ -87,10 +87,8 @@ def sample_uniform_hom(params: ModelParams, rng) -> UniformHom:
     """
     params.require_uniform()
     gen = _as_generator(rng)
-    images = []
-    for _ in range(params.d):
-        order = gen.permutation(params.n)
-        images.append(_cycle_images(order.reshape(-1, params.k), gen))
+    images = [_cycle_images(gen.permutation(params.n).reshape(-1, params.k), gen)
+              for _ in range(params.d)]
     return UniformHom(params, images)
 
 
@@ -194,18 +192,18 @@ def _typed_blocks(chi, k, counts, gen):
 def _monochromatic_orbit_count(images, chi, k):
     """Number of generator orbits on which chi is constant.
 
-    Read from the image arrays: v lies on a monochromatic orbit when chi
-    agrees at v, img v, ..., img^(k-1) v, and each orbit has k such v.
+    Read from the flat permutation of the (d, n) images: point i*n + v lies
+    on a monochromatic orbit when chi agrees at v, img_i v, ...,
+    img_i^(k-1) v, and each orbit has k such points.
     """
-    total = 0
-    for img in images:
-        same = np.ones(img.size, dtype=bool)
-        cur = np.arange(img.size)
-        for _ in range(k - 1):
-            cur = img[cur]
-            same &= chi[cur] == chi
-        total += int(np.count_nonzero(same)) // k
-    return total
+    flat = _flat_permutation(images)
+    colors = np.tile(chi, images.shape[0])
+    same = np.ones(flat.size, dtype=bool)
+    cur = np.arange(flat.size)
+    for _ in range(k - 1):
+        cur = flat[cur]
+        same &= colors[cur] == colors
+    return int(np.count_nonzero(same)) // k
 
 
 def sample_planted_hom(params: ModelParams, chi, rng) -> UniformHom:
@@ -226,6 +224,6 @@ def sample_planted_hom(params: ModelParams, chi, rng) -> UniformHom:
         blocks = _typed_blocks(chi, params.k, counts, gen)
         images.append(_cycle_images(blocks, gen))
     hom = UniformHom(params, images)
-    if _monochromatic_orbit_count(images, chi, params.k):
+    if _monochromatic_orbit_count(hom.images, chi, params.k):
         raise RuntimeError("planted draw has a monochromatic edge")
     return hom

@@ -75,6 +75,26 @@ def hom_from_cycles(params, cycles_per_gen):
     return UniformHom(params, images)
 
 
+def unchecked_hom(params, images):
+    """A UniformHom holding the images as given, past the constructor's
+    checks: for statistics that must also read images that are not products
+    of k-cycles."""
+    hom = object.__new__(UniformHom)
+    hom.params = params
+    hom.images = np.array(images, dtype=np.intp).reshape(params.d, params.n)
+    hom.images.flags.writeable = False
+    return hom
+
+
+def assert_image_array(hom):
+    """The representation of a UniformHom: one read-only intp array of
+    shape (d, n)."""
+    assert isinstance(hom.images, np.ndarray)
+    assert hom.images.dtype == np.intp
+    assert hom.images.shape == (hom.params.d, hom.params.n)
+    assert not hom.images.flags.writeable
+
+
 def all_k_partitions(elements, k):
     """Yield every partition of the elements into blocks of size k.
 
@@ -296,7 +316,7 @@ def sample_planted_hom_rejection(params, chi, rng):
         for _ in range(REJECTION_ORACLE_MAX_TRIES):
             candidate = sample_uniform_hom(single, gen)
             if monochromatic_edge_count(build_hypergraph(candidate), chi) == 0:
-                images.append(list(candidate.images[0]))
+                images.append(candidate.images[0].tolist())
                 break
         else:
             raise RuntimeError(
@@ -306,7 +326,7 @@ def sample_planted_hom_rejection(params, chi, rng):
 
 
 def check_uniform_permutation_loop_oracle(img, n, k, gen_index):
-    """Orbit-walking oracle for group_model._check_uniform_permutation."""
+    """Orbit-walking oracle for the image check of the UniformHom constructor."""
     if len(img) != n or sorted(img) != list(range(n)):
         raise ValueError("image of generator %d is not a permutation of 0..%d" % (gen_index, n - 1))
     seen = [False] * n
@@ -330,7 +350,7 @@ def orbit_edges_oracle(hom):
     """Oracle for build_hypergraph: walk each generator's orbits from every
     unseen vertex, and sort the (label, sorted orbit) pairs."""
     edges = []
-    for label, img in enumerate(hom.images):
+    for label, img in enumerate(hom.images.tolist()):
         seen = [False] * hom.params.n
         for start in range(hom.params.n):
             if seen[start]:

@@ -603,6 +603,27 @@ def test_distance_rate_scan_and_fixed_point_equal_oracles_at_precision(precision
                          core_fixed_point_oracle(20, 6, precision=precision))
 
 
+def test_rate_scan_refuses_a_precision_its_route_check_cannot_pass(monkeypatch):
+    # at 53 bits the degrees of eta = 0.12 leave 33 and 31 bits beyond the
+    # bit length of d at k = 17 and 19, and those run; at k = 21 they leave
+    # 29, where the 1e-9 route check failed, so the call is refused before
+    # any bias is solved
+    for k in (17, 19):
+        d = degrees_from_offset(k, 0.12).d
+        distance_rate_scan(d, k, grid_points=17, precision=53)
+        planted_distance_rate(0.3, d, k, precision=53)
+    counts = {}
+    _count_calls(monkeypatch, analytics, "_solve_bias", counts)
+    d = degrees_from_offset(21, 0.12).d
+    for call in (lambda: distance_rate_scan(d, 21, precision=53),
+                 lambda: planted_distance_rate(0.3, d, 21, precision=53)):
+        with pytest.raises(ValueError, match="need at least 54 bits"):
+            call()
+    assert counts == {}
+    distance_rate_scan(d, 21, grid_points=17, precision=54)
+    assert counts["_solve_bias"] == 17
+
+
 def _count_calls(monkeypatch, owner, name, counts):
     original = getattr(owner, name)
 

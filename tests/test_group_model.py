@@ -7,9 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from helpers import (
+    assert_image_array,
     check_uniform_permutation_loop_oracle,
     hom_from_cycles,
     random_uniform_images,
+    unchecked_hom,
 )
 
 from sofic_lab import ScaleRefusal
@@ -18,7 +20,6 @@ from sofic_lab.group_model import (
     ModelParams,
     ReducedWord,
     UniformHom,
-    _check_uniform_permutation,
     _word_arrays,
     check_sofic,
     enumerate_uniform_homs,
@@ -118,11 +119,34 @@ def test_uniform_hom_validation():
         ModelParams(d=1, k=3, n=4).require_uniform()
 
 
-def _validation_outcome(check, img, n, k):
+def _validation_outcome(check, img, n, k, gen_index=1):
     try:
-        check(img, n, k, 1)
+        check(img, n, k, gen_index)
     except ValueError as exc:
         return type(exc), str(exc)
+    return None
+
+
+def _consecutive_cycles(n, k):
+    """A valid image: k-cycles on consecutive blocks."""
+    return [block + (j + 1) % k for block in range(0, n, k) for j in range(k)]
+
+
+def _rows_outcome(rows, n, k):
+    """What the constructor says of the images rows."""
+    try:
+        UniformHom(ModelParams(d=len(rows), k=k, n=n), [np.array(row) for row in rows])
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _rows_oracle_outcome(rows, n, k):
+    """The loop oracle's verdict on the first bad row of the images rows."""
+    for i, row in enumerate(rows):
+        outcome = _validation_outcome(check_uniform_permutation_loop_oracle, row, n, k, i)
+        if outcome is not None:
+            return outcome
     return None
 
 
@@ -145,16 +169,24 @@ def test_uniform_permutation_check_matches_loop_oracle():
         ([1, 0, 3, 4], 4, 2),
     ]
     for img, n, k in cases:
+        good = _consecutive_cycles(n, k)
+        # behind one valid image the constructor names generator 1, as the
+        # oracle does for the image alone at index 1
         expected = _validation_outcome(check_uniform_permutation_loop_oracle, img, n, k)
-        got = _validation_outcome(_check_uniform_permutation, np.array(img), n, k)
-        assert got == expected, (img, n, k)
+        assert _rows_outcome([good, img], n, k) == expected, (img, n, k)
+        # the whole-array check names the first bad generator wherever it
+        # sits: behind two valid images, before a bad one, and first
+        for rows in ([good, good, img], [good, img, [0] * n], [img, good]):
+            assert _rows_outcome(rows, n, k) == _rows_oracle_outcome(rows, n, k), (rows, n, k)
     rng = random.Random(8)
     for _ in range(300):
         n, k = rng.choice([(6, 2), (6, 3), (8, 4), (12, 3), (12, 6)])
         img = rng.sample(range(n), n)
         expected = _validation_outcome(check_uniform_permutation_loop_oracle, img, n, k)
-        got = _validation_outcome(_check_uniform_permutation, np.array(img), n, k)
-        assert got == expected, (img, n, k)
+        assert _rows_outcome([_consecutive_cycles(n, k), img], n, k) == expected, (img, n, k)
+        rows = [rng.sample(range(n), n) if rng.random() < 0.3 else _consecutive_cycles(n, k)
+                for _ in range(rng.randrange(1, 5))]
+        assert _rows_outcome(rows, n, k) == _rows_oracle_outcome(rows, n, k), (rows, n, k)
 
 
 def test_uniform_hom_rejects_non_integer_entries_first():
@@ -169,14 +201,34 @@ def test_uniform_hom_rejects_non_integer_entries_first():
         UniformHom(p, [[1, 2, 0], [1.0, 2.0, 0.0]])
 
 
-def test_uniform_hom_stores_python_ints():
+def test_uniform_hom_stores_one_read_only_intp_array():
     p = ModelParams(d=2, k=3, n=6)
     images = [np.array([1, 2, 0, 4, 5, 3]), np.array([2, 0, 1, 5, 3, 4], dtype=np.uint64)]
     hom = UniformHom(p, images)
-    assert all(type(x) is int for img in hom.images for x in img)
-    assert hom == UniformHom(p, [img.tolist() for img in images])
+    assert_image_array(hom)
+    assert hom.images.tolist() == [img.tolist() for img in images]
+    with pytest.raises(ValueError, match="read-only"):
+        hom.images[0, 0] = 2
+    lists = UniformHom(p, [img.tolist() for img in images])
+    assert hom == lists and hash(hom) == hash(lists)
+    # the constructor keeps a copy of its own, and leaves the caller's
+    # array as it was
+    stacked = np.array([img.tolist() for img in images])
+    copied = UniformHom(p, stacked)
+    stacked[0] = [2, 0, 1, 5, 3, 4]
+    assert stacked.flags.writeable
+    assert copied == hom
     data = json.loads(json.dumps(hom.to_json_dict()))
-    assert UniformHom.from_json_dict(data) == hom
+    assert data["images"] == [img.tolist() for img in images]
+    loaded = UniformHom.from_json_dict(data)
+    assert_image_array(loaded)
+    assert loaded == hom
+    # no generators: a (0, n) array, by construction and by enumeration
+    empty = ModelParams(d=0, k=3, n=6)
+    for bare in [UniformHom(empty, [])] + list(enumerate_uniform_homs(empty)):
+        assert_image_array(bare)
+        assert bare.images.shape == (0, 6)
+        assert bare.to_json_dict()["images"] == []
 
 
 def test_evaluate_word_basics():
@@ -238,8 +290,9 @@ def test_enumeration_matches_closed_formula(d, k, n):
     count = 0
     for hom in enumerate_uniform_homs(params):
         count += 1
-        seen.add(hom.images)
-        for img in hom.images:
+        assert_image_array(hom)
+        seen.add(hom)
+        for img in hom.images.tolist():
             # orbit traversal: every orbit of every generator has size k
             visited = [False] * n
             for start in range(n):
@@ -384,7 +437,7 @@ def test_check_sofic_generic_on_non_homomorphic_images():
     rng = random.Random(3)
     for _ in range(5):
         images = [rng.sample(range(p.n), p.n) for _ in range(p.d)]
-        hom = UniformHom(p, images, _trusted=True)
+        hom = unchecked_hom(p, images)
         # (s1^2, s1^2) is the only pair of the short set that can fail,
         # so each order puts it at one end of the pair loop
         short = [generator_word(1), ReducedWord(((0, 2),))]

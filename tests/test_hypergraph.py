@@ -285,7 +285,11 @@ def test_coloring_basics():
     assert c.is_equitable()
     with pytest.raises(ValueError):
         Coloring.equitable_split(5)
-    with pytest.raises(ValueError):
-        Coloring([0, 2, 1])
+    for bad in ([0, 2, 1], [-1], [1, 0, 3]):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            Coloring(bad)
+    # entries are stored as Python ints whatever type they came in
+    mixed = Coloring([True, np.int64(0), np.uint8(1)])
+    assert mixed.bits == (1, 0, 1) and all(type(b) is int for b in mixed.bits)
     with pytest.raises(AttributeError):
         c.bits = (1,)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from helpers import (
     all_k_partitions,
+    assert_image_array,
     partition_type_counts,
     sample_planted_hom_rejection,
     sample_planted_images_loop_oracle,
@@ -311,8 +312,8 @@ ORACLE_SEEDS = range(12)
 
 
 def assert_images_equal(hom, oracle_images):
-    assert hom.images == tuple(tuple(img) for img in oracle_images)
-    assert all(type(x) is int for img in hom.images for x in img)
+    assert_image_array(hom)
+    assert hom.images.tolist() == [list(img) for img in oracle_images]
 
 
 def assert_same_stream_afterwards(gen, oracle_gen):
@@ -395,13 +396,12 @@ def test_monochromatic_orbit_count_matches_hypergraph():
         p = ModelParams(d=d, k=k, n=n)
         for seed in range(10):
             hom = sample_uniform_hom(p, RngState(seed))
-            images = [np.array(img) for img in hom.images]
             graph = build_hypergraph(hom)
             # sparse ones make monochromatic orbits common, dense ones rare
             for density in (0.1, 0.5, 0.9):
                 chi = Coloring((rng.random(n) < density).astype(int).tolist())
                 expected = monochromatic_edge_count(graph, chi)
-                got = _monochromatic_orbit_count(images, np.array(chi.bits), k)
+                got = _monochromatic_orbit_count(hom.images, np.array(chi.bits), k)
                 assert got == expected
 
 

@@ -64,6 +64,23 @@ def test_library_reads_no_environment_variables():
     assert found == []
 
 
+def _parameters(node):
+    args = node.args
+    return [arg for arg in args.posonlyargs + args.args + args.kwonlyargs
+            + [args.vararg, args.kwarg] if arg is not None]
+
+
+def test_library_functions_take_no_private_parameters():
+    # a parameter named as private is a switch that callers are not meant to
+    # set, such as one that skips a check; a route that needs one is a
+    # separate function, or a test helper
+    found = ["%s:%d %s" % (name, node.lineno, arg.arg)
+             for name, node in _library_nodes()
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+             for arg in _parameters(node) if arg.arg.startswith("_")]
+    assert found == []
+
+
 def _names_in(node):
     """Every name a node mentions: bare names, attribute names and the
     names it imports. An attribute name is listed once more with a leading
