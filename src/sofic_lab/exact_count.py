@@ -21,9 +21,9 @@ colorings. Each count reads coefficients of the final (a, b) table:
 - count_at_distance at f flips: the entry (f/2, f/2) against chi.
 - cluster_size: the entries (j, j) with 2j <= floor(n * 2^(-k/2)).
 
-The two collect functions run the same pass with each coloring kept as an
-int, and list them lexicographically over a breadth-first vertex order, 0
-first.
+The two collect functions and the rigidity search (structure.py, against
+chi on its region only) run the same pass with each coloring kept as an int,
+and list them lexicographically over a breadth-first vertex order, 0 first.
 """
 
 import heapq
@@ -157,7 +157,7 @@ def _frontier_table(graph, targets=None, ref=None, budget=0, halve=False,
                     collect=False):
     """Colorings with at most budget monochromatic edges, tabulated by the
     weights (a, b): a counts the ref-0 vertices colored 1 and b the ref-1
-    vertices colored 0 (ref defaults to all 0, so a is the number of ones).
+    vertices colored 0, ref-2 vertices neither (ref defaults to all 0).
 
     One forward pass colors the vertices in _frontier_order. A state holds
     the color of every open edge that is still monochromatic (two bits in the
@@ -174,8 +174,8 @@ def _frontier_table(graph, targets=None, ref=None, budget=0, halve=False,
 
     halve: color the first vertex 0 and double; valid only for counts that
     are invariant under a color swap. collect: the values are the colorings
-    themselves, one row each and never merged, and the table lists them
-    sorted by _search_rank instead of their number.
+    themselves, one row each and never merged, and the pass returns them as
+    one list sorted by value, which is lexicographic over _search_rank.
     """
     n, k = graph.n, graph.k
     # a value counts colorings of up to n vertices and must fit an int64
@@ -207,7 +207,7 @@ def _frontier_table(graph, targets=None, ref=None, budget=0, halve=False,
     one = np.uint64(1)
     # the step constants, each key as one int with word w at bit 64 * w;
     # color c adds step[ref[v]][c] to the weight index a | b << wa
-    step = [(0, 1), (1 << wa, 0)] if targets else [(0, 0), (0, 0)]
+    step = [(0, 1), (1 << wa, 0), (0, 0)] if targets else [(0, 0)] * 3
     at = [64 * (s // SLOTS_PER_WORD) + 2 * (s % SLOTS_PER_WORD) for s in range(slots)]
     ones = (1 << 64 * width) - 1
     consts = []
@@ -278,7 +278,7 @@ def _frontier_table(graph, targets=None, ref=None, budget=0, halve=False,
             values = values[live]
             del live
             if not len(values):
-                return {}
+                return [] if collect else {}
         if collect:
             continue
         # sort equal keys together
@@ -293,17 +293,13 @@ def _frontier_table(graph, targets=None, ref=None, budget=0, halve=False,
         starts = starts.nonzero()[0]
         values = np.add.reduceat(values, starts)
         keys = keys[starts]
+    if collect:
+        # each row's colors read off by one shift-and-mask
+        rows = np.sort(values)[:, None] >> np.array([n - 1 - r for r in rank]) & 1
+        return [Coloring(row) for row in rows.tolist()]
     a = (keys[:, cw] >> np.uint64(a_shift)) & np.uint64(~(-1 << wa))
     b = (keys[:, cw] >> np.uint64(b_shift)) & np.uint64(~(-1 << wb))
     out = {}
-    if collect:
-        # sorted by value within each (a, b), each row's colors read off by
-        # one shift-and-mask
-        order = np.lexsort((values, b, a))
-        rows = (values[order, None] >> np.array([n - 1 - r for r in rank]) & 1).tolist()
-        for ab, row in zip(zip(a[order].tolist(), b[order].tolist()), rows):
-            out.setdefault(ab, []).append(Coloring(row))
-        return out
     for ab, val in zip(zip(a.tolist(), b.tolist()), values.tolist()):
         out[ab] = out.get(ab, 0) + val
     return {ab: 2 * val if halve else val for ab, val in out.items()}
@@ -345,13 +341,13 @@ def proper_equitable_colorings(graph):
     """All proper equitable colorings, materialized."""
     _check_scale(graph.n, MOMENT_MAX_N, "proper_equitable_colorings")
     target = _equitable_target(graph)
-    return _frontier_table(graph, targets=[target], collect=True).get(target, [])
+    return _frontier_table(graph, targets=[target], collect=True)
 
 
 def proper_colorings(graph):
     """All proper colorings (equitable or not), materialized."""
     _check_scale(graph.n, MOMENT_MAX_N, "proper_colorings")
-    return _frontier_table(graph, collect=True).get((0, 0), [])
+    return _frontier_table(graph, collect=True)
 
 
 def _require_proper_equitable(graph, chi):

@@ -60,6 +60,7 @@ from .hypergraph import Coloring, build_hypergraph, monochromatic_edge_count
 from .samplers import RngState, sample_planted_hom, sample_uniform_hom
 from .structure import core_decomposition, density_report, expansivity_scan, rigidity_violation_search
 from .tree_markov import (
+    BRUTE_PATTERN_MAX_ELEMENTS,
     Pattern,
     build_ball,
     core_density_estimate,
@@ -970,7 +971,7 @@ def _cmd_local_convergence(args):
     census = local_pattern_census(hom, chi, domain)
     target = Fraction(1, q)
     deviation = None
-    if len(domain) <= 20:
+    if len(domain) <= BRUTE_PATTERN_MAX_ELEMENTS:
         deviation = max(
             abs(census.frequency(p) - target)
             for p in enumerate_proper_patterns(domain)

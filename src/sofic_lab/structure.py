@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._errors import ScaleRefusal
-from .exact_count import cluster_radius, proper_colorings
+from .exact_count import MOMENT_MAX_N, _check_scale, _frontier_table, cluster_radius
 from .hypergraph import critical_edges, monochromatic_edge_count
 from .samplers import RngState, _as_generator
 
@@ -360,11 +360,11 @@ def rigidity_violation_search(graph, chi, region, rho):
 
     The region is rigid at threshold rho when every proper coloring either
     disagrees with chi on fewer than rho*n region vertices or on more than
-    2^(-k/2)*n of them. This enumerates all proper colorings and returns
-    the first one whose disagreement count D lands in the forbidden middle
-    window rho*n <= D <= 2^(-k/2)*n, or None when the region is rigid. Both
-    window comparisons are exact: the upper one is D^2 * 2^k <= n^2 in
-    integers, so no floating point is involved.
+    2^(-k/2)*n of them. One frontier pass, weighted by chi on the region
+    only, collects the proper colorings whose disagreement count D lands in
+    the forbidden middle window ceil(rho*n) <= D <= cluster_radius(n, k);
+    this returns the first in the order of proper_colorings, or None when
+    the region is rigid. Every bound is an integer, so no float enters.
     """
     _check_proper(graph, chi)
     region = frozenset(region)
@@ -374,11 +374,12 @@ def rigidity_violation_search(graph, chi, region, rho):
     if rho <= 0:
         raise ValueError("rho must be positive")
     n = graph.n
-    for candidate in proper_colorings(graph):
-        disagreements = sum(1 for v in region if chi[v] != candidate[v])
-        if (
-            Fraction(disagreements) >= rho * n
-            and disagreements * disagreements * 2 ** graph.k <= n * n
-        ):
-            return candidate
-    return None
+    _check_scale(n, MOMENT_MAX_N, "rigidity_violation_search")
+    ref = [chi[v] if v in region else 2 for v in range(n)]
+    low, high = math.ceil(rho * n), cluster_radius(n, graph.k)
+    targets = [(a, b) for a in range(ref.count(0) + 1) for b in range(ref.count(1) + 1)
+               if low <= a + b <= high]
+    if not targets:
+        return None
+    found = _frontier_table(graph, targets=targets, ref=ref, collect=True)
+    return found[0] if found else None

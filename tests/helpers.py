@@ -3,7 +3,7 @@ the loop oracles for the array samplers, the float-route type draw, the
 rejection sampler of the planted model, the orbit walk of the hypergraph
 build, Hamming distance, pair types and the test-only views of the type matrix and of patterns by
 hand, the brute-force pattern count and the per-vertex pullback of tree windows, the full-walk
-expansivity oracle, the backtracking coloring-search oracle, the
+expansivity oracle, the per-coloring rigidity search, the backtracking coloring-search oracle, the
 dict-of-states frontier pass and its rescanning vertex order, the
 colors-route oracle of the tree root-status sampler, and the per-point
 oracles of the distance-rate scan and the core fixed point."""
@@ -30,7 +30,7 @@ from sofic_lab.analytics import (
     working_precision,
 )
 from sofic_lab._errors import ScaleRefusal
-from sofic_lab.exact_count import _search_rank
+from sofic_lab.exact_count import _search_rank, proper_colorings
 from sofic_lab.group_model import (
     ModelParams,
     UniformHom,
@@ -478,6 +478,20 @@ def expansivity_exhaustive_oracle(graph, chi, t_max):
     return best, best_witness, tuple(violations)
 
 
+def rigidity_search_oracle(graph, chi, region, rho):
+    """structure.rigidity_violation_search as a loop over every proper
+    coloring in listing order, each one's region disagreements D counted
+    and tested against the window rho*n <= D <= 2^(-k/2)*n (the upper
+    bound as D^2 * 2^k <= n^2 in integers). Returns the first hit or None."""
+    n = graph.n
+    low = Fraction(rho) * n
+    for candidate in proper_colorings(graph):
+        disagreements = sum(1 for v in region if chi[v] != candidate[v])
+        if disagreements >= low and disagreements * disagreements * 2 ** graph.k <= n * n:
+            return candidate
+    return None
+
+
 def _constraint_order(n, edges):
     """Visit vertices so each new one shares edges with colored ones."""
     edges_of = [[] for _ in range(n)]
@@ -727,8 +741,9 @@ def frontier_table_oracle(graph, targets=None, ref=None, budget=0, halve=False,
     """exact_count._frontier_table as a dict of packed-int states walked one
     state at a time: a key holds two bits per edge of the whole graph (set
     while the edge is open and monochromatic), then a, b and the number of
-    monochromatic edges closed; collect keeps each state's colorings in a
-    list."""
+    monochromatic edges closed; a ref-2 vertex moves neither weight;
+    collect keeps each state's colorings in a list and returns them all in
+    one sorted list."""
     n = graph.n
     edges, edges_of = edge_lists(graph)
     order = frontier_order_oracle(n, graph.k, edges, edges_of)
@@ -737,7 +752,8 @@ def frontier_table_oracle(graph, targets=None, ref=None, budget=0, halve=False,
     if targets:
         wa = (max(a for a, _ in targets) + 1).bit_length()
         wb = (max(b for _, b in targets) + 1).bit_length()
-        left = [ref.count(0), ref.count(1)]
+        # by reference color; the unweighted ref-2 slot is never read
+        left = [ref.count(0), ref.count(1), 0]
     a_shift = 2 * len(edges)
     b_shift = a_shift + wa
     mono_shift = b_shift + wb
@@ -773,7 +789,8 @@ def frontier_table_oracle(graph, targets=None, ref=None, budget=0, halve=False,
             mask = drop | keeps << c
             close = closes << c
             add = opens << c
-            if targets and c != ref[v]:
+            # a vertex colored against its reference; ref 2 never is
+            if targets and c == 1 - ref[v]:
                 add += 1 << (a_shift if c else b_shift)
             lift = 1 << n - 1 - rank[v] if collect and c else 0
             for key, val in table.items():
@@ -791,14 +808,14 @@ def frontier_table_oracle(graph, targets=None, ref=None, budget=0, halve=False,
                 old = get(y)
                 new[y] = val if old is None else old + val
         table = new
+    if collect:
+        shifts = [n - 1 - r for r in rank]
+        return [Coloring((x >> s) & 1 for s in shifts)
+                for x in sorted(x for val in table.values() for x in val)]
     out = {}
     for key, val in table.items():
         ab = (key >> a_shift) & ~(-1 << wa), (key >> b_shift) & ~(-1 << wb)
         out[ab] = out[ab] + val if ab in out else val
-    if collect:
-        shifts = [n - 1 - r for r in rank]
-        return {ab: [Coloring((x >> s) & 1 for s in shifts) for x in sorted(val)]
-                for ab, val in out.items()}
     return {ab: 2 * val if halve else val for ab, val in out.items()}
 
 

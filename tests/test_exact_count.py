@@ -587,6 +587,13 @@ def frontier_table_cases(n, chi):
     cases += [dict(targets=[(f, f)], ref=chi) for f in range(n // 2 + 1)]
     cases += [dict(targets=[(j, j) for j in range(n // 4 + 1)], ref=chi),
               dict(targets=[(2, 1), (0, 3)], ref=chi, budget=2)]
+    # the rigidity search's shape: chi on every third vertex, the rest
+    # unweighted (ref 2), under a window of targets 1 <= a + b <= n/4
+    region_ref = [chi[v] if v % 3 == 0 else 2 for v in range(n)]
+    window = [(a, b) for a in range(region_ref.count(0) + 1)
+              for b in range(region_ref.count(1) + 1) if 1 <= a + b <= n // 4]
+    cases += [dict(targets=window, ref=region_ref, collect=True),
+              dict(targets=window, ref=region_ref)]
     return cases
 
 

@@ -307,6 +307,13 @@ def test_expansivity_and_rigidity_commands(tmp_path, capsys):
     assert payload(lines)[0] == "violation=none"
 
 
+def test_rigidity_command_refuses_beyond_moment_scale(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    write_planted_instance(path, n=30, k=3, d=2)
+    assert cli_dispatch(["rigidity", "--input", str(path), "--rho", "1/30"]) == 3
+    assert "rigidity_violation_search supports n <= 24" in capsys.readouterr().err
+
+
 def test_local_convergence_single_pattern(tmp_path, capsys):
     path = tmp_path / "inst.json"
     write_planted_instance(path, n=12, k=3, d=3)

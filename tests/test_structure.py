@@ -1,10 +1,12 @@
 """Core peeling, rigid-set density, expansivity, and rigidity searches."""
 
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from helpers import expansivity_exhaustive_oracle
+from helpers import expansivity_exhaustive_oracle, rigidity_search_oracle
 
 from sofic_lab._errors import ScaleRefusal
 from sofic_lab.group_model import ModelParams
@@ -15,7 +17,8 @@ from sofic_lab.hypergraph import (
     critical_edges,
     monochromatic_edge_count,
 )
-from sofic_lab import structure
+from sofic_lab import exact_count, structure
+from sofic_lab.harness import load_instance
 from sofic_lab.samplers import RngState, sample_planted_hom
 from sofic_lab.structure import (
     CoreLevel,
@@ -27,6 +30,7 @@ from sofic_lab.structure import (
 )
 
 EMPTY = frozenset()
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _no_critical_instance():
@@ -303,12 +307,47 @@ def test_expansivity_refuses_before_support_tables(monkeypatch):
         expansivity_scan(graph, chi, t_max=10)
 
 
-def test_rigidity_empty_region_and_vacuous_threshold():
+def _no_pass(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the pass started")
+
+    monkeypatch.setattr(exact_count, "_frontier_order", no_work)
+
+
+def test_rigidity_empty_region_and_vacuous_threshold(monkeypatch):
+    _no_pass(monkeypatch)
     graph, chi = _small_core_instance()
     assert rigidity_violation_search(graph, chi, (), Fraction(1, 10)) is None
-    # rho above 2^(-k/2) makes the window empty.
+    # rho above 2^(-k/2) makes the window empty: ceil(rho*n) >= 3 > 2 = cluster_radius(6, 3)
     everything = range(6)
     assert rigidity_violation_search(graph, chi, everything, Fraction(9, 10)) is None
+    assert rigidity_violation_search(graph, chi, everything, Fraction(9, 25)) is None
+
+
+def test_rigidity_refuses_beyond_moment_scale_before_any_pass(monkeypatch):
+    _no_pass(monkeypatch)
+    graph, chi = _planted_graph(3, 2, 30, 0)
+    with pytest.raises(ScaleRefusal, match="rigidity_violation_search supports n <= 24, got n=30"):
+        rigidity_violation_search(graph, chi, range(30), Fraction(1, 30))
+
+
+def test_rigidity_search_matches_per_coloring_oracle():
+    # fixtures 00-05 (n <= 18): the distinct rigid sets of levels 0-2 and
+    # one seeded random third of the vertices, at rho = 1/n, 1/2, 1/4, 1/8
+    rng = random.Random(16)
+    found = []
+    for path in sorted(FIXTURES.glob("rigidity_0[0-5]_*.json")):
+        hom, chi = load_instance(str(path))
+        graph = build_hypergraph(hom)
+        decomposition = core_decomposition(graph, chi)
+        regions = {decomposition.rigid_set(level) for level in range(3)}
+        regions.add(frozenset(rng.sample(range(graph.n), graph.n // 3)))
+        for region in sorted(regions, key=sorted):
+            for rho in (Fraction(1, graph.n), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)):
+                result = rigidity_violation_search(graph, chi, region, rho)
+                assert result == rigidity_search_oracle(graph, chi, region, rho), (path.name, rho)
+                found.append(result is not None)
+    assert len(found) == 80 and 0 < sum(found) < len(found)
 
 
 def test_rigidity_witness_on_loose_instance():

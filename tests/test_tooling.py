@@ -12,6 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "sofic_lab"
+TESTS = ROOT / "tests"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
@@ -190,6 +191,25 @@ def test_every_library_definition_is_reached_outside_tests():
         frontier = set().union(*(definitions[key][1] for key in found))
     unreached = sorted("%s:%s" % key for key in definitions if key not in reached)
     assert unreached == []
+
+
+def test_every_oracle_is_reached_from_a_test():
+    # an oracle that no test compares with checks nothing; a test may reach
+    # it directly or through another helper (the private ones, parts of a
+    # larger oracle, included)
+    helpers = {node.name: _names_in(node)
+               for node in ast.parse((TESTS / "helpers.py").read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    oracles = {name for name in helpers if name.endswith("_oracle")}
+    assert oracles
+    reached = set()
+    frontier = set().union(*(_names_in(ast.parse(path.read_text()))
+                             for path in sorted(TESTS.glob("test_*.py"))))
+    while frontier:
+        found = {name for name in helpers if name in frontier} - reached
+        reached |= found
+        frontier = set().union(*(helpers[name] for name in found))
+    assert sorted(oracles - reached) == []
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
