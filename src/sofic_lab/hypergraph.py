@@ -219,14 +219,18 @@ class GeneratorTypeMatrix:
     __slots__ = ("d", "k", "rows")
 
     def __init__(self, rows):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        rows = tuple(
+            tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+            for row in rows
+        )
         if not rows:
             raise ValueError("need at least one row")
         k = len(rows[0]) - 1
         for row in rows:
             if len(row) != k + 1:
                 raise ValueError("rows must all have k+1 entries")
-            if any(x < 0 for x in row):
+            # a Fraction's denominator is positive, so its numerator has its sign
+            if any(x.numerator < 0 for x in row):
                 raise ValueError("type entries must be nonnegative")
         object.__setattr__(self, "d", len(rows))
         object.__setattr__(self, "k", k)
@@ -249,6 +253,7 @@ def generator_type(graph, coloring):
     # edge e has label e // (n/k); shift each label's counts to its own row
     labels = np.arange(ones.size) // (graph.n // k)
     rows = np.bincount(labels * (k + 1) + ones, minlength=d * (k + 1))
+    fractions = {c: Fraction(c, graph.n) for c in set(rows.tolist())}
     return GeneratorTypeMatrix(
-        [[Fraction(c, graph.n) for c in row] for row in rows.reshape(d, k + 1).tolist()]
+        [[fractions[c] for c in row] for row in rows.reshape(d, k + 1).tolist()]
     )

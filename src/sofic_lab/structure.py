@@ -27,6 +27,8 @@ from .hypergraph import critical_edges, monochromatic_edge_count
 from .samplers import RngState, _as_generator
 
 EXPANSIVITY_MAX_SUBSETS = 2_000_000
+# vertex entries of the sets that one chunk of supported edges lays out
+_SCAN_CHUNK_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -239,6 +241,41 @@ class ExpansivityReport:
     random_witness: frozenset  # or None
 
 
+def _combinations_table(size, r):
+    """Every r-subset of range(size) as one row, in combinations order."""
+    table = np.array(list(itertools.combinations(range(size), r)), dtype=np.intp)
+    return table.reshape(math.comb(size, r), r)
+
+
+def _lex_ranks(sets, n, binom):
+    """Rank of each row of ``sets`` among the t-subsets of range(n), in
+    ``itertools.combinations`` order.
+
+    Reflecting every vertex (w = n-1-v) turns lexicographic order into
+    reversed colexicographic order, whose rank is sum_j C(w_j, j+1) over the
+    reflected row sorted ascending. That sum is below C(n, t), so the ranks
+    are exact in int64.
+    """
+    t = sets.shape[1]
+    reflected = np.sort((n - 1) - sets, axis=1)
+    colex = np.zeros(len(sets), dtype=np.int64)
+    for j in range(t):
+        colex += binom[j + 1][reflected[:, j]]
+    return math.comb(n, t) - 1 - colex
+
+
+def _unrank(ranks, n, t, binom):
+    """The t-subsets of range(n) at the given ranks, one ascending row each;
+    the inverse of :func:`_lex_ranks`."""
+    colex = math.comb(n, t) - 1 - ranks
+    columns = []
+    for i in range(t, 0, -1):
+        w = np.searchsorted(binom[i], colex, side="right") - 1
+        colex = colex - binom[i][w]
+        columns.append((n - 1) - w)
+    return np.stack(columns, axis=1)
+
+
 def expansivity_scan(graph, chi, t_max, random_trials=0, rng=None):
     """Measure how many supported edges concentrate on small vertex sets.
 
@@ -248,13 +285,17 @@ def expansivity_scan(graph, chi, t_max, random_trials=0, rng=None):
     ``cluster_radius(n, k)``.
 
     The exhaustive phase counts edge by edge: a supported edge is heavy in
-    T exactly when T holds its owner and one more of its vertices, so each
-    edge adds one to the sets of size 2..t_max it makes heavy, and every set
-    no edge reaches scores -2|T|. Walking the reached sets in
-    ``combinations`` order from the witness {0} at -2 gives the same
-    maximum, witness and violation order as scoring all sets would. The
-    dict holds at most ``subset_count`` keys, and that count is still what
-    the refusal bounds.
+    T exactly when T holds its owner, a co-members and b outside vertices
+    with a >= 1. For each split (a, b), fixed ``combinations`` index tables
+    pick those sets out of every edge's co-member and outside rows at once,
+    and each set is counted under its lexicographic rank among the
+    (1+a+b)-subsets of range(n), in one ``bincount`` of length C(n, 1+a+b).
+    Ranks are exact: they stay below the subset count that the refusal
+    bounds, where base-n codes would overflow int64 (n^t_max > 2^63 already
+    at n=18, t_max=16). Every set no edge reaches scores -2|T|, so walking
+    the reached sets by size and then rank, which is ``combinations`` order,
+    from the witness {0} at -2 gives the same maximum, witness and violation
+    order as scoring all sets would.
 
     The greedy phase is a documented heuristic: each trial starts from a
     supported edge's owner and one co-vertex and repeatedly adds the
@@ -262,11 +303,12 @@ def expansivity_scan(graph, chi, t_max, random_trials=0, rng=None):
     seen along the trajectory.
     """
     _check_proper(graph, chi)
-    if not 1 <= t_max <= graph.n:
+    n = graph.n
+    if not 1 <= t_max <= n:
         raise ValueError("t_max must be between 1 and n")
     if random_trials < 0:
         raise ValueError("random_trials must be nonnegative")
-    subset_count = sum(math.comb(graph.n, t) for t in range(1, t_max + 1))
+    subset_count = sum(math.comb(n, t) for t in range(1, t_max + 1))
     if subset_count > EXPANSIVITY_MAX_SUBSETS:
         raise ScaleRefusal(
             "exhaustive scan would enumerate %d subsets" % subset_count,
@@ -274,50 +316,70 @@ def expansivity_scan(graph, chi, t_max, random_trials=0, rng=None):
         )
     gen = _as_generator(rng if rng is not None else RngState(0))
     rows, owner = _supported_edges(graph, chi)
-    rows, owner = rows.tolist(), owner.tolist()
-    full = [frozenset(verts) for verts in rows]
-    by_support = defaultdict(list)
-    covering = defaultdict(list)
-    for ce, (v, verts) in enumerate(zip(owner, rows)):
-        by_support[v].append(ce)
-        for u in verts:
-            covering[u].append(ce)
-
-    def excess(subset):
-        owned = set()
-        for v in subset:
-            owned.update(by_support.get(v, ()))
-        heavy = sum(1 for ce in owned if len(full[ce] & subset) >= 2)
-        return heavy - 2 * len(subset)
-
-    heavy_count = defaultdict(int)
-    for v, row, verts in zip(owner, rows, full):
-        others = [u for u in row if u != v]
-        outside = [u for u in range(graph.n) if u not in verts]
-        for a in range(1, min(len(others), t_max - 1) + 1):
-            for inside in itertools.combinations(others, a):
-                for b in range(t_max - a):
-                    for extra in itertools.combinations(outside, b):
-                        heavy_count[tuple(sorted((v,) + inside + extra))] += 1
+    edge_count, k = rows.shape
+    # binom[i][c] = C(c, i); no entry exceeds the refusal's subset count
+    binom = np.array(
+        [[math.comb(c, i) for c in range(n)] for i in range(t_max + 1)],
+        dtype=np.int64,
+    )
+    splits = [
+        (a, b, _combinations_table(k - 1, a), _combinations_table(n - k, b))
+        for a in range(1, min(k - 1, t_max - 1) + 1)
+        for b in range(min(n - k, t_max - 1 - a) + 1)
+    ]
+    counts = [np.zeros(math.comb(n, t), dtype=np.int64) for t in range(t_max + 1)]
+    widest = max([n] + [len(pick) * len(extra) * (1 + a + b) for a, b, pick, extra in splits])
+    step = max(1, _SCAN_CHUNK_ENTRIES // widest)
+    vertex = np.min_scalar_type(n)
+    for lo in range(0, edge_count, step):
+        chunk, owners = rows[lo : lo + step], owner[lo : lo + step]
+        m = len(chunk)
+        others = chunk[chunk != owners[:, None]].reshape(m, k - 1)
+        absent = np.ones((m, n), dtype=bool)
+        absent[np.arange(m)[:, None], chunk] = False
+        outside = np.nonzero(absent)[1].reshape(m, n - k)
+        for a, b, pick, extra in splits:
+            sets = np.empty((m, len(pick), len(extra), 1 + a + b), dtype=vertex)
+            sets[..., 0] = owners[:, None, None]
+            sets[..., 1 : 1 + a] = others[:, pick][:, :, None, :]
+            sets[..., 1 + a :] = outside[:, extra][:, None, :, :]
+            ranks = _lex_ranks(sets.reshape(-1, 1 + a + b), n, binom)
+            counts[1 + a + b] += np.bincount(ranks, minlength=len(counts[1 + a + b]))
     best, best_witness = -2, frozenset({0})
     violations = []
-    # Only sets scoring above the starting -2 can move the maximum or be
-    # violations.
-    contenders = [
-        key for key, count in heavy_count.items() if count > 2 * len(key) - 2
-    ]
-    for key in sorted(contenders, key=lambda key: (len(key), key)):
-        val = heavy_count[key] - 2 * len(key)
-        if val > best:
-            best, best_witness = val, frozenset(key)
-        if val > 0:
-            violations.append(frozenset(key))
+    for t in range(2, t_max + 1):
+        # only sets scoring above the starting -2 can move the maximum or be
+        # violations
+        reached = np.flatnonzero(counts[t] > 2 * t - 2)
+        scores = counts[t][reached] - 2 * t
+        if len(reached) and scores.max() > best:
+            top = int(np.argmax(scores))
+            best = int(scores[top])
+            best_witness = frozenset(_unrank(reached[top : top + 1], n, t, binom)[0].tolist())
+        violations.extend(
+            frozenset(row) for row in _unrank(reached[scores > 0], n, t, binom).tolist()
+        )
 
-    size_cap = cluster_radius(graph.n, graph.k)
+    size_cap = cluster_radius(n, k)
     random_best = None
     random_witness = None
     trials_run = 0
-    if random_trials > 0 and size_cap > t_max and by_support:
+    if random_trials > 0 and size_cap > t_max and edge_count:
+        full = [frozenset(verts) for verts in rows.tolist()]
+        by_support = defaultdict(list)
+        covering = defaultdict(list)
+        for ce, (v, verts) in enumerate(zip(owner.tolist(), full)):
+            by_support[v].append(ce)
+            for u in verts:
+                covering[u].append(ce)
+
+        def excess(subset):
+            owned = set()
+            for v in subset:
+                owned.update(by_support.get(v, ()))
+            heavy = sum(1 for ce in owned if len(full[ce] & subset) >= 2)
+            return heavy - 2 * len(subset)
+
         owners = sorted(by_support)
         for _ in range(random_trials):
             trials_run += 1

@@ -463,6 +463,14 @@ class _RootStatusSampler:
     vertices are built the first time they are read. The tests keep the
     slower colors route, which samples each edge's proper completion and
     reads the support off its colors, as core_density_colors_oracle.
+
+    A node's d or d-1 draws come from a list refilled by one large
+    ``integers`` call. Numpy draws bounded integers one value at a time
+    from the bit generator's 32-bit stream, so the values are those that
+    per-node calls would return; ``used`` counts the values handed out,
+    which is what per-node calls would have taken from the stream. The
+    caller replays exactly that many to leave the generator where they
+    would have left it.
     """
 
     def __init__(self, d, k, gen):
@@ -470,6 +478,9 @@ class _RootStatusSampler:
         self.k = k
         self.modulus = 2 ** (k - 1) - 1
         self.gen = gen
+        self.buffer = []
+        self.pos = 0
+        self.used = 0
 
     def _supported_edge(self, owner, support):
         edge = _Edge()
@@ -489,11 +500,20 @@ class _RootStatusSampler:
     def _edges_of(self, node):
         if node.fresh is None:
             count = self.d if node.incoming is None else self.d - 1
-            draws = (
-                self.gen.integers(self.modulus, size=count).tolist() if count else ()
-            )
+            pos = self.pos
+            if pos + count > len(self.buffer):
+                self.buffer = self.buffer[pos:] + self.gen.integers(
+                    self.modulus, size=max(4096, count)
+                ).tolist()
+                pos = 0
+            self.pos = pos + count
+            self.used += count
             k = self.k
-            node.fresh = tuple(self._supported_edge(node, r) for r in draws if r < k)
+            node.fresh = tuple(
+                self._supported_edge(node, r)
+                for r in self.buffer[pos : self.pos]
+                if r < k
+            )
         pairs = [(edge, 0) for edge in node.fresh]
         if node.incoming is not None:
             pairs.append((node.incoming, node.slot))
@@ -592,17 +612,24 @@ def core_density_estimate(d, k, level, samples, rng):
     _check_core_sampler_args(d, k, level)
     if samples < 1:
         raise ValueError("need at least one sample")
-    sampler = _RootStatusSampler(d, k, _as_generator(rng))
+    gen = _as_generator(rng)
+    start = gen.bit_generator.state
+    sampler = _RootStatusSampler(d, k, gen)
     core = attached = overlap = 0
-    for _ in range(samples):
-        status = sampler.root_status(level)
-        if status == "core":
-            core += 1
-        elif status == "attached":
-            attached += 1
-        elif status == "attached_overlap":
-            attached += 1
-            overlap += 1
+    try:
+        for _ in range(samples):
+            status = sampler.root_status(level)
+            if status == "core":
+                core += 1
+            elif status == "attached":
+                attached += 1
+            elif status == "attached_overlap":
+                attached += 1
+                overlap += 1
+    finally:
+        # The buffer drew ahead; rewind and take exactly the values used.
+        gen.bit_generator.state = start
+        gen.integers(sampler.modulus, size=sampler.used)
     return CoreDensityEstimate(
         d=d,
         k=k,

@@ -256,27 +256,39 @@ def test_expansivity_random_phase_is_deterministic():
 
 
 # (k, d, n): sparse planted instances with no violations, then dense ones
-# with 26-110 violations each at t_max=3.
+# with 26-110 violations each at t_max=3. On the dense shapes t_max 4 and 5
+# reach the splits with two or more outside vertices or three co-members.
 SPARSE_SCAN_SHAPES = [(6, 20, 60), (3, 8, 30), (4, 12, 24), (6, 30, 60)]
 DENSE_SCAN_SHAPES = [(3, 12, 12), (4, 20, 12), (3, 16, 18)]
 
 
+def _assert_scan_matches_oracle(graph, chi, t_max):
+    report = expansivity_scan(graph, chi, t_max)
+    assert (
+        report.exhaustive_max_excess,
+        report.exhaustive_witness,
+        report.violations,
+    ) == expansivity_exhaustive_oracle(graph, chi, t_max)
+
+
 @pytest.mark.parametrize(
-    "shapes, seeds",
-    [(SPARSE_SCAN_SHAPES, range(6)), (DENSE_SCAN_SHAPES, range(4))],
+    "shapes, seeds, t_maxes",
+    [(SPARSE_SCAN_SHAPES, range(6), (1, 2, 3)), (DENSE_SCAN_SHAPES, range(4), (1, 2, 3, 4, 5))],
     ids=["sparse", "dense"],
 )
-def test_expansivity_scan_matches_full_walk_oracle(shapes, seeds):
+def test_expansivity_scan_matches_full_walk_oracle(shapes, seeds, t_maxes):
     for k, d, n in shapes:
         for seed in seeds:
             graph, chi = _planted_graph(k, d, n, seed)
-            for t_max in (1, 2, 3):
-                report = expansivity_scan(graph, chi, t_max)
-                assert (
-                    report.exhaustive_max_excess,
-                    report.exhaustive_witness,
-                    report.violations,
-                ) == expansivity_exhaustive_oracle(graph, chi, t_max)
+            for t_max in t_maxes:
+                _assert_scan_matches_oracle(graph, chi, t_max)
+
+
+def test_expansivity_scan_exact_where_base_n_codes_overflow():
+    # 18^16 > 2^63, so a set coded as a base-n integer would wrap; its
+    # lexicographic rank stays below C(18, 9). Over 160,000 violations.
+    graph, chi = _planted_graph(3, 9, 18, 0)
+    _assert_scan_matches_oracle(graph, chi, 16)
 
 
 def test_expansivity_validation():

@@ -29,6 +29,7 @@ from sofic_lab.group_model import (
 )
 from sofic_lab.hypergraph import Coloring, build_hypergraph
 from sofic_lab.samplers import RngState, sample_planted_hom
+from sofic_lab import tree_markov
 from sofic_lab.structure import density_report
 from sofic_lab.tree_markov import (
     Pattern,
@@ -450,6 +451,50 @@ def test_core_density_tally_digest():
 
 def test_core_density_colors_oracle_digest():
     assert _tally_digest(core_density_colors_oracle) == COLORS_TALLY_DIGEST
+
+
+def _tallies(est):
+    return est.core_count, est.attached_count, est.overlap_count
+
+
+@pytest.mark.parametrize("d, k, level", [(5, 3, 2), (12, 4, 2)])
+def test_core_density_split_calls_continue_the_stream(d, k, level):
+    # Each root sample draws afresh, so 150 then 250 samples on one
+    # generator are the 400 samples of one call, and leave it in one place.
+    gen = RngState(5).generator()
+    first = core_density_estimate(d, k, level, 150, gen)
+    second = core_density_estimate(d, k, level, 250, gen)
+    whole_gen = RngState(5).generator()
+    whole = core_density_estimate(d, k, level, 400, whole_gen)
+    summed = tuple(a + b for a, b in zip(_tallies(first), _tallies(second)))
+    assert summed == _tallies(whole)
+    assert int(gen.integers(2**62)) == int(whole_gen.integers(2**62))
+
+
+def test_core_density_exception_leaves_the_stream_at_the_values_used(monkeypatch):
+    # At (20, 6, 4) a sample takes about 40 draws, so the 149 samples before
+    # the failing one use more values than one buffer refill holds.
+    root_status = tree_markov._RootStatusSampler.root_status
+    used = []  # values handed out before each sample
+
+    def fail_on_150th(self, level):
+        used.append(self.used)
+        if len(used) == 150:
+            raise RuntimeError("sample 150")
+        return root_status(self, level)
+
+    monkeypatch.setattr(tree_markov._RootStatusSampler, "root_status", fail_on_150th)
+    gen = RngState(8).generator()
+    with pytest.raises(RuntimeError, match="sample 150"):
+        core_density_estimate(20, 6, 4, 400, gen)
+    assert used[-1] > 4096
+    fresh = RngState(8).generator()
+    fresh.integers(2**5 - 1, size=used[-1])
+    assert repr(gen.bit_generator.state) == repr(fresh.bit_generator.state)
+    monkeypatch.undo()
+    clean = RngState(8).generator()
+    core_density_estimate(20, 6, 4, 149, clean)
+    assert int(gen.integers(2**62)) == int(clean.integers(2**62))
 
 
 def census_per_vertex_oracle(hom, coloring, domain):
