@@ -70,34 +70,6 @@ def _check_scale(n, bound, what):
         )
 
 
-def _frontier_order(n, k, edges, edges_of):
-    """Greedy vertex order: each step takes the vertex that leaves the fewest
-    open edges (edges with some but not all vertices colored), ties by index.
-
-    A vertex's score is the change in that number if it were colored next.
-    Coloring v changes only the scores of the members of v's edges, so only
-    those are updated."""
-    # an edge's share of each member's score, by its number of colored vertices
-    share = [(c == 0) - (c == k - 1) for c in range(k + 1)]
-    colored = [0] * len(edges)
-    score = [share[0] * len(es) for es in edges_of]
-    left = list(range(n))
-    order = []
-    for _ in range(n):
-        # left is ascending, so min breaks ties by index
-        v = min(left, key=score.__getitem__)
-        left.remove(v)
-        order.append(v)
-        for ei in edges_of[v]:
-            c = colored[ei]
-            colored[ei] = c + 1
-            step = share[c + 1] - share[c]
-            if step:
-                for u in edges[ei]:
-                    score[u] += step
-    return order
-
-
 def _search_rank(n, edges, edges_of):
     """Position of each vertex in the breadth-first order over shared edges,
     roots in index order. Collected colorings are listed lexicographically
@@ -120,25 +92,44 @@ def _search_rank(n, edges, edges_of):
     return rank
 
 
-def _slot_plan(order, k, edges, edges_of):
-    """Per step of the order: the vertex and the slots of the edges it opens,
-    keeps open and closes, and the number of slots used. An edge takes the
-    least free slot when it opens and frees it when it closes."""
+def _frontier_plan(n, k, edges, edges_of):
+    """The pass's plan: per step of a greedy vertex order, the vertex and the
+    slots of the edges it opens, keeps open and closes; and the number of
+    slots used.
+
+    Each step takes the vertex that leaves the fewest open edges (edges with
+    some but not all vertices colored), ties by index. A vertex's score is
+    the change in that number if it were colored next; coloring v changes
+    only the scores of the members of v's edges, so only those are updated.
+    An edge takes the least free slot when it opens and frees it when it
+    closes."""
+    # an edge's share of each member's score, by its number of colored vertices
+    share = [(c == 0) - (c == k - 1) for c in range(k + 1)]
     colored = [0] * len(edges)
+    score = [share[0] * len(es) for es in edges_of]
+    left = list(range(n))
     slot_of = [0] * len(edges)
     free = []
     slots = 0
     plan = []
-    for v in order:
+    for _ in range(n):
+        # left is ascending, so min breaks ties by index
+        v = min(left, key=score.__getitem__)
+        left.remove(v)
         opens, keeps, closes = [], [], []
         for ei in edges_of[v]:
-            if colored[ei] == 0:
+            c = colored[ei]
+            if c == 0:
                 opens.append(ei)
-            elif colored[ei] == k - 1:
+            elif c == k - 1:
                 closes.append(slot_of[ei])
             else:
                 keeps.append(slot_of[ei])
-            colored[ei] += 1
+            colored[ei] = c + 1
+            step = share[c + 1] - share[c]
+            if step:
+                for u in edges[ei]:
+                    score[u] += step
         # a slot freed here may take an edge opened here: the step clears
         # the closed slots before it marks the opened ones
         for s in closes:
@@ -159,9 +150,9 @@ def _frontier_table(graph, targets=None, ref=None, budget=0, halve=False,
     weights (a, b): a counts the ref-0 vertices colored 1 and b the ref-1
     vertices colored 0, ref-2 vertices neither (ref defaults to all 0).
 
-    One forward pass colors the vertices in _frontier_order. A state holds
-    the color of every open edge that is still monochromatic (two bits in the
-    slot the edge holds while open, see _slot_plan; 0 once it is
+    One forward pass colors the vertices in _frontier_plan's order. A state
+    holds the color of every open edge that is still monochromatic (two bits
+    in the slot the edge holds while open, see _frontier_plan; 0 once it is
     bichromatic), then a and b, then the number of monochromatic edges closed
     so far. A layer is an (m, W) uint64 array of state keys, slot s in word
     s // SLOTS_PER_WORD and the counters in the last word, beside an int64
@@ -185,7 +176,7 @@ def _frontier_table(graph, targets=None, ref=None, budget=0, halve=False,
     for ei, e in enumerate(edges):
         for v in e:
             edges_of[v].append(ei)
-    plan, slots = _slot_plan(_frontier_order(n, k, edges, edges_of), k, edges, edges_of)
+    plan, slots = _frontier_plan(n, k, edges, edges_of)
     ref = [0] * n if ref is None else list(ref)
     wa = wb = 0
     if targets:

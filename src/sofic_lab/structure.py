@@ -299,8 +299,12 @@ def expansivity_scan(graph, chi, t_max, random_trials=0, rng=None):
 
     The greedy phase is a documented heuristic: each trial starts from a
     supported edge's owner and one co-vertex and repeatedly adds the
-    candidate vertex with the best excess gain, recording the best excess
-    seen along the trajectory.
+    candidate vertex with the best excess gain, ties to the largest,
+    recording the best excess seen along the trajectory. The candidates are
+    the members of the edges that meet the set S. Adding u makes heavy the
+    edges u owns that meet S and the edges owned in S that meet S in their
+    owner alone and hold u, so two ``bincount`` calls over the edges give
+    every gain, and excess(S + u) = excess(S) + gain[u] - 2.
     """
     _check_proper(graph, chi)
     n = graph.n
@@ -365,44 +369,39 @@ def expansivity_scan(graph, chi, t_max, random_trials=0, rng=None):
     random_witness = None
     trials_run = 0
     if random_trials > 0 and size_cap > t_max and edge_count:
-        full = [frozenset(verts) for verts in rows.tolist()]
-        by_support = defaultdict(list)
-        covering = defaultdict(list)
-        for ce, (v, verts) in enumerate(zip(owner.tolist(), full)):
-            by_support[v].append(ce)
-            for u in verts:
-                covering[u].append(ce)
-
-        def excess(subset):
-            owned = set()
-            for v in subset:
-                owned.update(by_support.get(v, ()))
-            heavy = sum(1 for ce in owned if len(full[ce] & subset) >= 2)
-            return heavy - 2 * len(subset)
-
-        owners = sorted(by_support)
+        owners = np.unique(owner)
         for _ in range(random_trials):
             trials_run += 1
-            v = owners[int(gen.integers(len(owners)))]
-            ce = by_support[v][int(gen.integers(len(by_support[v])))]
-            partner_pool = sorted(full[ce] - {v})
-            subset = {v, partner_pool[int(gen.integers(len(partner_pool)))]}
-            current = excess(subset)
+            v = int(owners[gen.integers(len(owners))])
+            mine = np.flatnonzero(owner == v)
+            partners = rows[mine[gen.integers(len(mine))]]
+            partners = partners[partners != v]
+            inside = np.zeros(n, dtype=bool)
+            inside[[v, partners[gen.integers(len(partners))]]] = True
+            hits = inside[rows].sum(axis=1)
+            held = inside[owner]
+            current = int(np.count_nonzero(held & (hits >= 2))) - 4
             if random_best is None or current > random_best:
-                random_best, random_witness = current, frozenset(subset)
-            while len(subset) < size_cap:
-                pool = set()
-                for u in subset:
-                    for cd in covering.get(u, ()):
-                        pool.update(full[cd])
-                pool -= subset
-                if not pool:
+                random_best, random_witness = current, _members(inside)
+            for _ in range(size_cap - 2):
+                meets = hits > 0
+                pool = np.zeros(n, dtype=bool)
+                pool[rows[meets]] = True
+                pool &= ~inside
+                if not pool.any():
                     break
-                gains = [(excess(subset | {u}), u) for u in sorted(pool)]
-                gain, chosen = max(gains)
-                subset.add(chosen)
-                if gain > random_best:
-                    random_best, random_witness = gain, frozenset(subset)
+                gain = np.bincount(owner[meets], minlength=n) + np.bincount(
+                    rows[held & (hits == 1)].ravel(), minlength=n
+                )
+                candidates = np.flatnonzero(pool)
+                # the best gain, ties to the largest vertex
+                chosen = candidates[len(candidates) - 1 - np.argmax(gain[candidates][::-1])]
+                current += int(gain[chosen]) - 2
+                inside[chosen] = True
+                hits = inside[rows].sum(axis=1)
+                held = inside[owner]
+                if current > random_best:
+                    random_best, random_witness = current, _members(inside)
         if random_best is not None and random_best > 0:
             violations.append(random_witness)
     return ExpansivityReport(

@@ -16,6 +16,7 @@ keeps only the supported edges, the only ones the status code reads, and
 builds their members on first read.
 """
 
+import heapq
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -92,26 +93,32 @@ class TreeDomain:
             if covered_elements != set(elements):
                 raise ValueError("elements must be exactly the union of the edges")
 
+        # Each step attaches the first edge, in sorted order, that meets the
+        # covered part: the least position on a heap of the edges meeting it.
+        touching = {}
+        for pos, (_, members) in enumerate(edges):
+            for w in members:
+                touching.setdefault(w, []).append(pos)
         attach_order = []
         attach_at = []
-        remaining = list(edges)
+        meeting = list(touching.get(IDENTITY, ()))
         covered = {IDENTITY}
-        while remaining:
-            progress = False
-            for pos, (label, members) in enumerate(remaining):
-                met = [w for w in members if w in covered]
-                if not met:
-                    continue
-                if len(met) > 1:
-                    raise ValueError("edge %r closes a hyper-cycle" % (members,))
-                attach_order.append((label, members))
-                attach_at.append(met[0])
-                covered.update(members)
-                del remaining[pos]
-                progress = True
-                break
-            if not progress:
-                raise ValueError("domain is not connected to the identity")
+        while meeting:
+            pos = heapq.heappop(meeting)
+            label, members = edges[pos]
+            met = [w for w in members if w in covered]
+            if len(met) > 1:
+                raise ValueError("edge %r closes a hyper-cycle" % (members,))
+            attach_order.append((label, members))
+            attach_at.append(met[0])
+            for w in members:
+                if w != met[0]:
+                    covered.add(w)
+                    for other in touching[w]:
+                        if other != pos:
+                            heapq.heappush(meeting, other)
+        if len(attach_order) < len(edges):
+            raise ValueError("domain is not connected to the identity")
 
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "k", k)
@@ -438,17 +445,22 @@ def local_convergence_stat(hom, coloring, domain, pattern):
 
 
 class _Node:
-    __slots__ = ("incoming", "slot", "fresh", "core_memo")
+    __slots__ = ("incoming", "slot", "edges", "core_memo")
 
     def __init__(self, incoming, slot):
         self.incoming = incoming
         self.slot = slot
-        self.fresh = None
+        self.edges = None
         self.core_memo = {}
 
 
 class _Edge:
     __slots__ = ("owner", "members", "support")
+
+    def __init__(self, owner, support):
+        self.owner = owner
+        self.support = support
+        self.members = None
 
 
 class _RootStatusSampler:
@@ -482,13 +494,6 @@ class _RootStatusSampler:
         self.pos = 0
         self.used = 0
 
-    def _supported_edge(self, owner, support):
-        edge = _Edge()
-        edge.owner = owner
-        edge.support = support
-        edge.members = None
-        return edge
-
     def _members(self, edge):
         """The edge's vertices, owner first, built on first read."""
         if edge.members is None:
@@ -498,7 +503,9 @@ class _RootStatusSampler:
         return edge.members
 
     def _edges_of(self, node):
-        if node.fresh is None:
+        """(edge, node's position in it) for each supported edge at the
+        node: its own, drawn on first read, then the one it hangs from."""
+        if node.edges is None:
             count = self.d if node.incoming is None else self.d - 1
             pos = self.pos
             if pos + count > len(self.buffer):
@@ -509,15 +516,10 @@ class _RootStatusSampler:
             self.pos = pos + count
             self.used += count
             k = self.k
-            node.fresh = tuple(
-                self._supported_edge(node, r)
-                for r in self.buffer[pos : self.pos]
-                if r < k
-            )
-        pairs = [(edge, 0) for edge in node.fresh]
-        if node.incoming is not None:
-            pairs.append((node.incoming, node.slot))
-        return pairs
+            node.edges = [(_Edge(node, r), 0) for r in self.buffer[pos : self.pos] if r < k]
+            if node.incoming is not None:
+                node.edges.append((node.incoming, node.slot))
+        return node.edges
 
     def _in_core(self, node, level):
         if level == 0:

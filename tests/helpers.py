@@ -2,12 +2,14 @@
 the loop oracles for the array samplers, the float-route type draw, the
 rejection sampler of the planted model, the orbit walk of the hypergraph
 build, Hamming distance, pair types and the test-only views of the type matrix and of patterns by
-hand, the brute-force pattern count and the per-vertex pullback of tree windows, the full-walk
-expansivity oracle, the per-coloring rigidity search, the backtracking coloring-search oracle, the
+hand, the brute-force pattern count, the rescanning attach order of tree domains and the
+per-vertex pullback of tree windows, the full-walk expansivity oracle and the dict walk of its
+greedy phase, the per-coloring rigidity search, the backtracking coloring-search oracle, the
 dict-of-states frontier pass and its rescanning vertex order, the
 colors-route oracle of the tree root-status sampler, and the per-point
 oracles of the distance-rate scan and the core fixed point."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -32,6 +34,7 @@ from sofic_lab.analytics import (
 from sofic_lab._errors import ScaleRefusal
 from sofic_lab.exact_count import _search_rank, proper_colorings
 from sofic_lab.group_model import (
+    IDENTITY,
     ModelParams,
     UniformHom,
     evaluate_word,
@@ -52,10 +55,12 @@ from sofic_lab.samplers import (
     _type_count_vectors,
     sample_uniform_hom,
 )
+from sofic_lab.structure import _supported_edges, expansivity_scan
 from sofic_lab.tree_markov import (
     CoreDensityEstimate,
     Pattern,
     _check_core_sampler_args,
+    _word_key,
     enumerate_proper_patterns,
 )
 
@@ -424,6 +429,38 @@ def count_proper_patterns_brute(domain):
     return sum(1 for _ in enumerate_proper_patterns(domain))
 
 
+def attach_order_oracle(edges):
+    """tree_markov.TreeDomain's attach order by rescanning: sort the
+    (label, members) edges as the constructor does, then attach the first
+    remaining edge that meets the covered part, starting from the identity,
+    scanning from the start after every attach. Returns the attached edges
+    and the vertex each attaches at, or raises the constructor's error."""
+    remaining = sorted(
+        ((int(label), tuple(sorted(members, key=_word_key))) for label, members in edges),
+        key=lambda edge: (edge[0], tuple(_word_key(w) for w in edge[1])),
+    )
+    attach_order = []
+    attach_at = []
+    covered = {IDENTITY}
+    while remaining:
+        progress = False
+        for pos, (label, members) in enumerate(remaining):
+            met = [w for w in members if w in covered]
+            if not met:
+                continue
+            if len(met) > 1:
+                raise ValueError("edge %r closes a hyper-cycle" % (members,))
+            attach_order.append((label, members))
+            attach_at.append(met[0])
+            covered.update(members)
+            del remaining[pos]
+            progress = True
+            break
+        if not progress:
+            raise ValueError("domain is not connected to the identity")
+    return tuple(attach_order), tuple(attach_at)
+
+
 def pullback_vertex_map(hom, v, domain):
     """Which finite-model vertex sits under each tree element at v.
 
@@ -476,6 +513,69 @@ def expansivity_exhaustive_oracle(graph, chi, t_max):
             if val > 0:
                 violations.append(subset)
     return best, best_witness, tuple(violations)
+
+
+def expansivity_greedy_oracle(graph, chi, t_max, random_trials, rng):
+    """structure.expansivity_scan with its greedy phase walked over
+    frozenset edges and dicts of owned and covering edges, every candidate
+    rescored from scratch. The exhaustive phase is the scan's own, run with
+    no trials."""
+    report = expansivity_scan(graph, chi, t_max)
+    violations = list(report.violations)
+    rows, owner = _supported_edges(graph, chi)
+    size_cap = report.size_cap
+    gen = _oracle_generator(rng)
+    random_best = None
+    random_witness = None
+    trials_run = 0
+    if random_trials > 0 and size_cap > t_max and len(rows):
+        full = [frozenset(verts) for verts in rows.tolist()]
+        by_support = defaultdict(list)
+        covering = defaultdict(list)
+        for ce, (v, verts) in enumerate(zip(owner.tolist(), full)):
+            by_support[v].append(ce)
+            for u in verts:
+                covering[u].append(ce)
+
+        def excess(subset):
+            owned = set()
+            for v in subset:
+                owned.update(by_support.get(v, ()))
+            heavy = sum(1 for ce in owned if len(full[ce] & subset) >= 2)
+            return heavy - 2 * len(subset)
+
+        owners = sorted(by_support)
+        for _ in range(random_trials):
+            trials_run += 1
+            v = owners[int(gen.integers(len(owners)))]
+            ce = by_support[v][int(gen.integers(len(by_support[v])))]
+            partner_pool = sorted(full[ce] - {v})
+            subset = {v, partner_pool[int(gen.integers(len(partner_pool)))]}
+            current = excess(subset)
+            if random_best is None or current > random_best:
+                random_best, random_witness = current, frozenset(subset)
+            while len(subset) < size_cap:
+                pool = set()
+                for u in subset:
+                    for cd in covering.get(u, ()):
+                        pool.update(full[cd])
+                pool -= subset
+                if not pool:
+                    break
+                gains = [(excess(subset | {u}), u) for u in sorted(pool)]
+                gain, chosen = max(gains)
+                subset.add(chosen)
+                if gain > random_best:
+                    random_best, random_witness = gain, frozenset(subset)
+        if random_best is not None and random_best > 0:
+            violations.append(random_witness)
+    return dataclasses.replace(
+        report,
+        violations=tuple(violations),
+        random_trials=trials_run,
+        random_max_excess=random_best,
+        random_witness=random_witness,
+    )
 
 
 def rigidity_search_oracle(graph, chi, region, rho):
@@ -721,8 +821,8 @@ def edge_lists(graph):
 
 
 def frontier_order_oracle(n, k, edges, edges_of):
-    """exact_count._frontier_order with every remaining vertex's score
-    recomputed from its edges at every step."""
+    """The vertex order of exact_count._frontier_plan with every remaining
+    vertex's score recomputed from its edges at every step."""
     colored = [0] * len(edges)
     left = set(range(n))
     order = []

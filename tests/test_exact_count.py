@@ -555,7 +555,8 @@ def test_frontier_order_matches_rescanning_oracle(d, k, n):
         for kind in ("uniform", "planted"):
             g, _ = seeded_graph(kind, d, k, n, seed)
             edges, edges_of = edge_lists(g)
-            assert exact_count._frontier_order(n, k, edges, edges_of) == frontier_order_oracle(
+            plan, _ = exact_count._frontier_plan(n, k, edges, edges_of)
+            assert [v for v, *_ in plan] == frontier_order_oracle(
                 n, k, edges, edges_of), (kind, seed)
 
 
@@ -564,8 +565,7 @@ def test_slot_plan_holds_one_slot_per_open_edge():
         for seed in range(5):
             g, _ = seeded_graph(kind, d, k, n, seed)
             edges, edges_of = edge_lists(g)
-            order = exact_count._frontier_order(n, k, edges, edges_of)
-            plan, slots = exact_count._slot_plan(order, k, edges, edges_of)
+            plan, slots = exact_count._frontier_plan(n, k, edges, edges_of)
             held, colored, peak = set(), [0] * len(edges), 0
             for v, opens, keeps, closes in plan:
                 assert set(keeps) | set(closes) <= held
@@ -636,7 +636,7 @@ def test_frontier_table_refuses_beyond_int64_values(monkeypatch):
     def no_work(*args):
         raise AssertionError("the pass started")
 
-    monkeypatch.setattr(exact_count, "_frontier_order", no_work)
+    monkeypatch.setattr(exact_count, "_frontier_plan", no_work)
     g = build_hypergraph(random_uniform_images(ModelParams(d=1, k=2, n=64), random.Random(0)))
     with pytest.raises(ScaleRefusal, match="n <= 62, got n=64"):
         exact_count._frontier_table(g)

@@ -38,6 +38,10 @@ EXPERIMENT_CASES = [
     ("local-convergence", {"n": 24, "k": 4, "d": 3, "replicas": 3, "seed": 2}),
     ("density", {"n": 30, "k": 3, "d": 5, "level": 1, "replicas": 4,
                  "tree_samples": 2000, "seed": 9}),
+    ("first-moment", {"n": 12, "k": 3, "d": 2, "replicas": 4, "seed": 3}),
+    ("planted-distance", {"n": 12, "k": 3, "d": 3, "replicas": 3, "seed": 6,
+                          "delta": "1/3"}),
+    ("concentration", {"n": 60, "k": 3, "d": 2, "replicas": 8, "seed": 2}),
 ]
 
 CLI_DIGESTS = {
@@ -74,19 +78,28 @@ EXPERIMENT_DIGESTS = {
         "13bba8937a9f9b75002d7d16a87dee724dd567a176cf8abee7d71e0db4af739d",
     "density-n30-k3-d5":
         "eb85a2339e0db14f88dbff0666070f8a7d58c96a94bc09b1eb9d743d672ce40f",
+    "first-moment-n12-k3-d2":
+        "a6ff19ba835ecfd7acf3f63f90a861167ace92d6733e7ae0d5ebac03b5077c83",
+    "planted-distance-n12-k3-d3":
+        "30b47bb88ab84e00ec8fe7bbf1f639f66363ef1fab66931be1dcbdca5b68252f",
+    "concentration-n60-k3-d2":
+        "ef4f6fba467341a0b1a191771c311137bffd7571d5396e724ba39dddfca53981",
 }
 
 
 # (n, k, d, sampler seed, scan seed): planted instances scanned by
 # `expansivity --t-max 3 --random-trials 4`; the first has 36 exhaustive
-# violations, the second one found by the greedy phase only.
-EXPANSIVITY_CASES = [(12, 3, 12, 4, 5), (30, 3, 8, 2, 5)]
+# violations, the second one found by the greedy phase only, and the third
+# grows each greedy trial toward its size cap of 31.
+EXPANSIVITY_CASES = [(12, 3, 12, 4, 5), (30, 3, 8, 2, 5), (90, 3, 5, 1, 5)]
 
 EXPANSIVITY_DIGESTS = {
     "expansivity-n12-k3-d12":
         "300e7f7d9e09bacad5d9717677b0e35d08a1e6fbab7f05202914b720abba2ab2",
     "expansivity-n30-k3-d8":
         "a381730905e58f88b933d0ac81f9900a09d68bc608266c15887146d89f7262b4",
+    "expansivity-n90-k3-d5":
+        "b6111e53762c64d177930655bdaf6706932f042353ad384047379a204ea368a2",
 }
 
 # (fixture, command and options): stdout of `count` and `rigidity` on

@@ -6,7 +6,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import expansivity_exhaustive_oracle, rigidity_search_oracle
+from helpers import (
+    expansivity_exhaustive_oracle,
+    expansivity_greedy_oracle,
+    rigidity_search_oracle,
+)
 
 from sofic_lab._errors import ScaleRefusal
 from sofic_lab.group_model import ModelParams
@@ -291,6 +295,27 @@ def test_expansivity_scan_exact_where_base_n_codes_overflow():
     _assert_scan_matches_oracle(graph, chi, 16)
 
 
+# (n, k, d, trials): planted shapes whose cluster radius, 4 to 60, exceeds
+# t_max = 2, so the greedy phase runs every trial
+GREEDY_SCAN_SHAPES = [(30, 3, 8, 4), (12, 3, 12, 4), (60, 6, 20, 4), (120, 6, 20, 4),
+                      (48, 4, 6, 4), (90, 3, 5, 4)]
+
+
+@pytest.mark.parametrize(
+    "n, k, d, trials, seeds",
+    [shape + (range(3),) for shape in GREEDY_SCAN_SHAPES] + [(240, 4, 12, 1, [0])],
+    ids=["n%d-k%d-d%d" % shape[:3] for shape in GREEDY_SCAN_SHAPES] + ["n240-k4-d12"],
+)
+def test_expansivity_greedy_phase_matches_dict_oracle(n, k, d, trials, seeds):
+    for seed in seeds:
+        graph, chi = _planted_graph(k, d, n, seed)
+        gen, oracle_gen = RngState(seed, 1).generator(), RngState(seed, 1).generator()
+        assert expansivity_scan(graph, chi, 2, trials, gen) == expansivity_greedy_oracle(
+            graph, chi, 2, trials, oracle_gen), seed
+        # both leave the generator at the same draw
+        assert gen.integers(1 << 62) == oracle_gen.integers(1 << 62), seed
+
+
 def test_expansivity_validation():
     graph, chi = _planted_graph(6, 20, 60, 0)
     with pytest.raises(ValueError, match="t_max"):
@@ -323,7 +348,7 @@ def _no_pass(monkeypatch):
     def no_work(*args):
         raise AssertionError("the pass started")
 
-    monkeypatch.setattr(exact_count, "_frontier_order", no_work)
+    monkeypatch.setattr(exact_count, "_frontier_plan", no_work)
 
 
 def test_rigidity_empty_region_and_vacuous_threshold(monkeypatch):

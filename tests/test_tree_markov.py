@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 from helpers import (
+    attach_order_oracle,
     core_density_colors_oracle,
     count_proper_patterns_brute,
     pullback_pattern,
@@ -132,6 +133,40 @@ def test_domain_validation():
     # duplicate requests are deduplicated by the convenience builder
     dom = domain_from_edges(params, [(0, IDENTITY), (0, s0)])
     assert len(dom.edges) == 1
+
+
+def _attach_outcome(build):
+    try:
+        return build()
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("d,k,radius", [(1, 4, 2), (2, 3, 5), (3, 3, 5), (2, 4, 5), (4, 3, 4),
+                                        (3, 5, 3)])
+def test_attach_order_matches_rescanning_oracle(d, k, radius):
+    params = ModelParams(d=d, k=k, n=k)
+    for radius in range(radius + 1):
+        ball = build_ball(params, radius)
+        assert (ball.edges, ball.attach_at) == attach_order_oracle(ball.edges), radius
+
+
+def test_attach_order_errors_match_rescanning_oracle():
+    params = ModelParams(d=2, k=3, n=6)
+    s0 = ReducedWord(((0, 1),))
+    s0_sq = ReducedWord(((0, 2),))
+    s1 = ReducedWord(((1, 1),))
+    s1_sq = ReducedWord(((1, 2),))
+    far = word_product(params, s0, s1, s0)
+    far_coset = (far, word_product(params, far, s1), word_product(params, far, s1_sq))
+    # the far coset is an edge of the radius-4 ball, apart from the radius-2 one
+    ball = build_ball(params, 2)
+    for edges in ([(0, (IDENTITY, s0, s0_sq)), (1, far_coset)],
+                  list(ball.edges) + [(1, far_coset)]):
+        elements = {w for _, members in edges for w in members}
+        outcome = _attach_outcome(lambda: TreeDomain(2, 3, elements, edges))
+        assert outcome == _attach_outcome(lambda: attach_order_oracle(edges))
+        assert "not connected" in outcome
 
 
 def test_count_matches_brute_oracle():
