@@ -152,17 +152,16 @@ def _draw_type_counts(n, k, gen):
     return types[bisect_right(cum, m * cum[-1] >> 53)]
 
 
-def _typed_blocks(chi, k, counts, gen):
+def _typed_blocks(ones, zeros, k, counts, gen):
     """Blocks of a uniform k-partition with c_j blocks of j ones, as the
     rows of an array; each row is sorted and rows go by least vertex.
 
-    Shuffle both color classes, cut the ones into c_j blocks of size j and
-    the zeros into c_j blocks of size k-j for each j in turn, and match them
-    by a uniform permutation. The blocks are disjoint, so ordering rows by
-    their least vertex is the sorted order of the blocks as tuples.
+    ones and zeros are the two color classes as sorted vertex arrays.
+    Shuffle both, cut the ones into c_j blocks of size j and the zeros into
+    c_j blocks of size k-j for each j in turn, and match them by a uniform
+    permutation. The blocks are disjoint, so ordering rows by their least
+    vertex is the sorted order of the blocks as tuples.
     """
-    ones = np.flatnonzero(chi == 1)
-    zeros = np.flatnonzero(chi == 0)
     need_ones = sum(j * c for j, c in enumerate(counts, start=1))
     need_zeros = sum((k - j) * c for j, c in enumerate(counts, start=1))
     if need_ones != ones.size or need_zeros != zeros.size:
@@ -218,10 +217,12 @@ def sample_planted_hom(params: ModelParams, chi, rng) -> UniformHom:
     chi = _coloring_array(chi, params.n)
     if 2 * int(chi.sum()) != params.n:
         raise ValueError("type sampling requires an equitable coloring")
+    ones = np.flatnonzero(chi == 1)
+    zeros = np.flatnonzero(chi == 0)
     images = []
     for _ in range(params.d):
         counts = _draw_type_counts(params.n, params.k, gen)
-        blocks = _typed_blocks(chi, params.k, counts, gen)
+        blocks = _typed_blocks(ones, zeros, params.k, counts, gen)
         images.append(_cycle_images(blocks, gen))
     hom = UniformHom(params, images)
     if _monochromatic_orbit_count(hom.images, chi, params.k):

@@ -405,18 +405,22 @@ def local_pattern_census(hom, coloring, domain):
     Improper pullbacks are counted in one bucket (their patterns are not
     kept); non-injective windows are tallied separately and can be proper.
     Each distinct window coloring becomes a Pattern, and is tested for
-    properness, once; counts keep the order of first appearance.
+    properness, once; counts keep the order of first appearance. Windows
+    are grouped by one code per column, the column's bits packed into
+    bytes, so equal codes are equal colorings.
     """
     vertices, colors = _pullback_windows(hom, coloring, domain)
+    if ((colors < 0) | (colors > 1)).any():
+        raise ValueError("pattern values must be 0 or 1")
     ordered = np.sort(vertices, axis=0)
     noninjective = int(np.count_nonzero((ordered[1:] == ordered[:-1]).any(axis=0)))
-    columns, first, tallies = np.unique(
-        colors, axis=1, return_index=True, return_counts=True
-    )
+    packed = np.packbits(colors.astype(np.uint8), axis=0)
+    codes = np.ascontiguousarray(packed.T).view(np.dtype((np.void, packed.shape[0])))
+    _, first, tallies = np.unique(codes.ravel(), return_index=True, return_counts=True)
     counts = {}
     improper = 0
     for j in np.argsort(first):
-        pattern = Pattern(dict(zip(domain.elements, columns[:, j].tolist())))
+        pattern = Pattern(dict(zip(domain.elements, colors[:, first[j]].tolist())))
         if pattern.is_proper_on(domain):
             counts[pattern] = int(tallies[j])
         else:

@@ -233,14 +233,11 @@ def sample_uniform_images_loop_oracle(params, rng):
     return images
 
 
-def typed_blocks_loop_oracle(chi, k, counts, rng):
+def typed_blocks_loop_oracle(ones, zeros, k, counts, rng):
     """Per-block loop oracle for samplers._typed_blocks: the partition with
     c_j blocks of j ones for counts (c_1..c_{k-1}), as sorted tuples in
-    sorted order."""
+    sorted order, from the sorted lists of the two color classes."""
     gen = _oracle_generator(rng)
-    n = len(chi)
-    ones = [v for v in range(n) if chi[v] == 1]
-    zeros = [v for v in range(n) if chi[v] == 0]
     ones = [ones[i] for i in gen.permutation(len(ones))]
     zeros = [zeros[i] for i in gen.permutation(len(zeros))]
     parts = []
@@ -285,11 +282,13 @@ def sample_planted_images_loop_oracle(params, chi, rng):
     typed partition and one cycle per block, each generator in turn, with
     properness checked on the rebuilt hypergraph."""
     gen = _oracle_generator(rng)
+    ones = [v for v in range(params.n) if chi[v] == 1]
+    zeros = [v for v in range(params.n) if chi[v] == 0]
     images = []
     for _ in range(params.d):
         counts = _draw_type_counts(params.n, params.k, gen)
         img = [0] * params.n
-        for part in typed_blocks_loop_oracle(chi, params.k, counts, gen):
+        for part in typed_blocks_loop_oracle(ones, zeros, params.k, counts, gen):
             cycle_on_block_oracle(part, gen, img)
         images.append(img)
     hom = UniformHom(params, images)

@@ -53,7 +53,9 @@ def assert_uniform_chi_square(counter, support, n_samples):
 def typed_partition(chi, k, counts, rng):
     """The blocks of a uniform partition with c_j blocks of j ones, as
     sorted tuples in sorted order."""
-    blocks = _typed_blocks(_coloring_array(chi, len(chi)), k, counts, _as_generator(rng))
+    chi = _coloring_array(chi, len(chi))
+    ones, zeros = np.flatnonzero(chi == 1), np.flatnonzero(chi == 0)
+    blocks = _typed_blocks(ones, zeros, k, counts, _as_generator(rng))
     return [tuple(row) for row in blocks.tolist()]
 
 
@@ -371,7 +373,9 @@ def test_partition_sampler_matches_loop_oracle(k, n):
         counts = _draw_type_counts(n, k, RngState(seed, stream=1).generator())
         gen, oracle_gen = RngState(seed).generator(), RngState(seed).generator()
         parts = typed_partition(chi, k, counts, gen)
-        assert parts == typed_blocks_loop_oracle(chi, k, counts, oracle_gen)
+        ones = [v for v in range(n) if chi[v] == 1]
+        zeros = [v for v in range(n) if chi[v] == 0]
+        assert parts == typed_blocks_loop_oracle(ones, zeros, k, counts, oracle_gen)
         assert all(type(v) is int for part in parts for v in part)
         assert_same_stream_afterwards(gen, oracle_gen)
 

@@ -36,6 +36,7 @@ EXPERIMENT_CASES = [
     ("sofic", {"n": 30, "k": 6, "d": 3, "replicas": 3, "seed": 8}),
     ("local-convergence", {"n": 60, "k": 3, "d": 2, "replicas": 4, "seed": 5}),
     ("local-convergence", {"n": 24, "k": 4, "d": 3, "replicas": 3, "seed": 2}),
+    ("local-convergence", {"n": 600, "k": 3, "d": 2, "replicas": 4, "seed": 1}),
     ("density", {"n": 30, "k": 3, "d": 5, "level": 1, "replicas": 4,
                  "tree_samples": 2000, "seed": 9}),
     ("first-moment", {"n": 12, "k": 3, "d": 2, "replicas": 4, "seed": 3}),
@@ -76,6 +77,8 @@ EXPERIMENT_DIGESTS = {
         "5877774fc9e807d2390e62a3b60b94dd9cf4d370368f117a4f3b9dfe04284fb1",
     "local-convergence-n24-k4-d3":
         "13bba8937a9f9b75002d7d16a87dee724dd567a176cf8abee7d71e0db4af739d",
+    "local-convergence-n600-k3-d2":
+        "e0c5f64c1deb9898e3978e03700e8f30cc2618204192db0937ff1327107031b3",
     "density-n30-k3-d5":
         "eb85a2339e0db14f88dbff0666070f8a7d58c96a94bc09b1eb9d743d672ce40f",
     "first-moment-n12-k3-d2":
@@ -149,6 +152,9 @@ STDOUT_CLI_CASES = [
      "cec380fc0ba0cb328c58619035b899e25f7a3e0ca967b38f337f5607e8f95ea3"),
     ("count_instance", "local-convergence --radius 1",
      "fca6a69a7d9c682dc25b8e46d57809bc5ca1f045e92b41d4c6ce99773bcaf0e8"),
+    # the 13-element radius-2 ball takes two bytes per packed window code
+    ("rigidity_08_n24_k3_d2", "local-convergence --radius 2",
+     "651307e2a4787d444e78c2436e77f67c87b5f1a50763e22d15d2108ca8fcab97"),
     ("rigidity_09_n24_k3_d3", "sofic-check",
      "36ae336a14102c9ded1cacf462f0cb218c6e0942d25b792c6a092682da03118b"),
     ("count_instance", "sofic-check --words pairs --delta 1/4 --seed 3",

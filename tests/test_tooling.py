@@ -65,6 +65,21 @@ def test_library_reads_no_environment_variables():
     assert found == []
 
 
+def _unique_with_axis(node):
+    func = getattr(node, "func", None)
+    name = getattr(func, "attr", getattr(func, "id", None))
+    return name == "unique" and any(kw.arg == "axis" for kw in node.keywords)
+
+
+def test_library_calls_no_unique_along_an_axis():
+    # np.unique with an axis sorts the rows or columns as structured
+    # records, several times slower than a 1-D unique of one code per row
+    # or column (the census packs each window column into one code)
+    found = ["%s:%d" % (name, node.lineno)
+             for name, node in _library_nodes() if _unique_with_axis(node)]
+    assert found == []
+
+
 def _parameters(node):
     args = node.args
     return [arg for arg in args.posonlyargs + args.args + args.kwonlyargs

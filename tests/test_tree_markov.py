@@ -566,6 +566,23 @@ def _oracle_domains(params):
     ]
 
 
+def _assert_census_matches_oracle(hom, coloring, domain, rng):
+    """Compare the census and the convergence stat with the per-vertex
+    oracles; returns the oracle's improper and non-injective counts."""
+    census = local_pattern_census(hom, coloring, domain)
+    counts, improper, noninjective = census_per_vertex_oracle(hom, coloring, domain)
+    assert census.n == hom.params.n
+    assert list(census.counts.items()) == list(counts.items())
+    assert census.improper_count == improper
+    assert census.noninjective_count == noninjective
+    probes = list(counts)[:3] + [Pattern({g: rng.randrange(2) for g in domain.elements})]
+    for pattern in probes:
+        assert local_convergence_stat(
+            hom, coloring, domain, pattern
+        ) == convergence_per_vertex_oracle(hom, coloring, domain, pattern)
+    return improper, noninjective
+
+
 def test_census_and_convergence_match_per_vertex_oracle():
     # small n forces short cycles through the windows, so non-injective and
     # improper windows both occur; the radius-3 ball has 127 elements
@@ -582,24 +599,44 @@ def test_census_and_convergence_match_per_vertex_oracle():
         ]
         for coloring in colorings:
             for domain in domains:
-                census = local_pattern_census(hom, coloring, domain)
-                counts, improper, noninjective = census_per_vertex_oracle(
-                    hom, coloring, domain
+                improper, noninjective = _assert_census_matches_oracle(
+                    hom, coloring, domain, rng
                 )
-                assert census.n == params.n
-                assert list(census.counts.items()) == list(counts.items())
-                assert census.improper_count == improper
-                assert census.noninjective_count == noninjective
                 seen_improper += improper
                 seen_noninjective += noninjective
-                probes = list(counts)[:3] + [
-                    Pattern({g: rng.randrange(2) for g in domain.elements})
-                ]
-                for pattern in probes:
-                    assert local_convergence_stat(
-                        hom, coloring, domain, pattern
-                    ) == convergence_per_vertex_oracle(hom, coloring, domain, pattern)
     assert seen_improper and seen_noninjective
+    # the radius-1 ball at d = 4 has 9 elements, one bit past a byte of a
+    # packed window code; the planted (600, 3, 2) draw is the benchmark's
+    wide = ModelParams(d=4, k=3, n=30)
+    ball = build_ball(wide, 1)
+    assert len(ball) == 9
+    for seed in range(3):
+        hom = random_uniform_images(wide, random.Random(seed))
+        for coloring in (
+            Coloring.equitable_split(wide.n),
+            [rng.randrange(2) for _ in range(wide.n)],
+        ):
+            _assert_census_matches_oracle(hom, coloring, ball, rng)
+    hom, chi = _planted(3, 2, 600, 1)
+    for domain in (single_edge_domain(hom.params), build_ball(hom.params, 1)):
+        _assert_census_matches_oracle(hom, chi, domain, rng)
+
+
+def test_census_rejects_non_binary_colorings_and_accepts_booleans():
+    # a packed window code reads 2 and -1 as 1 and 256 as 0, so the census
+    # checks the entries before packing; at the last vertex a bad entry can
+    # share its code with earlier windows and never reach a Pattern
+    hom, chi = _planted(3, 2, 30, 1)
+    for domain in (build_ball(hom.params, 0), build_ball(hom.params, 1)):
+        for bad in (2, -1, 256):
+            coloring = list(chi)
+            coloring[-1] = bad
+            with pytest.raises(ValueError, match="pattern values must be 0 or 1"):
+                local_pattern_census(hom, coloring, domain)
+        flags = [bool(b) for b in chi]
+        assert local_pattern_census(hom, flags, domain) == local_pattern_census(
+            hom, list(chi), domain
+        )
 
 
 def test_census_rejects_coloring_length_mismatch():
