@@ -31,7 +31,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from time import perf_counter
 
 import numpy as np
 
@@ -53,14 +52,10 @@ SLOTS_PER_WORD = 32
 @dataclass(frozen=True)
 class CountReport:
     value: int
-    method: str
-    elapsed: float
 
     def __post_init__(self):
         if self.value < 0:
             raise ValueError("counts cannot be negative")
-        if self.method not in ("enumeration", "closed_form"):
-            raise ValueError("unknown counting method %r" % self.method)
 
 
 def _check_scale(n, bound, what):
@@ -144,8 +139,7 @@ def _frontier_plan(n, k, edges, edges_of):
     return plan, slots
 
 
-def _frontier_table(graph, targets=None, ref=None, budget=0, halve=False,
-                    collect=False):
+def _frontier_table(graph, targets=None, ref=None, budget=0, collect=False):
     """Colorings with at most budget monochromatic edges, tabulated by the
     weights (a, b): a counts the ref-0 vertices colored 1 and b the ref-1
     vertices colored 0, ref-2 vertices neither (ref defaults to all 0).
@@ -163,10 +157,12 @@ def _frontier_table(graph, targets=None, ref=None, budget=0, halve=False,
     every state that can no longer reach a target (a, b) with the vertices
     left is pruned, so the table holds target entries only.
 
-    halve: color the first vertex 0 and double; valid only for counts that
-    are invariant under a color swap. collect: the values are the colorings
-    themselves, one row each and never merged, and the pass returns them as
-    one list sorted by value, which is lexicographic over _search_rank.
+    The color swap maps (a, b) to (ref 0s - a, ref 1s - b). When it fixes
+    every target (always, with none) and the pass does not collect, every
+    entry is its own swap image: the first vertex takes color 0 only and the
+    table doubles. collect: the values are the colorings themselves, one row
+    each and never merged, returned lazily as Colorings in value order,
+    which is lexicographic over _search_rank.
     """
     n, k = graph.n, graph.k
     # a value counts colorings of up to n vertices and must fit an int64
@@ -178,6 +174,8 @@ def _frontier_table(graph, targets=None, ref=None, budget=0, halve=False,
             edges_of[v].append(ei)
     plan, slots = _frontier_plan(n, k, edges, edges_of)
     ref = [0] * n if ref is None else list(ref)
+    halve = not collect and all(
+        2 * a == ref.count(0) and 2 * b == ref.count(1) for a, b in targets or ())
     wa = wb = 0
     if targets:
         # one spare value each: a weight one past its target is pruned
@@ -269,7 +267,7 @@ def _frontier_table(graph, targets=None, ref=None, budget=0, halve=False,
             values = values[live]
             del live
             if not len(values):
-                return [] if collect else {}
+                return iter(()) if collect else {}
         if collect:
             continue
         # sort equal keys together
@@ -287,7 +285,7 @@ def _frontier_table(graph, targets=None, ref=None, budget=0, halve=False,
     if collect:
         # each row's colors read off by one shift-and-mask
         rows = np.sort(values)[:, None] >> np.array([n - 1 - r for r in rank]) & 1
-        return [Coloring(row) for row in rows.tolist()]
+        return map(Coloring, rows.tolist())
     a = (keys[:, cw] >> np.uint64(a_shift)) & np.uint64(~(-1 << wa))
     b = (keys[:, cw] >> np.uint64(b_shift)) & np.uint64(~(-1 << wb))
     out = {}
@@ -298,19 +296,17 @@ def _frontier_table(graph, targets=None, ref=None, budget=0, halve=False,
 
 def count_proper(graph, eps=0):
     """Number of colorings with at most eps * n monochromatic edges."""
-    start = perf_counter()
     eps = Fraction(eps)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     if eps >= Fraction(graph.d, graph.k):
         # the total edge count d*n/k is inside the budget, so every
         # coloring qualifies
-        return CountReport(2**graph.n, "closed_form", perf_counter() - start)
+        return CountReport(2**graph.n)
     budget = math.floor(eps * graph.n)
     bound = PROPER_SEARCH_MAX_N if budget == 0 else BUDGET_SEARCH_MAX_N
     _check_scale(graph.n, bound, "count_proper")
-    value = _frontier_table(graph, budget=budget, halve=True).get((0, 0), 0)
-    return CountReport(value, "enumeration", perf_counter() - start)
+    return CountReport(_frontier_table(graph, budget=budget).get((0, 0), 0))
 
 
 def _equitable_target(graph):
@@ -321,24 +317,22 @@ def _equitable_target(graph):
 
 def count_equitable(graph):
     """Number of proper equitable colorings."""
-    start = perf_counter()
     _check_scale(graph.n, PROPER_SEARCH_MAX_N, "count_equitable")
     target = _equitable_target(graph)
-    value = _frontier_table(graph, targets=[target], halve=True).get(target, 0)
-    return CountReport(value, "enumeration", perf_counter() - start)
+    return CountReport(_frontier_table(graph, targets=[target]).get(target, 0))
 
 
 def proper_equitable_colorings(graph):
     """All proper equitable colorings, materialized."""
     _check_scale(graph.n, MOMENT_MAX_N, "proper_equitable_colorings")
     target = _equitable_target(graph)
-    return _frontier_table(graph, targets=[target], collect=True)
+    return list(_frontier_table(graph, targets=[target], collect=True))
 
 
 def proper_colorings(graph):
     """All proper colorings (equitable or not), materialized."""
     _check_scale(graph.n, MOMENT_MAX_N, "proper_colorings")
-    return _frontier_table(graph, collect=True)
+    return list(_frontier_table(graph, collect=True))
 
 
 def _require_proper_equitable(graph, chi):
@@ -362,14 +356,12 @@ def _flip_count(n, delta):
 
 def count_at_distance(graph, chi, delta):
     """Proper equitable colorings at Hamming distance exactly delta from chi."""
-    start = perf_counter()
     _check_scale(graph.n, PROPER_SEARCH_MAX_N, "count_at_distance")
     _require_proper_equitable(graph, chi)
     flips = _flip_count(graph.n, delta)
     # an equitable coloring at flips f from chi moves f/2 vertices each way
     target = flips // 2, flips // 2
-    value = _frontier_table(graph, targets=[target], ref=chi).get(target, 0)
-    return CountReport(value, "enumeration", perf_counter() - start)
+    return CountReport(_frontier_table(graph, targets=[target], ref=chi).get(target, 0))
 
 
 def cluster_radius(n, k):
@@ -379,12 +371,10 @@ def cluster_radius(n, k):
 
 def cluster_size(graph, chi):
     """Proper equitable colorings within Hamming distance 2^(-k/2) of chi."""
-    start = perf_counter()
     _check_scale(graph.n, PROPER_SEARCH_MAX_N, "cluster_size")
     _require_proper_equitable(graph, chi)
     targets = [(j, j) for j in range(cluster_radius(graph.n, graph.k) // 2 + 1)]
-    value = sum(_frontier_table(graph, targets=targets, ref=chi).values())
-    return CountReport(value, "enumeration", perf_counter() - start)
+    return CountReport(sum(_frontier_table(graph, targets=targets, ref=chi).values()))
 
 
 def partition_count(n, k):
@@ -464,10 +454,9 @@ def is_good_coloring(graph, chi, threshold):
 
 def count_good_colorings(graph, threshold):
     """Number of good colorings, by full enumeration."""
-    start = perf_counter()
     _check_scale(graph.n, GOOD_SEARCH_MAX_N, "count_good_colorings")
     value = sum(
         1 for chi in proper_equitable_colorings(graph)
         if cluster_size(graph, chi).value <= Fraction(threshold)
     )
-    return CountReport(value, "enumeration", perf_counter() - start)
+    return CountReport(value)

@@ -96,14 +96,15 @@ HISTOGRAM_BIN_WIDTH = Fraction(1, 40)
 # formatting and file helpers
 
 
-def _fmt(value, digits=17):
+def _fmt(value):
     """Render a number for text output: ints and Fractions verbatim, floats
-    and mpf through mp.nstr with enough digits to round-trip."""
+    and mpf through mp.nstr with 17 significant digits, enough to round-trip
+    a double."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, Fraction)):
         return str(value)
-    text = mp.nstr(mp.mpf(value), digits, strip_zeros=True)
+    text = mp.nstr(mp.mpf(value), 17, strip_zeros=True)
     if text in ("0.0", "-0.0"):
         return "0"
     return text
@@ -629,7 +630,8 @@ def _normalized_hom_distance(hom, ref):
     return Fraction(int(moved), hom.params.d * hom.params.n)
 
 
-def _deviation_histogram(deviations, width=HISTOGRAM_BIN_WIDTH):
+def _deviation_histogram(deviations):
+    width = HISTOGRAM_BIN_WIDTH
     lo = math.floor(min(deviations) / width)
     hi = math.floor(max(deviations) / width) + 1
     counts = [0] * (hi - lo)

@@ -66,12 +66,16 @@ class Coloring:
 
 
 def _coloring_array(coloring, n):
-    """The colors of vertices 0..n-1 as an integer array."""
+    """The colors of vertices 0..n-1 as an integer array of 0s and 1s."""
     if len(coloring) != n:
         raise ValueError(
             "coloring has %d entries for %d vertices" % (len(coloring), n)
         )
-    return np.fromiter(coloring, dtype=np.intp, count=n)
+    colors = np.fromiter(coloring, dtype=np.intp, count=n)
+    # a shift by one leaves 0 and 1 zero and every other entry nonzero
+    if (colors >> 1).any():
+        raise ValueError("coloring entries must be 0 or 1")
+    return colors
 
 
 class LabeledHypergraph:

@@ -442,5 +442,4 @@ def rigidity_violation_search(graph, chi, region, rho):
                if low <= a + b <= high]
     if not targets:
         return None
-    found = _frontier_table(graph, targets=targets, ref=ref, collect=True)
-    return found[0] if found else None
+    return next(_frontier_table(graph, targets=targets, ref=ref, collect=True), None)

@@ -28,11 +28,9 @@ import numpy as np
 from ._errors import ScaleRefusal
 from .group_model import (
     IDENTITY,
-    ModelParams,
     ReducedWord,
     _word_arrays,
     word_inverse,
-    word_product,
 )
 from .hypergraph import _coloring_array
 from .samplers import _as_generator
@@ -59,7 +57,6 @@ class TreeDomain:
     __slots__ = ("d", "k", "elements", "edges", "attach_at", "_index")
 
     def __init__(self, d, k, elements, edges):
-        params = ModelParams(d=d, k=k, n=k)  # word arithmetic only
         elements = tuple(sorted(set(elements), key=_word_key))
         edges = sorted(
             (
@@ -82,10 +79,8 @@ class TreeDomain:
             for label, members in edges:
                 if not 0 <= label < d:
                     raise ValueError("edge label %d out of range 0..%d" % (label, d - 1))
-                if len(set(members)) != k:
-                    raise ValueError("each edge needs k=%d distinct vertices" % k)
-                coset = _coset(params, label, members[0])
-                if set(members) != coset:
+                # _coset lists a coset in the sorted order members has
+                if not members or members != _coset(k, label, members[0]):
                     raise ValueError(
                         "edge %r is not a generator-%d coset" % (members, label)
                     )
@@ -159,12 +154,14 @@ class TreeDomain:
         )
 
 
-def _coset(params, label, member):
-    """All k elements of the generator coset through the given word."""
-    return {
-        word_product(params, member, ReducedWord(((label, e),)))
-        for e in range(params.k)
-    } | {member}
+def _coset(k, label, member):
+    """The k elements of the generator coset through the given word, in
+    _word_key order: the base, which is the word with any trailing label
+    syllable dropped, then base * s^e for e = 1..k-1, each one longer."""
+    base = member.syllables
+    if base and base[-1][0] == label:
+        base = base[:-1]
+    return (ReducedWord(base),) + tuple(ReducedWord(base + ((label, e),)) for e in range(1, k))
 
 
 def ball_element_count(d, k, radius):
@@ -198,7 +195,7 @@ def build_ball(params, radius):
             for label in range(params.d):
                 if label == trailing:
                     continue  # that coset is the edge g arrived through
-                members = sorted(_coset(params, label, g), key=_word_key)
+                members = _coset(params.k, label, g)
                 edges.append((label, members))
                 for w in members:
                     if w not in elements:
@@ -219,8 +216,8 @@ def domain_from_edges(params, labeled_members):
     edges = {}
     elements = {IDENTITY}
     for label, member in labeled_members:
-        coset = _coset(params, label, member)
-        edges[(label, tuple(sorted(coset, key=_word_key)))] = None
+        coset = _coset(params.k, label, member)
+        edges[(label, coset)] = None
         elements.update(coset)
     return TreeDomain(params.d, params.k, elements, list(edges))
 
@@ -407,11 +404,10 @@ def local_pattern_census(hom, coloring, domain):
     Each distinct window coloring becomes a Pattern, and is tested for
     properness, once; counts keep the order of first appearance. Windows
     are grouped by one code per column, the column's bits packed into
-    bytes, so equal codes are equal colorings.
+    bytes, so equal codes are equal colorings (_coloring_array has checked
+    that every entry is 0 or 1).
     """
     vertices, colors = _pullback_windows(hom, coloring, domain)
-    if ((colors < 0) | (colors > 1)).any():
-        raise ValueError("pattern values must be 0 or 1")
     ordered = np.sort(vertices, axis=0)
     noninjective = int(np.count_nonzero((ordered[1:] == ordered[:-1]).any(axis=0)))
     packed = np.packbits(colors.astype(np.uint8), axis=0)

@@ -415,6 +415,14 @@ def test_planted_sampler_rejects_unbalanced_coloring():
         sample_planted_hom(p, Coloring.from_string("111111100000"), RngState(0))
 
 
+def test_planted_sampler_rejects_non_binary_coloring():
+    # the entries sum to n/2, so the check must be on the entries themselves,
+    # before the type draw
+    p = ModelParams(d=2, k=3, n=6)
+    with pytest.raises(ValueError, match="coloring entries must be 0 or 1"):
+        sample_planted_hom(p, [2, 1, 0, 0, 0, 0], RngState(1))
+
+
 def test_result_guards_raise_under_optimize():
     # the result guards of the planted draw, the ball size, the peeling and
     # the typed partition count's divisibility must survive python -O, which

@@ -387,6 +387,29 @@ def test_rigidity_search_matches_per_coloring_oracle():
     assert len(found) == 80 and 0 < sum(found) < len(found)
 
 
+def test_rigidity_search_builds_only_its_witness(monkeypatch):
+    # fixture 08 at level 0 and rho 1/24 has 24,463 proper colorings in its
+    # window; the search returns the first and builds no Coloring for the rest
+    hom, chi = load_instance(str(FIXTURES / "rigidity_08_n24_k3_d2.json"))
+    graph = build_hypergraph(hom)
+    region = core_decomposition(graph, chi).rigid_set(0)
+    rho = Fraction(1, 24)
+    expected = rigidity_search_oracle(graph, chi, region, rho)
+    built = []
+
+    class CountingColoring(Coloring):
+        __slots__ = ()
+
+        def __init__(self, bits):
+            built.append(bits)
+            super().__init__(bits)
+
+    monkeypatch.setattr(exact_count, "Coloring", CountingColoring)
+    witness = rigidity_violation_search(graph, chi, region, rho)
+    assert len(built) <= 1
+    assert expected is not None and witness == expected
+
+
 def test_rigidity_witness_on_loose_instance():
     graph, chi = _no_critical_instance()
     witness = rigidity_violation_search(graph, chi, range(8), Fraction(1, 8))

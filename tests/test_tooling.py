@@ -97,6 +97,49 @@ def test_library_functions_take_no_private_parameters():
     assert found == []
 
 
+def _private_functions():
+    """(file name, node, bound) for every function of the library whose name
+    has one leading underscore; bound is 1 for a method, whose first
+    parameter the call's receiver fills, else 0."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        methods = {sub for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   for sub in node.body if isinstance(sub, ast.FunctionDef)
+                   and "staticmethod" not in map(ast.unparse, sub.decorator_list)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                yield path.name, node, int(node in methods)
+
+
+def test_every_private_default_is_set_by_some_library_call():
+    # a default that no call overrides is a constant written as a parameter:
+    # a knob nobody turns, which a reader must still trace through every call
+    calls = {}
+    for _, node in _library_nodes():
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            calls.setdefault(name, []).append(node)
+    found = []
+    for name, node, bound in _private_functions():
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        # (position in a call, name); a keyword-only parameter has no position
+        defaulted = [(i - bound, arg.arg) for i, arg in enumerate(positional) if i >= first]
+        defaulted += [(None, arg.arg) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                      if default is not None]
+        for index, param in defaulted:
+            # a call that unpacks *args or **kwargs may pass any parameter
+            if not any(
+                    any(isinstance(a, ast.Starred) for a in call.args)
+                    or (index is not None and len(call.args) > index)
+                    or any(kw.arg in (param, None) for kw in call.keywords)
+                    for call in calls.get(node.name, ())):
+                found.append("%s:%d %s(%s=)" % (name, node.lineno, node.name, param))
+    assert found == []
+
+
 def _names_in(node):
     """Every name a node mentions: bare names, attribute names and the
     names it imports. An attribute name is listed once more with a leading

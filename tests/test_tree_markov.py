@@ -135,6 +135,14 @@ def test_domain_validation():
     assert len(dom.edges) == 1
 
 
+def test_coset_through_any_member_is_the_edge():
+    ball = build_ball(ModelParams(d=3, k=4, n=4), 3)
+    assert len(ball.edges) == 3 + 3 * 2 * 3 + 3 * 2 * 3 * 2 * 3
+    for label, members in ball.edges:
+        for member in members:
+            assert tree_markov._coset(4, label, member) == members
+
+
 def _attach_outcome(build):
     try:
         return build()
@@ -623,15 +631,15 @@ def test_census_and_convergence_match_per_vertex_oracle():
 
 
 def test_census_rejects_non_binary_colorings_and_accepts_booleans():
-    # a packed window code reads 2 and -1 as 1 and 256 as 0, so the census
-    # checks the entries before packing; at the last vertex a bad entry can
-    # share its code with earlier windows and never reach a Pattern
+    # a packed window code reads 2 and -1 as 1 and 256 as 0, so the entries
+    # are checked before packing; at the last vertex a bad entry can share
+    # its code with earlier windows and never reach a Pattern
     hom, chi = _planted(3, 2, 30, 1)
     for domain in (build_ball(hom.params, 0), build_ball(hom.params, 1)):
         for bad in (2, -1, 256):
             coloring = list(chi)
             coloring[-1] = bad
-            with pytest.raises(ValueError, match="pattern values must be 0 or 1"):
+            with pytest.raises(ValueError, match="coloring entries must be 0 or 1"):
                 local_pattern_census(hom, coloring, domain)
         flags = [bool(b) for b in chi]
         assert local_pattern_census(hom, flags, domain) == local_pattern_census(
