@@ -93,6 +93,8 @@ class LabeledHypergraph:
     __slots__ = ("n", "k", "d", "blocks")
 
     def __init__(self, n, k, d, blocks):
+        if n < 1:
+            raise ValueError("vertex count n must be positive, got %r" % (n,))
         if n % k != 0:
             raise ValueError("n must be a multiple of k")
         blocks = np.asarray(blocks)

@@ -12,13 +12,16 @@ The root-status sampler at the end estimates how often the tree root lands
 in the core / attached / overlap sets of the peeling hierarchy without
 materializing a ball: it lazily expands only the edges the status
 computation actually inspects. It draws every edge's support position but
-keeps only the supported edges, the only ones the status code reads, and
-builds their members on first read.
+keeps only the supported edges, the only ones the status code reads. A
+node holds just its supports, sliced from the draw buffer; an edge is
+(owner, index into the owner's supports); members are built one at a time
+on first read, and a level-1 witness reads no member.
 """
 
 import heapq
 import itertools
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
@@ -38,6 +41,7 @@ from .samplers import _as_generator
 DEFAULT_BALL_MAX_ELEMENTS = 100_000
 BRUTE_PATTERN_MAX_ELEMENTS = 20
 CORE_SAMPLER_MAX_DEGREE = 10_000
+CORE_SAMPLER_MAX_K = 64
 
 
 def _word_key(word):
@@ -445,22 +449,15 @@ def local_convergence_stat(hom, coloring, domain, pattern):
 
 
 class _Node:
-    __slots__ = ("incoming", "slot", "edges", "core_memo")
+    __slots__ = ("parent", "index", "slot", "supports", "members", "core_memo")
 
-    def __init__(self, incoming, slot):
-        self.incoming = incoming
+    def __init__(self, parent, index, slot):
+        self.parent = parent
+        self.index = index
         self.slot = slot
-        self.edges = None
+        self.supports = None
+        self.members = {}
         self.core_memo = {}
-
-
-class _Edge:
-    __slots__ = ("owner", "members", "support")
-
-    def __init__(self, owner, support):
-        self.owner = owner
-        self.support = support
-        self.members = None
 
 
 class _RootStatusSampler:
@@ -471,18 +468,26 @@ class _RootStatusSampler:
     1/(2^(k-1)-1) each (unsupported otherwise), so one categorical draw per
     edge suffices. Only the supported edges are kept: the status code never
     looks inside an unsupported one, so dropping it after its draw leaves
-    every status, and the stream, as they were. A kept edge's member
-    vertices are built the first time they are read. The tests keep the
-    slower colors route, which samples each edge's proper completion and
-    reads the support off its colors, as core_density_colors_oracle.
+    every status, and the stream, as they were. A node holds only its
+    supports, the kept values of its own draws in draw order, sliced from
+    the buffer; its edge i is (node, i), and the node that edge i of
+    ``parent`` holds at position ``slot`` is (parent, i, slot). Member j of
+    an edge is built on first read, one at a time, into ``members`` of the
+    edge's owner, so a witness check that fails stops before it builds the
+    later members. A level-1 witness reads no member at all: every vertex
+    is in the level-0 core. The tests keep the object route, one edge
+    object per supported edge with all its members built at once, as
+    core_density_objects_oracle, and the slower colors route, which samples
+    each edge's proper completion and reads the support off its colors, as
+    core_density_colors_oracle.
 
-    A node's d or d-1 draws come from a list refilled by one large
-    ``integers`` call. Numpy draws bounded integers one value at a time
-    from the bit generator's 32-bit stream, so the values are those that
-    per-node calls would return; ``used`` counts the values handed out,
-    which is what per-node calls would have taken from the stream. The
-    caller replays exactly that many to leave the generator where they
-    would have left it.
+    A node's d or d-1 draws come from a buffer refilled by one large
+    ``integers`` call, whose kept positions one ``flatnonzero`` lists.
+    Numpy draws bounded integers one value at a time from the bit
+    generator's 32-bit stream, so the values are those that per-node calls
+    would return; ``used`` counts the values handed out, which is what
+    per-node calls would have taken from the stream. The caller replays
+    exactly that many to leave the generator where they would have left it.
     """
 
     def __init__(self, d, k, gen):
@@ -490,36 +495,40 @@ class _RootStatusSampler:
         self.k = k
         self.modulus = 2 ** (k - 1) - 1
         self.gen = gen
-        self.buffer = []
+        self.buffer = np.empty(0, dtype=np.int64)
+        self.kept = []  # buffer positions of the values below k
+        self.kept_values = []
         self.pos = 0
         self.used = 0
 
-    def _members(self, edge):
-        """The edge's vertices, owner first, built on first read."""
-        if edge.members is None:
-            edge.members = (edge.owner,) + tuple(
-                _Node(edge, j) for j in range(1, self.k)
-            )
-        return edge.members
-
-    def _edges_of(self, node):
-        """(edge, node's position in it) for each supported edge at the
-        node: its own, drawn on first read, then the one it hangs from."""
-        if node.edges is None:
-            count = self.d if node.incoming is None else self.d - 1
+    def _supports(self, node):
+        """The node's supports, drawn on first read."""
+        if node.supports is None:
+            count = self.d if node.parent is None else self.d - 1
             pos = self.pos
             if pos + count > len(self.buffer):
-                self.buffer = self.buffer[pos:] + self.gen.integers(
-                    self.modulus, size=max(4096, count)
-                ).tolist()
+                self.buffer = np.concatenate((
+                    self.buffer[pos:],
+                    self.gen.integers(self.modulus, size=max(4096, count)),
+                ))
+                kept = np.flatnonzero(self.buffer < self.k)
+                self.kept = kept.tolist()
+                self.kept_values = self.buffer[kept].tolist()
                 pos = 0
             self.pos = pos + count
             self.used += count
-            k = self.k
-            node.edges = [(_Edge(node, r), 0) for r in self.buffer[pos : self.pos] if r < k]
-            if node.incoming is not None:
-                node.edges.append((node.incoming, node.slot))
-        return node.edges
+            lo = bisect_left(self.kept, pos)
+            node.supports = self.kept_values[lo : bisect_left(self.kept, self.pos, lo)]
+        return node.supports
+
+    def _member(self, owner, i, j):
+        """Vertex j of the owner's edge i; vertex 0 is the owner."""
+        if j == 0:
+            return owner
+        node = owner.members.get((i, j))
+        if node is None:
+            node = owner.members[i, j] = _Node(owner, i, j)
+        return node
 
     def _in_core(self, node, level):
         if level == 0:
@@ -527,31 +536,44 @@ class _RootStatusSampler:
         hit = node.core_memo.get(level)
         if hit is not None:
             return hit
-        count = 0
-        for edge, pos in self._edges_of(node):
-            if edge.support == pos and self._is_witness(edge, pos, level):
-                count += 1
-                if count == 3:
-                    break
+        # own edges in draw order, then the one the node hangs from
+        supports = self._supports(node)
+        if level == 1:
+            count = supports.count(0)
+        else:
+            count = 0
+            for i, s in enumerate(supports):
+                if s == 0 and self._is_witness(node, i, 0, level):
+                    count += 1
+                    if count == 3:
+                        break
+        parent = node.parent
+        if (
+            count < 3
+            and parent is not None
+            and parent.supports[node.index] == node.slot
+            and self._is_witness(parent, node.index, node.slot, level)
+        ):
+            count += 1
         node.core_memo[level] = count >= 3
         return count >= 3
 
-    def _is_witness(self, edge, pos, level):
-        return all(
-            self._in_core(member, level - 1)
-            for j, member in enumerate(self._members(edge))
+    def _is_witness(self, owner, i, pos, level):
+        return level == 1 or all(
+            self._in_core(self._member(owner, i, j), level - 1)
+            for j in range(self.k)
             if j != pos
         )
 
     def root_status(self, level):
         if level == 0:
             return "core"
-        root = _Node(None, None)
-        root_edges = [edge for edge, _ in self._edges_of(root)]
+        root = _Node(None, None, None)
+        supports = self._supports(root)
         witnesses = [
-            edge
-            for edge in root_edges
-            if edge.support == 0 and self._is_witness(edge, 0, level)
+            i
+            for i, s in enumerate(supports)
+            if s == 0 and self._is_witness(root, i, 0, level)
         ]
         if len(witnesses) >= 3:
             return "core"
@@ -560,21 +582,18 @@ class _RootStatusSampler:
         # The root is attached; it lands in the overlap part when some other
         # attached vertex has a witness edge meeting one of the root's.
         # Candidate edges all pass through a member of a root witness edge.
-        for edge in root_edges:
-            s = edge.support
-            if s and self._is_witness(edge, s, level) and not self._in_core(
-                self._members(edge)[s], level
+        for i, s in enumerate(supports):
+            if s and self._is_witness(root, i, s, level) and not self._in_core(
+                self._member(root, i, s), level
             ):
                 return "attached_overlap"
-        for e in witnesses:
-            for u in self._members(e)[1:]:
-                for f, _ in self._edges_of(u):
-                    if f is e:
-                        continue
-                    s = f.support
-                    partner = self._members(f)[s]
-                    if self._is_witness(f, s, level) and not self._in_core(
-                        partner, level
+        for i in witnesses:
+            for j in range(1, self.k):
+                u = self._member(root, i, j)
+                # u's own edges; the one it hangs from is the root's witness
+                for f, s in enumerate(self._supports(u)):
+                    if self._is_witness(u, f, s, level) and not self._in_core(
+                        self._member(u, f, s), level
                     ):
                         return "attached_overlap"
         return "attached"
@@ -646,6 +665,9 @@ def core_density_estimate(d, k, level, samples, rng):
 def _check_core_sampler_args(d, k, level):
     if k < 3:
         raise ValueError("supporting vertices are undefined for k=2; need k >= 3")
+    if k > CORE_SAMPLER_MAX_K:
+        # the support draw's modulus 2^(k-1) - 1 must fit numpy's int64
+        raise ValueError("core sampling needs k <= %d, got k=%d" % (CORE_SAMPLER_MAX_K, k))
     if d < 0:
         raise ValueError("d must be nonnegative")
     if d > CORE_SAMPLER_MAX_DEGREE:

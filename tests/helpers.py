@@ -6,7 +6,7 @@ hand, the brute-force pattern count, the rescanning attach order of tree domains
 per-vertex pullback of tree windows, the full-walk expansivity oracle and the dict walk of its
 greedy phase, the per-coloring rigidity search, the backtracking coloring-search oracle, the
 dict-of-states frontier pass and its rescanning vertex order, the
-colors-route oracle of the tree root-status sampler, and the per-point
+colors-route and object-route oracles of the tree root-status sampler, and the per-point
 oracles of the distance-rate scan and the core fixed point."""
 
 import dataclasses
@@ -1032,13 +1032,7 @@ class _ColorsRootStatusSampler:
         return "attached"
 
 
-def core_density_colors_oracle(d, k, level, samples, rng):
-    """Colors-route oracle for tree_markov.core_density_estimate: the same
-    tally, with every edge's support read off a sampled proper completion
-    instead of drawn directly. The routes agree in distribution only; they
-    consume the stream differently."""
-    _check_core_sampler_args(d, k, level)
-    sampler = _ColorsRootStatusSampler(d, k, _as_generator(rng))
+def _tally_root_statuses(sampler, d, k, level, samples):
     core = attached = overlap = 0
     for _ in range(samples):
         status = sampler.root_status(level)
@@ -1058,6 +1052,131 @@ def core_density_colors_oracle(d, k, level, samples, rng):
         attached_count=attached,
         overlap_count=overlap,
     )
+
+
+def core_density_colors_oracle(d, k, level, samples, rng):
+    """Colors-route oracle for tree_markov.core_density_estimate: the same
+    tally, with every edge's support read off a sampled proper completion
+    instead of drawn directly. The routes agree in distribution only; they
+    consume the stream differently."""
+    _check_core_sampler_args(d, k, level)
+    sampler = _ColorsRootStatusSampler(d, k, _as_generator(rng))
+    return _tally_root_statuses(sampler, d, k, level, samples)
+
+
+class _ObjectNode:
+    __slots__ = ("incoming", "slot", "edges", "core_memo")
+
+    def __init__(self, incoming, slot):
+        self.incoming = incoming
+        self.slot = slot
+        self.edges = None
+        self.core_memo = {}
+
+
+class _ObjectEdge:
+    __slots__ = ("owner", "members", "support")
+
+    def __init__(self, owner, support):
+        self.owner = owner
+        self.support = support
+        self.members = None
+
+
+class _ObjectsRootStatusSampler:
+    """The object route of tree_markov's root-status sampler: one edge
+    object per supported edge, all k - 1 member nodes built at the edge's
+    first read, and one ``integers`` call per node for its d or d - 1
+    support draws."""
+
+    def __init__(self, d, k, gen):
+        self.d = d
+        self.k = k
+        self.modulus = 2 ** (k - 1) - 1
+        self.gen = gen
+
+    def _members(self, edge):
+        if edge.members is None:
+            edge.members = (edge.owner,) + tuple(
+                _ObjectNode(edge, j) for j in range(1, self.k)
+            )
+        return edge.members
+
+    def _edges_of(self, node):
+        if node.edges is None:
+            count = self.d if node.incoming is None else self.d - 1
+            draws = self.gen.integers(self.modulus, size=count).tolist()
+            node.edges = [(_ObjectEdge(node, r), 0) for r in draws if r < self.k]
+            if node.incoming is not None:
+                node.edges.append((node.incoming, node.slot))
+        return node.edges
+
+    def _in_core(self, node, level):
+        if level == 0:
+            return True
+        hit = node.core_memo.get(level)
+        if hit is not None:
+            return hit
+        count = 0
+        for edge, pos in self._edges_of(node):
+            if edge.support == pos and self._is_witness(edge, pos, level):
+                count += 1
+                if count == 3:
+                    break
+        node.core_memo[level] = count >= 3
+        return count >= 3
+
+    def _is_witness(self, edge, pos, level):
+        return all(
+            self._in_core(member, level - 1)
+            for j, member in enumerate(self._members(edge))
+            if j != pos
+        )
+
+    def root_status(self, level):
+        if level == 0:
+            return "core"
+        root = _ObjectNode(None, None)
+        root_edges = [edge for edge, _ in self._edges_of(root)]
+        witnesses = [
+            edge
+            for edge in root_edges
+            if edge.support == 0 and self._is_witness(edge, 0, level)
+        ]
+        if len(witnesses) >= 3:
+            return "core"
+        if not witnesses:
+            return "outside"
+        for edge in root_edges:
+            s = edge.support
+            if s and self._is_witness(edge, s, level) and not self._in_core(
+                self._members(edge)[s], level
+            ):
+                return "attached_overlap"
+        for e in witnesses:
+            for u in self._members(e)[1:]:
+                for f, _ in self._edges_of(u):
+                    if f is e:
+                        continue
+                    s = f.support
+                    partner = self._members(f)[s]
+                    if self._is_witness(f, s, level) and not self._in_core(
+                        partner, level
+                    ):
+                        return "attached_overlap"
+        return "attached"
+
+
+def core_density_objects_oracle(d, k, level, samples, rng):
+    """Object-route oracle for tree_markov.core_density_estimate: the same
+    statuses from the same draws, with one edge object per supported edge,
+    every member of an edge built at once, and each node's draws taken by
+    its own ``integers`` call. It leaves the generator where
+    core_density_estimate does, so the two agree on the tallies and on the
+    next draw."""
+    _check_core_sampler_args(d, k, level)
+    sampler = _ObjectsRootStatusSampler(d, k, _as_generator(rng))
+    return _tally_root_statuses(sampler, d, k, level, samples)
 
 
 def _log_edge_factor_oracle(b, k):

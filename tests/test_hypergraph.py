@@ -90,6 +90,9 @@ def test_hypergraph_partition_validation():
         LabeledHypergraph(5, 2, 1, [[[0, 1], [2, 3]]])
     with pytest.raises(ValueError, match="integers"):
         LabeledHypergraph(4, 2, 1, [[[0.0, 1.0], [2.0, 3.0]]])
+    # no vertices: the counts would read two colorings of the empty set
+    with pytest.raises(ValueError, match="positive"):
+        LabeledHypergraph(0, 2, 1, np.zeros((1, 0, 2), dtype=int))
     # rows come out sorted and ordered by least vertex
     g = LabeledHypergraph(6, 3, 1, [[[5, 3, 4], [2, 0, 1]]])
     assert g.edges == ((0, (0, 1, 2)), (0, (3, 4, 5)))

@@ -251,6 +251,25 @@ def test_every_library_definition_is_reached_outside_tests():
     assert unreached == []
 
 
+def test_every_slot_is_read_in_the_library():
+    # a slot that no attribute load reads is state written and kept for
+    # nothing, one more field a reader must trace through every method
+    slots, loaded = [], set()
+    for name, node in _library_nodes():
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.attr)
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__"
+                        for t in sub.targets):
+                    value = ast.literal_eval(sub.value)
+                    for slot in (value,) if isinstance(value, str) else value:
+                        slots.append(("%s:%s.%s" % (name, node.name, slot), slot))
+    assert slots
+    assert [key for key, slot in slots if slot not in loaded] == []
+
+
 def test_every_oracle_is_reached_from_a_test():
     # an oracle that no test compares with checks nothing; a test may reach
     # it directly or through another helper (the private ones, parts of a

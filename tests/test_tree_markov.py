@@ -10,6 +10,7 @@ import pytest
 from helpers import (
     attach_order_oracle,
     core_density_colors_oracle,
+    core_density_objects_oracle,
     count_proper_patterns_brute,
     pullback_pattern,
     pullback_vertex_map,
@@ -448,6 +449,10 @@ def test_core_status_validation():
         core_density_estimate(4, 3, 1, 0, RngState(0))
     with pytest.raises(ScaleRefusal):
         _one_status(20_000, 3, 1, RngState(0))
+    # the support draw's modulus 2^(k-1) - 1 must fit int64
+    with pytest.raises(ValueError, match="k <= 64"):
+        _one_status(3, 65, 1, RngState(0))
+    assert _one_status(3, 64, 1, RngState(0)) == (0, 0, 0)
     # level 0 puts every root in the core; with d = 0 the root has no witness
     # edge, so it is outside
     assert _one_status(4, 3, 0, RngState(0)) == (1, 0, 0)
@@ -494,6 +499,54 @@ def test_core_density_tally_digest():
 
 def test_core_density_colors_oracle_digest():
     assert _tally_digest(core_density_colors_oracle) == COLORS_TALLY_DIGEST
+
+
+# The d = 0, 1, 2 cases give nodes with no draws and with too few supports
+# for the core, and reach level 5 on small trees.
+OBJECT_ROUTE_CASES = TALLY_CASES + [
+    (0, 3, 1), (0, 4, 5), (1, 3, 2), (1, 5, 5), (2, 3, 3), (2, 3, 5), (3, 3, 5), (6, 5, 5),
+]
+
+
+@pytest.mark.parametrize("d, k, level", OBJECT_ROUTE_CASES)
+def test_core_density_matches_the_object_route(d, k, level):
+    for seed in range(3):
+        gen = RngState(seed).generator()
+        oracle_gen = RngState(seed).generator()
+        est = core_density_estimate(d, k, level, 300, gen)
+        expected = core_density_objects_oracle(d, k, level, 300, oracle_gen)
+        assert _tallies(est) == _tallies(expected), seed
+        assert int(gen.integers(2**62)) == int(oracle_gen.integers(2**62)), seed
+
+
+@pytest.mark.parametrize("d, k, level", [(20, 6, 4), (5, 3, 2), (5, 3, 1)])
+def test_core_sampler_builds_only_the_nodes_it_reads(monkeypatch, d, k, level):
+    built = []  # one entry per node built: whether it is a root
+
+    class CountingNode(tree_markov._Node):
+        __slots__ = ()
+
+        def __init__(self, parent, index, slot):
+            built.append(parent is None)
+            super().__init__(parent, index, slot)
+
+    monkeypatch.setattr(tree_markov, "_Node", CountingNode)
+    sampler = tree_markov._RootStatusSampler(d, k, RngState(3).generator())
+    statuses = Counter()
+    for _ in range(500):
+        before = len(built)
+        status = sampler.root_status(level)
+        statuses[status] += 1
+        if level == 1 and status in ("core", "outside"):
+            # a level-1 witness reads no member; only an attached root's
+            # overlap check goes past the root
+            assert len(built) == before + 1
+    roots = sum(built)
+    assert roots == 500 and len(built) > roots
+    if level == 1:
+        assert statuses["core"] and statuses["outside"]
+    # every node built also drew: d values for a root, d - 1 for the rest
+    assert sampler.used == roots * d + (len(built) - roots) * (d - 1)
 
 
 def _tallies(est):
