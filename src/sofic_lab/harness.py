@@ -61,7 +61,6 @@ from .samplers import RngState, sample_planted_hom, sample_uniform_hom
 from .structure import core_decomposition, density_report, expansivity_scan, rigidity_violation_search
 from .tree_markov import (
     BRUTE_PATTERN_MAX_ELEMENTS,
-    Pattern,
     build_ball,
     core_density_estimate,
     count_proper_patterns,
@@ -958,12 +957,7 @@ def _cmd_local_convergence(args):
     _announce(params_record)
     if args.pattern is not None:
         bits = [int(c) for c in args.pattern]
-        if len(bits) != len(domain):
-            raise ValueError(
-                "--pattern needs %d bits, got %d" % (len(domain), len(bits))
-            )
-        pattern = Pattern(dict(zip(domain.elements, bits)))
-        frequency = local_convergence_stat(hom, chi, domain, pattern)
+        frequency = local_convergence_stat(hom, chi, domain, bits)
         target = Fraction(1, q)
         print(
             "frequency=%s cylinder=%s deviation=%s"

@@ -165,6 +165,7 @@ def _edge_colors(graph, coloring):
 
 
 def monochromatic_edge_count(graph, coloring):
+    """Number of edges whose k vertices all carry the same color."""
     ones = _edge_colors(graph, coloring).sum(axis=1)
     return int(np.count_nonzero((ones == 0) | (ones == graph.k)))
 

@@ -6,7 +6,9 @@ edges meet in at most one vertex and every finite connected window is a
 hyper-tree. Proper 2-colorings of such a window can be counted in closed
 form (each edge after the first attaches at a single already-colored
 vertex and contributes a factor 2^(k-1)-1), sampled exactly, and compared
-against pullbacks of colored finite instances.
+against pullbacks of colored finite instances. A pattern is a tuple of
+0/1 ints, one per domain element in domain.elements order; it carries no
+words, so patterns of two domains with the same bits compare equal.
 
 The root-status sampler at the end estimates how often the tree root lands
 in the core / attached / overlap sets of the peeling hierarchy without
@@ -41,7 +43,8 @@ from .samplers import _as_generator
 DEFAULT_BALL_MAX_ELEMENTS = 100_000
 BRUTE_PATTERN_MAX_ELEMENTS = 20
 CORE_SAMPLER_MAX_DEGREE = 10_000
-CORE_SAMPLER_MAX_K = 64
+# a completion or support draw's modulus 2^(k-1) - 1 must fit numpy's int64
+DRAW_MAX_K = 64
 
 
 def _word_key(word):
@@ -227,69 +230,35 @@ def domain_from_edges(params, labeled_members):
 
 
 def single_edge_domain(params, label=0):
+    """The domain of the one generator-label edge through the identity."""
     return domain_from_edges(params, [(label, IDENTITY)])
 
 
-class Pattern:
-    """A 0/1 assignment on a set of tree elements, immutable and hashable.
+def _edge_positions(domain):
+    """The (E, k) array of the domain positions of each edge's members."""
+    positions = [[domain.index(w) for w in members] for _, members in domain.edges]
+    return np.array(positions, dtype=np.intp).reshape(len(positions), domain.k)
 
-    Properness is not enforced at construction: pullbacks of finite-model
-    colorings may be improper and are still representable.
-    """
 
-    __slots__ = ("assignment", "_key")
+def _proper_columns(domain, bits):
+    """Which columns of a (|domain|, m) 0/1 array are proper patterns: a
+    column is proper when no edge row of it is constant."""
+    on_edges = bits[_edge_positions(domain)]
+    return (on_edges.min(axis=1) != on_edges.max(axis=1)).all(axis=0)
 
-    def __init__(self, assignment):
-        cleaned = {}
-        for word, bit in assignment.items():
-            bit = int(bit)
-            if bit not in (0, 1):
-                raise ValueError("pattern values must be 0 or 1")
-            cleaned[word] = bit
-        object.__setattr__(self, "assignment", cleaned)
-        object.__setattr__(
-            self,
-            "_key",
-            tuple(sorted((w.syllables, b) for w, b in cleaned.items())),
+
+def _checked_pattern(domain, pattern):
+    """A pattern given from outside, one 0 or 1 per domain element in
+    domain.elements order, checked and returned as a tuple of ints."""
+    pattern = tuple(pattern)
+    if len(pattern) != len(domain):
+        raise ValueError(
+            "pattern does not cover the domain: %d values for %d elements"
+            % (len(pattern), len(domain))
         )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Pattern is immutable")
-
-    def __getitem__(self, word):
-        return self.assignment[word]
-
-    def __len__(self):
-        return len(self.assignment)
-
-    def __contains__(self, word):
-        return word in self.assignment
-
-    def items(self):
-        return self.assignment.items()
-
-    def __eq__(self, other):
-        return isinstance(other, Pattern) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __repr__(self):
-        bits = ", ".join(
-            "%r: %d" % (w, b)
-            for w, b in sorted(self.assignment.items(), key=lambda p: _word_key(p[0]))
-        )
-        return "Pattern({%s})" % bits
-
-    def is_proper_on(self, domain):
-        for word in domain.elements:
-            if word not in self.assignment:
-                raise ValueError("pattern does not cover the domain")
-        for _, members in domain.edges:
-            colors = {self.assignment[w] for w in members}
-            if len(colors) == 1:
-                return False
-        return True
+    if not all(b in (0, 1) for b in pattern):
+        raise ValueError("pattern values must be 0 or 1")
+    return tuple(int(b) for b in pattern)
 
 
 def count_proper_patterns(domain):
@@ -315,12 +284,10 @@ def enumerate_proper_patterns(domain):
             "brute-force enumeration over %d elements refused" % len(domain),
             count=len(domain),
         )
-    member_indices = [
-        [domain.index(w) for w in members] for _, members in domain.edges
-    ]
+    member_indices = _edge_positions(domain).tolist()
     for bits in itertools.product((0, 1), repeat=len(domain)):
         if all(len({bits[i] for i in idxs}) > 1 for idxs in member_indices):
-            yield Pattern(dict(zip(domain.elements, bits)))
+            yield bits
 
 
 def cylinder_probability(domain, pattern):
@@ -331,7 +298,8 @@ def cylinder_probability(domain, pattern):
     coloring at all, so its probability is 0 (warned, since it usually
     means a pullback went through a short cycle).
     """
-    if not pattern.is_proper_on(domain):
+    bits = _checked_pattern(domain, pattern)
+    if not _proper_columns(domain, np.array(bits)[:, None])[0]:
         warnings.warn("improper pattern has an empty cylinder", stacklevel=2)
         return Fraction(0)
     return Fraction(1, count_proper_patterns(domain))
@@ -345,9 +313,15 @@ def sample_proper_pattern(domain, rng):
     that avoid going monochromatic. Multiplying the choice counts gives
     exactly the proper-pattern total, so the draw is uniform.
     """
-    gen = _as_generator(rng)
     k = domain.k
-    assignment = {IDENTITY: int(gen.integers(2))}
+    if domain.edges and k > DRAW_MAX_K:
+        raise ValueError(
+            "pattern sampling needs k <= %d on a domain with edges, got k=%d"
+            % (DRAW_MAX_K, k)
+        )
+    gen = _as_generator(rng)
+    bits = [0] * len(domain)
+    bits[domain.index(IDENTITY)] = int(gen.integers(2))
     if domain.edges:
         draws = gen.integers(2 ** (k - 1) - 1, size=len(domain.edges))
     else:
@@ -355,25 +329,30 @@ def sample_proper_pattern(domain, rng):
     for ((label, members), attach), draw in zip(
         zip(domain.edges, domain.attach_at), draws
     ):
-        base = assignment[attach]
         completion = int(draw)
-        if base == 0:
+        if bits[domain.index(attach)] == 0:
             completion += 1  # skip the all-zero completion
         j = 0
         for w in members:
             if w == attach:
                 continue
-            assignment[w] = (completion >> j) & 1
+            bits[domain.index(w)] = (completion >> j) & 1
             j += 1
-    return Pattern(assignment)
+    return tuple(bits)
 
 
 @dataclass(frozen=True)
 class PatternCensus:
-    """Pullback statistics of one colored instance over a tree window."""
+    """Pullback statistics of one colored instance over a tree window.
+
+    A pattern is a tuple of 0/1 ints, one per domain element in
+    domain.elements order, so patterns of two domains with the same bits
+    compare equal; counts maps each proper pattern to the number of base
+    vertices whose window reads it, in order of first appearance.
+    """
 
     n: int
-    counts: dict  # proper Pattern -> number of base vertices
+    counts: dict
     improper_count: int
     noninjective_count: int
 
@@ -394,6 +373,11 @@ def _pullback_windows(hom, coloring, domain):
     the coloring through it.
     """
     params = hom.params
+    if domain.k != params.k:
+        # word_inverse would reduce the domain's exponents mod the model's k
+        raise ValueError(
+            "domain has k=%d but the model has k=%d" % (domain.k, params.k)
+        )
     colors = _coloring_array(coloring, params.n)
     inverses = [word_inverse(params, g) for g in domain.elements]
     vertices = np.stack(_word_arrays(hom, inverses))
@@ -405,11 +389,10 @@ def local_pattern_census(hom, coloring, domain):
 
     Improper pullbacks are counted in one bucket (their patterns are not
     kept); non-injective windows are tallied separately and can be proper.
-    Each distinct window coloring becomes a Pattern, and is tested for
-    properness, once; counts keep the order of first appearance. Windows
-    are grouped by one code per column, the column's bits packed into
-    bytes, so equal codes are equal colorings (_coloring_array has checked
-    that every entry is 0 or 1).
+    Windows are grouped by one code per column, the column's bits packed
+    into bytes, so equal codes are equal colorings (_coloring_array has
+    checked that every entry is 0 or 1). The distinct windows, in order of
+    first appearance, are tested for properness in one array pass.
     """
     vertices, colors = _pullback_windows(hom, coloring, domain)
     ordered = np.sort(vertices, axis=0)
@@ -417,18 +400,14 @@ def local_pattern_census(hom, coloring, domain):
     packed = np.packbits(colors.astype(np.uint8), axis=0)
     codes = np.ascontiguousarray(packed.T).view(np.dtype((np.void, packed.shape[0])))
     _, first, tallies = np.unique(codes.ravel(), return_index=True, return_counts=True)
-    counts = {}
-    improper = 0
-    for j in np.argsort(first):
-        pattern = Pattern(dict(zip(domain.elements, colors[:, first[j]].tolist())))
-        if pattern.is_proper_on(domain):
-            counts[pattern] = int(tallies[j])
-        else:
-            improper += int(tallies[j])
+    order = np.argsort(first)
+    windows = colors[:, first[order]]
+    tallies = tallies[order]
+    proper = _proper_columns(domain, windows)
     return PatternCensus(
         n=hom.params.n,
-        counts=counts,
-        improper_count=improper,
+        counts=dict(zip(map(tuple, windows[:, proper].T.tolist()), tallies[proper].tolist())),
+        improper_count=int(tallies[~proper].sum()),
         noninjective_count=noninjective,
     )
 
@@ -439,11 +418,8 @@ def local_convergence_stat(hom, coloring, domain, pattern):
     For a local-convergence check this is compared against the cylinder
     probability 1/Q of the pattern under the tree measure.
     """
-    for g in domain.elements:
-        if g not in pattern:
-            raise ValueError("pattern does not cover the domain")
+    target = np.array(_checked_pattern(domain, pattern))
     _, colors = _pullback_windows(hom, coloring, domain)
-    target = np.array([pattern[g] for g in domain.elements])
     hits = int(np.count_nonzero((colors == target[:, None]).all(axis=0)))
     return Fraction(hits, hom.params.n)
 
@@ -630,6 +606,9 @@ class CoreDensityEstimate:
 
 
 def core_density_estimate(d, k, level, samples, rng):
+    """Tally the root's peeling status at the given level over independent
+    samples of the tree's support field; the generator is left where
+    per-node draws would have left it."""
     _check_core_sampler_args(d, k, level)
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -665,9 +644,8 @@ def core_density_estimate(d, k, level, samples, rng):
 def _check_core_sampler_args(d, k, level):
     if k < 3:
         raise ValueError("supporting vertices are undefined for k=2; need k >= 3")
-    if k > CORE_SAMPLER_MAX_K:
-        # the support draw's modulus 2^(k-1) - 1 must fit numpy's int64
-        raise ValueError("core sampling needs k <= %d, got k=%d" % (CORE_SAMPLER_MAX_K, k))
+    if k > DRAW_MAX_K:
+        raise ValueError("core sampling needs k <= %d, got k=%d" % (DRAW_MAX_K, k))
     if d < 0:
         raise ValueError("d must be nonnegative")
     if d > CORE_SAMPLER_MAX_DEGREE:

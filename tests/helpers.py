@@ -58,7 +58,6 @@ from sofic_lab.samplers import (
 from sofic_lab.structure import _supported_edges, expansivity_scan
 from sofic_lab.tree_markov import (
     CoreDensityEstimate,
-    Pattern,
     _check_core_sampler_args,
     _word_key,
     enumerate_proper_patterns,
@@ -383,9 +382,10 @@ def shared_row_mean(matrix):
     return means.pop()
 
 
-def restricted_pattern(pattern, words):
-    """The pattern's assignment on the given words only."""
-    return Pattern({w: pattern[w] for w in words})
+def restricted_pattern(pattern, domain, subdomain):
+    """A pattern of the domain read on a subdomain's elements, as a 0/1
+    tuple in subdomain.elements order."""
+    return tuple(pattern[domain.index(w)] for w in subdomain.elements)
 
 
 def hamming_distance(c1, c2):
@@ -476,9 +476,10 @@ def pullback_vertex_map(hom, v, domain):
 
 
 def pullback_pattern(hom, coloring, v, domain):
-    """Read a finite coloring through the tree window at v."""
+    """Read a finite coloring through the tree window at v, as a 0/1 tuple
+    in domain.elements order."""
     window = pullback_vertex_map(hom, v, domain)
-    return Pattern({g: coloring[u] for g, u in window.items()})
+    return tuple(coloring[window[g]] for g in domain.elements)
 
 
 def expansivity_exhaustive_oracle(graph, chi, t_max):

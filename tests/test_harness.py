@@ -325,10 +325,11 @@ def test_local_convergence_single_pattern(tmp_path, capsys):
     assert payload(lines)[0].startswith("frequency=")
     assert "cylinder=1/6" in payload(lines)[0]
 
-    code, _ = run_cli(
-        capsys, ["local-convergence", "--input", str(path), "--pattern", "1"]
-    )
-    assert code == 2
+    for bad in ("1", "021"):
+        code, _ = run_cli(
+            capsys, ["local-convergence", "--input", str(path), "--pattern", bad]
+        )
+        assert code == 2
 
 
 def test_sofic_check_matches_library(tmp_path, capsys):

@@ -270,6 +270,24 @@ def test_every_slot_is_read_in_the_library():
     assert [key for key, slot in slots if slot not in loaded] == []
 
 
+def test_every_exported_definition_has_a_docstring():
+    # read off the definition itself, so the __doc__ that dataclass writes
+    # for a class without one does not count
+    import sofic_lab
+
+    trees = {}
+    found = []
+    for name in sofic_lab.__all__:
+        module = getattr(sofic_lab, name).__module__.rsplit(".", 1)[-1]
+        if module not in trees:
+            trees[module] = ast.parse((SRC / (module + ".py")).read_text())
+        node = next(node for node in trees[module].body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name)
+        if ast.get_docstring(node) is None:
+            found.append("%s.%s" % (module, name))
+    assert found == []
+
+
 def test_every_oracle_is_reached_from_a_test():
     # an oracle that no test compares with checks nothing; a test may reach
     # it directly or through another helper (the private ones, parts of a

@@ -34,7 +34,6 @@ from sofic_lab.samplers import RngState, sample_planted_hom
 from sofic_lab import tree_markov
 from sofic_lab.structure import density_report
 from sofic_lab.tree_markov import (
-    Pattern,
     TreeDomain,
     ball_element_count,
     build_ball,
@@ -66,8 +65,13 @@ def _planted(k, d, n, seed):
     return hom, chi
 
 
-def _bits(pattern, domain):
-    return tuple(pattern[w] for w in domain.elements)
+def _is_proper(pattern, domain):
+    """Per-edge properness of a 0/1 tuple in domain.elements order: the
+    oracle's own test, kept apart from the library's array test."""
+    return all(
+        len({pattern[domain.index(w)] for w in members}) > 1
+        for _, members in domain.edges
+    )
 
 
 def test_ball_shapes():
@@ -216,9 +220,7 @@ def test_cylinder_probabilities():
     p32 = ModelParams(d=2, k=3, n=6)
     singleton = build_ball(p32, 0)
     for bit in (0, 1):
-        assert cylinder_probability(singleton, Pattern({IDENTITY: bit})) == Fraction(
-            1, 2
-        )
+        assert cylinder_probability(singleton, (bit,)) == Fraction(1, 2)
 
     edge = single_edge_domain(p32)
     patterns = list(enumerate_proper_patterns(edge))
@@ -228,12 +230,13 @@ def test_cylinder_probabilities():
     for xi in patterns:
         assert cylinder_probability(edge, xi) == Fraction(1, 6)
 
-    improper = Pattern({w: 1 for w in edge.elements})
     with pytest.warns(UserWarning, match="improper"):
-        assert cylinder_probability(edge, improper) == 0
+        assert cylinder_probability(edge, (1, 1, 1)) == 0
 
     with pytest.raises(ValueError, match="cover"):
-        cylinder_probability(edge, Pattern({IDENTITY: 1}))
+        cylinder_probability(edge, (1,))
+    with pytest.raises(ValueError, match="pattern values must be 0 or 1"):
+        cylinder_probability(edge, (0, 2, 1))
 
 
 def test_sampler_is_uniform():
@@ -256,13 +259,12 @@ def test_sampler_is_uniform():
         gen = RngState(seed).generator()
         counts = Counter()
         for _ in range(draws):
-            counts[_bits(sample_proper_pattern(domain, gen), domain)] += 1
+            counts[sample_proper_pattern(domain, gen)] += 1
         assert len(counts) == q
         result = stats.chisquare(list(counts.values()))
         assert result.pvalue > 1e-3, (q, result.pvalue)
         if q <= 18:
-            legal = {_bits(xi, domain) for xi in enumerate_proper_patterns(domain)}
-            assert set(counts) == legal
+            assert set(counts) == set(enumerate_proper_patterns(domain))
 
 
 def test_sampler_k2_edge():
@@ -270,7 +272,7 @@ def test_sampler_k2_edge():
     gen = RngState(3).generator()
     seen = Counter()
     for _ in range(200):
-        seen[_bits(sample_proper_pattern(domain, gen), domain)] += 1
+        seen[sample_proper_pattern(domain, gen)] += 1
     assert set(seen) == {(0, 1), (1, 0)}
 
 
@@ -283,6 +285,21 @@ def test_sampler_takes_rng_state_or_generator_only():
         sample_proper_pattern(domain, 5)
 
 
+def test_sampler_refuses_k_beyond_int64_before_drawing():
+    # an edge's completion draw has modulus 2^(k-1) - 1, which fits int64
+    # up to k = 64; a singleton domain draws only the identity's bit
+    gen = RngState(0).generator()
+    start = repr(gen.bit_generator.state)
+    with pytest.raises(ValueError, match="pattern sampling needs k <= 64"):
+        sample_proper_pattern(single_edge_domain(ModelParams(d=1, k=66, n=66)), gen)
+    assert repr(gen.bit_generator.state) == start
+    edge = single_edge_domain(ModelParams(d=1, k=64, n=64))
+    xi = sample_proper_pattern(edge, gen)
+    assert len(xi) == 64 and 0 < sum(xi) < 64
+    singleton = build_ball(ModelParams(d=1, k=66, n=66), 0)
+    assert sample_proper_pattern(singleton, gen) in {(0,), (1,)}
+
+
 def test_markov_consistency_radius2_vs_radius1():
     params = ModelParams(d=2, k=3, n=6)
     small = build_ball(params, 1)
@@ -293,9 +310,8 @@ def test_markov_consistency_radius2_vs_radius1():
     from_big = Counter()
     direct = Counter()
     for _ in range(draws):
-        restricted = restricted_pattern(sample_proper_pattern(big, gen_big), small.elements)
-        from_big[_bits(restricted, small)] += 1
-        direct[_bits(sample_proper_pattern(small, gen_small), small)] += 1
+        from_big[restricted_pattern(sample_proper_pattern(big, gen_big), big, small)] += 1
+        direct[sample_proper_pattern(small, gen_small)] += 1
     keys = set(from_big) | set(direct)
     assert len(keys) == 18
     tv = sum(abs(from_big[key] - direct[key]) for key in keys) / (2 * draws)
@@ -312,7 +328,7 @@ def test_pullback_singleton_and_equivariance():
     params = hom.params
     singleton = build_ball(params, 0)
     for v in range(params.n):
-        assert pullback_pattern(hom, chi, v, singleton)[IDENTITY] == chi[v]
+        assert pullback_pattern(hom, chi, v, singleton) == (chi[v],)
 
     domain = build_ball(params, 1)
     probes = build_ball(params, 2).elements
@@ -323,7 +339,7 @@ def test_pullback_singleton_and_equivariance():
         shifted = pullback_pattern(hom, chi, evaluate_word(hom, g, v), domain)
         for h in domain.elements:
             word = word_product(params, word_inverse(params, h), g)
-            assert shifted[h] == chi[evaluate_word(hom, word, v)]
+            assert shifted[domain.index(h)] == chi[evaluate_word(hom, word, v)]
 
 
 def test_pullback_injectivity_and_properness():
@@ -335,18 +351,41 @@ def test_pullback_injectivity_and_properness():
         assert window[IDENTITY] == v
         if len(set(window.values())) == len(window):
             injective += 1
-            assert pullback_pattern(hom, chi, v, domain).is_proper_on(domain)
+            assert _is_proper(pullback_pattern(hom, chi, v, domain), domain)
     census = local_pattern_census(hom, chi, domain)
     assert census.noninjective_count == hom.params.n - injective
     assert sum(census.counts.values()) + census.improper_count == hom.params.n
     assert sum(census.frequency(p) for p in census.counts) <= 1
 
 
+def test_census_keys_are_proper_patterns():
+    hom, chi = _planted(3, 2, 600, 1)
+    for domain in (single_edge_domain(hom.params), build_ball(hom.params, 1)):
+        census = local_pattern_census(hom, chi, domain)
+        assert census.counts
+        assert set(census.counts) <= set(enumerate_proper_patterns(domain))
+
+
+def test_pullback_refuses_a_domain_of_another_k():
+    # word_inverse would reduce the exponent 3 of s^3 to 0 under k = 3
+    hom, chi = _planted(3, 2, 30, 1)
+    domain = single_edge_domain(ModelParams(d=2, k=4, n=4))
+    with pytest.raises(ValueError, match="domain has k=4 but the model has k=3"):
+        local_pattern_census(hom, chi, domain)
+    with pytest.raises(ValueError, match="domain has k=4 but the model has k=3"):
+        local_convergence_stat(hom, chi, domain, (0, 1, 1, 1))
+
+
 def test_local_convergence_singleton_is_exactly_half():
     hom, chi = _planted(3, 2, 60, 2)
     singleton = build_ball(hom.params, 0)
-    stat = local_convergence_stat(hom, chi, singleton, Pattern({IDENTITY: 1}))
+    stat = local_convergence_stat(hom, chi, singleton, (1,))
     assert stat == Fraction(1, 2)
+    edge = single_edge_domain(hom.params)
+    with pytest.raises(ValueError, match="pattern values must be 0 or 1"):
+        local_convergence_stat(hom, chi, edge, (0, 1, 2))
+    with pytest.raises(ValueError, match="cover"):
+        local_convergence_stat(hom, chi, edge, (0, 1))
 
 
 def test_local_convergence_single_edge_statistical():
@@ -601,8 +640,8 @@ def census_per_vertex_oracle(hom, coloring, domain):
         window = pullback_vertex_map(hom, v, domain)
         if len(set(window.values())) < len(window):
             noninjective += 1
-        pattern = Pattern({g: coloring[u] for g, u in window.items()})
-        if pattern.is_proper_on(domain):
+        pattern = tuple(coloring[window[g]] for g in domain.elements)
+        if _is_proper(pattern, domain):
             counts[pattern] += 1
         else:
             improper += 1
@@ -610,10 +649,10 @@ def census_per_vertex_oracle(hom, coloring, domain):
 
 
 def convergence_per_vertex_oracle(hom, coloring, domain, pattern):
-    hits = sum(
-        all(coloring[u] == pattern[g] for g, u in pullback_vertex_map(hom, v, domain).items())
-        for v in range(hom.params.n)
-    )
+    hits = 0
+    for v in range(hom.params.n):
+        window = pullback_vertex_map(hom, v, domain)
+        hits += all(coloring[window[g]] == b for g, b in zip(domain.elements, pattern))
     return Fraction(hits, hom.params.n)
 
 
@@ -636,7 +675,7 @@ def _assert_census_matches_oracle(hom, coloring, domain, rng):
     assert list(census.counts.items()) == list(counts.items())
     assert census.improper_count == improper
     assert census.noninjective_count == noninjective
-    probes = list(counts)[:3] + [Pattern({g: rng.randrange(2) for g in domain.elements})]
+    probes = list(counts)[:3] + [tuple(rng.randrange(2) for _ in domain.elements)]
     for pattern in probes:
         assert local_convergence_stat(
             hom, coloring, domain, pattern
@@ -686,7 +725,7 @@ def test_census_and_convergence_match_per_vertex_oracle():
 def test_census_rejects_non_binary_colorings_and_accepts_booleans():
     # a packed window code reads 2 and -1 as 1 and 256 as 0, so the entries
     # are checked before packing; at the last vertex a bad entry can share
-    # its code with earlier windows and never reach a Pattern
+    # its code with earlier windows and never reach the properness test
     hom, chi = _planted(3, 2, 30, 1)
     for domain in (build_ball(hom.params, 0), build_ball(hom.params, 1)):
         for bad in (2, -1, 256):
