@@ -154,14 +154,17 @@ def generator_pair_words(params):
 class UniformHom:
     """A homomorphism sending each generator to a disjoint union of k-cycles.
 
-    images is one read-only np.intp array of shape (d, n): images[i, v] is
-    the image of vertex v under generator i. The constructor copies the
-    images, whatever integer type the caller passed, and checks them once
-    (integer entries, each image a permutation with all orbits of size
-    exactly k); operations after that assume it.
+    orbits is one read-only np.intp table of shape (k, d, n) holding the
+    powers of every generator image: orbits[j, i, v] is img_i^j(v), so
+    orbits[0] is the identity and the column orbits[:, i, v] lists the
+    orbit of v under generator i. images is orbits[1], the (d, n) array of
+    the images themselves. The constructor copies the images, whatever
+    integer type the caller passed, and checks them once (integer entries,
+    each image a permutation with all orbits of size exactly k); operations
+    after that assume it.
     """
 
-    __slots__ = ("params", "images")
+    __slots__ = ("params", "images", "orbits")
 
     def __init__(self, params, images):
         params.require_uniform()
@@ -177,7 +180,8 @@ class UniformHom:
                 "expected %d generator images, got %d" % (params.d, len(rows))
             )
         self.params = params
-        self.images = _uniform_image_array(rows, params.n, params.k)
+        self.orbits = _orbit_table(rows, params.n, params.k)
+        self.images = self.orbits[1]
 
     def __eq__(self, other):
         return (
@@ -211,23 +215,31 @@ class UniformHom:
         return cls(params, data["images"])
 
 
-def _flat_permutation(images):
-    """The (d, n) images as one permutation of d*n points: generator i acts
-    on the points i*n .. i*n+n-1."""
-    d, n = images.shape
-    return (images + np.arange(0, d * n, n)[:, None]).ravel()
-
-
-def _uniform_image_array(rows, n, k):
-    """The integer rows as one read-only (d, n) intp copy, once the whole
-    array passes _all_k_cycles. Only on failure are the rows walked, each
-    orbit from its least vertex, to name the first bad generator and orbit.
+def _orbit_table(rows, n, k):
+    """The powers img^0..img^(k-1) of the integer rows as one read-only
+    (k, d, n) intp table, once the whole table passes the check: entries in
+    0..n-1, no fixed point in powers 1..k-1 and the identity as the k-th
+    power. That makes each row a permutation (the (k-1)-th power inverts
+    it) whose orbits all have size exactly k. Each power past the first is
+    one gather of the one before: img^j(v) is img^(j-1) read at img(v),
+    which is entry i*n + img_i(v) of the flattened (d, n) power. Only on
+    failure are the rows walked, each orbit from its least vertex, to name
+    the first bad generator and orbit.
     """
+    d = len(rows)
     if all(row.shape == (n,) for row in rows):
-        images = np.array(rows, dtype=np.intp).reshape(len(rows), n)
-        if _all_k_cycles(images, k):
-            images.flags.writeable = False
-            return images
+        images = np.array(rows, dtype=np.intp).reshape(d, n)
+        if images.min(initial=0) >= 0 and images.max(initial=0) < n:
+            flat = (images + np.arange(0, d * n, n)[:, None]).ravel()
+            powers = np.empty((k, d * n), dtype=np.intp)
+            powers.reshape(k, d, n)[0] = np.arange(n)
+            powers[1] = images.ravel()
+            for j in range(2, k):
+                powers[j] = powers[j - 1][flat]
+            if (not (powers[1:] == powers[0]).any()
+                    and np.array_equal(powers[-1][flat], powers[0])):
+                powers.flags.writeable = False
+                return powers.reshape(k, d, n)
     for i, row in enumerate(rows):
         if row.shape != (n,) or not np.array_equal(np.sort(row), np.arange(n)):
             raise ValueError("image of generator %d is not a permutation of 0..%d" % (i, n - 1))
@@ -246,26 +258,7 @@ def _uniform_image_array(rows, n, k):
                 raise ValueError(
                     "generator %d has an orbit of size %d, want exactly %d" % (i, size, k)
                 )
-    raise RuntimeError("the whole-array and per-row image checks disagree")
-
-
-def _all_k_cycles(images, k):
-    """Whether every row of the (d, n) images is a permutation of 0..n-1
-    whose orbits all have size exactly k. With entries in 0..n-1, that holds
-    when the flat permutation is one (one bincount), its powers 1..k-1 have
-    no fixed point and its k-th power is the identity."""
-    n = images.shape[1]
-    flat = _flat_permutation(images)
-    if (images.min(initial=0) < 0 or images.max(initial=0) >= n
-            or np.count_nonzero(np.bincount(flat, minlength=flat.size)) != flat.size):
-        return False
-    identity = np.arange(flat.size)
-    power = flat
-    for _ in range(1, k):
-        if (power == identity).any():
-            return False
-        power = flat[power]
-    return bool((power == identity).all())
+    raise RuntimeError("the whole-table and per-row image checks disagree")
 
 
 def _check_generators(params, word):
@@ -284,16 +277,15 @@ def evaluate_word(hom, word, v):
         raise ValueError("vertex %r out of range 0..%d" % (v, hom.params.n - 1))
     _check_generators(hom.params, word)
     for g, e in reversed(word.syllables):
-        for _ in range(e % hom.params.k):
-            v = hom.images[g, v]
+        v = hom.orbits[e % hom.params.k, g, v]
     return int(v)
 
 
 def _word_arrays(hom, words):
     """sigma(w) for each word as a numpy index array.
 
-    Each starts from the identity and applies the generator images syllable
-    by syllable from the right, e times each, by fancy indexing; element v
+    Each starts from the identity and applies the syllables from the right,
+    one gather of the power orbits[e % k, g] per syllable (g, e); element v
     is sigma(w) applied to v. Every generator index is validated first.
     """
     params = hom.params
@@ -304,8 +296,7 @@ def _word_arrays(hom, words):
     for w in words:
         perm = np.arange(params.n)
         for g, e in reversed(w.syllables):
-            for _ in range(e % params.k):
-                perm = hom.images[g][perm]
+            perm = hom.orbits[e % params.k, g][perm]
         arrays.append(perm)
     return arrays
 

@@ -417,31 +417,24 @@ def _mean_stderr(values):
     return mean, math.sqrt(var / m)
 
 
-def _enumeration_first_moment(params):
-    total = 0
-    homs = 0
-    for hom in enumerate_uniform_homs(params):
-        total += count_proper(build_hypergraph(hom)).value
-        homs += 1
-    return Fraction(total, homs)
+def _enumeration_mean(params, count, chi=None):
+    """Exact mean of count(graph).value over the hypergraphs of every
+    uniform homomorphism, or over those on which chi is proper when chi is
+    given.
 
-
-def _enumeration_planted_distance(params, chi, delta):
+    None when there are more than ENUMERATION_AVERAGE_MAX_HOMS
+    homomorphisms, or when chi is improper on all of them.
+    """
+    if uniform_hom_count(params) > ENUMERATION_AVERAGE_MAX_HOMS:
+        return None
     total = 0
     homs = 0
     for hom in enumerate_uniform_homs(params):
         graph = build_hypergraph(hom)
-        if monochromatic_edge_count(graph, chi) != 0:
-            continue
-        total += count_at_distance(graph, chi, delta).value
-        homs += 1
-    if homs == 0:
-        return None
-    return Fraction(total, homs)
-
-
-def _should_enumerate(mparams):
-    return uniform_hom_count(mparams) <= ENUMERATION_AVERAGE_MAX_HOMS
+        if chi is None or monochromatic_edge_count(graph, chi) == 0:
+            total += count(graph).value
+            homs += 1
+    return Fraction(total, homs) if homs else None
 
 
 def _moment_summary(config, rows, field, exact, enumeration):
@@ -512,6 +505,8 @@ def run_experiment(config, workers=1):
     the summary; a failed replica is flagged in its row's error column and
     excluded from the summary statistics, and the run continues.
     """
+    if workers < 1:
+        raise ValueError("need at least 1 worker, got %d" % workers)
     if config.kind == "concentration":
         return _run_concentration(config)
 
@@ -531,22 +526,15 @@ def run_experiment(config, workers=1):
     if config.kind == "first-moment":
         mparams = _model_params(params)
         exact = exact_first_moment(mparams)
-        enumeration = (
-            _enumeration_first_moment(mparams)
-            if _should_enumerate(mparams)
-            else None
-        )
+        enumeration = _enumeration_mean(mparams, count_proper)
         summary = _moment_summary(config, good_rows, "z", exact, enumeration)
     elif config.kind == "planted-distance":
         mparams = _model_params(params)
         chi = Coloring.equitable_split(mparams.n)
         delta = _as_fraction(params["delta"])
         exact = exact_planted_distance_moment(mparams, delta)
-        enumeration = (
-            _enumeration_planted_distance(mparams, chi, delta)
-            if _should_enumerate(mparams)
-            else None
-        )
+        enumeration = _enumeration_mean(
+            mparams, lambda graph: count_at_distance(graph, chi, delta), chi)
         summary = _moment_summary(config, good_rows, "z_delta", exact, enumeration)
     elif config.kind == "density":
         summary = _density_summary(config, good_rows)
@@ -641,23 +629,22 @@ def _deviation_histogram(deviations):
     )
 
 
-def concentration_probe(params, n, replicas, rng=None):
-    """Sample the uniform model and record how a 1-Lipschitz statistic
-    concentrates around its empirical mean.
+def concentration_probe(params, replicas, rng=None):
+    """Sample the uniform model at params and record how a 1-Lipschitz
+    statistic concentrates around its empirical mean.
 
-    ``params`` supplies (d, k); ``n`` picks the scale.  The statistic is
-    the per-generator Hamming distance to a fixed reference homomorphism,
-    averaged over generators and normalized by n, which is 1-Lipschitz in
-    the normalized distance on homomorphism tuples by construction.
+    The statistic is the per-generator Hamming distance to a fixed
+    reference homomorphism, averaged over generators and normalized by n,
+    which is 1-Lipschitz in the normalized distance on homomorphism tuples
+    by construction.
     """
     if replicas < 1:
         raise ValueError("need at least 1 replica, got %d" % replicas)
-    mparams = ModelParams(d=params.d, k=params.k, n=n)
     base = rng if rng is not None else RngState(0)
-    ref = _reference_hom(mparams)
+    ref = _reference_hom(params)
     values = []
     for i in range(replicas):
-        hom = sample_uniform_hom(mparams, base.with_stream(base.stream + i))
+        hom = sample_uniform_hom(params, base.with_stream(base.stream + i))
         values.append(_normalized_hom_distance(hom, ref))
     mean = sum(values, Fraction(0)) / replicas
     deviations = tuple(v - mean for v in values)
@@ -666,7 +653,7 @@ def concentration_probe(params, n, replicas, rng=None):
         for thr in CONCENTRATION_THRESHOLDS
     )
     return ConcentrationReport(
-        params=mparams,
+        params=params,
         replicas=replicas,
         values=tuple(values),
         mean=mean,
@@ -680,7 +667,7 @@ def _run_concentration(config):
     params = config.params
     mparams = _model_params(params)
     base = RngState(int(params.get("seed", 0)), int(params.get("stream", 0)))
-    report = concentration_probe(mparams, mparams.n, config.replicas, rng=base)
+    report = concentration_probe(mparams, config.replicas, rng=base)
     tail_tolerance = float(params.get("tail_tolerance", 0.05))
     tails = {str(float(thr)): frac for thr, frac in report.tail_fractions}
     widest = report.tail_fractions[-1][1]

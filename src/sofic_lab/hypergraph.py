@@ -143,18 +143,12 @@ class LabeledHypergraph:
 def build_hypergraph(hom: UniformHom) -> LabeledHypergraph:
     """Orbits of each generator, one labeled edge per orbit.
 
-    Stacking the powers img^0..img^(k-1) of every generator, entry (i, v)
-    of the stack lists the orbit of v under generator i; each orbit is kept
-    once, at its least vertex.
+    Column (i, v) of the orbit table hom.orbits lists the orbit of v under
+    generator i; each orbit is kept once, at its least vertex.
     """
     p = hom.params
-    labels = np.arange(p.d)[:, None]
-    powers = [np.broadcast_to(np.arange(p.n), (p.d, p.n))]
-    for _ in range(1, p.k):
-        powers.append(hom.images[labels, powers[-1]])
-    powers = np.array(powers)
-    least = powers.min(axis=0) == np.arange(p.n)
-    blocks = powers.transpose(1, 2, 0)[least].reshape(p.d, p.n // p.k, p.k)
+    least = hom.orbits.min(axis=0) == np.arange(p.n)
+    blocks = hom.orbits.transpose(1, 2, 0)[least].reshape(p.d, p.n // p.k, p.k)
     return LabeledHypergraph(p.n, p.k, p.d, blocks)
 
 

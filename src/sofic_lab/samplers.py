@@ -11,7 +11,7 @@ Each generator's partition is a block array, and one `Generator.permuted`
 call draws the cycle orders of all its blocks. That call consumes the stream
 exactly as one `permutation(k - 1)` per block would, so the array samplers
 reproduce the per-block draws bit for bit. The planted draw's properness is
-checked from the image arrays, not from a rebuilt hypergraph.
+checked from the homomorphism's orbit table, not from a rebuilt hypergraph.
 
 All samplers are pure given an RngState: the same (seed, stream) pair always
 reproduces the same output. Passing a live numpy Generator instead chains
@@ -25,7 +25,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .group_model import ModelParams, UniformHom, _flat_permutation, typed_partition_count
+from .group_model import ModelParams, UniformHom, typed_partition_count
 from .hypergraph import _coloring_array
 
 _UINT64_MASK = (1 << 64) - 1
@@ -188,21 +188,16 @@ def _typed_blocks(ones, zeros, k, counts, gen):
     return blocks[np.argsort(blocks[:, 0], kind="stable")]
 
 
-def _monochromatic_orbit_count(images, chi, k):
+def _monochromatic_orbit_count(orbits, chi):
     """Number of generator orbits on which chi is constant.
 
-    Read from the flat permutation of the (d, n) images: point i*n + v lies
-    on a monochromatic orbit when chi agrees at v, img_i v, ...,
-    img_i^(k-1) v, and each orbit has k such points.
+    Read from the (k, d, n) orbit table: position (i, v) lies on a
+    monochromatic orbit when chi is the same at every orbits[j, i, v], and
+    each orbit has k such positions.
     """
-    flat = _flat_permutation(images)
-    colors = np.tile(chi, images.shape[0])
-    same = np.ones(flat.size, dtype=bool)
-    cur = np.arange(flat.size)
-    for _ in range(k - 1):
-        cur = flat[cur]
-        same &= colors[cur] == colors
-    return int(np.count_nonzero(same)) // k
+    colors = chi[orbits]
+    same = (colors == colors[0]).all(axis=0)
+    return int(np.count_nonzero(same)) // len(orbits)
 
 
 def sample_planted_hom(params: ModelParams, chi, rng) -> UniformHom:
@@ -225,6 +220,6 @@ def sample_planted_hom(params: ModelParams, chi, rng) -> UniformHom:
         blocks = _typed_blocks(ones, zeros, params.k, counts, gen)
         images.append(_cycle_images(blocks, gen))
     hom = UniformHom(params, images)
-    if _monochromatic_orbit_count(hom.images, chi, params.k):
+    if _monochromatic_orbit_count(hom.orbits, chi):
         raise RuntimeError("planted draw has a monochromatic edge")
     return hom

@@ -85,18 +85,32 @@ def unchecked_hom(params, images):
     of k-cycles."""
     hom = object.__new__(UniformHom)
     hom.params = params
-    hom.images = np.array(images, dtype=np.intp).reshape(params.d, params.n)
-    hom.images.flags.writeable = False
+    images = np.array(images, dtype=np.intp).reshape(params.d, params.n)
+    powers = [np.broadcast_to(np.arange(params.n), images.shape)]
+    for _ in range(1, params.k):
+        powers.append(np.take_along_axis(images, powers[-1], axis=1))
+    hom.orbits = np.array(powers)
+    hom.orbits.flags.writeable = False
+    hom.images = hom.orbits[1]
     return hom
 
 
 def assert_image_array(hom):
     """The representation of a UniformHom: one read-only intp array of
-    shape (d, n)."""
-    assert isinstance(hom.images, np.ndarray)
-    assert hom.images.dtype == np.intp
-    assert hom.images.shape == (hom.params.d, hom.params.n)
-    assert not hom.images.flags.writeable
+    shape (d, n), the images, and the read-only intp table of shape
+    (k, d, n) of their powers, whose row 0 is the identity, row 1 the
+    images, and row j + 1 the images applied to row j."""
+    d, k, n = hom.params.d, hom.params.k, hom.params.n
+    for array, shape in ((hom.images, (d, n)), (hom.orbits, (k, d, n))):
+        assert isinstance(array, np.ndarray)
+        assert array.dtype == np.intp
+        assert array.shape == shape
+        assert not array.flags.writeable
+    assert (hom.orbits[0] == np.arange(n)).all()
+    assert np.array_equal(hom.orbits[1], hom.images)
+    for j in range(k - 1):
+        after = np.take_along_axis(hom.images, hom.orbits[j], axis=1)
+        assert np.array_equal(hom.orbits[j + 1], after)
 
 
 def all_k_partitions(elements, k):

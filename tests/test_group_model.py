@@ -223,9 +223,12 @@ def test_uniform_hom_stores_one_read_only_intp_array():
     loaded = UniformHom.from_json_dict(data)
     assert_image_array(loaded)
     assert loaded == hom
-    # no generators: a (0, n) array, by construction and by enumeration
+    # no generators: a (0, n) array and a (k, 0, n) table, by construction,
+    # by enumeration and from JSON
     empty = ModelParams(d=0, k=3, n=6)
-    for bare in [UniformHom(empty, [])] + list(enumerate_uniform_homs(empty)):
+    bare_json = {"n": 6, "k": 3, "d": 0, "images": []}
+    for bare in ([UniformHom(empty, []), UniformHom.from_json_dict(bare_json)]
+                 + list(enumerate_uniform_homs(empty))):
         assert_image_array(bare)
         assert bare.images.shape == (0, 6)
         assert bare.to_json_dict()["images"] == []
@@ -453,10 +456,20 @@ def test_check_sofic_generic_on_non_homomorphic_images():
 def test_word_image_matches_evaluate_word():
     p = ModelParams(d=3, k=3, n=30)
     hom = random_uniform_images(p, random.Random(9))
-    for word in _oracle_word_sets(p)[2] + generator_pair_words(p):
-        assert _word_arrays(hom, [word])[0].tolist() == [
-            evaluate_word(hom, word, v) for v in range(p.n)
-        ]
+
+    def stepwise(word, v):
+        # e single image steps per syllable (g, e), without the orbit table
+        for g, e in reversed(word.syllables):
+            for _ in range(e % p.k):
+                v = int(hom.images[g, v])
+        return v
+
+    # syllables built directly are not reduced: exponents 0, -1 and k + 1
+    unreduced = [ReducedWord(((0, 4), (1, -1), (2, 0), (0, 2))), ReducedWord(((1, 3),))]
+    for word in _oracle_word_sets(p)[2] + generator_pair_words(p) + unreduced:
+        expected = [stepwise(word, v) for v in range(p.n)]
+        assert [evaluate_word(hom, word, v) for v in range(p.n)] == expected
+        assert _word_arrays(hom, [word])[0].tolist() == expected
 
 
 @pytest.mark.parametrize("bad", [-1, 2])

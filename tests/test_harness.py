@@ -562,6 +562,30 @@ def test_experiment_all_failures_is_an_error(tmp_path, monkeypatch):
         run_experiment(config, workers=1)
 
 
+@pytest.mark.parametrize("workers", [0, -4])
+def test_experiment_refuses_fewer_than_one_worker(tmp_path, capsys, monkeypatch, workers):
+    import sofic_lab.harness as harness
+
+    def ran(*args):
+        raise AssertionError("a replica ran")
+
+    monkeypatch.setattr(harness, "_replica_row", ran)
+    monkeypatch.setattr(harness, "sample_uniform_hom", ran)
+    params = {"n": 4, "k": 2, "d": 1, "replicas": 3}
+    for kind in ("first-moment", "concentration"):
+        config = ExperimentConfig(kind, params, str(tmp_path / kind))
+        with pytest.raises(ValueError, match="at least 1 worker, got %d" % workers):
+            run_experiment(config, workers=workers)
+        config_path = tmp_path / ("%s.json" % kind)
+        config_path.write_text(json.dumps(
+            {"kind": kind, "params": params, "output": str(tmp_path / ("cli-" + kind))}))
+        code = cli_dispatch(["experiment", str(config_path), "--workers", str(workers)])
+        assert code == 2
+        assert "need at least 1 worker" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "concentration.json", "first-moment.json"]
+
+
 def test_experiment_cli_round_trip(tmp_path, capsys):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps({
@@ -587,8 +611,8 @@ def test_experiment_cli_round_trip(tmp_path, capsys):
 
 def test_concentration_probe_deterministic_and_bounded():
     params = ModelParams(d=2, k=3, n=30)
-    a = concentration_probe(params, 30, 100, rng=RngState(7))
-    b = concentration_probe(params, 30, 100, rng=RngState(7))
+    a = concentration_probe(params, 100, rng=RngState(7))
+    b = concentration_probe(params, 100, rng=RngState(7))
     assert a == b
     assert all(0 <= v <= 1 for v in a.values)
     assert sum(count for _, count in a.histogram) == 100
@@ -598,21 +622,20 @@ def test_concentration_probe_deterministic_and_bounded():
 
 def test_concentration_probe_tail_bound():
     params = ModelParams(d=2, k=3, n=201)
-    report = concentration_probe(params, 201, 300, rng=RngState(1))
+    report = concentration_probe(params, 300, rng=RngState(1))
     tail = dict(report.tail_fractions)[Fraction(1, 5)]
     assert tail < Fraction(1, 20)
 
 
 def test_concentration_tail_does_not_grow_with_n():
-    params = ModelParams(d=2, k=3, n=201)
-    small = concentration_probe(params, 201, 200, rng=RngState(2))
-    large = concentration_probe(params, 402, 200, rng=RngState(2))
+    small = concentration_probe(ModelParams(d=2, k=3, n=201), 200, rng=RngState(2))
+    large = concentration_probe(ModelParams(d=2, k=3, n=402), 200, rng=RngState(2))
     threshold = Fraction(1, 10)
     assert dict(large.tail_fractions)[threshold] <= dict(small.tail_fractions)[threshold]
 
 
 def test_concentration_probe_degenerate_scale():
-    report = concentration_probe(ModelParams(d=2, k=2, n=2), 2, 30, rng=RngState(3))
+    report = concentration_probe(ModelParams(d=2, k=2, n=2), 30, rng=RngState(3))
     assert set(report.values) == {Fraction(0)}
     assert all(frac == 0 for _, frac in report.tail_fractions)
     assert report.histogram == ((0.0, 30),)

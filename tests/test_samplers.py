@@ -405,7 +405,7 @@ def test_monochromatic_orbit_count_matches_hypergraph():
             for density in (0.1, 0.5, 0.9):
                 chi = Coloring((rng.random(n) < density).astype(int).tolist())
                 expected = monochromatic_edge_count(graph, chi)
-                got = _monochromatic_orbit_count(hom.images, np.array(chi.bits), k)
+                got = _monochromatic_orbit_count(hom.orbits, np.array(chi.bits))
                 assert got == expected
 
 

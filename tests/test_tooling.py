@@ -80,6 +80,29 @@ def test_library_calls_no_unique_along_an_axis():
     assert found == []
 
 
+def test_only_group_model_reads_into_the_images():
+    # group_model builds every power of the generator images once, in the
+    # orbit table; another module that subscripts the images or the table, or
+    # imports a private group_model function that takes either one, walks
+    # them again in its own way. Reading a whole array, or passing it on, is
+    # fine.
+    model = ast.parse((SRC / "group_model.py").read_text())
+    walkers = {node.name for node in model.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+               and {"images", "orbits"} & {arg.arg for arg in _parameters(node)}}
+    found = []
+    for name, node in _library_nodes():
+        if name == "group_model.py":
+            continue
+        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                and node.value.attr in ("images", "orbits")):
+            found.append("%s:%d %s" % (name, node.lineno, ast.unparse(node)))
+        if isinstance(node, ast.ImportFrom) and node.module == "group_model":
+            found += ["%s:%d %s" % (name, node.lineno, alias.name)
+                      for alias in node.names if alias.name in walkers]
+    assert found == []
+
+
 def _parameters(node):
     args = node.args
     return [arg for arg in args.posonlyargs + args.args + args.kwonlyargs
