@@ -20,7 +20,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import mpmath as mp
 
@@ -82,22 +82,6 @@ def _eta(x: mp.mpf) -> mp.mpf:
     if x == 0:
         return mp.mpf(0)
     return -x * mp.log(x)
-
-
-def entropy(probabilities: Iterable, precision: int | None = None) -> mp.mpf:
-    """Shannon entropy (natural log) of a vector of nonnegative weights.
-
-    The vector is not required to sum to one; type matrices feed their raw
-    entries through this.
-    """
-    with working_precision(precision):
-        total = mp.mpf(0)
-        for p in probabilities:
-            x = _to_mpf(p)
-            if x < 0:
-                raise ValueError(f"entropy needs nonnegative entries, got {p}")
-            total += _eta(x)
-        return total
 
 
 def entropy2(x, precision: int | None = None) -> mp.mpf:

@@ -2,12 +2,15 @@
 
 Everything the package can compute is reachable from the ``sofic-lab``
 entry point; the heavier statistical checks are driven by JSON experiment
-configs whose replicas run in a worker pool.  On-disk formats are JSON for
-instances and configs and CSV for tabular results.  Two conventions hold
-throughout: every run prints a "# params: ..." line echoing the seed,
-stream, and the full parameter record, and every CSV file ends with the
-same line as a footer comment, so any artifact can be reproduced from
-itself.  Outputs are bit-identical for identical (config, seed).
+configs.  Every experiment kind runs the same way: its replicas, one RNG
+stream each, run in a worker pool and each returns one CSV row; the kind's
+summary is then computed from the rows that did not fail.  On-disk formats
+are JSON for instances and configs and CSV for tabular results.  Two
+conventions hold throughout: every run prints a "# params: ..." line
+echoing the seed, stream, and the full parameter record, and every CSV file
+ends with the same line as a footer comment, so any artifact can be
+reproduced from itself.  Outputs are bit-identical for identical (config,
+seed), whatever the pool size.
 
 Exit codes: 0 success, 2 validation error (bad flags, bad files, bad
 parameter combinations), 3 scale refusal.
@@ -23,7 +26,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath as mp
@@ -82,9 +85,13 @@ EXPERIMENT_KINDS = {
     "density": _REPLICA_KEYS + ("level", "tree_samples", "sigma_tolerance"),
     "sofic": _REPLICA_KEYS + ("delta", "min_fraction"),
     "local-convergence": _REPLICA_KEYS + ("edge_label", "deviation_tolerance"),
-    # one stream per replica from seed/stream, so a seeds list is not read
+    # replicas take the streams seed/(stream + i) only; no seeds list
     "concentration": ("d", "k", "n", "replicas", "seed", "stream", "tail_tolerance"),
 }
+
+# The params that must be JSON integers; every *_tolerance must be a number.
+_INTEGER_KEYS = ("d", "k", "n", "replicas", "seed", "stream", "level",
+                 "tree_samples", "edge_label")
 
 ENUMERATION_AVERAGE_MAX_HOMS = 10_000
 CONCENTRATION_THRESHOLDS = (Fraction(1, 20), Fraction(1, 10), Fraction(1, 5))
@@ -254,6 +261,10 @@ def _as_fraction(value):
 # experiment configs
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: a kind, its parameter dict, and an output prefix.
@@ -267,6 +278,7 @@ class ExperimentConfig:
     kind: str
     params: dict
     output: str
+    _states: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -283,26 +295,36 @@ class ExperimentConfig:
             )
         if not self.output:
             raise ValueError("experiment config needs a non-empty output prefix")
-        if "seeds" in self.params and not list(self.params["seeds"]):
+        for key, value in self.params.items():
+            if key in _INTEGER_KEYS and not _is_int(value):
+                raise ValueError("%s must be an integer, got %r" % (key, value))
+            if key == "seeds" and not (
+                    isinstance(value, list) and all(map(_is_int, value))):
+                raise ValueError("seeds must be a list of integers, got %r" % (value,))
+            if key.endswith("tolerance") and not (
+                    (_is_int(value) or isinstance(value, float)) and value > 0):
+                raise ValueError("%s must be a positive number, got %r" % (key, value))
+        if "seeds" in self.params and not self.params["seeds"]:
             raise ValueError("explicit seeds list must not be empty")
         if self.replicas < 1:
             raise ValueError("need at least 1 replica, got %d" % self.replicas)
-        for key, value in self.params.items():
-            if key.endswith("tolerance") and not value > 0:
-                raise ValueError("%s must be positive, got %r" % (key, value))
+        stream = self.params.get("stream", 0)
+        if "seeds" in self.params:
+            states = [RngState(s, stream) for s in self.params["seeds"]]
+        else:
+            seed = self.params.get("seed", 0)
+            states = [RngState(seed, stream + i) for i in range(self.replicas)]
+        # built here, so a seed or stream out of range is refused at once
+        object.__setattr__(self, "_states", tuple(states))
 
     @property
     def replicas(self):
         if "seeds" in self.params:
-            return len(list(self.params["seeds"]))
-        return int(self.params.get("replicas", 0))
+            return len(self.params["seeds"])
+        return self.params.get("replicas", 0)
 
     def replica_states(self):
-        stream = int(self.params.get("stream", 0))
-        if "seeds" in self.params:
-            return [RngState(int(s), stream) for s in self.params["seeds"]]
-        seed = int(self.params.get("seed", 0))
-        return [RngState(seed, stream + i) for i in range(self.replicas)]
+        return list(self._states)
 
     @classmethod
     def from_json_dict(cls, data):
@@ -324,9 +346,7 @@ class ExperimentResult:
 
 
 def _model_params(params):
-    return ModelParams(
-        d=int(params["d"]), k=int(params["k"]), n=int(params["n"])
-    )
+    return ModelParams(d=params["d"], k=params["k"], n=params["n"])
 
 
 def _replica_row(kind, params, state):
@@ -334,25 +354,22 @@ def _replica_row(kind, params, state):
 
     Top-level so a process pool can pickle it.
     """
+    mparams = _model_params(params)
     if kind == "first-moment":
-        mparams = _model_params(params)
         hom = sample_uniform_hom(mparams, state)
         return {"z": count_proper(build_hypergraph(hom)).value}
     if kind == "planted-distance":
-        mparams = _model_params(params)
         chi = Coloring.equitable_split(mparams.n)
         hom = sample_planted_hom(mparams, chi, state)
         graph = build_hypergraph(hom)
         delta = _as_fraction(params["delta"])
         return {"z_delta": count_at_distance(graph, chi, delta).value}
     if kind == "density":
-        mparams = _model_params(params)
         chi = Coloring.equitable_split(mparams.n)
         hom = sample_planted_hom(mparams, chi, state)
         graph = build_hypergraph(hom)
-        return {"density": density_report(graph, chi, int(params["level"]))}
+        return {"density": density_report(graph, chi, params["level"])}
     if kind == "sofic":
-        mparams = _model_params(params)
         hom = sample_uniform_hom(mparams, state)
         words = generator_words(mparams) + generator_pair_words(mparams)
         report = check_sofic(hom, words, _as_fraction(params.get("delta", "1/10")))
@@ -362,12 +379,11 @@ def _replica_row(kind, params, state):
             "is_sofic": report.is_sofic,
         }
     if kind == "local-convergence":
-        mparams = _model_params(params)
         chi = Coloring.equitable_split(mparams.n)
         hom = sample_planted_hom(mparams, chi, state)
         domain = single_edge_domain(
             ModelParams(d=mparams.d, k=mparams.k, n=mparams.k),
-            label=int(params.get("edge_label", 0)),
+            label=params.get("edge_label", 0),
         )
         census = local_pattern_census(hom, chi, domain)
         target = Fraction(1, count_proper_patterns(domain))
@@ -379,6 +395,9 @@ def _replica_row(kind, params, state):
             "max_deviation": deviation,
             "improper_fraction": census.improper_fraction(),
         }
+    if kind == "concentration":
+        hom = sample_uniform_hom(mparams, state)
+        return {"value": _normalized_hom_distance(hom, _reference_hom(mparams))}
     raise ValueError("no per-replica row for kind %r" % kind)
 
 
@@ -388,6 +407,11 @@ def _replica_worker(task):
         return index, _replica_row(kind, params, RngState(seed, stream)), None
     except (ScaleRefusal, ValueError) as exc:
         return index, None, "%s: %s" % (type(exc).__name__, exc)
+
+
+def _require_workers(workers):
+    if workers < 1:
+        raise ValueError("need at least 1 worker, got %d" % workers)
 
 
 def _run_replicas(config, workers):
@@ -461,14 +485,14 @@ def _density_summary(config, rows):
     mean, stderr = _mean_stderr(values)
     mean_exact = sum(values, Fraction(0)) / len(values)
     tree_rng = RngState(
-        int(params.get("seed", 0)),
-        int(params.get("stream", 0)) + config.replicas,
+        params.get("seed", 0),
+        params.get("stream", 0) + config.replicas,
     )
     estimate = core_density_estimate(
-        d=int(params["d"]),
-        k=int(params["k"]),
-        level=int(params["level"]),
-        samples=int(params.get("tree_samples", 100_000)),
+        d=params["d"],
+        k=params["k"],
+        level=params["level"],
+        samples=params.get("tree_samples", 100_000),
         rng=tree_rng,
     )
     tree = float(estimate.rigid_frequency())
@@ -505,22 +529,11 @@ def run_experiment(config, workers=1):
     the summary; a failed replica is flagged in its row's error column and
     excluded from the summary statistics, and the run continues.
     """
-    if workers < 1:
-        raise ValueError("need at least 1 worker, got %d" % workers)
-    if config.kind == "concentration":
-        return _run_concentration(config)
-
+    _require_workers(workers)
     states, results = _run_replicas(config, workers)
     good_rows = [row for _, row, _ in results if row is not None]
     if not good_rows:
         raise ValueError("every replica failed; first error: %s" % results[0][2])
-    # every row of a kind has the same keys, in the order _replica_row gives
-    fields = tuple(good_rows[0])
-    csv_rows = []
-    for (index, row, error), state in zip(results, states):
-        cells = [None] * len(fields) + [error] if row is None else list(row.values()) + [None]
-        csv_rows.append([index, state.seed, state.stream] + cells)
-    failures = len(results) - len(good_rows)
 
     params = config.params
     if config.kind == "first-moment":
@@ -557,10 +570,19 @@ def run_experiment(config, workers=1):
             "deviation_tolerance": tolerance,
             "pass": mean <= tolerance,
         }
+    elif config.kind == "concentration":
+        summary = _concentration_summary(config, good_rows)
     else:
         raise AssertionError("unhandled kind %r" % config.kind)
 
-    return _write_report(config, fields, csv_rows, summary, failures)
+    # every row of a kind has the same keys, in the order _replica_row and
+    # the summary (which may add a column) give
+    fields = tuple(good_rows[0])
+    csv_rows = []
+    for (index, row, error), state in zip(results, states):
+        cells = [None] * len(fields) + [error] if row is None else list(row.values()) + [None]
+        csv_rows.append([index, state.seed, state.stream] + cells)
+    return _write_report(config, fields, csv_rows, summary, len(results) - len(good_rows))
 
 
 def _write_report(config, fields, csv_rows, summary, failures):
@@ -583,25 +605,7 @@ def _write_report(config, fields, csv_rows, summary, failures):
 
 
 # ---------------------------------------------------------------------------
-# the concentration probe
-
-
-@dataclass(frozen=True)
-class ConcentrationReport:
-    """Empirical deviations of a 1-Lipschitz statistic over replicas.
-
-    ``values`` are exact Fractions; the histogram bins f - mean at width
-    1/40 and tail_fractions holds P(|f - mean| > delta) for the three
-    standard thresholds.
-    """
-
-    params: ModelParams
-    replicas: int
-    values: tuple
-    mean: Fraction
-    deviations: tuple
-    tail_fractions: tuple
-    histogram: tuple
+# the concentration statistic
 
 
 def _reference_hom(params):
@@ -613,6 +617,10 @@ def _reference_hom(params):
 
 
 def _normalized_hom_distance(hom, ref):
+    """The concentration statistic: the per-generator Hamming distance of
+    hom to ref, averaged over generators and normalized by n, as an exact
+    Fraction.  It is 1-Lipschitz in the normalized distance on homomorphism
+    tuples by construction."""
     moved = np.count_nonzero(hom.images != ref.images)
     return Fraction(int(moved), hom.params.d * hom.params.n)
 
@@ -629,61 +637,29 @@ def _deviation_histogram(deviations):
     )
 
 
-def concentration_probe(params, replicas, rng=None):
-    """Sample the uniform model at params and record how a 1-Lipschitz
-    statistic concentrates around its empirical mean.
-
-    The statistic is the per-generator Hamming distance to a fixed
-    reference homomorphism, averaged over generators and normalized by n,
-    which is 1-Lipschitz in the normalized distance on homomorphism tuples
-    by construction.
-    """
-    if replicas < 1:
-        raise ValueError("need at least 1 replica, got %d" % replicas)
-    base = rng if rng is not None else RngState(0)
-    ref = _reference_hom(params)
-    values = []
-    for i in range(replicas):
-        hom = sample_uniform_hom(params, base.with_stream(base.stream + i))
-        values.append(_normalized_hom_distance(hom, ref))
-    mean = sum(values, Fraction(0)) / replicas
-    deviations = tuple(v - mean for v in values)
-    tails = tuple(
-        (thr, Fraction(sum(1 for d in deviations if abs(d) > thr), replicas))
+def _concentration_summary(config, rows):
+    """The exact mean of the rows' values, each row's deviation from it (added
+    to the row as its "deviation" column), P(|value - mean| > t) for each of
+    CONCENTRATION_THRESHOLDS, and a histogram of the deviations at width
+    HISTOGRAM_BIN_WIDTH.  The run passes when the widest threshold's tail is
+    within tail_tolerance."""
+    mean = sum((row["value"] for row in rows), Fraction(0)) / len(rows)
+    for row in rows:
+        row["deviation"] = row["value"] - mean
+    deviations = [row["deviation"] for row in rows]
+    tails = {
+        thr: Fraction(sum(1 for dev in deviations if abs(dev) > thr), len(rows))
         for thr in CONCENTRATION_THRESHOLDS
-    )
-    return ConcentrationReport(
-        params=params,
-        replicas=replicas,
-        values=tuple(values),
-        mean=mean,
-        deviations=deviations,
-        tail_fractions=tails,
-        histogram=_deviation_histogram(deviations),
-    )
-
-
-def _run_concentration(config):
-    params = config.params
-    mparams = _model_params(params)
-    base = RngState(int(params.get("seed", 0)), int(params.get("stream", 0)))
-    report = concentration_probe(mparams, config.replicas, rng=base)
-    tail_tolerance = float(params.get("tail_tolerance", 0.05))
-    tails = {str(float(thr)): frac for thr, frac in report.tail_fractions}
-    widest = report.tail_fractions[-1][1]
-    summary = {
-        "mean": report.mean,
-        "mean_float": float(report.mean),
-        "tails": tails,
-        "histogram": [list(bin_) for bin_ in report.histogram],
-        "tail_tolerance": tail_tolerance,
-        "pass": float(widest) <= tail_tolerance,
     }
-    csv_rows = [
-        [i, base.seed, base.stream + i, value, deviation, None]
-        for i, (value, deviation) in enumerate(zip(report.values, report.deviations))
-    ]
-    return _write_report(config, ("value", "deviation"), csv_rows, summary, 0)
+    tail_tolerance = float(config.params.get("tail_tolerance", 0.05))
+    return {
+        "mean": mean,
+        "mean_float": float(mean),
+        "tails": {str(float(thr)): frac for thr, frac in tails.items()},
+        "histogram": [list(bin_) for bin_ in _deviation_histogram(deviations)],
+        "tail_tolerance": tail_tolerance,
+        "pass": float(tails[CONCENTRATION_THRESHOLDS[-1]]) <= tail_tolerance,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -767,6 +743,8 @@ def _resolve_degree(args, need_d=True):
 
 
 def _cmd_analytic(args):
+    if args.quantity in ("psi", "psi0") and args.delta is None:
+        raise ValueError("psi and psi0 need --delta")
     record = {"command": "analytic", "quantity": args.quantity, "k": args.k}
     d, degree_record = _resolve_degree(args, need_d=args.quantity != "tstar")
     record.update(degree_record)
@@ -785,8 +763,6 @@ def _cmd_analytic(args):
         print(_fmt(proper_rate(d, args.k, precision=args.precision)))
         return 0
     if args.quantity in ("psi", "psi0"):
-        if args.delta is None:
-            raise ValueError("psi and psi0 need --delta")
         delta = Fraction(args.delta)
         if args.quantity == "psi":
             value = pair_distance_rate(delta, d, args.k, precision=args.precision)
@@ -1029,6 +1005,7 @@ def _cmd_experiment(args):
     with open(args.config) as fh:
         data = json.load(fh)
     config = ExperimentConfig.from_json_dict(data)
+    _require_workers(args.workers)
     _announce(
         {
             "command": "experiment",

@@ -47,9 +47,6 @@ class RngState:
     def generator(self):
         return np.random.Generator(np.random.Philox(key=[self.seed, self.stream]))
 
-    def with_stream(self, stream):
-        return RngState(self.seed, stream)
-
 
 def _as_generator(rng):
     if isinstance(rng, RngState):

@@ -25,7 +25,6 @@ from sofic_lab.analytics import (
     distance_of_bias,
     distance_rate_scan,
     dominant_type,
-    entropy,
     entropy2,
     entropy_gap_report,
     offset_window_top,
@@ -70,22 +69,15 @@ def test_proper_rate_large_k_offset_window():
 def test_entropy_functions():
     with working_precision():
         log2 = mp.log(2)
-        log3 = mp.log(3)
-        log4 = mp.log(4)
     assert abs(entropy2(0.5) - log2) <= mp.mpf("1e-30")
     assert entropy2(0) == 0
     assert entropy2(1) == 0
-    assert entropy([1]) == 0
-    assert abs(entropy([0.25] * 4) - log4) <= mp.mpf("1e-30")
-    assert abs(entropy([Fraction(1, 3)] * 3) - log3) <= mp.mpf("1e-30")
     for x in (0.1, 0.37, 0.5, 0.93):
         assert abs(cross_entropy2(x, x) - entropy2(x)) <= mp.mpf("1e-30")
     # cross entropy dominates entropy; the excess is a divergence
     assert cross_entropy2(0.3, 0.4) > entropy2(0.3)
     assert cross_entropy2(0.3, 0) == mp.inf
     assert cross_entropy2(0, 0) == 0
-    with pytest.raises(ValueError):
-        entropy([0.5, -0.1])
     with pytest.raises(ValueError):
         entropy2(1.5)
     with pytest.raises(ValueError):

@@ -29,7 +29,6 @@ from sofic_lab.harness import (
     _fmt,
     _params_line,
     cli_dispatch,
-    concentration_probe,
     load_instance,
     run_experiment,
     save_instance,
@@ -195,7 +194,9 @@ def test_analytic_fixed_point_output(capsys):
 def test_analytic_degree_validation(capsys):
     assert run_cli(capsys, ["analytic", "f", "--k", "3"])[0] == 2
     assert run_cli(capsys, ["analytic", "f", "--k", "3", "--d", "5", "--eta", "0.1"])[0] == 2
-    assert run_cli(capsys, ["analytic", "psi", "--k", "3", "--d", "5"])[0] == 2
+    # refused before the params line is printed
+    for quantity in ("psi", "psi0"):
+        assert run_cli(capsys, ["analytic", quantity, "--k", "3", "--d", "5"]) == (2, [])
 
 
 def test_analytic_eta_resolves_degree(capsys):
@@ -507,8 +508,9 @@ def test_local_convergence_experiment(tmp_path):
         ("first-moment", {"n": 6, "k": 3, "d": 2, "replicas": 12, "seed": 5}),
         ("sofic", {"n": 12, "k": 3, "d": 2, "replicas": 6, "seed": 5}),
         ("local-convergence", {"n": 12, "k": 3, "d": 2, "replicas": 6, "seed": 5}),
+        ("concentration", {"n": 30, "k": 3, "d": 2, "replicas": 12, "seed": 5}),
     ],
-    ids=["first-moment", "sofic", "local-convergence"],
+    ids=["first-moment", "sofic", "local-convergence", "concentration"],
 )
 def test_experiment_deterministic_and_pool_invariant(tmp_path, kind, params):
     config = ExperimentConfig(kind, params, str(tmp_path / "det"))
@@ -581,7 +583,9 @@ def test_experiment_refuses_fewer_than_one_worker(tmp_path, capsys, monkeypatch,
             {"kind": kind, "params": params, "output": str(tmp_path / ("cli-" + kind))}))
         code = cli_dispatch(["experiment", str(config_path), "--workers", str(workers)])
         assert code == 2
-        assert "need at least 1 worker" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "need at least 1 worker" in captured.err
+        assert captured.out == ""
     assert sorted(path.name for path in tmp_path.iterdir()) == [
         "concentration.json", "first-moment.json"]
 
@@ -605,40 +609,68 @@ def test_experiment_cli_round_trip(tmp_path, capsys):
     assert run_cli(capsys, ["experiment", str(bad)])[0] == 2
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"mean_tolerance": "0.1"}, {"seeds": 5}, {"seeds": [1, 2.0]}, {"n": 4.5},
+     {"replicas": True}, {"seed": -1}, {"stream": 2**64 - 2}],
+    ids=["string-tolerance", "seeds-not-a-list", "float-seed", "float-n",
+         "bool-replicas", "negative-seed", "stream-overflow"],
+)
+def test_experiment_refuses_malformed_params(tmp_path, capsys, bad):
+    # refused with exit 2 before the params line, and nothing is written
+    params = {"n": 4, "k": 2, "d": 2, "replicas": 3, **bad}
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(
+        {"kind": "first-moment", "params": params, "output": str(tmp_path / "out")}))
+    assert run_cli(capsys, ["experiment", str(config_path)]) == (2, [])
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+
 # ---------------------------------------------------------------------------
-# the concentration probe
+# the concentration experiment
 
 
-def test_concentration_probe_deterministic_and_bounded():
-    params = ModelParams(d=2, k=3, n=30)
-    a = concentration_probe(params, 100, rng=RngState(7))
-    b = concentration_probe(params, 100, rng=RngState(7))
-    assert a == b
-    assert all(0 <= v <= 1 for v in a.values)
-    assert sum(count for _, count in a.histogram) == 100
-    tails = [frac for _, frac in a.tail_fractions]
+def run_concentration(path, n, k, d, replicas, seed):
+    """Run a concentration experiment; returns (the CSV's values, the
+    summary as written to JSON)."""
+    config = ExperimentConfig(
+        "concentration", {"n": n, "k": k, "d": d, "replicas": replicas, "seed": seed},
+        str(path))
+    run_experiment(config)
+    rows = path.with_suffix(".csv").read_text().splitlines()[1:-1]
+    values = [Fraction(row.split(",")[3]) for row in rows]
+    return values, json.loads(path.with_suffix(".json").read_text())
+
+
+def tail_fractions(summary):
+    return [Fraction(summary["tails"][key]) for key in ("0.05", "0.1", "0.2")]
+
+
+def test_concentration_deterministic_and_bounded(tmp_path):
+    values, summary = run_concentration(tmp_path / "a", 30, 3, 2, 100, seed=7)
+    assert run_concentration(tmp_path / "b", 30, 3, 2, 100, seed=7) == (values, summary)
+    assert all(0 <= v <= 1 for v in values)
+    assert sum(count for _, count in summary["histogram"]) == 100
+    tails = tail_fractions(summary)
     assert tails[0] >= tails[1] >= tails[2]
 
 
-def test_concentration_probe_tail_bound():
-    params = ModelParams(d=2, k=3, n=201)
-    report = concentration_probe(params, 300, rng=RngState(1))
-    tail = dict(report.tail_fractions)[Fraction(1, 5)]
-    assert tail < Fraction(1, 20)
+def test_concentration_tail_bound(tmp_path):
+    _, summary = run_concentration(tmp_path / "c", 201, 3, 2, 300, seed=1)
+    assert tail_fractions(summary)[2] < Fraction(1, 20)
 
 
-def test_concentration_tail_does_not_grow_with_n():
-    small = concentration_probe(ModelParams(d=2, k=3, n=201), 200, rng=RngState(2))
-    large = concentration_probe(ModelParams(d=2, k=3, n=402), 200, rng=RngState(2))
-    threshold = Fraction(1, 10)
-    assert dict(large.tail_fractions)[threshold] <= dict(small.tail_fractions)[threshold]
+def test_concentration_tail_does_not_grow_with_n(tmp_path):
+    _, small = run_concentration(tmp_path / "small", 201, 3, 2, 200, seed=2)
+    _, large = run_concentration(tmp_path / "large", 402, 3, 2, 200, seed=2)
+    assert tail_fractions(large)[1] <= tail_fractions(small)[1]
 
 
-def test_concentration_probe_degenerate_scale():
-    report = concentration_probe(ModelParams(d=2, k=2, n=2), 30, rng=RngState(3))
-    assert set(report.values) == {Fraction(0)}
-    assert all(frac == 0 for _, frac in report.tail_fractions)
-    assert report.histogram == ((0.0, 30),)
+def test_concentration_degenerate_scale(tmp_path):
+    values, summary = run_concentration(tmp_path / "c", 2, 2, 2, 30, seed=3)
+    assert set(values) == {Fraction(0)}
+    assert all(frac == 0 for frac in tail_fractions(summary))
+    assert summary["histogram"] == [[0.0, 30]]
 
 
 def test_concentration_experiment_files(tmp_path):

@@ -63,7 +63,7 @@ def test_rng_state_determinism():
     p = ModelParams(d=2, k=3, n=9)
     state = RngState(seed=17, stream=4)
     assert sample_uniform_hom(p, state) == sample_uniform_hom(p, state)
-    assert sample_uniform_hom(p, state) != sample_uniform_hom(p, state.with_stream(5))
+    assert sample_uniform_hom(p, state) != sample_uniform_hom(p, RngState(17, 5))
     chi = Coloring.equitable_split(12)
     p2 = ModelParams(d=2, k=3, n=12)
     assert sample_planted_hom(p2, chi, state) == sample_planted_hom(p2, chi, state)

@@ -179,6 +179,27 @@ def _names_in(node):
     return names
 
 
+def _library_reads(node):
+    """The names a piece of library code reads, as _names_in gives them but
+    for what reaches no top-level definition: a name being bound, an
+    attribute, which reaches only a method, and a name the enclosing
+    function binds itself, as an argument or by assignment."""
+    names = set()
+    for child in ast.iter_child_nodes(node):
+        names |= _library_reads(child)
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        names.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        names.add("." + node.attr)
+    elif isinstance(node, ast.alias):
+        names.add(node.name.rsplit(".", 1)[-1])
+    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        names -= {sub.arg for sub in ast.walk(node.args) if isinstance(sub, ast.arg)}
+        names -= {sub.id for sub in ast.walk(node)
+                  if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)}
+    return names
+
+
 def _strings_in(node):
     return {sub.value for sub in ast.walk(node)
             if isinstance(sub, ast.Constant) and isinstance(sub.value, str)}
@@ -198,7 +219,7 @@ def _class_parts(node):
                if isinstance(sub, ast.FunctionDef) and not _is_dunder(sub.name)]
     own = node.bases + node.keywords + node.decorator_list + [
         sub for sub in node.body if sub not in methods]
-    return set().union(*map(_names_in, own)), methods
+    return set().union(*map(_library_reads, own)), methods
 
 
 def _library_definitions():
@@ -227,17 +248,17 @@ def _library_definitions():
                 if name == "__all__":
                     read |= _strings_in(node)
                 elif _is_dunder(name):
-                    read |= _names_in(node)
+                    read |= _library_reads(node)
                 elif isinstance(node, ast.ClassDef):
                     own, methods = _class_parts(node)
                     definitions[path.name, name] = name, own
                     for method in methods:
                         definitions[path.name, "%s.%s" % (name, method.name)] = (
-                            "." + method.name, _names_in(method))
+                            "." + method.name, _library_reads(method))
                 else:
-                    definitions[path.name, name] = name, _names_in(node)
+                    definitions[path.name, name] = name, _library_reads(node)
             if not names:
-                read |= _names_in(node)
+                read |= _library_reads(node)
     return definitions, read
 
 
