@@ -89,6 +89,11 @@ EXPERIMENT_KINDS = {
     "concentration": ("d", "k", "n", "replicas", "seed", "stream", "tail_tolerance"),
 }
 
+# The params each kind has no default for.
+_REQUIRED_KEYS = {kind: ("d", "k", "n") for kind in EXPERIMENT_KINDS}
+_REQUIRED_KEYS["planted-distance"] += ("delta",)
+_REQUIRED_KEYS["density"] += ("level",)
+
 # The params that must be JSON integers; every *_tolerance must be a number.
 _INTEGER_KEYS = ("d", "k", "n", "replicas", "seed", "stream", "level",
                  "tree_samples", "edge_label")
@@ -308,6 +313,10 @@ class ExperimentConfig:
             raise ValueError("explicit seeds list must not be empty")
         if self.replicas < 1:
             raise ValueError("need at least 1 replica, got %d" % self.replicas)
+        missing = [key for key in _REQUIRED_KEYS[self.kind] if key not in self.params]
+        if missing:
+            raise ValueError("%s experiments need params %s"
+                             % (self.kind, ", ".join(map(repr, missing))))
         stream = self.params.get("stream", 0)
         if "seeds" in self.params:
             states = [RngState(s, stream) for s in self.params["seeds"]]

@@ -7,11 +7,13 @@ independent per-generator draws, which is what makes direct sampling cheap:
 draw a block-type vector with its exact weight, build a uniform partition of
 that type, then place an independent uniform k-cycle on every block.
 
-Each generator's partition is a block array, and one `Generator.permuted`
-call draws the cycle orders of all its blocks. That call consumes the stream
-exactly as one `permutation(k - 1)` per block would, so the array samplers
-reproduce the per-block draws bit for bit. The planted draw's properness is
-checked from the homomorphism's orbit table, not from a rebuilt hypergraph.
+A draw loops over the generators making only the stream calls: the type
+double, shuffles of the point classes and block matches, and one
+`Generator.permuted` call for the cycle orders of all the generator's
+blocks. Each consumes the stream exactly as the per-block `permutation`
+calls it stands for, so per-block draws are reproduced bit for bit. One
+stream-free array pass over all d generators then builds the images. The
+planted draw's properness is read off the homomorphism's orbit table.
 
 All samplers are pure given an RngState: the same (seed, stream) pair always
 reproduces the same output. Passing a live numpy Generator instead chains
@@ -56,23 +58,16 @@ def _as_generator(rng):
     raise TypeError("rng must be an RngState or numpy Generator")
 
 
-def _cycle_images(blocks, gen):
-    """Image array of an independent uniform k-cycle on every row of blocks.
-
-    Each row's first element leads its cycle, and one permuted call orders
-    the other k-1 elements of every row; fixing the leader hits each of the
-    (k-1)! cyclic orders exactly once. The call consumes the stream exactly
-    as one gen.permutation(k - 1) per row, in row order, would.
+def _cycle_images(blocks, cols):
+    """(d, n) images of the cycles that cols, of shape (d, m, k), puts on
+    the blocks of flat ids i*n + v. A row of cols is 0, then an order of
+    1..k-1: fixing the leader gives each cyclic order exactly once.
     """
-    m, k = blocks.shape
-    cols = np.empty((m, k), dtype=np.intp)
-    cols[:] = np.arange(k)
-    gen.permuted(cols[:, 1:], axis=1, out=cols[:, 1:])
-    cycles = blocks[np.arange(m)[:, None], cols]
+    d, m, k = blocks.shape
+    cycles = blocks.take(cols + np.arange(0, blocks.size, k).reshape(d, m, 1))
     img = np.empty(blocks.size, dtype=np.intp)
-    img[cycles[:, :-1]] = cycles[:, 1:]
-    img[cycles[:, -1]] = cycles[:, 0]
-    return img
+    img[cycles] = cycles.take(np.arange(1, k + 1) % k, axis=2)
+    return img.reshape(d, m * k) - np.arange(0, blocks.size, m * k)[:, None]
 
 
 def sample_uniform_hom(params: ModelParams, rng) -> UniformHom:
@@ -84,9 +79,13 @@ def sample_uniform_hom(params: ModelParams, rng) -> UniformHom:
     """
     params.require_uniform()
     gen = _as_generator(rng)
-    images = [_cycle_images(gen.permutation(params.n).reshape(-1, params.k), gen)
-              for _ in range(params.d)]
-    return UniformHom(params, images)
+    d, k, n = params.d, params.k, params.n
+    order = np.arange(d * n).reshape(d, n)
+    cols = np.arange(k)[None].repeat(d * n // k, axis=0).reshape(d, n // k, k)
+    for i in range(d):
+        gen.shuffle(order[i])
+        gen.permuted(cols[i, :, 1:], axis=1, out=cols[i, :, 1:])
+    return UniformHom(params, _cycle_images(order.reshape(cols.shape), cols))
 
 
 def _type_count_vectors(k, blocks, ones):
@@ -149,40 +148,35 @@ def _draw_type_counts(n, k, gen):
     return types[bisect_right(cum, m * cum[-1] >> 53)]
 
 
-def _typed_blocks(ones, zeros, k, counts, gen):
-    """Blocks of a uniform k-partition with c_j blocks of j ones, as the
-    rows of an array; each row is sorted and rows go by least vertex.
+def _typed_blocks(ones, zeros, match, counts):
+    """Generator i's typed partition as row i of a (d, m, k) array of flat
+    ids i*n + v, each block sorted and the blocks by least vertex.
 
-    ones and zeros are the two color classes as sorted vertex arrays.
-    Shuffle both, cut the ones into c_j blocks of size j and the zeros into
-    c_j blocks of size k-j for each j in turn, and match them by a uniform
-    permutation. The blocks are disjoint, so ordering rows by their least
-    vertex is the sorted order of the blocks as tuples.
+    Type counts[i] = (c_1..c_{k-1}) cuts the shuffled classes ones[i] and
+    zeros[i] in type order into c_j blocks of j ones and of k-j zeros; the
+    r-th ones block takes zeros block match[i, r] - i*m. Reads no stream.
     """
-    need_ones = sum(j * c for j, c in enumerate(counts, start=1))
-    need_zeros = sum((k - j) * c for j, c in enumerate(counts, start=1))
-    if need_ones != ones.size or need_zeros != zeros.size:
-        raise ValueError(
-            "type is infeasible for this coloring: needs %d ones and %d zeros"
-            % (need_ones, need_zeros)
-        )
-    ones = ones[gen.permutation(ones.size)]
-    zeros = zeros[gen.permutation(zeros.size)]
-    rows = []
-    pos_one = pos_zero = 0
-    for j, c in enumerate(counts, start=1):
-        if not c:
-            continue
-        one_blocks = ones[pos_one : pos_one + j * c].reshape(c, j)
-        zero_blocks = zeros[pos_zero : pos_zero + (k - j) * c].reshape(c, k - j)
-        pos_one += j * c
-        pos_zero += (k - j) * c
-        rows.append(np.concatenate((one_blocks, zero_blocks[gen.permutation(c)]), axis=1))
-    # the values are distinct, so every sort kind gives this order; the
-    # stable kind pages in less sort code on first use (about 0.1 MB of peak
-    # RSS against 0.5 MB for the default kind, measured on x86-64)
-    blocks = np.sort(np.concatenate(rows), axis=1, kind="stable")
-    return blocks[np.argsort(blocks[:, 0], kind="stable")]
+    k = counts.shape[1] + 1
+    need = counts.dot(np.arange(1, k)), counts.dot(np.arange(k - 1, 0, -1))
+    bad = (need[0] != ones.shape[1]) | (need[1] != zeros.shape[1])
+    if bad.any():
+        raise ValueError("type is infeasible for this coloring: needs %d ones and %d zeros"
+                         % (need[0][bad.argmax()], need[1][bad.argmax()]))
+    # run r of ones fills block r from slot 0, run r of zeros block inverse[r]
+    rows = match.size
+    width = np.repeat(np.arange(counts.size) % (k - 1) + 1, counts.ravel())
+    ones_at = np.cumsum(width) - width
+    zeros_at = k * np.arange(rows) - ones_at
+    inverse = np.empty(rows, dtype=np.intp)
+    inverse[match.ravel()] = np.arange(rows)
+    blocks = np.empty(rows * k, dtype=np.intp)
+    blocks[np.arange(ones.size) + np.repeat(zeros_at, width)] = ones.ravel()
+    zero_slots = np.repeat(k * inverse + width - zeros_at, k - width)
+    blocks[np.arange(zeros.size) + zero_slots] = zeros.ravel()
+    # the values are distinct, so any sort kind gives this order; the stable
+    # kind pages in less code on first use (0.1 MB of peak RSS, not 0.5, x86-64)
+    blocks = np.sort(blocks.reshape(rows, k), axis=1, kind="stable")
+    return blocks.take(np.argsort(blocks[:, 0], kind="stable"), axis=0).reshape(*match.shape, k)
 
 
 def _monochromatic_orbit_count(orbits, chi):
@@ -209,14 +203,20 @@ def sample_planted_hom(params: ModelParams, chi, rng) -> UniformHom:
     chi = _coloring_array(chi, params.n)
     if 2 * int(chi.sum()) != params.n:
         raise ValueError("type sampling requires an equitable coloring")
-    ones = np.flatnonzero(chi == 1)
-    zeros = np.flatnonzero(chi == 0)
-    images = []
-    for _ in range(params.d):
-        counts = _draw_type_counts(params.n, params.k, gen)
-        blocks = _typed_blocks(ones, zeros, params.k, counts, gen)
-        images.append(_cycle_images(blocks, gen))
-    hom = UniformHom(params, images)
+    d, k, n = params.d, params.k, params.n
+    m = n // k
+    ones, zeros = (np.arange(0, d * n, n)[:, None] + np.flatnonzero(chi == b) for b in (1, 0))
+    counts = np.empty((d, k - 1), dtype=np.intp)
+    match = np.arange(d * m).reshape(d, m)
+    cols = np.arange(k)[None].repeat(d * m, axis=0).reshape(d, m, k)
+    for i in range(d):
+        counts[i] = type_counts = _draw_type_counts(n, k, gen)
+        gen.shuffle(ones[i])
+        gen.shuffle(zeros[i])
+        for s, c in zip(accumulate(type_counts, initial=0), type_counts):
+            gen.shuffle(match[i, s : s + c])  # s + gen.permutation(c)
+        gen.permuted(cols[i, :, 1:], axis=1, out=cols[i, :, 1:])
+    hom = UniformHom(params, _cycle_images(_typed_blocks(ones, zeros, match, counts), cols))
     if _monochromatic_orbit_count(hom.orbits, chi):
         raise RuntimeError("planted draw has a monochromatic edge")
     return hom

@@ -420,9 +420,10 @@ def test_experiment_config_refuses_params_its_kind_does_not_read():
 
 
 def test_experiment_replica_states():
-    config = ExperimentConfig("first-moment", {"replicas": 3, "seed": 9}, "out")
+    shape = {"d": 2, "k": 2, "n": 4}
+    config = ExperimentConfig("first-moment", {**shape, "replicas": 3, "seed": 9}, "out")
     assert config.replica_states() == [RngState(9, 0), RngState(9, 1), RngState(9, 2)]
-    config = ExperimentConfig("first-moment", {"seeds": [4, 8]}, "out")
+    config = ExperimentConfig("first-moment", {**shape, "seeds": [4, 8]}, "out")
     assert config.replicas == 2
     assert config.replica_states() == [RngState(4, 0), RngState(8, 0)]
 
@@ -623,6 +624,29 @@ def test_experiment_refuses_malformed_params(tmp_path, capsys, bad):
     config_path.write_text(json.dumps(
         {"kind": "first-moment", "params": params, "output": str(tmp_path / "out")}))
     assert run_cli(capsys, ["experiment", str(config_path)]) == (2, [])
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "kind,params,missing",
+    [("first-moment", {"k": 2, "d": 2}, "'n'"),
+     ("density", {"n": 30, "k": 3, "d": 5}, "'level'"),
+     ("planted-distance", {"n": 12, "k": 3, "d": 3}, "'delta'")],
+    ids=["experiment-without-n", "density-without-level", "planted-distance-without-delta"],
+)
+def test_experiment_refuses_missing_params(tmp_path, capsys, kind, params, missing):
+    # refused with exit 2 before the params line, naming the key, and
+    # nothing is written; every replica would otherwise die on a KeyError
+    params = {**params, "replicas": 2}
+    with pytest.raises(ValueError, match="need params %s" % missing):
+        ExperimentConfig(kind, params, "out")
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(
+        {"kind": kind, "params": params, "output": str(tmp_path / "out")}))
+    assert cli_dispatch(["experiment", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need params %s" % missing in captured.err
     assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
 
 

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from helpers import (
 )
 from scipy import stats
 
-from sofic_lab import ScaleRefusal
+from sofic_lab import ScaleRefusal, samplers
 from sofic_lab.group_model import ModelParams, enumerate_uniform_homs, typed_partition_count
 from sofic_lab.hypergraph import (
     Coloring,
@@ -52,11 +53,19 @@ def assert_uniform_chi_square(counter, support, n_samples):
 
 def typed_partition(chi, k, counts, rng):
     """The blocks of a uniform partition with c_j blocks of j ones, as
-    sorted tuples in sorted order."""
+    sorted tuples in sorted order, drawn as the planted sampler draws one
+    generator's partition: both color classes shuffled, then each type's
+    slice of the block match."""
     chi = _coloring_array(chi, len(chi))
+    gen = _as_generator(rng)
     ones, zeros = np.flatnonzero(chi == 1), np.flatnonzero(chi == 0)
-    blocks = _typed_blocks(ones, zeros, k, counts, _as_generator(rng))
-    return [tuple(row) for row in blocks.tolist()]
+    match = np.arange(len(chi) // k)
+    gen.shuffle(ones)
+    gen.shuffle(zeros)
+    for s, c in zip(accumulate(counts, initial=0), counts):
+        gen.shuffle(match[s : s + c])
+    blocks = _typed_blocks(ones[None], zeros[None], match[None], np.array([counts]))
+    return [tuple(row) for row in blocks[0].tolist()]
 
 
 def test_rng_state_determinism():
@@ -308,7 +317,7 @@ def test_type_sampler_input_validation():
 # (d, k, n): k = 2 and k = 6, d = 0 and d = 1, and the shapes the benchmark uses
 ORACLE_SHAPES = [
     (0, 3, 6), (1, 2, 10), (1, 6, 12), (2, 3, 24), (4, 3, 24),
-    (3, 2, 10), (2, 4, 40), (3, 5, 30), (20, 6, 60), (2, 3, 600),
+    (3, 2, 10), (2, 4, 40), (3, 5, 30), (20, 6, 60), (2, 3, 600), (20, 6, 120),
 ]
 ORACLE_SEEDS = range(12)
 
@@ -378,6 +387,28 @@ def test_partition_sampler_matches_loop_oracle(k, n):
         assert parts == typed_blocks_loop_oracle(ones, zeros, k, counts, oracle_gen)
         assert all(type(v) is int for part in parts for v in part)
         assert_same_stream_afterwards(gen, oracle_gen)
+
+
+@pytest.mark.parametrize("d", [2, 20])
+def test_each_draw_assembles_its_images_in_one_pass(monkeypatch, d):
+    # the generator loop makes only stream calls; the blocks and images of
+    # all d generators come from one _typed_blocks and one _cycle_images call
+    calls = Counter()
+    for name in ("_typed_blocks", "_cycle_images"):
+        def counted(*args, name=name, real=getattr(samplers, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(samplers, name, counted)
+    p = ModelParams(d=d, k=6, n=120)
+    chi = Coloring.equitable_split(120)
+    gen = RngState(d).generator()
+    for _ in range(2):
+        sample_uniform_hom(p, gen)
+        assert calls == {"_cycle_images": 1}
+        sample_planted_hom(p, chi, gen)
+        assert calls == {"_cycle_images": 2, "_typed_blocks": 1}
+        calls.clear()
 
 
 def test_type_count_vectors_match_recursion_oracle():
