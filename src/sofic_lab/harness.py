@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -74,29 +75,6 @@ from .tree_markov import (
 )
 
 SCAN_CSV_HEADER = ("delta", "delta0", "psi0", "psi", "f_dk")
-
-# Each experiment kind with the params keys it reads.  A config may hold no
-# other key: a misspelt one would run with its default and still be echoed
-# into the "# params:" footer as if it had taken effect.
-_REPLICA_KEYS = ("d", "k", "n", "replicas", "seeds", "seed", "stream")
-EXPERIMENT_KINDS = {
-    "first-moment": _REPLICA_KEYS + ("mean_tolerance",),
-    "planted-distance": _REPLICA_KEYS + ("delta", "mean_tolerance"),
-    "density": _REPLICA_KEYS + ("level", "tree_samples", "sigma_tolerance"),
-    "sofic": _REPLICA_KEYS + ("delta", "min_fraction"),
-    "local-convergence": _REPLICA_KEYS + ("edge_label", "deviation_tolerance"),
-    # replicas take the streams seed/(stream + i) only; no seeds list
-    "concentration": ("d", "k", "n", "replicas", "seed", "stream", "tail_tolerance"),
-}
-
-# The params each kind has no default for.
-_REQUIRED_KEYS = {kind: ("d", "k", "n") for kind in EXPERIMENT_KINDS}
-_REQUIRED_KEYS["planted-distance"] += ("delta",)
-_REQUIRED_KEYS["density"] += ("level",)
-
-# The params that must be JSON integers; every *_tolerance must be a number.
-_INTEGER_KEYS = ("d", "k", "n", "replicas", "seed", "stream", "level",
-                 "tree_samples", "edge_label")
 
 ENUMERATION_AVERAGE_MAX_HOMS = 10_000
 CONCENTRATION_THRESHOLDS = (Fraction(1, 20), Fraction(1, 10), Fraction(1, 5))
@@ -240,11 +218,7 @@ def _open_instance(args, coloring=True, **head):
     if not coloring:
         chi = None
     elif args.chi is not None:
-        chi = Coloring.from_string(args.chi)
-        if len(chi) != params.n:
-            raise ValueError(
-                "--chi has length %d but the instance has n=%d" % (len(chi), params.n)
-            )
+        chi = _chi_option(args.chi, params.n)
     elif chi is None:
         raise ValueError("no coloring: the instance file has no \"chi\" and --chi was not given")
     head.update(input=args.input, n=params.n, k=params.k, d=params.d)
@@ -255,19 +229,29 @@ def _open_instance(args, coloring=True, **head):
     return hom, chi, record
 
 
-def _as_fraction(value):
-    """Fractions from config values; floats go through str for readable ratios."""
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
+def _chi_option(text, n):
+    """The coloring given as --chi, which must have one bit per vertex."""
+    chi = Coloring.from_string(text)
+    if len(chi) != n:
+        raise ValueError("--chi has length %d but n=%d" % (len(chi), n))
+    return chi
+
+
+def _fraction(name, value):
+    """The one parser of fractions from outside, CLI flags and config values
+    alike: a string such as "1/10" or "0.1", an int, or a float read through
+    its repr, so that 0.1 is 1/10.  Anything else, a bool included, and a
+    zero denominator raise ValueError."""
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            return Fraction(str(value))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError("%s must be a fraction such as 1/10, got %r" % (name, value))
 
 
 # ---------------------------------------------------------------------------
 # experiment configs
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -277,72 +261,86 @@ class ExperimentConfig:
     ``output`` is a path prefix; the run writes <output>.csv (one row per
     replica) and <output>.json (the summary).  Replicas are either
     ``replicas`` with streams seed/(stream+i), or an explicit ``seeds``
-    list for hand-picked replicas.
+    list for hand-picked replicas.  ``resolved`` is ``params`` checked and
+    parsed, with the kind's defaults filled in: the replicas and the summary
+    read it, and ``params`` is echoed as given.
     """
 
     kind: str
     params: dict
     output: str
+    resolved: dict = field(init=False, repr=False, compare=False)
     _states: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        entry = EXPERIMENT_KINDS.get(self.kind) if isinstance(self.kind, str) else None
+        if entry is None:
             raise ValueError(
                 "unknown experiment kind %r; choose from %s"
                 % (self.kind, ", ".join(EXPERIMENT_KINDS))
             )
-        unread = sorted(set(self.params) - set(EXPERIMENT_KINDS[self.kind]))
+        if not isinstance(self.params, dict):
+            raise ValueError("experiment params must be a JSON object, got %s"
+                             % type(self.params).__name__)
+        unread = sorted(set(self.params) - set(entry.params))
         if unread:
             raise ValueError(
                 "%s experiments do not read params %s; they read %s"
-                % (self.kind, ", ".join(map(repr, unread)),
-                   ", ".join(EXPERIMENT_KINDS[self.kind]))
+                % (self.kind, ", ".join(map(repr, unread)), ", ".join(entry.params))
             )
-        if not self.output:
-            raise ValueError("experiment config needs a non-empty output prefix")
+        if not (isinstance(self.output, str) and self.output):
+            raise ValueError("experiment config needs a non-empty output prefix string, got %r"
+                             % (self.output,))
+        resolved = dict(entry.params)
         for key, value in self.params.items():
-            if key in _INTEGER_KEYS and not _is_int(value):
-                raise ValueError("%s must be an integer, got %r" % (key, value))
-            if key == "seeds" and not (
-                    isinstance(value, list) and all(map(_is_int, value))):
-                raise ValueError("seeds must be a list of integers, got %r" % (value,))
-            if key.endswith("tolerance") and not (
-                    (_is_int(value) or isinstance(value, float)) and value > 0):
-                raise ValueError("%s must be a positive number, got %r" % (key, value))
-        if "seeds" in self.params and not self.params["seeds"]:
-            raise ValueError("explicit seeds list must not be empty")
+            resolved[key] = _PARAM_CHECKS[key](key, value)
+        object.__setattr__(self, "resolved", resolved)
         if self.replicas < 1:
             raise ValueError("need at least 1 replica, got %d" % self.replicas)
-        missing = [key for key in _REQUIRED_KEYS[self.kind] if key not in self.params]
+        missing = [key for key, value in resolved.items() if value is _REQUIRED]
         if missing:
             raise ValueError("%s experiments need params %s"
                              % (self.kind, ", ".join(map(repr, missing))))
-        stream = self.params.get("stream", 0)
+        # the shape that every replica's draw needs, refused before any draw
+        shape = _model_params(resolved)
+        shape.require_uniform()
+        if entry.planted:
+            shape.require_equitable()
+        if "edge_label" in resolved and resolved["edge_label"] >= shape.d:
+            raise ValueError("edge_label must be below d=%d, got %d"
+                             % (shape.d, resolved["edge_label"]))
+        stream = resolved["stream"]
         if "seeds" in self.params:
-            states = [RngState(s, stream) for s in self.params["seeds"]]
+            states = [RngState(s, stream) for s in resolved["seeds"]]
         else:
-            seed = self.params.get("seed", 0)
-            states = [RngState(seed, stream + i) for i in range(self.replicas)]
+            states = [RngState(resolved["seed"], stream + i) for i in range(self.replicas)]
         # built here, so a seed or stream out of range is refused at once
         object.__setattr__(self, "_states", tuple(states))
 
     @property
     def replicas(self):
         if "seeds" in self.params:
-            return len(self.params["seeds"])
-        return self.params.get("replicas", 0)
+            return len(self.resolved["seeds"])
+        return self.resolved["replicas"]
 
     def replica_states(self):
         return list(self._states)
 
     @classmethod
     def from_json_dict(cls, data):
-        for key in ("kind", "output"):
+        if not isinstance(data, dict):
+            raise ValueError("an experiment config must be a JSON object, got %s"
+                             % type(data).__name__)
+        for key in ("kind", "params", "output"):
             if key not in data:
                 raise ValueError("experiment config is missing %r" % key)
+        unknown = sorted(set(data) - {"kind", "params", "output"})
+        if unknown:
+            raise ValueError("experiment config has keys %s besides kind, params and output"
+                             % ", ".join(map(repr, unknown)))
         return cls(
             kind=data["kind"],
-            params=dict(data.get("params", {})),
+            params=data["params"],
             output=data["output"],
         )
 
@@ -359,55 +357,15 @@ def _model_params(params):
 
 
 def _replica_row(kind, params, state):
-    """Compute one replica; returns a plain dict of row values.
-
-    Top-level so a process pool can pickle it.
-    """
+    """Draw one replica's homomorphism as its kind says, planted at the
+    equitable split or uniform, and return the kind's row of it, a plain
+    dict of row values."""
+    entry = EXPERIMENT_KINDS[kind]
     mparams = _model_params(params)
-    if kind == "first-moment":
-        hom = sample_uniform_hom(mparams, state)
-        return {"z": count_proper(build_hypergraph(hom)).value}
-    if kind == "planted-distance":
+    if entry.planted:
         chi = Coloring.equitable_split(mparams.n)
-        hom = sample_planted_hom(mparams, chi, state)
-        graph = build_hypergraph(hom)
-        delta = _as_fraction(params["delta"])
-        return {"z_delta": count_at_distance(graph, chi, delta).value}
-    if kind == "density":
-        chi = Coloring.equitable_split(mparams.n)
-        hom = sample_planted_hom(mparams, chi, state)
-        graph = build_hypergraph(hom)
-        return {"density": density_report(graph, chi, params["level"])}
-    if kind == "sofic":
-        hom = sample_uniform_hom(mparams, state)
-        words = generator_words(mparams) + generator_pair_words(mparams)
-        report = check_sofic(hom, words, _as_fraction(params.get("delta", "1/10")))
-        return {
-            "mult_fraction": report.mult_fraction,
-            "trace_fraction": report.trace_fraction,
-            "is_sofic": report.is_sofic,
-        }
-    if kind == "local-convergence":
-        chi = Coloring.equitable_split(mparams.n)
-        hom = sample_planted_hom(mparams, chi, state)
-        domain = single_edge_domain(
-            ModelParams(d=mparams.d, k=mparams.k, n=mparams.k),
-            label=params.get("edge_label", 0),
-        )
-        census = local_pattern_census(hom, chi, domain)
-        target = Fraction(1, count_proper_patterns(domain))
-        deviation = max(
-            abs(census.frequency(p) - target)
-            for p in enumerate_proper_patterns(domain)
-        )
-        return {
-            "max_deviation": deviation,
-            "improper_fraction": census.improper_fraction(),
-        }
-    if kind == "concentration":
-        hom = sample_uniform_hom(mparams, state)
-        return {"value": _normalized_hom_distance(hom, _reference_hom(mparams))}
-    raise ValueError("no per-replica row for kind %r" % kind)
+        return entry.row(sample_planted_hom(mparams, chi, state), chi, params)
+    return entry.row(sample_uniform_hom(mparams, state), None, params)
 
 
 def _replica_worker(task):
@@ -426,7 +384,7 @@ def _require_workers(workers):
 def _run_replicas(config, workers):
     states = config.replica_states()
     tasks = [
-        (config.kind, config.params, i, s.seed, s.stream)
+        (config.kind, config.resolved, i, s.seed, s.stream)
         for i, s in enumerate(states)
     ]
     if workers > 1:
@@ -450,87 +408,6 @@ def _mean_stderr(values):
     return mean, math.sqrt(var / m)
 
 
-def _enumeration_mean(params, count, chi=None):
-    """Exact mean of count(graph).value over the hypergraphs of every
-    uniform homomorphism, or over those on which chi is proper when chi is
-    given.
-
-    None when there are more than ENUMERATION_AVERAGE_MAX_HOMS
-    homomorphisms, or when chi is improper on all of them.
-    """
-    if uniform_hom_count(params) > ENUMERATION_AVERAGE_MAX_HOMS:
-        return None
-    total = 0
-    homs = 0
-    for hom in enumerate_uniform_homs(params):
-        graph = build_hypergraph(hom)
-        if chi is None or monochromatic_edge_count(graph, chi) == 0:
-            total += count(graph).value
-            homs += 1
-    return Fraction(total, homs) if homs else None
-
-
-def _moment_summary(config, rows, field, exact, enumeration):
-    values = [row[field] for row in rows]
-    mean, stderr = _mean_stderr(values)
-    tolerance = config.params.get("mean_tolerance")
-    within = None if tolerance is None else abs(mean - float(exact)) <= tolerance
-    equal = None if enumeration is None else exact == enumeration
-    return {
-        "mean": mean,
-        "stderr": stderr,
-        "exact": exact,
-        "exact_float": float(exact),
-        "enumeration": enumeration,
-        "exact_equals_enumeration": equal,
-        "mean_within_tolerance": within,
-        "pass": equal is not False and within is not False,
-    }
-
-
-def _density_summary(config, rows):
-    params = config.params
-    values = [row["density"] for row in rows]
-    mean, stderr = _mean_stderr(values)
-    mean_exact = sum(values, Fraction(0)) / len(values)
-    tree_rng = RngState(
-        params.get("seed", 0),
-        params.get("stream", 0) + config.replicas,
-    )
-    estimate = core_density_estimate(
-        d=params["d"],
-        k=params["k"],
-        level=params["level"],
-        samples=params.get("tree_samples", 100_000),
-        rng=tree_rng,
-    )
-    tree = float(estimate.rigid_frequency())
-    combined = math.sqrt(stderr**2 + estimate.rigid_stderr() ** 2)
-    sigma_tolerance = float(params.get("sigma_tolerance", 3))
-    if combined == 0:
-        passed = mean == tree
-        sigma_distance = 0.0 if passed else None
-    else:
-        sigma_distance = abs(mean - tree) / combined
-        passed = sigma_distance <= sigma_tolerance
-    return {
-        "mean": mean,
-        "mean_exact": mean_exact,
-        "stderr": stderr,
-        "ci95": [mean - 1.96 * stderr, mean + 1.96 * stderr],
-        "tree_rigid": tree,
-        "tree_rigid_exact": estimate.rigid_frequency(),
-        "tree_stderr": estimate.rigid_stderr(),
-        "tree_core": estimate.core_frequency(),
-        "tree_union": estimate.union_frequency(),
-        "tree_samples": estimate.samples,
-        "combined_stderr": combined,
-        "sigma_distance": sigma_distance,
-        "sigma_tolerance": sigma_tolerance,
-        "pass": passed,
-    }
-
-
 def run_experiment(config, workers=1):
     """Run all replicas of one experiment and write the report files.
 
@@ -544,45 +421,7 @@ def run_experiment(config, workers=1):
     if not good_rows:
         raise ValueError("every replica failed; first error: %s" % results[0][2])
 
-    params = config.params
-    if config.kind == "first-moment":
-        mparams = _model_params(params)
-        exact = exact_first_moment(mparams)
-        enumeration = _enumeration_mean(mparams, count_proper)
-        summary = _moment_summary(config, good_rows, "z", exact, enumeration)
-    elif config.kind == "planted-distance":
-        mparams = _model_params(params)
-        chi = Coloring.equitable_split(mparams.n)
-        delta = _as_fraction(params["delta"])
-        exact = exact_planted_distance_moment(mparams, delta)
-        enumeration = _enumeration_mean(
-            mparams, lambda graph: count_at_distance(graph, chi, delta), chi)
-        summary = _moment_summary(config, good_rows, "z_delta", exact, enumeration)
-    elif config.kind == "density":
-        summary = _density_summary(config, good_rows)
-    elif config.kind == "sofic":
-        sofic_fraction = Fraction(
-            sum(1 for row in good_rows if row["is_sofic"]), len(good_rows)
-        )
-        min_fraction = _as_fraction(params.get("min_fraction", "99/100"))
-        summary = {
-            "sofic_fraction": sofic_fraction,
-            "min_fraction": min_fraction,
-            "pass": sofic_fraction >= min_fraction,
-        }
-    elif config.kind == "local-convergence":
-        mean, stderr = _mean_stderr([row["max_deviation"] for row in good_rows])
-        tolerance = float(params.get("deviation_tolerance", 0.03))
-        summary = {
-            "mean_max_deviation": mean,
-            "stderr": stderr,
-            "deviation_tolerance": tolerance,
-            "pass": mean <= tolerance,
-        }
-    elif config.kind == "concentration":
-        summary = _concentration_summary(config, good_rows)
-    else:
-        raise AssertionError("unhandled kind %r" % config.kind)
+    summary = EXPERIMENT_KINDS[config.kind].summary(config, good_rows)
 
     # every row of a kind has the same keys, in the order _replica_row and
     # the summary (which may add a column) give
@@ -614,7 +453,160 @@ def _write_report(config, fields, csv_rows, summary, failures):
 
 
 # ---------------------------------------------------------------------------
-# the concentration statistic
+# the experiment kinds: each one's row and summary, the table of them and
+# the checks of their params
+
+
+def _enumeration_mean(params, count, chi=None):
+    """Exact mean of count(graph).value over the hypergraphs of every
+    uniform homomorphism, or over those on which chi is proper when chi is
+    given.
+
+    None when there are more than ENUMERATION_AVERAGE_MAX_HOMS
+    homomorphisms, or when chi is improper on all of them.
+    """
+    if uniform_hom_count(params) > ENUMERATION_AVERAGE_MAX_HOMS:
+        return None
+    total = 0
+    homs = 0
+    for hom in enumerate_uniform_homs(params):
+        graph = build_hypergraph(hom)
+        if chi is None or monochromatic_edge_count(graph, chi) == 0:
+            total += count(graph).value
+            homs += 1
+    return Fraction(total, homs) if homs else None
+
+
+def _moment_summary(config, rows, field, exact, enumeration):
+    values = [row[field] for row in rows]
+    mean, stderr = _mean_stderr(values)
+    tolerance = config.resolved["mean_tolerance"]
+    within = None if tolerance is None else abs(mean - float(exact)) <= tolerance
+    equal = None if enumeration is None else exact == enumeration
+    return {
+        "mean": mean,
+        "stderr": stderr,
+        "exact": exact,
+        "exact_float": float(exact),
+        "enumeration": enumeration,
+        "exact_equals_enumeration": equal,
+        "mean_within_tolerance": within,
+        "pass": equal is not False and within is not False,
+    }
+
+
+def _first_moment_row(hom, chi, params):
+    return {"z": count_proper(build_hypergraph(hom)).value}
+
+
+def _first_moment_summary(config, rows):
+    mparams = _model_params(config.resolved)
+    return _moment_summary(config, rows, "z", exact_first_moment(mparams),
+                           _enumeration_mean(mparams, count_proper))
+
+
+def _planted_distance_row(hom, chi, params):
+    return {"z_delta": count_at_distance(build_hypergraph(hom), chi, params["delta"]).value}
+
+
+def _planted_distance_summary(config, rows):
+    mparams, delta = _model_params(config.resolved), config.resolved["delta"]
+    chi = Coloring.equitable_split(mparams.n)
+    exact = exact_planted_distance_moment(mparams, delta)
+    enumeration = _enumeration_mean(
+        mparams, lambda graph: count_at_distance(graph, chi, delta), chi)
+    return _moment_summary(config, rows, "z_delta", exact, enumeration)
+
+
+def _density_row(hom, chi, params):
+    return {"density": density_report(build_hypergraph(hom), chi, params["level"])}
+
+
+def _density_summary(config, rows):
+    params = config.resolved
+    values = [row["density"] for row in rows]
+    mean, stderr = _mean_stderr(values)
+    mean_exact = sum(values, Fraction(0)) / len(values)
+    tree_rng = RngState(params["seed"], params["stream"] + config.replicas)
+    estimate = core_density_estimate(
+        d=params["d"],
+        k=params["k"],
+        level=params["level"],
+        samples=params["tree_samples"],
+        rng=tree_rng,
+    )
+    tree = float(estimate.rigid_frequency())
+    combined = math.sqrt(stderr**2 + estimate.rigid_stderr() ** 2)
+    sigma_tolerance = params["sigma_tolerance"]
+    if combined == 0:
+        passed = mean == tree
+        sigma_distance = 0.0 if passed else None
+    else:
+        sigma_distance = abs(mean - tree) / combined
+        passed = sigma_distance <= sigma_tolerance
+    return {
+        "mean": mean,
+        "mean_exact": mean_exact,
+        "stderr": stderr,
+        "ci95": [mean - 1.96 * stderr, mean + 1.96 * stderr],
+        "tree_rigid": tree,
+        "tree_rigid_exact": estimate.rigid_frequency(),
+        "tree_stderr": estimate.rigid_stderr(),
+        "tree_core": estimate.core_frequency(),
+        "tree_union": estimate.union_frequency(),
+        "tree_samples": estimate.samples,
+        "combined_stderr": combined,
+        "sigma_distance": sigma_distance,
+        "sigma_tolerance": sigma_tolerance,
+        "pass": passed,
+    }
+
+
+def _sofic_row(hom, chi, params):
+    words = generator_words(hom.params) + generator_pair_words(hom.params)
+    report = check_sofic(hom, words, params["delta"])
+    return {
+        "mult_fraction": report.mult_fraction,
+        "trace_fraction": report.trace_fraction,
+        "is_sofic": report.is_sofic,
+    }
+
+
+def _sofic_summary(config, rows):
+    sofic_fraction = Fraction(sum(1 for row in rows if row["is_sofic"]), len(rows))
+    min_fraction = config.resolved["min_fraction"]
+    return {
+        "sofic_fraction": sofic_fraction,
+        "min_fraction": min_fraction,
+        "pass": sofic_fraction >= min_fraction,
+    }
+
+
+def _max_deviation(census, domain):
+    """The largest |frequency - 1/q| over the q proper patterns of the domain."""
+    target = Fraction(1, count_proper_patterns(domain))
+    return max(abs(census.frequency(p) - target) for p in enumerate_proper_patterns(domain))
+
+
+def _local_convergence_row(hom, chi, params):
+    edge = ModelParams(d=hom.params.d, k=hom.params.k, n=hom.params.k)
+    domain = single_edge_domain(edge, label=params["edge_label"])
+    census = local_pattern_census(hom, chi, domain)
+    return {
+        "max_deviation": _max_deviation(census, domain),
+        "improper_fraction": census.improper_fraction(),
+    }
+
+
+def _local_convergence_summary(config, rows):
+    mean, stderr = _mean_stderr([row["max_deviation"] for row in rows])
+    tolerance = config.resolved["deviation_tolerance"]
+    return {
+        "mean_max_deviation": mean,
+        "stderr": stderr,
+        "deviation_tolerance": tolerance,
+        "pass": mean <= tolerance,
+    }
 
 
 def _reference_hom(params):
@@ -632,6 +624,10 @@ def _normalized_hom_distance(hom, ref):
     tuples by construction."""
     moved = np.count_nonzero(hom.images != ref.images)
     return Fraction(int(moved), hom.params.d * hom.params.n)
+
+
+def _concentration_row(hom, chi, params):
+    return {"value": _normalized_hom_distance(hom, _reference_hom(hom.params))}
 
 
 def _deviation_histogram(deviations):
@@ -660,7 +656,7 @@ def _concentration_summary(config, rows):
         thr: Fraction(sum(1 for dev in deviations if abs(dev) > thr), len(rows))
         for thr in CONCENTRATION_THRESHOLDS
     }
-    tail_tolerance = float(config.params.get("tail_tolerance", 0.05))
+    tail_tolerance = config.resolved["tail_tolerance"]
     return {
         "mean": mean,
         "mean_float": float(mean),
@@ -669,6 +665,75 @@ def _concentration_summary(config, rows):
         "tail_tolerance": tail_tolerance,
         "pass": float(tails[CONCENTRATION_THRESHOLDS[-1]]) <= tail_tolerance,
     }
+
+
+# Each experiment kind: whether a replica's homomorphism is planted at the
+# equitable split or uniform, its row of (hom, chi or None, resolved params),
+# its summary of (config, rows), and the params it reads with their defaults.
+# A config may hold no other params key: a misspelt one would run with its
+# default and still be echoed into the "# params:" footer as if applied.
+_ExperimentKind = namedtuple("_ExperimentKind", "planted row summary params")
+_REQUIRED = object()  # the default of a params key that a config must give
+_REPLICA_PARAMS = {"d": _REQUIRED, "k": _REQUIRED, "n": _REQUIRED,
+                   "replicas": 0, "seed": 0, "stream": 0}
+EXPERIMENT_KINDS = {
+    "first-moment": _ExperimentKind(False, _first_moment_row, _first_moment_summary, {
+        **_REPLICA_PARAMS, "seeds": None, "mean_tolerance": None}),
+    "planted-distance": _ExperimentKind(True, _planted_distance_row, _planted_distance_summary, {
+        **_REPLICA_PARAMS, "seeds": None, "delta": _REQUIRED, "mean_tolerance": None}),
+    "density": _ExperimentKind(True, _density_row, _density_summary, {
+        **_REPLICA_PARAMS, "seeds": None, "level": _REQUIRED, "tree_samples": 100_000,
+        "sigma_tolerance": 3.0}),
+    "sofic": _ExperimentKind(False, _sofic_row, _sofic_summary, {
+        **_REPLICA_PARAMS, "seeds": None, "delta": Fraction(1, 10),
+        "min_fraction": Fraction(99, 100)}),
+    "local-convergence": _ExperimentKind(True, _local_convergence_row, _local_convergence_summary, {
+        **_REPLICA_PARAMS, "seeds": None, "edge_label": 0, "deviation_tolerance": 0.03}),
+    # replicas take the streams seed/(stream + i) only; no seeds list
+    "concentration": _ExperimentKind(False, _concentration_row, _concentration_summary, {
+        **_REPLICA_PARAMS, "tail_tolerance": 0.05}),
+}
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer(least=None):
+    """The check of an integer param, at least least when that is given."""
+    def check(key, value):
+        if _is_int(value) and (least is None or value >= least):
+            return value
+        raise ValueError("%s must be an integer%s, got %r"
+                         % (key, "" if least is None else " >= %d" % least, value))
+    return check
+
+
+def _seeds(key, value):
+    if isinstance(value, list) and value and all(map(_is_int, value)):
+        return value
+    raise ValueError("%s must be a non-empty list of integers, got %r" % (key, value))
+
+
+def _tolerance(key, value):
+    if (_is_int(value) or isinstance(value, float)) and 0 < value <= sys.float_info.max:
+        return float(value)
+    raise ValueError("%s must be a positive finite number, got %r" % (key, value))
+
+
+# The check of each params key, run before any replica: it returns the value
+# that the replicas and the summary read, or raises ValueError naming the key.
+_PARAM_CHECKS = {
+    **dict.fromkeys(("d", "k", "n", "replicas", "seed", "stream"), _integer()),
+    "seeds": _seeds,
+    "level": _integer(0),
+    "tree_samples": _integer(1),
+    "edge_label": _integer(0),  # and below d, which ExperimentConfig checks
+    "delta": _fraction,
+    "min_fraction": _fraction,
+    **dict.fromkeys(("mean_tolerance", "sigma_tolerance", "deviation_tolerance",
+                     "tail_tolerance"), _tolerance),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -696,9 +761,7 @@ def _cmd_sample_uniform(args):
 def _cmd_sample_planted(args):
     params = ModelParams(d=args.d, k=args.k, n=args.n)
     if args.chi is not None:
-        chi = Coloring.from_string(args.chi)
-        if len(chi) != args.n:
-            raise ValueError("--chi has length %d but n=%d" % (len(chi), args.n))
+        chi = _chi_option(args.chi, args.n)
     else:
         chi = Coloring.equitable_split(args.n)
     _announce(
@@ -719,15 +782,16 @@ def _cmd_sample_planted(args):
 
 
 def _cmd_count(args):
+    eps = _fraction("--eps", args.eps)
     hom, _, record = _open_instance(args, coloring=False, command="count")
-    if args.equitable and args.eps != 0:
+    if args.equitable and eps != 0:
         raise ValueError("--equitable counts proper colorings only; drop --eps")
-    _announce(record(eps=args.eps, equitable=args.equitable))
+    _announce(record(eps=eps, equitable=args.equitable))
     graph = build_hypergraph(hom)
     if args.equitable:
         report = count_equitable(graph)
     else:
-        report = count_proper(graph, eps=args.eps)
+        report = count_proper(graph, eps=eps)
     print(report.value)
     return 0
 
@@ -737,7 +801,7 @@ def _resolve_degree(args, need_d=True):
     if args.d is not None and args.eta is not None:
         raise ValueError("give either --d or --eta, not both")
     if args.eta is not None:
-        choice = degrees_from_offset(args.k, Fraction(args.eta))
+        choice = degrees_from_offset(args.k, _fraction("--eta", args.eta))
         return choice.d, {
             "eta": args.eta,
             "d": choice.d,
@@ -754,6 +818,7 @@ def _resolve_degree(args, need_d=True):
 def _cmd_analytic(args):
     if args.quantity in ("psi", "psi0") and args.delta is None:
         raise ValueError("psi and psi0 need --delta")
+    delta = None if args.delta is None else _fraction("--delta", args.delta)
     record = {"command": "analytic", "quantity": args.quantity, "k": args.k}
     d, degree_record = _resolve_degree(args, need_d=args.quantity != "tstar")
     record.update(degree_record)
@@ -772,7 +837,6 @@ def _cmd_analytic(args):
         print(_fmt(proper_rate(d, args.k, precision=args.precision)))
         return 0
     if args.quantity in ("psi", "psi0"):
-        delta = Fraction(args.delta)
         if args.quantity == "psi":
             value = pair_distance_rate(delta, d, args.k, precision=args.precision)
         else:
@@ -894,6 +958,7 @@ def _cmd_expansivity(args):
 
 
 def _cmd_rigidity(args):
+    rho = _fraction("--rho", args.rho)
     hom, chi, record = _open_instance(args, command="rigidity")
     graph = build_hypergraph(hom)
     decomposition = core_decomposition(graph, chi)
@@ -901,7 +966,6 @@ def _cmd_rigidity(args):
     if level is None:
         level = len(decomposition.levels) - 1
     region = decomposition.rigid_set(level)
-    rho = Fraction(args.rho)
     _announce(record(level=level, region_size=len(region), rho=rho))
     witness = rigidity_violation_search(graph, chi, region, rho)
     if witness is None:
@@ -937,13 +1001,9 @@ def _cmd_local_convergence(args):
         )
         return 0
     census = local_pattern_census(hom, chi, domain)
-    target = Fraction(1, q)
     deviation = None
     if len(domain) <= BRUTE_PATTERN_MAX_ELEMENTS:
-        deviation = max(
-            abs(census.frequency(p) - target)
-            for p in enumerate_proper_patterns(domain)
-        )
+        deviation = _max_deviation(census, domain)
     print(
         "distinct=%d improper=%s noninjective=%d max_deviation=%s"
         % (
@@ -957,6 +1017,7 @@ def _cmd_local_convergence(args):
 
 
 def _cmd_sofic_check(args):
+    delta = _fraction("--delta", args.delta)
     hom, _, record = _open_instance(args, coloring=False, command="sofic-check")
     params = hom.params
     if args.words == "generators":
@@ -965,7 +1026,6 @@ def _cmd_sofic_check(args):
         words = generator_pair_words(params)
     else:
         words = generator_words(params) + generator_pair_words(params)
-    delta = Fraction(args.delta)
     _announce(record(words=args.words, word_count=len(words), delta=delta))
     report = check_sofic(hom, words, delta)
     print(
@@ -1002,7 +1062,7 @@ def _cmd_moments(args):
     else:
         if args.delta is None:
             raise ValueError("planted-distance needs --delta")
-        delta = Fraction(args.delta)
+        delta = _fraction("--delta", args.delta)
         record["delta"] = delta
         _announce(record)
         value = exact_planted_distance_moment(params, delta)
@@ -1077,7 +1137,7 @@ def build_parser():
 
     p = sub.add_parser("count", help="count proper colorings of an instance")
     p.add_argument("--input", required=True, help="instance JSON path")
-    p.add_argument("--eps", type=Fraction, default=Fraction(0), help="allowed monochromatic edge fraction")
+    p.add_argument("--eps", default="0", help="allowed monochromatic edge fraction")
     p.add_argument("--equitable", action="store_true", help="count proper equitable colorings instead")
     _add_common(p)
     p.set_defaults(func=_cmd_count)
@@ -1149,7 +1209,6 @@ def build_parser():
     p = sub.add_parser("experiment", help="run a JSON experiment config")
     p.add_argument("config", help="experiment config JSON path")
     p.add_argument("--workers", type=int, default=1)
-    _add_common(p)
     p.set_defaults(func=_cmd_experiment)
 
     return parser

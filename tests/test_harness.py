@@ -383,6 +383,35 @@ def test_exit_codes(tmp_path, capsys):
     assert run_cli(capsys, removed)[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [(["count", "--input", "{inst}", "--eps", "1/0"], "--eps must be a fraction"),
+     (["analytic", "psi", "--k", "3", "--d", "5", "--delta", "1/0"], "--delta must be a fraction"),
+     (["analytic", "f", "--k", "3", "--eta", "1/0"], "--eta must be a fraction"),
+     (["sofic-check", "--input", "{inst}", "--delta", "1/0"], "--delta must be a fraction"),
+     (["moments", "planted-distance", "--n", "4", "--k", "2", "--d", "2", "--delta", "1/0"],
+      "--delta must be a fraction"),
+     (["rigidity", "--input", "{inst}", "--rho", "1/0"], "--rho must be a fraction"),
+     (["experiment", "{config}", "--seed", "3"], "unrecognized arguments: --seed 3")],
+    ids=["count-eps", "analytic-delta", "analytic-eta", "sofic-check-delta",
+         "moments-delta", "rigidity-rho", "experiment-seed"],
+)
+def test_cli_refuses_invalid_input_before_the_params_line(tmp_path, capsys, argv, message):
+    # exit 2 with an error line and no traceback, and nothing on stdout;
+    # experiment runs the seeds of its config, so it takes no --seed
+    inst = tmp_path / "inst.json"
+    write_planted_instance(inst, n=12, k=3, d=3)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"kind": "first-moment", "output": str(tmp_path / "out"),
+                                  "params": {"n": 4, "k": 2, "d": 2, "replicas": 3}}))
+    argv = [arg.format(inst=inst, config=config) for arg in argv]
+    assert cli_dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: %s" % message in captured.err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "inst.json"]
+
+
 # ---------------------------------------------------------------------------
 # experiment configs and the driver
 
@@ -611,19 +640,46 @@ def test_experiment_cli_round_trip(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "bad",
-    [{"mean_tolerance": "0.1"}, {"seeds": 5}, {"seeds": [1, 2.0]}, {"n": 4.5},
-     {"replicas": True}, {"seed": -1}, {"stream": 2**64 - 2}],
+    "kind,bad",
+    [("first-moment", {"mean_tolerance": "0.1"}), ("first-moment", {"seeds": 5}),
+     ("first-moment", {"seeds": [1, 2.0]}), ("first-moment", {"n": 4.5}),
+     ("first-moment", {"replicas": True}), ("first-moment", {"seed": -1}),
+     ("first-moment", {"stream": 2**64 - 2}),
+     ("planted-distance", {"delta": [1]}), ("planted-distance", {"delta": "1/0"}),
+     ("planted-distance", {"delta": "abc"}), ("sofic", {"delta": True}),
+     ("sofic", {"min_fraction": "x"}), ("density", {"level": -1}),
+     ("density", {"level": 1, "tree_samples": 0}), ("local-convergence", {"edge_label": 9}),
+     ("density", {"level": 1, "sigma_tolerance": 10**400}), ("first-moment", {"n": 5}),
+     ("density", {"n": 9, "k": 3, "level": 1}),
+     # the shape of the config document itself
+     ("first-moment", lambda document: list(document)),
+     ("first-moment", lambda document: {**document, "params": list(document["params"].items())}),
+     ("first-moment", lambda document: {**document, "kind": [document["kind"]]}),
+     ("first-moment", lambda document: {**document, "output": 5}),
+     ("first-moment", lambda document: {**document, "seed": 7})],
     ids=["string-tolerance", "seeds-not-a-list", "float-seed", "float-n",
-         "bool-replicas", "negative-seed", "stream-overflow"],
+         "bool-replicas", "negative-seed", "stream-overflow",
+         "list-delta", "zero-denominator-delta", "text-delta", "bool-delta",
+         "text-min-fraction", "negative-level", "no-tree-samples", "edge-label-above-d",
+         "huge-tolerance", "k-not-dividing-n", "odd-n-planted",
+         "config-not-an-object", "params-not-an-object", "kind-not-a-string",
+         "output-not-a-string", "unknown-config-key"],
 )
-def test_experiment_refuses_malformed_params(tmp_path, capsys, bad):
-    # refused with exit 2 before the params line, and nothing is written
-    params = {"n": 4, "k": 2, "d": 2, "replicas": 3, **bad}
+def test_experiment_refuses_malformed_params(tmp_path, capsys, kind, bad):
+    # refused with exit 2 before the params line, and nothing is written;
+    # the config is read whole before any replica runs
+    params = {"n": 4, "k": 2, "d": 2, "replicas": 3}
+    document = {"kind": kind, "params": params, "output": str(tmp_path / "out")}
+    if callable(bad):
+        document = bad(document)
+    else:
+        params.update(bad)
     config_path = tmp_path / "cfg.json"
-    config_path.write_text(json.dumps(
-        {"kind": "first-moment", "params": params, "output": str(tmp_path / "out")}))
-    assert run_cli(capsys, ["experiment", str(config_path)]) == (2, [])
+    config_path.write_text(json.dumps(document))
+    assert cli_dispatch(["experiment", str(config_path), "--workers", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
     assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
 
 

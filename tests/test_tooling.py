@@ -103,6 +103,22 @@ def test_only_group_model_reads_into_the_images():
     assert found == []
 
 
+def _is_kind(node):
+    return ((isinstance(node, ast.Name) and node.id == "kind")
+            or (isinstance(node, ast.Attribute) and node.attr == "kind"))
+
+
+def test_harness_compares_no_experiment_kind():
+    # each experiment kind is one entry of harness.EXPERIMENT_KINDS, which
+    # gives its draw, row, summary and params; a comparison with a kind
+    # starts a chain of branches that every new kind must find and extend
+    tree = ast.parse((SRC / "harness.py").read_text())
+    found = ["harness.py:%d %s" % (node.lineno, ast.unparse(node))
+             for node in ast.walk(tree) if isinstance(node, ast.Compare)
+             and any(map(_is_kind, [node.left, *node.comparators]))]
+    assert found == []
+
+
 def _parameters(node):
     args = node.args
     return [arg for arg in args.posonlyargs + args.args + args.kwonlyargs
