@@ -24,8 +24,6 @@ from typing import NamedTuple, Sequence
 
 import mpmath as mp
 
-from .hypergraph import GeneratorTypeMatrix, PairTypeMatrix
-
 DEFAULT_PRECISION_BITS = 128
 
 # Newton/bisection iteration cap for the bias inversion.
@@ -77,20 +75,13 @@ def _check_d(d: int) -> None:
 # entropies
 
 
-def _eta(x: mp.mpf) -> mp.mpf:
-    """-x log x with the 0 log 0 = 0 convention."""
-    if x == 0:
-        return mp.mpf(0)
-    return -x * mp.log(x)
-
-
 def entropy2(x, precision: int | None = None) -> mp.mpf:
     """Binary entropy -x log x - (1-x) log(1-x) for x in [0, 1]."""
     with working_precision(precision):
         v = _to_mpf(x)
         if not 0 <= v <= 1:
             raise ValueError(f"binary entropy needs an argument in [0, 1], got {x}")
-        return _eta(v) + _eta(1 - v)
+        return _cross_entropy2(v, v)
 
 
 def cross_entropy2(x, x0, precision: int | None = None) -> mp.mpf:
@@ -110,6 +101,7 @@ def cross_entropy2(x, x0, precision: int | None = None) -> mp.mpf:
 
 
 def _cross_entropy2(v: mp.mpf, v0: mp.mpf) -> mp.mpf:
+    # 0 log 0 = 0: a zero weight drops its term
     total = mp.mpf(0)
     for weight, arg in ((v, v0), (1 - v, 1 - v0)):
         if weight == 0:
@@ -158,16 +150,13 @@ def type_rate(
     """Entropy functional whose maximum over generator type matrices gives
     the first-moment rate.
 
-    ``rows`` is a generator type matrix: d rows of k+1 entries, row i giving
-    the distribution of ones-counts over the edges of generator i.  Accepts a
-    GeneratorTypeMatrix or any sequence of number rows.  Each row must sum to
-    1/k and all rows must share the same implied density of ones, both within
-    1e-9.
+    ``rows`` is a generator type matrix: d rows of k+1 nonnegative entries,
+    row i giving the distribution of ones-counts over the edges of generator
+    i, as hypergraph.generator_type returns it.  Each row must sum to 1/k and
+    all rows must share the same implied density of ones, both within 1e-9.
     """
     _check_d(d)
     _check_k(k)
-    if isinstance(rows, GeneratorTypeMatrix):
-        rows = rows.rows
     rows = [tuple(row) for row in rows]
     if len(rows) != d:
         raise ValueError(f"expected {d} rows, got {len(rows)}")
@@ -178,6 +167,8 @@ def type_rate(
         for row in matrix:
             if len(row) != k + 1:
                 raise ValueError(f"rows must have {k + 1} entries, got {len(row)}")
+            if min(row) < 0:
+                raise ValueError(f"type entries must be nonnegative, got {min(row)}")
             total = mp.fsum(row)
             if abs(total - mp.mpf(1) / k) > tol:
                 raise ValueError(f"row sums to {total}, expected 1/{k}")
@@ -189,8 +180,8 @@ def type_rate(
                     "rows imply different densities of ones; "
                     f"saw {mean} against {density}"
                 )
-        value = mp.fsum(_eta(entry) for row in matrix for entry in row)
-        value += (1 - mp.mpf(d)) * (_eta(density) + _eta(1 - density))
+        value = mp.fsum(-x * mp.log(x) for row in matrix for x in row if x)
+        value += (1 - mp.mpf(d)) * _cross_entropy2(density, density)
         value -= mp.mpf(d) / k * mp.log(k)
         log_binom = [mp.log(mp.mpf(math.comb(k, j))) for j in range(k + 1)]
         value += mp.fsum(
@@ -538,22 +529,31 @@ def planted_distance_rate(
 # the optimal pair type
 
 
+class PairTypeMatrix(NamedTuple):
+    """Overlap counts of one part against two colorings: eij is the number
+    of part vertices with first coloring i and second coloring j."""
+
+    e00: int
+    e01: int
+    e10: int
+    e11: int
+
+
 def bichromatic_pair_types(k: int) -> tuple[PairTypeMatrix, ...]:
     """All overlap matrices of a k-edge that are bichromatic on both sides.
 
     These are the nonnegative integer 2x2 matrices summing to k in which
-    both colorings split the edge properly; they index the support of the
-    optimal pair type.
+    both colorings split the edge properly (0 < e10 + e11 < k and
+    0 < e01 + e11 < k); they index the support of the optimal pair type.
     """
     _check_k(k)
-    found = []
-    for e00 in range(k + 1):
-        for e01 in range(k + 1 - e00):
-            for e10 in range(k + 1 - e00 - e01):
-                matrix = PairTypeMatrix(e00, e01, e10, k - e00 - e01 - e10)
-                if matrix.is_bichromatic_pair():
-                    found.append(matrix)
-    return tuple(found)
+    return tuple(
+        PairTypeMatrix(e00, e01, e10, k - e00 - e01 - e10)
+        for e00 in range(k + 1)
+        for e01 in range(k + 1 - e00)
+        for e10 in range(k + 1 - e00 - e01)
+        if 0 < k - e00 - e01 < k and 0 < k - e00 - e10 < k
+    )
 
 
 @dataclass(frozen=True)
@@ -591,47 +591,28 @@ def optimal_pair_type(
             raise ValueError(
                 f"distance must lie strictly inside (0, 1), got {delta}"
             )
-        b = _solve_bias(x, _point_constants(k))
+        consts = _point_constants(k)
+        b = _solve_bias(x, consts)
         agree = (1 - b) / 2
         disagree = b / 2
-        normalizer = 1 / (
-            k * (1 - mp.mpf(2) ** (2 - k) + 2 * disagree**k + 2 * agree**k)
-        )
-        weights: dict[PairTypeMatrix, mp.mpf] = {}
-        for matrix in bichromatic_pair_types(k):
-            coefficient = math.factorial(k) // (
-                math.factorial(matrix.e00)
-                * math.factorial(matrix.e01)
-                * math.factorial(matrix.e10)
-                * math.factorial(matrix.e11)
-            )
-            weights[matrix] = (
-                normalizer
-                * agree ** (matrix.e00 + matrix.e11)
-                * disagree ** (matrix.e01 + matrix.e10)
-                * coefficient
-            )
+        normalizer = 1 / (k * _bias_map_terms(b, k, consts.bias_base)[1])
+        weights = {
+            m: normalizer
+            * agree ** (m.e00 + m.e11)
+            * disagree ** (m.e01 + m.e10)
+            * (math.factorial(k) // math.prod(map(math.factorial, m)))
+            for m in bichromatic_pair_types(k)
+        }
         tol = mp.mpf(10) ** -10
-        total = mp.fsum(weights.values())
-        ones_left = mp.fsum(
-            (m.e10 + m.e11) * w for m, w in weights.items()
-        )
-        ones_right = mp.fsum(
-            (m.e01 + m.e11) * w for m, w in weights.items()
-        )
-        disagreement = mp.fsum(
-            (m.e01 + m.e10) * w for m, w in weights.items()
-        )
-        if not abs(total - mp.mpf(1) / k) <= tol:
-            raise ArithmeticError(f"weights sum to {total}")
-        if not abs(ones_left - mp.mpf(1) / 2) <= tol:
-            raise ArithmeticError(f"left marginal came out as {ones_left}")
-        if not abs(ones_right - mp.mpf(1) / 2) <= tol:
-            raise ArithmeticError(f"right marginal came out as {ones_right}")
-        if not abs(disagreement - x) <= tol:
-            raise ArithmeticError(
-                f"disagreement mass {disagreement} misses the target {x}"
-            )
+        for what, mass, target in (
+            ("weights sum to", lambda m: 1, mp.mpf(1) / k),
+            ("left marginal came out as", lambda m: m.e10 + m.e11, mp.mpf(1) / 2),
+            ("right marginal came out as", lambda m: m.e01 + m.e11, mp.mpf(1) / 2),
+            ("disagreement mass came out as", lambda m: m.e01 + m.e10, x),
+        ):
+            value = mp.fsum(mass(m) * w for m, w in weights.items())
+            if not abs(value - target) <= tol:
+                raise ArithmeticError(f"{what} {value}, expected {target}")
         return PairTypeOptimum(
             delta=x, delta0=b, normalizer=normalizer, weights=weights
         )
@@ -676,7 +657,8 @@ def entropy_gap_report(
             )
         b = _solve_bias(x, _point_constants(k))
         epsilon_hat = 1 - x / b
-        entropy_gap = (_eta(b) + _eta(1 - b)) - _cross_entropy2(x, b)
+        cross = _cross_entropy2(x, b)
+        entropy_gap = _cross_entropy2(b, b) - cross
         identity = b * epsilon_hat * mp.log((1 - b) / b)
         tol = mp.mpf(10) ** -10
         if not abs(entropy_gap - identity) <= tol:
@@ -684,7 +666,7 @@ def entropy_gap_report(
                 f"entropy gap {entropy_gap} does not match the identity value "
                 f"{identity}"
             )
-        kl = _cross_entropy2(x, b) - (_eta(x) + _eta(1 - x))
+        kl = cross - _cross_entropy2(x, x)
         if not kl >= -(mp.mpf(10) ** -25):
             raise ArithmeticError(f"divergence came out negative: {kl}")
         return EntropyGapReport(

@@ -437,8 +437,7 @@ def exact_planted_distance_moment(params: ModelParams, delta):
     proper_single = _bichromatic_partition_count(n, k, n // 2)
     # overlap classes (0,0), (0,1), (1,0), (1,1) of two balanced colorings
     same, moved = n // 2 - flips // 2, flips // 2
-    pair_single = typed_partition_sum(
-        (same, moved, moved, same), [eps.as_tuple() for eps in bichromatic_pair_types(k)])
+    pair_single = typed_partition_sum((same, moved, moved, same), bichromatic_pair_types(k))
     candidates = math.comb(n // 2, moved) ** 2
     return candidates * Fraction(pair_single, proper_single) ** params.d
 

@@ -314,6 +314,9 @@ class ExperimentConfig:
             states = [RngState(s, stream) for s in resolved["seeds"]]
         else:
             states = [RngState(resolved["seed"], stream + i) for i in range(self.replicas)]
+        if "tree_samples" in resolved:
+            # the tree samples of the density summary take the next stream
+            RngState(resolved["seed"], stream + self.replicas)
         # built here, so a seed or stream out of range is refused at once
         object.__setattr__(self, "_states", tuple(states))
 

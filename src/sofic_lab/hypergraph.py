@@ -3,11 +3,10 @@
 Every uniform homomorphism induces a hypergraph on its vertex set whose edges
 are the orbits of the generator subgroups, one perfect k-partition per
 generator label. Colorings are 0/1 vectors; this module evaluates them:
-monochromatic and critical edges, and the per-generator and pairwise type
-statistics that drive the moment computations.
+monochromatic and critical edges, and the generator type matrix whose
+entropy functional (analytics.type_rate) gives the first-moment rate.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -183,78 +182,17 @@ def critical_edges(graph, coloring):
     return list(zip(idx.tolist(), support.tolist()))
 
 
-@dataclass(frozen=True)
-class PairTypeMatrix:
-    """Overlap counts of one part against two colorings.
-
-    e[i][j] = number of part vertices with first coloring i and second
-    coloring j. Sum is k; membership in the bichromatic family additionally
-    needs 0 < e10+e11 < k and 0 < e01+e11 < k.
-    """
-
-    e00: int
-    e01: int
-    e10: int
-    e11: int
-
-    def total(self):
-        return self.e00 + self.e01 + self.e10 + self.e11
-
-    def is_bichromatic_pair(self):
-        k = self.total()
-        return 0 < self.e10 + self.e11 < k and 0 < self.e01 + self.e11 < k
-
-    def as_tuple(self):
-        return (self.e00, self.e01, self.e10, self.e11)
-
-
-class GeneratorTypeMatrix:
-    """Per-generator histogram of color-1 counts over edges.
-
-    rows[i][j] is the fraction of vertices contributed by label-i edges with
-    exactly j ones, i.e. (number of such edges)/n. Rows sum to 1/k. The row
-    mean p(i) = sum_j j*rows[i][j] equals the global fraction of 1-colored
-    vertices, hence is the same for every row.
-    """
-
-    __slots__ = ("d", "k", "rows")
-
-    def __init__(self, rows):
-        rows = tuple(
-            tuple(x if type(x) is Fraction else Fraction(x) for x in row)
-            for row in rows
-        )
-        if not rows:
-            raise ValueError("need at least one row")
-        k = len(rows[0]) - 1
-        for row in rows:
-            if len(row) != k + 1:
-                raise ValueError("rows must all have k+1 entries")
-            # a Fraction's denominator is positive, so its numerator has its sign
-            if any(x.numerator < 0 for x in row):
-                raise ValueError("type entries must be nonnegative")
-        object.__setattr__(self, "d", len(rows))
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GeneratorTypeMatrix is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, GeneratorTypeMatrix) and self.rows == other.rows
-
-    def __repr__(self):
-        return "GeneratorTypeMatrix(%r)" % (self.rows,)
-
-
 def generator_type(graph, coloring):
-    """The full d x (k+1) type matrix of a coloring."""
+    """The d x (k+1) generator type matrix of a coloring, a tuple of d rows
+    of Fractions: rows[i][j] = (number of label-i edges with j ones) / n.
+    Each row sums to 1/k, and its mean sum_j j*rows[i][j] is the fraction
+    of 1-colored vertices."""
     d, k = graph.d, graph.k
     ones = _edge_colors(graph, coloring).sum(axis=1)
     # edge e has label e // (n/k); shift each label's counts to its own row
     labels = np.arange(ones.size) // (graph.n // k)
     rows = np.bincount(labels * (k + 1) + ones, minlength=d * (k + 1))
     fractions = {c: Fraction(c, graph.n) for c in set(rows.tolist())}
-    return GeneratorTypeMatrix(
-        [[fractions[c] for c in row] for row in rows.reshape(d, k + 1).tolist()]
+    return tuple(
+        tuple(fractions[c] for c in row) for row in rows.reshape(d, k + 1).tolist()
     )

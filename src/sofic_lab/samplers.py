@@ -47,7 +47,9 @@ class RngState:
                 raise ValueError("%s must fit in 64 unsigned bits" % name)
 
     def generator(self):
-        return np.random.Generator(np.random.Philox(key=[self.seed, self.stream]))
+        # one 128-bit key, seed in the low word: a list of the two would pass
+        # a value of 2^63 or more through a float and merge distinct keys
+        return np.random.Generator(np.random.Philox(key=self.seed | self.stream << 64))
 
 
 def _as_generator(rng):

@@ -23,10 +23,10 @@ from sofic_lab.analytics import (
     _FIXED_POINT_MAX_LEVELS,
     _FIXED_POINT_TOLERANCE,
     _cross_entropy2,
-    _eta,
     DistanceRateScan,
     DistanceScanRow,
     FixedPointTrace,
+    PairTypeMatrix,
     bichromatic_pair_types,
     proper_rate,
     working_precision,
@@ -43,7 +43,6 @@ from sofic_lab.group_model import (
 )
 from sofic_lab.hypergraph import (
     Coloring,
-    PairTypeMatrix,
     build_hypergraph,
     critical_edges,
     monochromatic_edge_count,
@@ -189,7 +188,7 @@ def pair_count_sum_recursion_oracle(n, k, flips):
     the bichromatic pair atoms that adds one typed_partition_count per
     feasible type map of balanced colorings at the given flip count."""
     overlap = [n // 2 - flips // 2, flips // 2, flips // 2, n // 2 - flips // 2]
-    atoms = [eps.as_tuple() for eps in bichromatic_pair_types(k)]
+    atoms = bichromatic_pair_types(k)
     chosen = []
     total = 0
 
@@ -382,15 +381,15 @@ def orbit_edges_oracle(hom):
     return tuple(sorted(edges))
 
 
-def type_row_mean(matrix, i):
-    """p for row i of a GeneratorTypeMatrix: the sum of j * rows[i][j]."""
-    return sum(j * x for j, x in enumerate(matrix.rows[i]))
+def type_row_mean(rows, i):
+    """p for row i of a generator type matrix: the sum of j * rows[i][j]."""
+    return sum(j * x for j, x in enumerate(rows[i]))
 
 
-def shared_row_mean(matrix):
-    """The row mean of a GeneratorTypeMatrix, which a type matrix of the
+def shared_row_mean(rows):
+    """The row mean of a generator type matrix, which a type matrix of the
     model has in common across its rows; raises when the rows differ."""
-    means = {type_row_mean(matrix, i) for i in range(matrix.d)}
+    means = {type_row_mean(rows, i) for i in range(len(rows))}
     if len(means) != 1:
         raise ValueError("rows have differing means; matrix is out of model")
     return means.pop()
@@ -428,10 +427,10 @@ def pair_type_map(graph, chi, chi_tilde, label):
     t = {}
     for edge in map(tuple, graph.blocks[label].tolist()):
         eps = pair_type_matrix(edge, chi, chi_tilde)
-        if not eps.is_bichromatic_pair():
+        if not (0 < eps.e10 + eps.e11 < graph.k and 0 < eps.e01 + eps.e11 < graph.k):
             raise ValueError(
                 "part %r of label %d is not bichromatic under both colorings (type %r)"
-                % (edge, label, eps.as_tuple())
+                % (edge, label, tuple(eps))
             )
         t[eps] = t.get(eps, Fraction(0)) + Fraction(1, graph.n)
     return t
@@ -1192,6 +1191,13 @@ def core_density_objects_oracle(d, k, level, samples, rng):
     _check_core_sampler_args(d, k, level)
     sampler = _ObjectsRootStatusSampler(d, k, _as_generator(rng))
     return _tally_root_statuses(sampler, d, k, level, samples)
+
+
+def _eta(x):
+    """-x log x with the 0 log 0 = 0 convention."""
+    if x == 0:
+        return mp.mpf(0)
+    return -x * mp.log(x)
 
 
 def _log_edge_factor_oracle(b, k):

@@ -12,10 +12,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from helpers import core_fixed_point_oracle, distance_rate_scan_oracle
+from helpers import core_fixed_point_oracle, distance_rate_scan_oracle, shared_row_mean
 from sofic_lab import analytics
 from sofic_lab.analytics import (
     DegreeChoice,
+    PairTypeMatrix,
     balance_polynomial,
     bias_of_distance,
     bichromatic_pair_types,
@@ -36,7 +37,6 @@ from sofic_lab.analytics import (
     type_rate,
     working_precision,
 )
-from sofic_lab.hypergraph import PairTypeMatrix
 
 
 def test_proper_rate_known_values():
@@ -116,6 +116,16 @@ def test_type_rate_validation():
         type_rate([(0, 0.5, 0), (0, 0.5, 0)], 1, 2)
     with pytest.raises(ValueError):
         type_rate([(0, Fraction(1, 2), 0, 0)], 1, 2)
+    with pytest.raises(ValueError, match="expected 1 rows"):
+        type_rate([], 1, 2)
+    # rows that sum to 1/k at one density, but with a negative entry
+    with pytest.raises(ValueError, match="nonnegative"):
+        type_rate([(-0.25, 0.5, 0.25)], 1, 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        type_rate([(Fraction(1, 4), Fraction(-1, 4), Fraction(1, 2))], 1, 2)
+    # the test-side row mean refuses rows of different densities too
+    with pytest.raises(ValueError):
+        shared_row_mean(((0, Fraction(1, 2), 0), (Fraction(1, 2), 0, 0)))
 
 
 def test_type_rate_row_averaging_never_decreases():
@@ -293,13 +303,9 @@ def test_result_guards_raise_under_optimize():
             finally:
                 setattr(analytics, name, original)
 
-        def second_call_low(original):
-            calls = []
-            def patched(*args):
-                calls.append(args)
-                value = original(*args)
-                return value - 1 if len(calls) == 2 else value
-            return patched
+        def shift_where(test, amount):
+            # shift the cross entropies whose arguments (v, v0) pass test
+            return lambda f: lambda v, v0: f(v, v0) + (amount if test(v, v0) else 0)
 
         print("optimize", sys.flags.optimize)
         run("_pair_distance_rate", lambda f: lambda *a: f(*a) + 1e-6,
@@ -308,9 +314,11 @@ def test_result_guards_raise_under_optimize():
             lambda: analytics.distance_rate_scan(20, 6, grid_points=5))
         run("bichromatic_pair_types", lambda f: lambda k: f(k)[:-1],
             lambda: analytics.optimal_pair_type(0.3, 4))
-        run("_cross_entropy2", lambda f: lambda *a: f(*a) + 1e-6,
+        # the cross entropy of the distance against its bias only
+        run("_cross_entropy2", shift_where(lambda v, v0: v != v0, 1e-6),
             lambda: analytics.entropy_gap_report(0.1, 10))
-        run("_cross_entropy2", second_call_low,
+        # the entropy at the distance only, which the divergence subtracts
+        run("_cross_entropy2", shift_where(lambda v, v0: v0 == 0.1, 1),
             lambda: analytics.entropy_gap_report(0.1, 10))
         run("_binomial_tail_at_least", lambda f: lambda *a: 2,
             lambda: analytics.core_fixed_point(50, 6))
@@ -387,7 +395,7 @@ def test_pair_rate_beats_proper_rate_near_zero_at_large_k():
 
 
 def test_bichromatic_pair_types_enumeration():
-    assert {m.as_tuple() for m in bichromatic_pair_types(2)} == {
+    assert set(bichromatic_pair_types(2)) == {
         (0, 1, 1, 0),
         (1, 0, 0, 1),
     }
@@ -399,7 +407,7 @@ def test_bichromatic_pair_types_enumeration():
                 continue
             if 0 < e[2] + e[3] < k and 0 < e[1] + e[3] < k:
                 expected.add(e)
-        assert {m.as_tuple() for m in bichromatic_pair_types(k)} == expected
+        assert set(bichromatic_pair_types(k)) == expected
 
 
 def test_optimal_pair_type_constraints():
@@ -436,7 +444,7 @@ def test_optimal_pair_type_is_a_constrained_maximum():
     # perturb inside the constraint set and watch the objective drop
     k, delta = 4, 0.3
     opt = optimal_pair_type(delta, k)
-    atoms = sorted(opt.weights, key=lambda m: m.as_tuple())
+    atoms = sorted(opt.weights)
     t = np.array([float(opt.weights[m]) for m in atoms])
     log_coeff = np.array(
         [

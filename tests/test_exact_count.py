@@ -298,8 +298,7 @@ def test_typed_partition_sum_matches_per_type_sum():
 
 def pair_sum(n, k, flips):
     same, moved = n // 2 - flips // 2, flips // 2
-    shapes = [eps.as_tuple() for eps in bichromatic_pair_types(k)]
-    return typed_partition_sum((same, moved, moved, same), shapes)
+    return typed_partition_sum((same, moved, moved, same), bichromatic_pair_types(k))
 
 
 def test_typed_partition_sum_matches_pair_recursion_oracle():
@@ -337,7 +336,7 @@ def brute_pair_partition_census(n, k, chi, chi_tilde):
         for part in parts:
             eps = pair_type_matrix(part, chi, chi_tilde)
             histogram[eps] = histogram.get(eps, 0) + 1
-        key = tuple(sorted((e.as_tuple(), c) for e, c in histogram.items()))
+        key = tuple(sorted(histogram.items()))
         census[key] = census.get(key, 0) + 1
     return census
 

@@ -645,6 +645,7 @@ def test_experiment_cli_round_trip(tmp_path, capsys):
      ("first-moment", {"seeds": [1, 2.0]}), ("first-moment", {"n": 4.5}),
      ("first-moment", {"replicas": True}), ("first-moment", {"seed": -1}),
      ("first-moment", {"stream": 2**64 - 2}),
+     ("density", {"n": 6, "k": 3, "level": 1, "stream": 2**64 - 1, "replicas": 1}),
      ("planted-distance", {"delta": [1]}), ("planted-distance", {"delta": "1/0"}),
      ("planted-distance", {"delta": "abc"}), ("sofic", {"delta": True}),
      ("sofic", {"min_fraction": "x"}), ("density", {"level": -1}),
@@ -658,7 +659,7 @@ def test_experiment_cli_round_trip(tmp_path, capsys):
      ("first-moment", lambda document: {**document, "output": 5}),
      ("first-moment", lambda document: {**document, "seed": 7})],
     ids=["string-tolerance", "seeds-not-a-list", "float-seed", "float-n",
-         "bool-replicas", "negative-seed", "stream-overflow",
+         "bool-replicas", "negative-seed", "stream-overflow", "tree-stream-overflow",
          "list-delta", "zero-denominator-delta", "text-delta", "bool-delta",
          "text-min-fraction", "negative-level", "no-tree-samples", "edge-label-above-d",
          "huge-tolerance", "k-not-dividing-n", "odd-n-planted",

@@ -78,6 +78,23 @@ def test_rng_state_determinism():
     assert sample_planted_hom(p2, chi, state) == sample_planted_hom(p2, chi, state)
 
 
+def test_rng_state_keys_every_64_bit_seed_and_stream_apart():
+    # below 2^63 a key draws as the two-word list [seed, stream] always has;
+    # at and above it no two keys draw alike
+    def first_draw(seed, stream):
+        return int(RngState(seed, stream).generator().integers(0, 2**62))
+
+    lows = [(0, 5), (7, 0), (3, 2**40), (2**62, 11)]
+    for seed, stream in lows:
+        listed = np.random.Generator(np.random.Philox(key=[seed, stream]))
+        assert first_draw(seed, stream) == int(listed.integers(0, 2**62))
+    top = 2**64 - 1
+    highs = [(0, 2**63), (0, 2**63 + 5), (0, top - 2), (0, top - 1), (0, top),
+             (2**63, 0), (2**63 + 5, 0), (top, top)]
+    draws = [first_draw(seed, stream) for seed, stream in lows + highs]
+    assert len(set(draws)) == len(draws)
+
+
 def test_rng_state_validation():
     with pytest.raises(ValueError):
         RngState(seed=-1)

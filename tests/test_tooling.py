@@ -119,6 +119,24 @@ def test_harness_compares_no_experiment_kind():
     assert found == []
 
 
+def _imports_the_library(node):
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "sofic_lab"
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "sofic_lab" for alias in node.names)
+    return False
+
+
+def test_analytics_imports_no_other_library_module():
+    # analytics evaluates formulas on numbers and plain tuples of them; an
+    # import of a module that samples, counts or builds hypergraphs would tie
+    # the formulas to those objects again
+    tree = ast.parse((SRC / "analytics.py").read_text())
+    found = ["analytics.py:%d %s" % (node.lineno, ast.unparse(node))
+             for node in ast.walk(tree) if _imports_the_library(node)]
+    assert found == []
+
+
 def _parameters(node):
     args = node.args
     return [arg for arg in args.posonlyargs + args.args + args.kwonlyargs
