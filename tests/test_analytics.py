@@ -12,7 +12,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from helpers import core_fixed_point_oracle, distance_rate_scan_oracle, shared_row_mean
+from helpers import core_fixed_point_oracle, distance_rate_scan_oracle
 from sofic_lab import analytics
 from sofic_lab.analytics import (
     DegreeChoice,
@@ -116,16 +116,6 @@ def test_type_rate_validation():
         type_rate([(0, 0.5, 0), (0, 0.5, 0)], 1, 2)
     with pytest.raises(ValueError):
         type_rate([(0, Fraction(1, 2), 0, 0)], 1, 2)
-    with pytest.raises(ValueError, match="expected 1 rows"):
-        type_rate([], 1, 2)
-    # rows that sum to 1/k at one density, but with a negative entry
-    with pytest.raises(ValueError, match="nonnegative"):
-        type_rate([(-0.25, 0.5, 0.25)], 1, 2)
-    with pytest.raises(ValueError, match="nonnegative"):
-        type_rate([(Fraction(1, 4), Fraction(-1, 4), Fraction(1, 2))], 1, 2)
-    # the test-side row mean refuses rows of different densities too
-    with pytest.raises(ValueError):
-        shared_row_mean(((0, Fraction(1, 2), 0), (Fraction(1, 2), 0, 0)))
 
 
 def test_type_rate_row_averaging_never_decreases():

@@ -14,7 +14,7 @@ from helpers import (
     type_row_mean,
 )
 
-from sofic_lab.analytics import bichromatic_pair_types
+from sofic_lab.analytics import bichromatic_pair_types, type_rate
 from sofic_lab.group_model import ModelParams
 from sofic_lab.hypergraph import (
     Coloring,
@@ -268,6 +268,20 @@ def test_generator_type_matches_definition():
                 counts[label][sum(chi[v] for v in edge)] += 1
             expected = tuple(tuple(Fraction(c, p.n) for c in row) for row in counts)
             assert generator_type(g, chi) == expected
+
+
+def test_generator_type_matrix_validation():
+    # generator-type rows are checked where they are used, by type_rate
+    with pytest.raises(ValueError, match="expected 1 rows"):
+        type_rate([], 1, 2)
+    # rows that sum to 1/k at one density, but with a negative entry
+    with pytest.raises(ValueError, match="nonnegative"):
+        type_rate([(-0.25, 0.5, 0.25)], 1, 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        type_rate([(Fraction(1, 4), Fraction(-1, 4), Fraction(1, 2))], 1, 2)
+    # the test-side row mean refuses rows of different densities
+    with pytest.raises(ValueError):
+        shared_row_mean(((0, Fraction(1, 2), 0), (Fraction(1, 2), 0, 0)))
 
 
 def test_coloring_basics():
