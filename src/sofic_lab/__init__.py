@@ -33,7 +33,6 @@ from .exact_count import (
 )
 from .group_model import (
     ModelParams,
-    ReducedWord,
     UniformHom,
     check_sofic,
     enumerate_uniform_homs,
@@ -66,7 +65,6 @@ from .tree_markov import (
 __all__ = [
     "ScaleRefusal",
     "ModelParams",
-    "ReducedWord",
     "UniformHom",
     "check_sofic",
     "enumerate_uniform_homs",

@@ -156,6 +156,8 @@ def type_rate(
     all rows must share the same implied density of ones, both within 1e-9.
     """
     _check_d(d)
+    if d == 0:
+        raise ValueError("a generator type matrix needs d >= 1 rows, got d = 0")
     _check_k(k)
     rows = [tuple(row) for row in rows]
     if len(rows) != d:

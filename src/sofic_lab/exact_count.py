@@ -412,10 +412,10 @@ def exact_first_moment(params: ModelParams):
 def exact_equitable_first_moment(params: ModelParams):
     """E[number of proper equitable colorings] under the uniform model."""
     _check_scale(params.n, MOMENT_MAX_N, "exact_equitable_first_moment")
-    params.require_uniform()
     params.require_equitable()
     if params.d == 0:
         return Fraction(math.comb(params.n, params.n // 2))
+    params.require_uniform()
     n, k = params.n, params.k
     good = _bichromatic_partition_count(n, k, n // 2)
     return math.comb(n, n // 2) * Fraction(good, partition_count(n, k)) ** params.d

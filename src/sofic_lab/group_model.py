@@ -3,6 +3,10 @@
 The group here is the free product of d copies of the cyclic group of order k,
 with generators s_1, ..., s_d (indexed 0..d-1 in code). Uniform homomorphisms
 send every generator to a permutation that is a disjoint union of k-cycles.
+A reduced word is the plain tuple of its (generator, exponent) syllables,
+exponents in 1..k-1 and no two adjacent syllables on one generator; the
+identity IDENTITY is the empty tuple (). reduce_word is the one normalizer:
+nothing else reduces or validates a tuple built by hand.
 This module owns word reduction, word evaluation, enumeration of all uniform
 homomorphisms at small scale, and the sofic-approximation checker.
 """
@@ -55,43 +59,7 @@ class ModelParams:
             raise ValueError("equitable colorings need even n; got n=%d" % self.n)
 
 
-class ReducedWord:
-    """A reduced word: syllables (generator, exponent) with exponent in 1..k-1
-    and no two adjacent syllables sharing a generator. The empty word is the
-    identity. Instances are immutable and hashable; construction does not
-    re-reduce, use reduce_word for that."""
-
-    __slots__ = ("syllables",)
-
-    def __init__(self, syllables=()):
-        object.__setattr__(self, "syllables", tuple(syllables))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ReducedWord is immutable")
-
-    def is_identity(self):
-        return not self.syllables
-
-    def length(self):
-        """Word length: the sum of the syllable exponents."""
-        return sum(e for _, e in self.syllables)
-
-    def __eq__(self, other):
-        return isinstance(other, ReducedWord) and self.syllables == other.syllables
-
-    def __hash__(self):
-        return hash(self.syllables)
-
-    def __repr__(self):
-        if not self.syllables:
-            return "ReducedWord(identity)"
-        parts = []
-        for g, e in self.syllables:
-            parts.append("s%d" % (g + 1) if e == 1 else "s%d^%d" % (g + 1, e))
-        return "ReducedWord(%s)" % " ".join(parts)
-
-
-IDENTITY = ReducedWord()
+IDENTITY = ()
 
 
 def reduce_word(params, letters):
@@ -116,24 +84,21 @@ def reduce_word(params, letters):
                 stack.append((g, merged))
         else:
             stack.append((g, e))
-    return ReducedWord(stack)
+    return tuple(stack)
 
 
 def word_inverse(params, word):
     k = params.k
-    return ReducedWord(tuple((g, k - e) for g, e in reversed(word.syllables)))
+    return tuple((g, k - e) for g, e in reversed(word))
 
 
 def word_product(params, *words):
     """Product of reduced words, re-reduced (left to right)."""
-    letters = []
-    for w in words:
-        letters.extend(w.syllables)
-    return reduce_word(params, letters)
+    return reduce_word(params, itertools.chain.from_iterable(words))
 
 
 def generator_word(i):
-    return ReducedWord(((i, 1),))
+    return ((i, 1),)
 
 
 def generator_words(params):
@@ -144,7 +109,7 @@ def generator_words(params):
 def generator_pair_words(params):
     """All length-two products s_i s_j with i != j."""
     return [
-        ReducedWord(((i, 1), (j, 1)))
+        ((i, 1), (j, 1))
         for i in range(params.d)
         for j in range(params.d)
         if i != j
@@ -262,7 +227,7 @@ def _orbit_table(rows, n, k):
 
 
 def _check_generators(params, word):
-    for g, _ in word.syllables:
+    for g, _ in word:
         if not 0 <= g < params.d:
             raise ValueError("generator index %r out of range 0..%d" % (g, params.d - 1))
 
@@ -276,7 +241,7 @@ def evaluate_word(hom, word, v):
     if not 0 <= v < hom.params.n:
         raise ValueError("vertex %r out of range 0..%d" % (v, hom.params.n - 1))
     _check_generators(hom.params, word)
-    for g, e in reversed(word.syllables):
+    for g, e in reversed(word):
         v = hom.orbits[e % hom.params.k, g, v]
     return int(v)
 
@@ -295,7 +260,7 @@ def _word_arrays(hom, words):
     arrays = []
     for w in words:
         perm = np.arange(params.n)
-        for g, e in reversed(w.syllables):
+        for g, e in reversed(w):
             perm = hom.orbits[e % params.k, g][perm]
         arrays.append(perm)
     return arrays
@@ -341,7 +306,7 @@ def check_sofic(hom, words, delta):
     moved = np.ones(n, dtype=bool)
     identity = np.arange(n)
     for w in words:
-        if not w.is_identity():
+        if w:
             moved &= images[w] != identity
 
     mult_fraction = Fraction(int(np.count_nonzero(mult)), n)

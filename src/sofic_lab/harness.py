@@ -372,11 +372,11 @@ def _replica_row(kind, params, state):
 
 
 def _replica_worker(task):
-    kind, params, index, seed, stream = task
+    kind, params, state = task
     try:
-        return index, _replica_row(kind, params, RngState(seed, stream)), None
+        return _replica_row(kind, params, state), None
     except (ScaleRefusal, ValueError) as exc:
-        return index, None, "%s: %s" % (type(exc).__name__, exc)
+        return None, "%s: %s" % (type(exc).__name__, exc)
 
 
 def _require_workers(workers):
@@ -386,16 +386,12 @@ def _require_workers(workers):
 
 def _run_replicas(config, workers):
     states = config.replica_states()
-    tasks = [
-        (config.kind, config.resolved, i, s.seed, s.stream)
-        for i, s in enumerate(states)
-    ]
+    tasks = [(config.kind, config.resolved, state) for state in states]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replica_worker, tasks))
     else:
         results = [_replica_worker(task) for task in tasks]
-    results.sort(key=lambda item: item[0])
     return states, results
 
 
@@ -420,9 +416,9 @@ def run_experiment(config, workers=1):
     """
     _require_workers(workers)
     states, results = _run_replicas(config, workers)
-    good_rows = [row for _, row, _ in results if row is not None]
+    good_rows = [row for row, _ in results if row is not None]
     if not good_rows:
-        raise ValueError("every replica failed; first error: %s" % results[0][2])
+        raise ValueError("every replica failed; first error: %s" % results[0][1])
 
     summary = EXPERIMENT_KINDS[config.kind].summary(config, good_rows)
 
@@ -430,7 +426,7 @@ def run_experiment(config, workers=1):
     # the summary (which may add a column) give
     fields = tuple(good_rows[0])
     csv_rows = []
-    for (index, row, error), state in zip(results, states):
+    for index, ((row, error), state) in enumerate(zip(results, states)):
         cells = [None] * len(fields) + [error] if row is None else list(row.values()) + [None]
         csv_rows.append([index, state.seed, state.stream] + cells)
     return _write_report(config, fields, csv_rows, summary, len(results) - len(good_rows))

@@ -33,7 +33,6 @@ import numpy as np
 from ._errors import ScaleRefusal
 from .group_model import (
     IDENTITY,
-    ReducedWord,
     _word_arrays,
     word_inverse,
 )
@@ -48,7 +47,7 @@ DRAW_MAX_K = 64
 
 
 def _word_key(word):
-    return (word.length(), word.syllables)
+    return (sum(e for _, e in word), word)
 
 
 class TreeDomain:
@@ -165,10 +164,8 @@ def _coset(k, label, member):
     """The k elements of the generator coset through the given word, in
     _word_key order: the base, which is the word with any trailing label
     syllable dropped, then base * s^e for e = 1..k-1, each one longer."""
-    base = member.syllables
-    if base and base[-1][0] == label:
-        base = base[:-1]
-    return (ReducedWord(base),) + tuple(ReducedWord(base + ((label, e),)) for e in range(1, k))
+    base = member[:-1] if member and member[-1][0] == label else member
+    return (base,) + tuple(base + ((label, e),) for e in range(1, k))
 
 
 def ball_element_count(d, k, radius):
@@ -198,7 +195,7 @@ def build_ball(params, radius):
     for _ in range(radius):
         next_frontier = []
         for g in frontier:
-            trailing = g.syllables[-1][0] if g.syllables else None
+            trailing = g[-1][0] if g else None
             for label in range(params.d):
                 if label == trailing:
                     continue  # that coset is the edge g arrived through

@@ -116,6 +116,9 @@ def test_type_rate_validation():
         type_rate([(0, 0.5, 0), (0, 0.5, 0)], 1, 2)
     with pytest.raises(ValueError):
         type_rate([(0, Fraction(1, 2), 0, 0)], 1, 2)
+    # d = 0 has no rows to average the density of ones over
+    with pytest.raises(ValueError, match="d >= 1"):
+        type_rate([], 0, 3)
 
 
 def test_type_rate_row_averaging_never_decreases():

@@ -387,6 +387,13 @@ def test_exact_first_moment_frozen_values():
     assert exact_first_moment(ModelParams(d=1, k=2, n=4)) == 4
     assert exact_first_moment(ModelParams(d=2, k=2, n=4)) == Fraction(8, 3)
     assert exact_first_moment(ModelParams(d=0, k=2, n=4)) == 16
+    # at d = 0 every coloring, or every balanced one, is proper, whether or
+    # not k divides n
+    assert exact_first_moment(ModelParams(d=0, k=3, n=4)) == 16
+    assert exact_equitable_first_moment(ModelParams(d=0, k=2, n=4)) == 6
+    assert exact_equitable_first_moment(ModelParams(d=0, k=3, n=4)) == 6
+    with pytest.raises(ValueError, match="even n"):
+        exact_equitable_first_moment(ModelParams(d=0, k=3, n=3))
 
 
 def test_exact_first_moment_matches_enumeration():

@@ -18,7 +18,6 @@ from sofic_lab import ScaleRefusal
 from sofic_lab.group_model import (
     IDENTITY,
     ModelParams,
-    ReducedWord,
     UniformHom,
     _word_arrays,
     check_sofic,
@@ -33,6 +32,7 @@ from sofic_lab.group_model import (
     word_inverse,
     word_product,
 )
+from sofic_lab.tree_markov import _word_key
 
 
 def brute_force_uniform_permutations(n, k):
@@ -78,9 +78,9 @@ def test_reduce_word_idempotent():
             (rng.randrange(3), rng.randrange(-5, 9)) for _ in range(rng.randrange(8))
         ]
         w = reduce_word(p, letters)
-        assert reduce_word(p, w.syllables) == w
+        assert reduce_word(p, w) == w
         # adjacency and exponent-range invariants of the reduced form
-        for (g1, e1), (g2, _) in zip(w.syllables, w.syllables[1:]):
+        for (g1, e1), (g2, _) in zip(w, w[1:]):
             assert g1 != g2
             assert 1 <= e1 < p.k
 
@@ -94,8 +94,8 @@ def test_reduce_word_rejects_bad_generator():
 def test_word_length():
     p = ModelParams(d=2, k=5, n=5)
     w = reduce_word(p, [(0, 3), (1, 4)])
-    assert w.length() == 7
-    assert IDENTITY.length() == 0
+    assert _word_key(w)[0] == 7
+    assert _word_key(IDENTITY)[0] == 0
 
 
 def test_word_inverse_and_product():
@@ -240,7 +240,7 @@ def test_evaluate_word_basics():
     assert evaluate_word(hom, IDENTITY, 1) == 1
     assert evaluate_word(hom, generator_word(0), 0) == 1
     # k-fold application of a generator returns the start vertex
-    w = ReducedWord(((0, 1),) * 1)
+    w = ((0, 1),) * 1
     v = 2
     for _ in range(p.k):
         v = evaluate_word(hom, w, v)
@@ -379,7 +379,7 @@ def check_sofic_per_vertex_oracle(hom, words, delta):
             for h in words
         ):
             mult_ok += 1
-        if all(evaluate_word(hom, w, v) != v for w in words if not w.is_identity()):
+        if all(evaluate_word(hom, w, v) != v for w in words if w):
             trace_ok += 1
     mult, trace = Fraction(mult_ok, n), Fraction(trace_ok, n)
     delta = Fraction(delta)
@@ -443,8 +443,8 @@ def test_check_sofic_generic_on_non_homomorphic_images():
         hom = unchecked_hom(p, images)
         # (s1^2, s1^2) is the only pair of the short set that can fail,
         # so each order puts it at one end of the pair loop
-        short = [generator_word(1), ReducedWord(((0, 2),))]
-        wide = generator_words(p) + [ReducedWord(((1, 2), (0, 1)))] + short[1:]
+        short = [generator_word(1), ((0, 2),)]
+        wide = generator_words(p) + [((1, 2), (0, 1))] + short[1:]
         for ordered in (short, short[::-1], wide):
             report = check_sofic(hom, ordered, 0.1)
             assert _report_tuple(report) == check_sofic_per_vertex_oracle(
@@ -459,13 +459,13 @@ def test_word_image_matches_evaluate_word():
 
     def stepwise(word, v):
         # e single image steps per syllable (g, e), without the orbit table
-        for g, e in reversed(word.syllables):
+        for g, e in reversed(word):
             for _ in range(e % p.k):
                 v = int(hom.images[g, v])
         return v
 
     # syllables built directly are not reduced: exponents 0, -1 and k + 1
-    unreduced = [ReducedWord(((0, 4), (1, -1), (2, 0), (0, 2))), ReducedWord(((1, 3),))]
+    unreduced = [((0, 4), (1, -1), (2, 0), (0, 2)), ((1, 3),)]
     for word in _oracle_word_sets(p)[2] + generator_pair_words(p) + unreduced:
         expected = [stepwise(word, v) for v in range(p.n)]
         assert [evaluate_word(hom, word, v) for v in range(p.n)] == expected
@@ -476,7 +476,7 @@ def test_word_image_matches_evaluate_word():
 def test_word_evaluation_rejects_bad_generator(bad):
     p = ModelParams(d=2, k=3, n=6)
     hom = hom_from_cycles(p, [[(0, 1, 2), (3, 4, 5)], [(0, 3, 1), (2, 5, 4)]])
-    word = ReducedWord(((0, 1), (bad, 1)))
+    word = ((0, 1), (bad, 1))
     with pytest.raises(ValueError, match="generator index"):
         evaluate_word(hom, word, 0)
     with pytest.raises(ValueError, match="generator index"):

@@ -349,6 +349,12 @@ def test_moments_commands(capsys):
     code, lines = run_cli(capsys, ["moments", "first", "--n", "4", "--k", "2", "--d", "2"])
     assert code == 0
     assert payload(lines) == [str(exact_first_moment(ModelParams(d=2, k=2, n=4)))]
+    # at d = 0 the equitable moment is C(n, n/2) even when k does not divide n
+    code, lines = run_cli(
+        capsys, ["moments", "first", "--equitable", "--n", "4", "--k", "3", "--d", "0"]
+    )
+    assert code == 0
+    assert payload(lines) == ["6"]
 
     code, lines = run_cli(
         capsys,

@@ -103,6 +103,16 @@ def test_only_group_model_reads_into_the_images():
     assert found == []
 
 
+def test_library_reads_no_syllables_attribute():
+    # a reduced word is the plain tuple of its (generator, exponent)
+    # syllables and reduce_word its one normalizer; reading .syllables means
+    # a wrapper class around the tuple has come back
+    found = ["%s:%d %s" % (name, node.lineno, ast.unparse(node))
+             for name, node in _library_nodes()
+             if isinstance(node, ast.Attribute) and node.attr == "syllables"]
+    assert found == []
+
+
 def _is_kind(node):
     return ((isinstance(node, ast.Name) and node.id == "kind")
             or (isinstance(node, ast.Attribute) and node.attr == "kind"))

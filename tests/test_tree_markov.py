@@ -24,7 +24,6 @@ from sofic_lab.analytics import core_fixed_point
 from sofic_lab.group_model import (
     IDENTITY,
     ModelParams,
-    ReducedWord,
     evaluate_word,
     word_inverse,
     word_product,
@@ -109,10 +108,10 @@ def test_ball_budget():
 
 def test_domain_validation():
     params = ModelParams(d=2, k=3, n=6)
-    s0 = ReducedWord(((0, 1),))
-    s0_sq = ReducedWord(((0, 2),))
-    s1 = ReducedWord(((1, 1),))
-    s1_sq = ReducedWord(((1, 2),))
+    s0 = ((0, 1),)
+    s0_sq = ((0, 2),)
+    s1 = ((1, 1),)
+    s1_sq = ((1, 2),)
     with pytest.raises(ValueError, match="coset"):
         TreeDomain(2, 3, (IDENTITY, s1, s1_sq), [(0, (IDENTITY, s1, s1_sq))])
     far = word_product(params, s0, s1, s0)
@@ -166,10 +165,10 @@ def test_attach_order_matches_rescanning_oracle(d, k, radius):
 
 def test_attach_order_errors_match_rescanning_oracle():
     params = ModelParams(d=2, k=3, n=6)
-    s0 = ReducedWord(((0, 1),))
-    s0_sq = ReducedWord(((0, 2),))
-    s1 = ReducedWord(((1, 1),))
-    s1_sq = ReducedWord(((1, 2),))
+    s0 = ((0, 1),)
+    s0_sq = ((0, 2),)
+    s1 = ((1, 1),)
+    s1_sq = ((1, 2),)
     far = word_product(params, s0, s1, s0)
     far_coset = (far, word_product(params, far, s1), word_product(params, far, s1_sq))
     # the far coset is an edge of the radius-4 ball, apart from the radius-2 one
@@ -205,7 +204,7 @@ def test_count_matches_brute_oracle():
         count_proper_patterns(single_edge_domain(ModelParams(d=1, k=2, n=4))) == 2
     )
 
-    s0 = ReducedWord(((0, 1),))
+    s0 = ((0, 1),)
     three_edges = domain_from_edges(
         p32, [(0, IDENTITY), (1, IDENTITY), (1, s0)]
     )
