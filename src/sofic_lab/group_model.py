@@ -176,8 +176,18 @@ class UniformHom:
 
     @classmethod
     def from_json_dict(cls, data):
-        params = ModelParams(d=int(data["d"]), k=int(data["k"]), n=int(data["n"]))
-        return cls(params, data["images"])
+        """The homomorphism of the on-disk form; other keys are ignored."""
+        if not isinstance(data, dict):
+            raise ValueError("an instance must be a JSON object, got %s" % type(data).__name__)
+        for key in ("n", "k", "d", "images"):
+            if key not in data:
+                raise ValueError("instance is missing %r" % key)
+        for key in ("n", "k", "d"):
+            if not isinstance(data[key], int) or isinstance(data[key], bool):
+                raise ValueError("instance %r must be an integer, got %r" % (key, data[key]))
+        if not isinstance(data["images"], list):
+            raise ValueError("instance 'images' must be a list, got %r" % (data["images"],))
+        return cls(ModelParams(d=data["d"], k=data["k"], n=data["n"]), data["images"])
 
 
 def _orbit_table(rows, n, k):

@@ -65,6 +65,7 @@ from .samplers import RngState, sample_planted_hom, sample_uniform_hom
 from .structure import core_decomposition, density_report, expansivity_scan, rigidity_violation_search
 from .tree_markov import (
     BRUTE_PATTERN_MAX_ELEMENTS,
+    _check_core_sampler_args,
     build_ball,
     core_density_estimate,
     count_proper_patterns,
@@ -77,6 +78,7 @@ from .tree_markov import (
 SCAN_CSV_HEADER = ("delta", "delta0", "psi0", "psi", "f_dk")
 
 ENUMERATION_AVERAGE_MAX_HOMS = 10_000
+DEFAULT_TREE_SAMPLES = 100_000
 CONCENTRATION_THRESHOLDS = (Fraction(1, 20), Fraction(1, 10), Fraction(1, 5))
 HISTOGRAM_BIN_WIDTH = Fraction(1, 40)
 
@@ -200,8 +202,11 @@ def load_instance(path):
     with open(path) as fh:
         data = json.load(fh)
     hom = UniformHom.from_json_dict(data)
-    chi = Coloring.from_string(data["chi"]) if "chi" in data else None
-    return hom, chi
+    if "chi" not in data:
+        return hom, None
+    if not isinstance(data["chi"], str):
+        raise ValueError("instance 'chi' must be a string of bits, got %r" % (data["chi"],))
+    return hom, Coloring.from_string(data["chi"])
 
 
 def _open_instance(args, coloring=True, **head):
@@ -235,6 +240,15 @@ def _chi_option(text, n):
     if len(chi) != n:
         raise ValueError("--chi has length %d but n=%d" % (len(chi), n))
     return chi
+
+
+def _refuse_unread(args, route, names):
+    """Refuse, naming them, the flags among names that were given but that
+    the route does not read: a flag that is dropped without a word would
+    look applied."""
+    given = ["--" + name.replace("_", "-") for name in names if getattr(args, name) is not None]
+    if given:
+        raise ValueError("%s does not read %s" % (route, ", ".join(given)))
 
 
 def _fraction(name, value):
@@ -306,9 +320,17 @@ class ExperimentConfig:
         shape.require_uniform()
         if entry.planted:
             shape.require_equitable()
-        if "edge_label" in resolved and resolved["edge_label"] >= shape.d:
-            raise ValueError("edge_label must be below d=%d, got %d"
-                             % (shape.d, resolved["edge_label"]))
+        if "edge_label" in resolved:
+            if resolved["edge_label"] >= shape.d:
+                raise ValueError("edge_label must be below d=%d, got %d"
+                                 % (shape.d, resolved["edge_label"]))
+            # each row lists every proper pattern of its k-element edge
+            if shape.k > BRUTE_PATTERN_MAX_ELEMENTS:
+                raise ScaleRefusal("brute-force enumeration over the %d elements of an edge "
+                                   "refused (at most %d)" % (shape.k, BRUTE_PATTERN_MAX_ELEMENTS),
+                                   count=shape.k)
+        if "tree_samples" in resolved:
+            _check_core_sampler_args(shape.d, shape.k, resolved["level"])
         stream = resolved["stream"]
         if "seeds" in self.params:
             states = [RngState(s, stream) for s in resolved["seeds"]]
@@ -681,8 +703,8 @@ EXPERIMENT_KINDS = {
     "planted-distance": _ExperimentKind(True, _planted_distance_row, _planted_distance_summary, {
         **_REPLICA_PARAMS, "seeds": None, "delta": _REQUIRED, "mean_tolerance": None}),
     "density": _ExperimentKind(True, _density_row, _density_summary, {
-        **_REPLICA_PARAMS, "seeds": None, "level": _REQUIRED, "tree_samples": 100_000,
-        "sigma_tolerance": 3.0}),
+        **_REPLICA_PARAMS, "seeds": None, "level": _REQUIRED,
+        "tree_samples": DEFAULT_TREE_SAMPLES, "sigma_tolerance": 3.0}),
     "sofic": _ExperimentKind(False, _sofic_row, _sofic_summary, {
         **_REPLICA_PARAMS, "seeds": None, "delta": Fraction(1, 10),
         "min_fraction": Fraction(99, 100)}),
@@ -882,13 +904,16 @@ def _cmd_analytic(args):
 
 def _cmd_core_density(args):
     if args.input is not None:
+        _refuse_unread(args, "the finite route (--input)", ("d", "k", "samples"))
         hom, chi, record = _open_instance(args, command="core-density", route="finite")
         _announce(record(level=args.level))
         density = density_report(build_hypergraph(hom), chi, args.level)
         print("rigid_density=%s rigid_density_float=%s" % (density, _fmt(float(density))))
         return 0
+    _refuse_unread(args, "the tree route", ("chi",))
     if args.d is None or args.k is None:
         raise ValueError("tree route needs --d and --k (or use --input)")
+    samples = DEFAULT_TREE_SAMPLES if args.samples is None else args.samples
     _announce(
         {
             "command": "core-density",
@@ -896,7 +921,7 @@ def _cmd_core_density(args):
             "d": args.d,
             "k": args.k,
             "level": args.level,
-            "samples": args.samples,
+            "samples": samples,
             "seed": args.seed,
             "stream": args.stream,
         }
@@ -905,7 +930,7 @@ def _cmd_core_density(args):
         d=args.d,
         k=args.k,
         level=args.level,
-        samples=args.samples,
+        samples=samples,
         rng=RngState(args.seed, args.stream),
     )
     print(
@@ -982,9 +1007,11 @@ def _cmd_local_convergence(args):
     hom, chi, record = _open_instance(args, command="local-convergence")
     tree_params = ModelParams(d=hom.params.d, k=hom.params.k, n=hom.params.k)
     if args.radius is not None:
+        _refuse_unread(args, "the ball route (--radius)", ("edge_label",))
         domain = build_ball(tree_params, args.radius)
     else:
-        domain = single_edge_domain(tree_params, label=args.edge_label)
+        label = 0 if args.edge_label is None else args.edge_label
+        domain = single_edge_domain(tree_params, label=label)
     q = count_proper_patterns(domain)
     params_record = record(elements=len(domain), q=q)
     if args.pattern is not None:
@@ -1159,7 +1186,8 @@ def build_parser():
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=int, default=None,
+                   help="tree route root samples; default %d" % DEFAULT_TREE_SAMPLES)
     _add_common(p)
     p.set_defaults(func=_cmd_core_density)
 
@@ -1182,7 +1210,7 @@ def build_parser():
     p = sub.add_parser("local-convergence", help="window census against the tree measure")
     p.add_argument("--input", required=True)
     p.add_argument("--chi", default=None)
-    p.add_argument("--edge-label", type=int, default=0)
+    p.add_argument("--edge-label", type=int, default=None, help="label of the one edge; default 0")
     p.add_argument("--radius", type=int, default=None, help="use a full ball instead of one edge")
     p.add_argument("--pattern", default=None, help="bits in domain order; report this cylinder only")
     _add_common(p)

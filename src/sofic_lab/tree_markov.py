@@ -3,7 +3,10 @@
 Vertices of the tree are reduced words; the edge with a given generator
 label through a word is that word's left coset under the generator, so
 edges meet in at most one vertex and every finite connected window is a
-hyper-tree. Proper 2-colorings of such a window can be counted in closed
+hyper-tree. A window is built from generator words: TreeDomain takes
+(label, word) pairs, each naming the label-coset through its word, and
+builds each coset once; build_ball and single_edge_domain are its two
+builders. Proper 2-colorings of such a window can be counted in closed
 form (each edge after the first attaches at a single already-colored
 vertex and contributes a factor 2^(k-1)-1), sampled exactly, and compared
 against pullbacks of colored finite instances. A pattern is a tuple of
@@ -51,48 +54,27 @@ def _word_key(word):
 
 
 class TreeDomain:
-    """A finite window of the hyper-tree: either {identity} alone or a
-    connected union of full edges containing the identity.
+    """A finite window of the hyper-tree: the identity and the generator
+    cosets named by the (label, word) pairs, each pair naming the
+    label-coset through its word.
 
-    Construction validates that every edge really is a generator coset,
-    that the union is connected, and that no edge closes a cycle; the
-    attach order found along the way (each edge meeting the already-covered
-    part in exactly one vertex) is kept for counting and sampling.
+    Each coset is built once, pairs naming the same coset give one edge, and
+    the elements are the identity and the union of the edges. The union
+    must be connected to the identity; the attach order found along the way
+    (each edge meeting the already-covered part in exactly one vertex) is
+    kept for counting and sampling.
     """
 
     __slots__ = ("d", "k", "elements", "edges", "attach_at", "_index")
 
-    def __init__(self, d, k, elements, edges):
-        elements = tuple(sorted(set(elements), key=_word_key))
-        edges = sorted(
-            (
-                (int(label), tuple(sorted(members, key=_word_key)))
-                for label, members in edges
-            ),
-            key=lambda edge: (edge[0], tuple(_word_key(w) for w in edge[1])),
-        )
-        if len(set(edges)) != len(edges):
-            raise ValueError("duplicate edges in the domain")
-        if IDENTITY not in elements:
-            raise ValueError("a tree domain must contain the identity")
-        if not edges:
-            if elements != (IDENTITY,):
-                raise ValueError(
-                    "a domain without edges must be the identity singleton"
-                )
-        else:
-            covered_elements = set()
-            for label, members in edges:
-                if not 0 <= label < d:
-                    raise ValueError("edge label %d out of range 0..%d" % (label, d - 1))
-                # _coset lists a coset in the sorted order members has
-                if not members or members != _coset(k, label, members[0]):
-                    raise ValueError(
-                        "edge %r is not a generator-%d coset" % (members, label)
-                    )
-                covered_elements.update(members)
-            if covered_elements != set(elements):
-                raise ValueError("elements must be exactly the union of the edges")
+    def __init__(self, params, generators):
+        cosets = set()
+        for label, word in generators:
+            if not 0 <= label < params.d:
+                raise ValueError("edge label %d out of range 0..%d" % (label, params.d - 1))
+            cosets.add((label, _coset(params.k, label, word)))
+        # a coset is in _word_key order, so its base alone sorts it
+        edges = sorted(cosets, key=lambda edge: (edge[0], _word_key(edge[1][0])))
 
         # Each step attaches the first edge, in sorted order, that meets the
         # covered part: the least position on a heap of the edges meeting it.
@@ -109,7 +91,7 @@ class TreeDomain:
             label, members = edges[pos]
             met = [w for w in members if w in covered]
             if len(met) > 1:
-                raise ValueError("edge %r closes a hyper-cycle" % (members,))
+                raise RuntimeError("coset %r closes a hyper-cycle" % (members,))
             attach_order.append((label, members))
             attach_at.append(met[0])
             for w in members:
@@ -121,8 +103,10 @@ class TreeDomain:
         if len(attach_order) < len(edges):
             raise ValueError("domain is not connected to the identity")
 
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "k", k)
+        # every edge attached, so the covered part is the whole union
+        elements = tuple(sorted(covered, key=_word_key))
+        object.__setattr__(self, "d", params.d)
+        object.__setattr__(self, "k", params.k)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "edges", tuple(attach_order))
         object.__setattr__(self, "attach_at", tuple(attach_at))
@@ -139,25 +123,6 @@ class TreeDomain:
 
     def index(self, word):
         return self._index[word]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TreeDomain)
-            and (self.d, self.k) == (other.d, other.k)
-            and self.elements == other.elements
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((self.d, self.k, self.elements, self.edges))
-
-    def __repr__(self):
-        return "TreeDomain(d=%d, k=%d, %d elements, %d edges)" % (
-            self.d,
-            self.k,
-            len(self.elements),
-            len(self.edges),
-        )
 
 
 def _coset(k, label, member):
@@ -189,24 +154,15 @@ def build_ball(params, radius):
             % (radius, count, DEFAULT_BALL_MAX_ELEMENTS),
             count=count,
         )
-    elements = {IDENTITY}
-    edges = []
+    generators = []
     frontier = [IDENTITY]
     for _ in range(radius):
-        next_frontier = []
-        for g in frontier:
-            trailing = g[-1][0] if g else None
-            for label in range(params.d):
-                if label == trailing:
-                    continue  # that coset is the edge g arrived through
-                members = _coset(params.k, label, g)
-                edges.append((label, members))
-                for w in members:
-                    if w not in elements:
-                        elements.add(w)
-                        next_frontier.append(w)
-        frontier = next_frontier
-    domain = TreeDomain(params.d, params.k, elements, edges)
+        # each new coset through g: every label but the one g arrived by
+        pairs = [(label, g) for g in frontier for label in range(params.d)
+                 if not g or label != g[-1][0]]
+        generators += pairs
+        frontier = [g + ((label, e),) for label, g in pairs for e in range(1, params.k)]
+    domain = TreeDomain(params, generators)
     if len(domain) != count:
         raise RuntimeError(
             "radius-%d ball has %d elements, closed form says %d"
@@ -215,20 +171,9 @@ def build_ball(params, radius):
     return domain
 
 
-def domain_from_edges(params, labeled_members):
-    """Domain spanned by the cosets through the given (label, word) pairs."""
-    edges = {}
-    elements = {IDENTITY}
-    for label, member in labeled_members:
-        coset = _coset(params.k, label, member)
-        edges[(label, coset)] = None
-        elements.update(coset)
-    return TreeDomain(params.d, params.k, elements, list(edges))
-
-
 def single_edge_domain(params, label=0):
     """The domain of the one generator-label edge through the identity."""
-    return domain_from_edges(params, [(label, IDENTITY)])
+    return TreeDomain(params, [(label, IDENTITY)])
 
 
 def _edge_positions(domain):

@@ -446,7 +446,8 @@ def attach_order_oracle(edges):
     (label, members) edges as the constructor does, then attach the first
     remaining edge that meets the covered part, starting from the identity,
     scanning from the start after every attach. Returns the attached edges
-    and the vertex each attaches at, or raises the constructor's error."""
+    and the vertex each attaches at, or raises the constructor's error for
+    edges not connected to the identity."""
     remaining = sorted(
         ((int(label), tuple(sorted(members, key=_word_key))) for label, members in edges),
         key=lambda edge: (edge[0], tuple(_word_key(w) for w in edge[1])),

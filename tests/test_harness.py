@@ -389,24 +389,67 @@ def test_exit_codes(tmp_path, capsys):
     assert run_cli(capsys, removed)[0] == 2
 
 
+DROP = object()
+
+
+def _instance_with(**changes):
+    """The edit of an instance document that sets the given keys, or drops
+    those given as DROP."""
+    def edit(document):
+        document = {**document, **changes}
+        return {key: value for key, value in document.items() if value is not DROP}
+    return edit
+
+
+COUNT = ["count", "--input", "{inst}"]
+
+
 @pytest.mark.parametrize(
-    "argv,message",
-    [(["count", "--input", "{inst}", "--eps", "1/0"], "--eps must be a fraction"),
-     (["analytic", "psi", "--k", "3", "--d", "5", "--delta", "1/0"], "--delta must be a fraction"),
-     (["analytic", "f", "--k", "3", "--eta", "1/0"], "--eta must be a fraction"),
-     (["sofic-check", "--input", "{inst}", "--delta", "1/0"], "--delta must be a fraction"),
+    "argv,message,edit",
+    [(["count", "--input", "{inst}", "--eps", "1/0"], "--eps must be a fraction", None),
+     (["analytic", "psi", "--k", "3", "--d", "5", "--delta", "1/0"],
+      "--delta must be a fraction", None),
+     (["analytic", "f", "--k", "3", "--eta", "1/0"], "--eta must be a fraction", None),
+     (["sofic-check", "--input", "{inst}", "--delta", "1/0"], "--delta must be a fraction", None),
      (["moments", "planted-distance", "--n", "4", "--k", "2", "--d", "2", "--delta", "1/0"],
-      "--delta must be a fraction"),
-     (["rigidity", "--input", "{inst}", "--rho", "1/0"], "--rho must be a fraction"),
-     (["experiment", "{config}", "--seed", "3"], "unrecognized arguments: --seed 3")],
+      "--delta must be a fraction", None),
+     (["rigidity", "--input", "{inst}", "--rho", "1/0"], "--rho must be a fraction", None),
+     (["experiment", "{config}", "--seed", "3"], "unrecognized arguments: --seed 3", None),
+     # malformed instance files
+     (COUNT, "instance is missing 'n'", lambda document: {}),
+     (COUNT, "an instance must be a JSON object, got list", lambda document: [1]),
+     (COUNT, "instance is missing 'images'", _instance_with(images=DROP)),
+     (COUNT, "instance 'd' must be an integer, got None", _instance_with(d=None)),
+     (COUNT, "instance 'n' must be an integer, got 12.7", _instance_with(n=12.7)),
+     (COUNT, "instance 'n' must be an integer, got '12'", _instance_with(n="12")),
+     (COUNT, "instance 'n' must be an integer, got True", _instance_with(n=True)),
+     (COUNT, "instance 'images' must be a list, got 5", _instance_with(images=5)),
+     (["rigidity", "--input", "{inst}", "--rho", "1/10"],
+      "instance 'chi' must be a string of bits, got 5", _instance_with(chi=5)),
+     # flags that the chosen route does not read
+     (["core-density", "--input", "{inst}", "--level", "1", "--d", "99", "--k", "99",
+       "--samples", "0"], "the finite route (--input) does not read --d, --k, --samples", None),
+     (["core-density", "--input", "{inst}", "--level", "1", "--samples", "10"],
+      "the finite route (--input) does not read --samples", None),
+     (["core-density", "--d", "5", "--k", "3", "--level", "1", "--chi", "0101"],
+      "the tree route does not read --chi", None),
+     (["local-convergence", "--input", "{inst}", "--radius", "1", "--edge-label", "0"],
+      "the ball route (--radius) does not read --edge-label", None)],
     ids=["count-eps", "analytic-delta", "analytic-eta", "sofic-check-delta",
-         "moments-delta", "rigidity-rho", "experiment-seed"],
+         "moments-delta", "rigidity-rho", "experiment-seed",
+         "instance-empty-object", "instance-not-an-object", "instance-without-images",
+         "instance-null-d", "instance-float-n", "instance-text-n", "instance-bool-n",
+         "instance-int-images", "instance-int-chi",
+         "finite-route-tree-flags", "finite-route-samples", "tree-route-chi",
+         "ball-route-edge-label"],
 )
-def test_cli_refuses_invalid_input_before_the_params_line(tmp_path, capsys, argv, message):
+def test_cli_refuses_invalid_input_before_the_params_line(tmp_path, capsys, argv, message, edit):
     # exit 2 with an error line and no traceback, and nothing on stdout;
     # experiment runs the seeds of its config, so it takes no --seed
     inst = tmp_path / "inst.json"
     write_planted_instance(inst, n=12, k=3, d=3)
+    if edit is not None:
+        inst.write_text(json.dumps(edit(json.loads(inst.read_text()))))
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"kind": "first-moment", "output": str(tmp_path / "out"),
                                   "params": {"n": 4, "k": 2, "d": 2, "replicas": 3}}))
@@ -658,6 +701,8 @@ def test_experiment_cli_round_trip(tmp_path, capsys):
      ("density", {"level": 1, "tree_samples": 0}), ("local-convergence", {"edge_label": 9}),
      ("density", {"level": 1, "sigma_tolerance": 10**400}), ("first-moment", {"n": 5}),
      ("density", {"n": 9, "k": 3, "level": 1}),
+     # the tree sampler of the density summary needs 3 <= k <= 64
+     ("density", {"level": 1}), ("density", {"n": 130, "k": 65, "level": 1}),
      # the shape of the config document itself
      ("first-moment", lambda document: list(document)),
      ("first-moment", lambda document: {**document, "params": list(document["params"].items())}),
@@ -669,6 +714,7 @@ def test_experiment_cli_round_trip(tmp_path, capsys):
          "list-delta", "zero-denominator-delta", "text-delta", "bool-delta",
          "text-min-fraction", "negative-level", "no-tree-samples", "edge-label-above-d",
          "huge-tolerance", "k-not-dividing-n", "odd-n-planted",
+         "tree-sampler-k2", "tree-sampler-k65",
          "config-not-an-object", "params-not-an-object", "kind-not-a-string",
          "output-not-a-string", "unknown-config-key"],
 )
@@ -687,6 +733,26 @@ def test_experiment_refuses_malformed_params(tmp_path, capsys, kind, bad):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [("density", {"n": 6, "k": 3, "d": 10_001, "level": 1}),
+     ("local-convergence", {"n": 42, "k": 21, "d": 2})],
+    ids=["density-tree-degree", "local-convergence-edge-patterns"],
+)
+def test_experiment_refuses_beyond_scale_before_any_replica(tmp_path, capsys, kind, params):
+    # exit 3 before the params line, and nothing is written; the tree
+    # sampler refuses d above 10,000, and the census lists the proper
+    # patterns of a k-element edge by brute force, refused above k = 20
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(
+        {"kind": kind, "params": {**params, "replicas": 2}, "output": str(tmp_path / "out")}))
+    assert cli_dispatch(["experiment", str(config_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("scale refusal: ")
     assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
 
 

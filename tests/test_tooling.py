@@ -113,6 +113,15 @@ def test_library_reads_no_syllables_attribute():
     assert found == []
 
 
+def test_only_tree_markov_names_tree_domain():
+    # every tree window is built from generator words, by build_ball or
+    # single_edge_domain; a module that names TreeDomain itself builds its
+    # windows another way, or reads one that is built another way
+    found = sorted(path.name for path in SRC.glob("*.py") if path.name != "tree_markov.py"
+                   and "TreeDomain" in _names_in(ast.parse(path.read_text())))
+    assert found == []
+
+
 def _is_kind(node):
     return ((isinstance(node, ast.Name) and node.id == "kind")
             or (isinstance(node, ast.Attribute) and node.attr == "kind"))

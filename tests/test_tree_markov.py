@@ -39,7 +39,6 @@ from sofic_lab.tree_markov import (
     core_density_estimate,
     count_proper_patterns,
     cylinder_probability,
-    domain_from_edges,
     enumerate_proper_patterns,
     local_convergence_stat,
     local_pattern_census,
@@ -109,34 +108,18 @@ def test_ball_budget():
 def test_domain_validation():
     params = ModelParams(d=2, k=3, n=6)
     s0 = ((0, 1),)
-    s0_sq = ((0, 2),)
     s1 = ((1, 1),)
-    s1_sq = ((1, 2),)
-    with pytest.raises(ValueError, match="coset"):
-        TreeDomain(2, 3, (IDENTITY, s1, s1_sq), [(0, (IDENTITY, s1, s1_sq))])
     far = word_product(params, s0, s1, s0)
-    far_coset = [far, word_product(params, far, s1), word_product(params, far, s1_sq)]
     with pytest.raises(ValueError, match="connected"):
-        TreeDomain(
-            2,
-            3,
-            (IDENTITY, s0, s0_sq, *far_coset),
-            [(0, (IDENTITY, s0, s0_sq)), (1, far_coset)],
-        )
-    with pytest.raises(ValueError, match="duplicate"):
-        TreeDomain(
-            2,
-            3,
-            (IDENTITY, s0, s0_sq),
-            [(0, (IDENTITY, s0, s0_sq)), (0, (s0, s0_sq, IDENTITY))],
-        )
-    with pytest.raises(ValueError, match="identity"):
-        TreeDomain(2, 3, (s0,), [])
-    with pytest.raises(ValueError, match="union"):
-        TreeDomain(2, 3, (IDENTITY, s0, s0_sq, s1), [(0, (IDENTITY, s0, s0_sq))])
-    # duplicate requests are deduplicated by the convenience builder
-    dom = domain_from_edges(params, [(0, IDENTITY), (0, s0)])
+        TreeDomain(params, [(0, IDENTITY), (1, far)])
+    for label in (-1, 2):
+        with pytest.raises(ValueError, match="edge label %d out of range 0..1" % label):
+            TreeDomain(params, [(label, IDENTITY)])
+    # pairs naming one coset give one edge
+    dom = TreeDomain(params, [(0, IDENTITY), (0, s0)])
     assert len(dom.edges) == 1
+    singleton = TreeDomain(params, [])
+    assert (singleton.elements, singleton.edges, singleton.attach_at) == ((IDENTITY,), (), ())
 
 
 def test_coset_through_any_member_is_the_edge():
@@ -175,8 +158,8 @@ def test_attach_order_errors_match_rescanning_oracle():
     ball = build_ball(params, 2)
     for edges in ([(0, (IDENTITY, s0, s0_sq)), (1, far_coset)],
                   list(ball.edges) + [(1, far_coset)]):
-        elements = {w for _, members in edges for w in members}
-        outcome = _attach_outcome(lambda: TreeDomain(2, 3, elements, edges))
+        generators = [(label, members[0]) for label, members in edges]
+        outcome = _attach_outcome(lambda: TreeDomain(params, generators))
         assert outcome == _attach_outcome(lambda: attach_order_oracle(edges))
         assert "not connected" in outcome
 
@@ -186,7 +169,7 @@ def test_count_matches_brute_oracle():
     cases = [
         build_ball(p32, 0),
         single_edge_domain(p32),
-        domain_from_edges(p32, [(0, IDENTITY), (1, IDENTITY)]),
+        TreeDomain(p32, [(0, IDENTITY), (1, IDENTITY)]),
         build_ball(p32, 2),
         build_ball(ModelParams(d=3, k=3, n=6), 1),
         build_ball(ModelParams(d=2, k=4, n=8), 1),
@@ -197,7 +180,7 @@ def test_count_matches_brute_oracle():
 
     assert count_proper_patterns(build_ball(p32, 0)) == 2
     assert count_proper_patterns(single_edge_domain(p32)) == 6
-    two_edges = domain_from_edges(p32, [(0, IDENTITY), (1, IDENTITY)])
+    two_edges = TreeDomain(p32, [(0, IDENTITY), (1, IDENTITY)])
     assert count_proper_patterns(two_edges) == 6 * 3
     assert count_proper_patterns(build_ball(p32, 2)) == 6 * 3 ** 5
     assert (
@@ -205,7 +188,7 @@ def test_count_matches_brute_oracle():
     )
 
     s0 = ((0, 1),)
-    three_edges = domain_from_edges(
+    three_edges = TreeDomain(
         p32, [(0, IDENTITY), (1, IDENTITY), (1, s0)]
     )
     assert count_proper_patterns(three_edges) == 54
@@ -245,7 +228,7 @@ def test_sampler_is_uniform():
         (build_ball(ModelParams(d=4, k=3, n=6), 1), 162, 10 ** 6, 7),
         (single_edge_domain(ModelParams(d=2, k=3, n=6)), 6, 10 ** 5, 8),
         (
-            domain_from_edges(
+            TreeDomain(
                 ModelParams(d=2, k=3, n=6), [(0, IDENTITY), (1, IDENTITY)]
             ),
             18,
