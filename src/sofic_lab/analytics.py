@@ -717,6 +717,13 @@ def distance_rate_scan(
 
     Each row carries the distance, the solved bias, the planted rate, the
     pair rate at the same distance, and the first-moment rate for reference.
+    The grid is symmetric about 1/2 and so is the curve, so only the lower
+    half (rows 0 to ceil(N/2) - 1) is solved, each row bit-identical to the
+    single-point functions at its distance.  Row N-1-i is the reflection of
+    row i: delta and delta0 become 1 - delta and 1 - delta0, and the rates
+    are kept.  A reflected row differs from a direct solve at its own grid
+    point by rounding alone; the tests hold it within 4 * 2^-prec in delta
+    and delta0 and 8 * d * 2^-prec in the rates.
     A precision too low for the route check raises ValueError up front.
     """
     _check_d(d)
@@ -731,7 +738,7 @@ def distance_rate_scan(
         consts = _point_constants(k)
         ratio = mp.mpf(d) / k
         rows = []
-        for i in range(grid_points):
+        for i in range((grid_points + 1) // 2):
             x = lo + (hi - lo) * i / (grid_points - 1)
             b = _solve_bias(x, consts)
             at_x = _rate_terms(x, consts)
@@ -747,6 +754,12 @@ def distance_rate_scan(
                     proper_rate=base_rate,
                 )
             )
+        # delta(1 - b) = 1 - delta(b) and every rate term is symmetric about
+        # 1/2, so row N-1-i of the symmetric grid reflects row i
+        rows += [
+            row._replace(delta=1 - row.delta, delta0=1 - row.delta0)
+            for row in reversed(rows[: grid_points // 2])
+        ]
         ranked = sorted(range(grid_points), key=lambda i: rows[i].planted_rate)
         best = rows[ranked[-1]]
         runner_up = rows[ranked[-2]]

@@ -69,6 +69,7 @@ from .tree_markov import (
     build_ball,
     core_density_estimate,
     count_proper_patterns,
+    cylinder_probability,
     enumerate_proper_patterns,
     local_convergence_stat,
     local_pattern_census,
@@ -906,14 +907,21 @@ def _cmd_core_density(args):
     if args.input is not None:
         _refuse_unread(args, "the finite route (--input)", ("d", "k", "samples"))
         hom, chi, record = _open_instance(args, command="core-density", route="finite")
-        _announce(record(level=args.level))
         density = density_report(build_hypergraph(hom), chi, args.level)
+        _announce(record(level=args.level))
         print("rigid_density=%s rigid_density_float=%s" % (density, _fmt(float(density))))
         return 0
     _refuse_unread(args, "the tree route", ("chi",))
     if args.d is None or args.k is None:
         raise ValueError("tree route needs --d and --k (or use --input)")
     samples = DEFAULT_TREE_SAMPLES if args.samples is None else args.samples
+    estimate = core_density_estimate(
+        d=args.d,
+        k=args.k,
+        level=args.level,
+        samples=samples,
+        rng=RngState(args.seed, args.stream),
+    )
     _announce(
         {
             "command": "core-density",
@@ -925,13 +933,6 @@ def _cmd_core_density(args):
             "seed": args.seed,
             "stream": args.stream,
         }
-    )
-    estimate = core_density_estimate(
-        d=args.d,
-        k=args.k,
-        level=args.level,
-        samples=samples,
-        rng=RngState(args.seed, args.stream),
     )
     print(
         "rigid=%s rigid_float=%s stderr=%s"
@@ -955,7 +956,6 @@ def _cmd_core_density(args):
 
 def _cmd_expansivity(args):
     hom, chi, record = _open_instance(args, command="expansivity")
-    _announce(record(t_max=args.t_max, random_trials=args.random_trials))
     report = expansivity_scan(
         build_hypergraph(hom),
         chi,
@@ -963,6 +963,7 @@ def _cmd_expansivity(args):
         random_trials=args.random_trials,
         rng=RngState(args.seed, args.stream),
     )
+    _announce(record(t_max=args.t_max, random_trials=args.random_trials))
     print(
         "exhaustive_max_excess=%d violations=%d exhaustive_cap=%d"
         % (
@@ -1009,18 +1010,19 @@ def _cmd_local_convergence(args):
     if args.radius is not None:
         _refuse_unread(args, "the ball route (--radius)", ("edge_label",))
         domain = build_ball(tree_params, args.radius)
+        route = {}
     else:
-        label = 0 if args.edge_label is None else args.edge_label
-        domain = single_edge_domain(tree_params, label=label)
+        route = {"edge_label": 0 if args.edge_label is None else args.edge_label}
+        domain = single_edge_domain(tree_params, label=route["edge_label"])
     q = count_proper_patterns(domain)
-    params_record = record(elements=len(domain), q=q)
+    params_record = record(**route, elements=len(domain), q=q)
     if args.pattern is not None:
         params_record["pattern"] = args.pattern
     _announce(params_record)
     if args.pattern is not None:
         bits = [int(c) for c in args.pattern]
         frequency = local_convergence_stat(hom, chi, domain, bits)
-        target = Fraction(1, q)
+        target = cylinder_probability(domain, bits)
         print(
             "frequency=%s cylinder=%s deviation=%s"
             % (frequency, target, _fmt(abs(frequency - target)))

@@ -1279,18 +1279,24 @@ def distance_rate_scan_oracle(d, k, grid_points, precision=None):
         lo = mp.mpf(2) ** (-mp.mpf(k) / 2)
         hi = 1 - lo
         proper = proper_rate(d, k, precision=mp.mp.prec)
-        rows = [
+        return ranked_scan([
             scan_row_oracle(lo + (hi - lo) * i / (grid_points - 1), d, k, proper)
             for i in range(grid_points)
-        ]
-        ranked = sorted(range(grid_points), key=lambda i: rows[i].planted_rate)
-        best, runner_up = rows[ranked[-1]], rows[ranked[-2]]
-        return DistanceRateScan(
-            rows=tuple(rows),
-            argmax_delta=best.delta,
-            max_rate=best.planted_rate,
-            margin=best.planted_rate - runner_up.planted_rate,
-        )
+        ])
+
+
+def ranked_scan(rows):
+    """The DistanceRateScan of the given rows, its argmax, max_rate and
+    margin read off as analytics.distance_rate_scan reads them, under the
+    caller's working precision."""
+    ranked = sorted(range(len(rows)), key=lambda i: rows[i].planted_rate)
+    best, runner_up = rows[ranked[-1]], rows[ranked[-2]]
+    return DistanceRateScan(
+        rows=tuple(rows),
+        argmax_delta=best.delta,
+        max_rate=best.planted_rate,
+        margin=best.planted_rate - runner_up.planted_rate,
+    )
 
 
 def _binomial_tail_at_least_oracle(n, j_min, t):

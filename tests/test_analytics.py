@@ -12,7 +12,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from helpers import core_fixed_point_oracle, distance_rate_scan_oracle
+from helpers import core_fixed_point_oracle, distance_rate_scan_oracle, ranked_scan
 from sofic_lab import analytics
 from sofic_lab.analytics import (
     DegreeChoice,
@@ -542,14 +542,55 @@ def test_distance_rate_scan_shape():
         distance_rate_scan(20, 6, grid_points=2)
 
 
+def _reflected(row, precision=None):
+    """The row at 1 - delta that distance_rate_scan builds from this one."""
+    with working_precision(precision):
+        return row._replace(delta=1 - row.delta, delta0=1 - row.delta0)
+
+
+def _mirrored(scan, precision=None):
+    """The scan with its upper half replaced by the reflection of its lower
+    half, and the argmax, max_rate and margin read off again."""
+    grid = len(scan.rows)
+    lower = list(scan.rows[: (grid + 1) // 2])
+    upper = [_reflected(row, precision) for row in reversed(lower[: grid // 2])]
+    with working_precision(precision):
+        return ranked_scan(lower + upper)
+
+
 def test_distance_rate_scan_rows_equal_direct_solves():
-    # the scan reuses each row's solved bias; that must not change a digit
+    # the scan reuses each solved row's bias; that must not change a digit,
+    # and each upper row is the exact reflection of its mirror row
     choice = degrees_from_offset(25, 0.12)
     for d, k, grid in ((20, 6, 21), (choice.d, 25, 41)):
         scan = distance_rate_scan(d, k, grid_points=grid)
-        for row in scan.rows:
+        half = (grid + 1) // 2
+        for row in scan.rows[:half]:
             assert row.delta0 == bias_of_distance(row.delta, k)
             assert row.planted_rate == planted_distance_rate(row.delta, d, k)
+        for i in range(half, grid):
+            assert scan.rows[i] == _reflected(scan.rows[grid - 1 - i])
+
+
+@pytest.mark.parametrize("grid", [6, 20])
+def test_distance_rate_scan_even_grid_ties_its_middle_rows(grid):
+    scan = distance_rate_scan(20, 6, grid_points=grid)
+    low, high = scan.rows[grid // 2 - 1], scan.rows[grid // 2]
+    assert high == _reflected(low)
+    assert high.planted_rate == low.planted_rate == scan.max_rate
+    assert scan.margin == 0
+
+
+def test_distance_rate_scan_three_points():
+    k = 6
+    scan = distance_rate_scan(20, k, grid_points=3)
+    with working_precision():
+        lo = mp.mpf(2) ** (-mp.mpf(k) / 2)
+        hi = 1 - lo
+        mid = lo + (hi - lo) * 1 / 2
+    assert [row.delta for row in scan.rows[:2]] == [lo, mid]
+    assert scan.rows[1].delta0 == bias_of_distance(mid, k)
+    assert scan.rows[2] == _reflected(scan.rows[0])
 
 
 # the rate-scan benchmark shapes: k = 17..25 at the degree of offset 0.12,
@@ -561,14 +602,32 @@ ORACLE_SCAN_SHAPES = [
 ] + [(20, 6, 21), (5, 3, 11)]
 
 
-def _assert_scans_equal(scan, oracle):
-    assert len(scan.rows) == len(oracle.rows)
-    for row, expected in zip(scan.rows, oracle.rows):
+def _assert_scans_equal(scan, oracle, precision=None):
+    expected_scan = _mirrored(oracle, precision)
+    assert len(scan.rows) == len(expected_scan.rows)
+    for row, expected in zip(scan.rows, expected_scan.rows):
         for field in analytics.DistanceScanRow._fields:
             assert getattr(row, field) == getattr(expected, field), field
+    assert scan.argmax_delta == expected_scan.argmax_delta
+    assert scan.max_rate == expected_scan.max_rate
+    assert scan.margin == expected_scan.margin
+
+
+def _assert_reflection_near_oracle(scan, oracle, d, precision=None):
+    # a reflected row and a direct solve at 1 - delta differ by rounding
+    # alone (2 and 2.72 d units of 2^-prec at most on these shapes); the
+    # maximum sits on the solved midpoint of an odd grid, so the argmax
+    # and max_rate do not move
+    with working_precision(precision):
+        unit = mp.mpf(2) ** -mp.mp.prec
+    half = (len(scan.rows) + 1) // 2
+    for row, direct in zip(scan.rows[half:], oracle.rows[half:]):
+        for field, bound in (("delta", 4), ("delta0", 4), ("planted_rate", 8 * d),
+                             ("pair_rate", 8 * d), ("proper_rate", 8 * d)):
+            assert abs(getattr(row, field) - getattr(direct, field)) <= bound * unit, field
     assert scan.argmax_delta == oracle.argmax_delta
     assert scan.max_rate == oracle.max_rate
-    assert scan.margin == oracle.margin
+    assert mp.sign(scan.margin) == mp.sign(oracle.margin)
 
 
 def _assert_traces_equal(trace, oracle):
@@ -578,9 +637,12 @@ def _assert_traces_equal(trace, oracle):
 
 @pytest.mark.parametrize("d,k,grid", ORACLE_SCAN_SHAPES, ids=str)
 def test_distance_rate_scan_and_fixed_point_equal_oracles(d, k, grid):
-    # shared logs, a lazy slope and hoisted log-binomials must not move a bit
-    _assert_scans_equal(distance_rate_scan(d, k, grid_points=grid),
-                        distance_rate_scan_oracle(d, k, grid))
+    # shared logs, a lazy slope and hoisted log-binomials must not move a
+    # bit; the upper half is held to the oracle's reflected lower half
+    scan = distance_rate_scan(d, k, grid_points=grid)
+    oracle = distance_rate_scan_oracle(d, k, grid)
+    _assert_scans_equal(scan, oracle)
+    _assert_reflection_near_oracle(scan, oracle, d)
     _assert_traces_equal(core_fixed_point(d, k), core_fixed_point_oracle(d, k))
 
 
@@ -588,10 +650,10 @@ def test_distance_rate_scan_and_fixed_point_equal_oracles(d, k, grid):
 def test_distance_rate_scan_and_fixed_point_equal_oracles_at_precision(precision):
     # at 53 bits the route check fails on the k = 21 and k = 25 shapes (in
     # the oracle too), so a small-k shape serves both precisions
-    _assert_scans_equal(
-        distance_rate_scan(20, 6, grid_points=21, precision=precision),
-        distance_rate_scan_oracle(20, 6, 21, precision=precision),
-    )
+    scan = distance_rate_scan(20, 6, grid_points=21, precision=precision)
+    oracle = distance_rate_scan_oracle(20, 6, 21, precision=precision)
+    _assert_scans_equal(scan, oracle, precision)
+    _assert_reflection_near_oracle(scan, oracle, 20, precision)
     _assert_traces_equal(core_fixed_point(20, 6, precision=precision),
                          core_fixed_point_oracle(20, 6, precision=precision))
 
@@ -614,7 +676,7 @@ def test_rate_scan_refuses_a_precision_its_route_check_cannot_pass(monkeypatch):
             call()
     assert counts == {}
     distance_rate_scan(d, 21, grid_points=17, precision=54)
-    assert counts["_solve_bias"] == 17
+    assert counts["_solve_bias"] == 9
 
 
 def _count_calls(monkeypatch, owner, name, counts):
@@ -633,10 +695,11 @@ def test_distance_rate_scan_evaluates_each_term_once(monkeypatch):
         _count_calls(monkeypatch, analytics, name, counts)
     d, k, grid = degrees_from_offset(25, 0.12).d, 25, 41
     distance_rate_scan(d, k, grid_points=grid)
-    # one edge factor at the distance and one at its bias
-    assert counts["_log_edge_factor"] == 2 * grid
+    solved = (grid + 1) // 2
+    # one edge factor at the distance and one at its bias, on the solved half
+    assert counts["_log_edge_factor"] == 2 * solved
     # every solve ends on a value whose residual passes without a slope
-    assert counts["_bias_map_slope"] == counts["_bias_map_terms"] - grid
+    assert counts["_bias_map_slope"] == counts["_bias_map_terms"] - solved
     assert counts["_bias_map_slope"] > 0
 
 

@@ -326,6 +326,15 @@ def test_local_convergence_single_pattern(tmp_path, capsys):
     assert payload(lines)[0].startswith("frequency=")
     assert "cylinder=1/6" in payload(lines)[0]
 
+    # a monochromatic pattern has an empty cylinder, and a proper instance
+    # never reads it
+    with pytest.warns(UserWarning, match="empty cylinder"):
+        code, lines = run_cli(
+            capsys, ["local-convergence", "--input", str(path), "--pattern", "000"]
+        )
+    assert code == 0
+    assert payload(lines) == ["frequency=0 cylinder=0 deviation=0"]
+
     for bad in ("1", "021"):
         code, _ = run_cli(
             capsys, ["local-convergence", "--input", str(path), "--pattern", bad]
@@ -434,14 +443,19 @@ COUNT = ["count", "--input", "{inst}"]
      (["core-density", "--d", "5", "--k", "3", "--level", "1", "--chi", "0101"],
       "the tree route does not read --chi", None),
      (["local-convergence", "--input", "{inst}", "--radius", "1", "--edge-label", "0"],
-      "the ball route (--radius) does not read --edge-label", None)],
+      "the ball route (--radius) does not read --edge-label", None),
+     # values that the library call refuses
+     (["core-density", "--input", "{inst}", "--level", "-1"], "l_max must be nonnegative", None),
+     (["core-density", "--d", "5", "--k", "3", "--level", "-1"], "level must be nonnegative", None),
+     (["expansivity", "--input", "{inst}", "--t-max", "-1"], "t_max must be between 1 and n", None)],
     ids=["count-eps", "analytic-delta", "analytic-eta", "sofic-check-delta",
          "moments-delta", "rigidity-rho", "experiment-seed",
          "instance-empty-object", "instance-not-an-object", "instance-without-images",
          "instance-null-d", "instance-float-n", "instance-text-n", "instance-bool-n",
          "instance-int-images", "instance-int-chi",
          "finite-route-tree-flags", "finite-route-samples", "tree-route-chi",
-         "ball-route-edge-label"],
+         "ball-route-edge-label", "finite-route-level", "tree-route-level",
+         "expansivity-t-max"],
 )
 def test_cli_refuses_invalid_input_before_the_params_line(tmp_path, capsys, argv, message, edit):
     # exit 2 with an error line and no traceback, and nothing on stdout;

@@ -147,9 +147,9 @@ STDOUT_CLI_CASES = [
     ("rigidity_08_n24_k3_d2", "core-density --level 0 --chi 111111111111000000000000",
      "cc364ae84d997c7a68eaab8d1099c87b6fac1af510f85bdcdbf9f26251b1e439"),
     ("rigidity_09_n24_k3_d3", "local-convergence",
-     "276becdaeee6b059dd0bb676726ad336d09bdaf7a3bbc2ff59d48a7c43f51f34"),
+     "46719c106f3de3b036a2689f87c780bc993993882aae60507718d0b880839e41"),
     ("rigidity_09_n24_k3_d3", "local-convergence --edge-label 2 --pattern 011",
-     "cec380fc0ba0cb328c58619035b899e25f7a3e0ca967b38f337f5607e8f95ea3"),
+     "89e6e81ab0edde7af4732ee166d7c83be10c03e3bfdb98b96ee813390a9bfe4f"),
     ("count_instance", "local-convergence --radius 1",
      "fca6a69a7d9c682dc25b8e46d57809bc5ca1f045e92b41d4c6ce99773bcaf0e8"),
     # the 13-element radius-2 ball takes two bytes per packed window code
