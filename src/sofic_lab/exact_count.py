@@ -13,7 +13,9 @@ reference coloring: a, the ref-0 vertices colored 1, and b, the ref-1
 vertices colored 0. A layer of states is a uint64 key array with an int64
 value array beside it, and states with the same key are merged, so the cost
 grows with the number of states on the frontier, not with the number of
-colorings. Each count reads coefficients of the final (a, b) table:
+colorings. Each step colors two vertices, all four color pairs at once, so
+that the fixed cost of each numpy call is paid once per pair of vertices.
+Each count reads coefficients of the final (a, b) table:
 
 - count_proper: the whole table (no weights tracked; with eps > 0 the state
   also counts the monochromatic edges closed, up to floor(eps * n)).
@@ -144,18 +146,28 @@ def _frontier_table(graph, targets=None, ref=None, budget=0, collect=False):
     weights (a, b): a counts the ref-0 vertices colored 1 and b the ref-1
     vertices colored 0, ref-2 vertices neither (ref defaults to all 0).
 
-    One forward pass colors the vertices in _frontier_plan's order. A state
-    holds the color of every open edge that is still monochromatic (two bits
-    in the slot the edge holds while open, see _frontier_plan; 0 once it is
-    bichromatic), then a and b, then the number of monochromatic edges closed
-    so far. A layer is an (m, W) uint64 array of state keys, slot s in word
-    s // SLOTS_PER_WORD and the counters in the last word, beside an int64
-    array of values. Each vertex step is whole-array work on both colors at
-    once: mask and add, then the closed-edge and weight tests, which set the
-    top bit of the last word in every pruned state; the states left are
-    sorted, and np.add.reduceat merges each run of equal keys. With targets,
-    every state that can no longer reach a target (a, b) with the vertices
-    left is pruned, so the table holds target entries only.
+    One forward pass colors the vertices in _frontier_plan's order, two per
+    step. A state holds the color of every open edge that is still
+    monochromatic (two bits in the slot the edge holds while open, see
+    _frontier_plan; 0 once it is bichromatic), then a and b, then the number
+    of monochromatic edges closed so far. A layer is an (m, W) uint64 array
+    of state keys, slot s in word s // SLOTS_PER_WORD and the counters in the
+    last word, beside an int64 array of values. A vertex colored c masks a
+    key with m and adds a; the pair's step applies the four color pairs
+    (c1, c2) at once as one mask m1 & m2 and one add (a1 & m2) + a2. The
+    edges that close monochromatic in the pair are one popcount of the old
+    key against the closing bits of both vertices, h1 | m1 & h2, in each
+    word that holds any, plus popcount(a1 & h2) for an edge the first vertex
+    opens and the second closes. Then the budget and weight tests set the top bit of the last word
+    in every pruned state, and the states left are sorted and np.add.reduceat
+    merges each run of equal keys. With targets, every state that can no
+    longer reach a target (a, b) with the vertices left is pruned, so the
+    table holds target entries only. The tests run once per pair, after its
+    second vertex: a state that fails after the first fails after the
+    second, since the budget count only grows and reach only shrinks, and
+    the weight fields have room for two values past their largest target.
+    An odd plan ends with a pad vertex that changes nothing and takes color
+    0 only.
 
     The color swap maps (a, b) to (ref 0s - a, ref 1s - b). When it fixes
     every target (always, with none) and the pass does not collect, every
@@ -178,9 +190,9 @@ def _frontier_table(graph, targets=None, ref=None, budget=0, collect=False):
         2 * a == ref.count(0) and 2 * b == ref.count(1) for a, b in targets or ())
     wa = wb = 0
     if targets:
-        # one spare value each: a weight one past its target is pruned
-        wa = (max(a for a, _ in targets) + 1).bit_length()
-        wb = (max(b for _, b in targets) + 1).bit_length()
+        # two spare values each: a weight up to two past its target is pruned
+        wa = (max(a for a, _ in targets) + 2).bit_length()
+        wb = (max(b for _, b in targets) + 2).bit_length()
     wm = budget.bit_length()
     # the counters sit after the last slot, or open a word of their own;
     # the top bit of that word marks a pruned state
@@ -190,79 +202,96 @@ def _frontier_table(graph, targets=None, ref=None, budget=0, collect=False):
         cw, a_shift = cw + 1, 0
     width = cw + 1
     b_shift = a_shift + wa
-    mono_shift = b_shift + wb
+    mono_shift = np.uint64(b_shift + wb)
     pruned = 1 << 63
-    shift = [np.uint64(x) for x in range(64)]
-    one = np.uint64(1)
-    # the step constants, each key as one int with word w at bit 64 * w;
+    # the plan in pairs of vertices; an odd plan ends with a pad vertex that
+    # touches no edge, is unweighted and takes color 0 only
+    pad = n % 2
+    plan = [(v, ref[v], *rest) for v, *rest in plan] + [(None, 2, [], [], [])] * pad
+    # the vertex constants, each key as one int with word w at bit 64 * w;
     # color c adds step[ref[v]][c] to the weight index a | b << wa
     step = [(0, 1), (1 << wa, 0), (0, 0)] if targets else [(0, 0)] * 3
     at = [64 * (s // SLOTS_PER_WORD) + 2 * (s % SLOTS_PER_WORD) for s in range(slots)]
     ones = (1 << 64 * width) - 1
     consts = []
-    for v, opens, keeps, closes in plan:
+    for _, r, opens, keeps, closes in plan:
         drop = ones ^ sum(3 << at[s] for s in keeps + closes)
         kept = sum(1 << at[s] for s in keeps)
         opened = sum(1 << at[s] for s in opens)
+        closed = sum(1 << at[s] for s in closes)
         for c in (0, 1):
-            # an edge stays monochromatic only if it already was in color c
-            consts.append(drop | kept << c)
-            consts.append(opened << c | step[ref[v]][c] << 64 * cw + a_shift)
-    # per step, the masks by color, then the adds, each a (1, W) row
-    consts = np.array([x >> 64 * w & ((1 << 64) - 1) for x in consts for w in range(width)],
-                      dtype=np.uint64).reshape(len(plan), 2, 2, 1, width).swapaxes(1, 2)
-    # the bits of slot s that are set while its edge is monochromatic in
-    # color 0, and in color 1
-    hit_shift = [np.array([[x % 64], [x % 64 + 1]], dtype=np.uint64) for x in at]
+            # an edge stays monochromatic only if it already was in color c,
+            # and closes monochromatic if its bit of color c is set
+            consts += [drop | kept << c, opened << c | step[r][c] << 64 * cw + a_shift,
+                       closed << c]
+    # mask, add and closing bits, each by vertex and color a (W,) row
+    consts = np.moveaxis(np.array(
+        [x >> 64 * w & ((1 << 64) - 1) for x in consts for w in range(width)],
+        dtype=np.uint64).reshape(n + pad, 2, 3, width), 2, 0)
+    # per pair, by color pair (c1, c2) at 2 * c1 + c2, a (1, W) row each: the
+    # second vertex masks what the first added. Its closing bits that the
+    # first mask keeps join the first's, to be read off the old key; those
+    # that the first add sets are a count of their own (edges of k = 2)
+    m1, a1, h1 = consts[:, 0::2, :, None]
+    m2, a2, h2 = consts[:, 1::2, None]
+    mask = (m1 & m2).reshape(-1, 4, 1, width)
+    add = ((a1 & m2) + a2).reshape(-1, 4, 1, width)
+    hit = (h1 | m1 & h2).reshape(-1, 4, 1, width)
+    added_hits = np.bitwise_count(a1 & h2).sum(axis=3, dtype=np.uint64).reshape(-1, 4, 1)
+    closing = [bool(u[-1] or v[-1]) for u, v in zip(plan[0::2], plan[1::2])]
+    hit_words = [np.flatnonzero(h.any(axis=(0, 1))).tolist() for h in hit]
     # by monochromatic edges closed: pruned past the budget
-    over = np.array([0] * (budget + 1) + [pruned] * graph.d, dtype=np.uint64)
+    over = np.array([0] * (budget + 1) + [pruned] * 2 * graph.d, dtype=np.uint64)
     mono_mask = np.uint64(~(-1 << wm))
     if targets:
-        # per step, by the weights a | b << wa after it: pruned unless some
-        # target is still in reach with the vertices left
-        ref_colors = np.array([ref[v] for v, *_ in plan])
-        left0 = (ref.count(0) - np.cumsum(ref_colors == 0))[:, None, None]
-        left1 = (ref.count(1) - np.cumsum(ref_colors == 1))[:, None, None]
+        # per pair, by the weights a | b << wa after it: pruned unless some
+        # target is still in reach with the vertices left; reach only
+        # shrinks, so the test after the first vertex would prune no more
+        left0 = ref.count(0) - np.cumsum([r == 0 for _, r, *_ in plan])[1::2, None, None]
+        left1 = ref.count(1) - np.cumsum([r == 1 for _, r, *_ in plan])[1::2, None, None]
         a = np.arange(1 << wa)
         b = np.arange(1 << wb)[:, None]
-        reach = np.zeros((len(plan), 1 << wb, 1 << wa), dtype=bool)
+        reach = np.zeros((len(mask), 1 << wb, 1 << wa), dtype=bool)
         for ta, tb in targets:
             reach |= (a >= ta - left0) & (a <= ta) & (b >= tb - left1) & (b <= tb)
-        unreachable = np.where(reach, np.uint64(0), np.uint64(pruned)).reshape(len(plan), -1)
+        unreachable = np.where(reach, np.uint64(0), np.uint64(pruned)).reshape(len(mask), -1)
+        weight_shift = np.uint64(a_shift)
         weight_mask = np.uint64(~(-1 << wa + wb))
     # color 1 sets the vertex's bit of a collected coloring
-    lift = np.zeros((n, 2, 1), dtype=np.int64)
+    lift = np.zeros((n + pad, 2), dtype=np.int64)
     if collect:
         rank = _search_rank(n, edges, edges_of)
-        lift[:, 1, 0] = [1 << n - 1 - rank[v] for v, *_ in plan]
+        lift[:n, 1] = [1 << n - 1 - rank[v] for v, *_ in plan[:n]]
+    lift = (lift[0::2, :, None] | lift[1::2, None]).reshape(-1, 4, 1)
     keys = np.zeros((1, width), dtype=np.uint64)
     values = np.array([0 if collect else 1], dtype=np.int64)
-    for i, (v, opens, keeps, closes) in enumerate(plan):
-        # the new states by color, (colors, m, W); the first vertex of a
-        # halved count takes color 0 only
-        colors = 1 if halve and i == 0 else 2
-        mask, add = consts[i, :, :colors]
-        layer = keys & mask
-        layer += add
+    for j in range(len(mask)):
+        # the new states by color pair, (pairs, m, W); the first vertex of a
+        # halved count and the pad vertex take color 0 only
+        pairs = slice(0, 2 if halve and j == 0 else 4, 2 if pad and j == len(mask) - 1 else 1)
+        layer = keys & mask[j, pairs]
+        layer += add[j, pairs]
         last = layer[:, :, cw]
-        if closes:
-            # the closing edges still monochromatic in the new color
-            hits = 0
-            for s in closes:
-                hits = hits + (keys[:, at[s] // 64] >> hit_shift[s] & one)
+        if closing[j]:
+            # the closing edges still monochromatic in their vertex's color,
+            # one popcount of the old key for both vertices per word that
+            # holds closing bits
+            hits = added_hits[j, pairs]
+            for w in hit_words[j]:
+                hits = hits + np.bitwise_count(keys[:, w] & hit[j, pairs, :, w])
             if budget:
-                last += hits << shift[mono_shift]
-                hits = hits + ((keys[:, cw] >> shift[mono_shift]) & mono_mask)
+                last += hits << mono_shift
+                hits = hits + ((keys[:, cw] >> mono_shift) & mono_mask)
             last |= over[hits]
         if targets:
-            last |= unreachable[i][(last >> shift[a_shift]) & weight_mask]
-        values = (values | lift[i, :colors]).ravel()
+            last |= unreachable[j][(last >> weight_shift) & weight_mask]
+        values = (values | lift[j, pairs]).ravel()
         keys = layer.reshape(-1, width)
         del layer, last
-        if closes or targets:
+        if closing[j] or targets:
             # drop the pruned states: a uint64 test, since numpy keeps freed
             # bool arrays of each small size and the process would grow
-            live = (~keys[:, cw] >> shift[63]).nonzero()[0]
+            live = (~keys[:, cw] >> np.uint64(63)).nonzero()[0]
             keys = keys[live]
             values = values[live]
             del live

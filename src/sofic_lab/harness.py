@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -1022,7 +1023,12 @@ def _cmd_local_convergence(args):
     if args.pattern is not None:
         bits = [int(c) for c in args.pattern]
         frequency = local_convergence_stat(hom, chi, domain, bits)
-        target = cylinder_probability(domain, bits)
+        # the library warns of an empty cylinder; the CLI says so in its own form
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            target = cylinder_probability(domain, bits)
+        for warning in caught:
+            print("warning: %s" % warning.message, file=sys.stderr)
         print(
             "frequency=%s cylinder=%s deviation=%s"
             % (frequency, target, _fmt(abs(frequency - target)))
