@@ -5,12 +5,19 @@ entry point; the heavier statistical checks are driven by JSON experiment
 configs.  Every experiment kind runs the same way: its replicas, one RNG
 stream each, run in a worker pool and each returns one CSV row; the kind's
 summary is then computed from the rows that did not fail.  On-disk formats
-are JSON for instances and configs and CSV for tabular results.  Two
-conventions hold throughout: every run prints a "# params: ..." line
-echoing the seed, stream, and the full parameter record, and every CSV file
-ends with the same line as a footer comment, so any artifact can be
-reproduced from itself.  Outputs are bit-identical for identical (config,
-seed), whatever the pool size.
+are JSON for instances and configs and CSV for tabular results.  Outputs
+are bit-identical for identical (config, seed), whatever the pool size.
+
+Every subcommand is one entry of SUBCOMMANDS, which gives each of its routes
+the flags that route reads, in record order, with their defaults, and the
+route's body.  The parser, the refusals and the "# params: ..." record are
+all built from that table: a command offers only the flags that some route
+of it reads, a flag given to a route that does not read it exits 2, and the
+record shows the flags that the route read in the table's order (--seed
+and --stream only where a draw reads them).  The record is printed once,
+after the body has made every check and done its work, so no refusal
+follows it; every CSV file ends with the same line as a footer comment, so
+any artifact can be reproduced from itself.
 
 Exit codes: 0 success, 2 validation error (bad flags, bad files, bad
 parameter combinations), 3 scale refusal.
@@ -20,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -121,10 +127,6 @@ def _params_line(record):
     )
 
 
-def _announce(record):
-    print(_params_line(record))
-
-
 def _cell(value):
     """One CSV cell; exact values stay exact, None means an empty cell."""
     if value is None:
@@ -209,48 +211,6 @@ def load_instance(path):
     if not isinstance(data["chi"], str):
         raise ValueError("instance 'chi' must be a string of bits, got %r" % (data["chi"],))
     return hom, Coloring.from_string(data["chi"])
-
-
-def _open_instance(args, coloring=True, **head):
-    """The opening of every command that reads an instance file (--input).
-
-    Returns the homomorphism, its coloring (--chi if given, else the file's;
-    None for a command that reads no coloring) and a function that builds
-    the "# params:" record: head (the command and, where it has one, its
-    route), the input path, n, k and d, the command's own fields, then seed
-    and stream.
-    """
-    hom, chi = load_instance(args.input)
-    params = hom.params
-    if not coloring:
-        chi = None
-    elif args.chi is not None:
-        chi = _chi_option(args.chi, params.n)
-    elif chi is None:
-        raise ValueError("no coloring: the instance file has no \"chi\" and --chi was not given")
-    head.update(input=args.input, n=params.n, k=params.k, d=params.d)
-
-    def record(**fields):
-        return {**head, **fields, "seed": args.seed, "stream": args.stream}
-
-    return hom, chi, record
-
-
-def _chi_option(text, n):
-    """The coloring given as --chi, which must have one bit per vertex."""
-    chi = Coloring.from_string(text)
-    if len(chi) != n:
-        raise ValueError("--chi has length %d but n=%d" % (len(chi), n))
-    return chi
-
-
-def _refuse_unread(args, route, names):
-    """Refuse, naming them, the flags among names that were given but that
-    the route does not read: a flag that is dropped without a word would
-    look applied."""
-    given = ["--" + name.replace("_", "-") for name in names if getattr(args, name) is not None]
-    if given:
-        raise ValueError("%s does not read %s" % (route, ", ".join(given)))
 
 
 def _fraction(name, value):
@@ -760,385 +720,378 @@ _PARAM_CHECKS = {
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# the subcommands: each route's body, the table of them, and the dispatcher
+#
+# A body takes the values of the flags its route reads, makes every check
+# and does all of the route's work.  It returns what the record shows of
+# some of those flags, as {flag: {key: value, ...}} with the entries that
+# stand in that flag's place (none, or more than the flag itself), and the
+# emit that writes the route's output once the record has been printed.
+# Every other flag is echoed as the route read it.
 
 
-def _cmd_sample_uniform(args):
-    params = ModelParams(d=args.d, k=args.k, n=args.n)
-    _announce(
-        {
-            "command": "sample-uniform",
-            "n": args.n,
-            "k": args.k,
-            "d": args.d,
-            "seed": args.seed,
-            "stream": args.stream,
-            "output": args.output,
-        }
-    )
-    hom = sample_uniform_hom(params, RngState(args.seed, args.stream))
-    save_instance(hom, args.output)
-    return 0
+def _printing(*lines):
+    """The emit of a route whose whole output is these lines."""
+    return lambda record: print("\n".join(lines))
 
 
-def _cmd_sample_planted(args):
-    params = ModelParams(d=args.d, k=args.k, n=args.n)
-    if args.chi is not None:
-        chi = _chi_option(args.chi, args.n)
-    else:
-        chi = Coloring.equitable_split(args.n)
-    _announce(
-        {
-            "command": "sample-planted",
-            "n": args.n,
-            "k": args.k,
-            "d": args.d,
-            "chi": "".join(str(b) for b in chi),
-            "seed": args.seed,
-            "stream": args.stream,
-            "output": args.output,
-        }
-    )
-    hom = sample_planted_hom(params, chi, RngState(args.seed, args.stream))
-    save_instance(hom, args.output, chi=chi)
-    return 0
+def _chi_option(text, n):
+    """The coloring given as --chi, which must have one bit per vertex."""
+    chi = Coloring.from_string(text)
+    if len(chi) != n:
+        raise ValueError("--chi has length %d but n=%d" % (len(chi), n))
+    return chi
 
 
-def _cmd_count(args):
-    eps = _fraction("--eps", args.eps)
-    hom, _, record = _open_instance(args, coloring=False, command="count")
-    if args.equitable and eps != 0:
+def _open_instance(a, coloring=True):
+    """The opening of every route that reads an instance file (--input).
+
+    Returns the homomorphism, its coloring (--chi if given, else the file's;
+    None for a route that reads no coloring) and what the record shows of
+    the two flags: the path with n, k and d for --input, nothing for --chi.
+    """
+    hom, chi = load_instance(a.input)
+    params = hom.params
+    if not coloring:
+        chi = None
+    elif a.chi is not None:
+        chi = _chi_option(a.chi, params.n)
+    elif chi is None:
+        raise ValueError("no coloring: the instance file has no \"chi\" and --chi was not given")
+    return hom, chi, {"input": {"input": a.input, "n": params.n, "k": params.k, "d": params.d},
+                      "chi": {}}
+
+
+def _sample_uniform(a):
+    hom = sample_uniform_hom(ModelParams(d=a.d, k=a.k, n=a.n), RngState(a.seed, a.stream))
+    return {}, lambda record: save_instance(hom, a.output)
+
+
+def _sample_planted(a):
+    chi = Coloring.equitable_split(a.n) if a.chi is None else _chi_option(a.chi, a.n)
+    hom = sample_planted_hom(ModelParams(d=a.d, k=a.k, n=a.n), chi, RngState(a.seed, a.stream))
+    shown = {"chi": {"chi": "".join(str(b) for b in chi)}}
+    return shown, lambda record: save_instance(hom, a.output, chi=chi)
+
+
+def _count(a):
+    eps = _fraction("--eps", a.eps)
+    hom, _, shown = _open_instance(a, coloring=False)
+    if a.equitable and eps != 0:
         raise ValueError("--equitable counts proper colorings only; drop --eps")
-    _announce(record(eps=eps, equitable=args.equitable))
     graph = build_hypergraph(hom)
-    if args.equitable:
-        report = count_equitable(graph)
-    else:
-        report = count_proper(graph, eps=eps)
-    print(report.value)
-    return 0
+    report = count_equitable(graph) if a.equitable else count_proper(graph, eps=eps)
+    return {**shown, "eps": {"eps": eps}}, _printing(str(report.value))
 
 
-def _resolve_degree(args, need_d=True):
-    """d from --d or --eta, plus the record entries explaining the choice."""
-    if args.d is not None and args.eta is not None:
+def _degree(a):
+    """d from --d or --eta, and what the record shows of those two flags and
+    of --precision: eta with the d it picks and where that d sits in the
+    window, or d as given; the precision only when it is given."""
+    shown = {} if a.precision is not None else {"precision": {}}
+    if a.d is not None and a.eta is not None:
         raise ValueError("give either --d or --eta, not both")
-    if args.eta is not None:
-        choice = degrees_from_offset(args.k, _fraction("--eta", args.eta))
-        return choice.d, {
-            "eta": args.eta,
-            "d": choice.d,
-            "implied_eta": choice.implied_eta,
-            "in_window": choice.in_window,
-        }
-    if args.d is None:
-        if need_d:
-            raise ValueError("this quantity needs --d or --eta")
-        return None, {}
-    return args.d, {"d": args.d}
+    if a.eta is not None:
+        choice = degrees_from_offset(a.k, _fraction("--eta", a.eta))
+        shown.update(d={}, eta={"eta": a.eta, "d": choice.d, "implied_eta": choice.implied_eta,
+                                "in_window": choice.in_window})
+        return choice.d, shown
+    if a.d is None:
+        raise ValueError("this quantity needs --d or --eta")
+    shown["eta"] = {}
+    return a.d, shown
 
 
-def _cmd_analytic(args):
-    if args.quantity in ("psi", "psi0") and args.delta is None:
-        raise ValueError("psi and psi0 need --delta")
-    delta = None if args.delta is None else _fraction("--delta", args.delta)
-    record = {"command": "analytic", "quantity": args.quantity, "k": args.k}
-    d, degree_record = _resolve_degree(args, need_d=args.quantity != "tstar")
-    record.update(degree_record)
-    if args.delta is not None:
-        record["delta"] = args.delta
-    if args.precision is not None:
-        record["precision"] = args.precision
-    record["seed"] = args.seed
-    record["stream"] = args.stream
-    if args.quantity == "scan":
-        record["grid_points"] = args.grid_points
-        record["output"] = args.output
-    _announce(record)
-
-    if args.quantity == "f":
-        print(_fmt(proper_rate(d, args.k, precision=args.precision)))
-        return 0
-    if args.quantity in ("psi", "psi0"):
-        if args.quantity == "psi":
-            value = pair_distance_rate(delta, d, args.k, precision=args.precision)
-        else:
-            value = planted_distance_rate(delta, d, args.k, precision=args.precision)
-        print(_fmt(value))
-        return 0
-    if args.quantity == "tstar":
-        print(" ".join(str(t) for t in dominant_type(args.k)))
-        return 0
-    if args.quantity == "fixed-point":
-        trace = core_fixed_point(d, args.k, precision=args.precision)
-        print("p_inf=%s" % _fmt(trace.p_inf))
-        print("mu_core=%s" % _fmt(trace.mu_core))
-        print("mu_core_attached=%s" % _fmt(trace.mu_core_attached))
-        print("levels=%d converged=%s" % (len(trace.p), _fmt(trace.converged)))
-        return 0
-    if args.quantity == "scan":
-        scan = distance_rate_scan(
-            d, args.k, grid_points=args.grid_points, precision=args.precision
-        )
-        rows = [
-            (
-                _fmt(r.delta),
-                _fmt(r.delta0),
-                _fmt(r.planted_rate),
-                _fmt(r.pair_rate),
-                _fmt(r.proper_rate),
-            )
-            for r in scan.rows
-        ]
-        if args.output is None:
-            buffer = io.StringIO()
-            _write_csv(buffer, SCAN_CSV_HEADER, rows, record)
-            sys.stdout.write(buffer.getvalue())
-        else:
-            _write_csv_path(args.output, SCAN_CSV_HEADER, rows, record)
-            print(
-                "argmax_delta=%s max_rate=%s margin=%s"
-                % (_fmt(scan.argmax_delta), _fmt(scan.max_rate), _fmt(scan.margin))
-            )
-        return 0
-    raise AssertionError("unhandled quantity %r" % args.quantity)
+def _proper_rate(a):
+    d, shown = _degree(a)
+    return shown, _printing(_fmt(proper_rate(d, a.k, precision=a.precision)))
 
 
-def _cmd_core_density(args):
-    if args.input is not None:
-        _refuse_unread(args, "the finite route (--input)", ("d", "k", "samples"))
-        hom, chi, record = _open_instance(args, command="core-density", route="finite")
-        density = density_report(build_hypergraph(hom), chi, args.level)
-        _announce(record(level=args.level))
-        print("rigid_density=%s rigid_density_float=%s" % (density, _fmt(float(density))))
-        return 0
-    _refuse_unread(args, "the tree route", ("chi",))
-    if args.d is None or args.k is None:
-        raise ValueError("tree route needs --d and --k (or use --input)")
-    samples = DEFAULT_TREE_SAMPLES if args.samples is None else args.samples
-    estimate = core_density_estimate(
-        d=args.d,
-        k=args.k,
-        level=args.level,
-        samples=samples,
-        rng=RngState(args.seed, args.stream),
+def _distance_rate(rate):
+    """The body of a route that prints rate(delta, d, k) at --delta."""
+    def body(a):
+        delta = _fraction("--delta", a.delta)
+        d, shown = _degree(a)
+        return shown, _printing(_fmt(rate(delta, d, a.k, precision=a.precision)))
+    return body
+
+
+def _dominant_type(a):
+    return {}, _printing(" ".join(str(t) for t in dominant_type(a.k)))
+
+
+def _fixed_point(a):
+    d, shown = _degree(a)
+    trace = core_fixed_point(d, a.k, precision=a.precision)
+    return shown, _printing(
+        "p_inf=%s" % _fmt(trace.p_inf),
+        "mu_core=%s" % _fmt(trace.mu_core),
+        "mu_core_attached=%s" % _fmt(trace.mu_core_attached),
+        "levels=%d converged=%s" % (len(trace.p), _fmt(trace.converged)),
     )
-    _announce(
-        {
-            "command": "core-density",
-            "route": "tree",
-            "d": args.d,
-            "k": args.k,
-            "level": args.level,
-            "samples": samples,
-            "seed": args.seed,
-            "stream": args.stream,
-        }
-    )
-    print(
+
+
+def _rate_scan(a):
+    d, shown = _degree(a)
+    scan = distance_rate_scan(d, a.k, grid_points=a.grid_points, precision=a.precision)
+    rows = [tuple(_fmt(value) for value in (r.delta, r.delta0, r.planted_rate, r.pair_rate,
+                                            r.proper_rate))
+            for r in scan.rows]
+
+    def emit(record):
+        if a.output is None:
+            _write_csv(sys.stdout, SCAN_CSV_HEADER, rows, record)
+            return
+        _write_csv_path(a.output, SCAN_CSV_HEADER, rows, record)
+        print("argmax_delta=%s max_rate=%s margin=%s"
+              % (_fmt(scan.argmax_delta), _fmt(scan.max_rate), _fmt(scan.margin)))
+
+    return shown, emit
+
+
+def _finite_density(a):
+    hom, chi, shown = _open_instance(a)
+    density = density_report(build_hypergraph(hom), chi, a.level)
+    return shown, _printing("rigid_density=%s rigid_density_float=%s"
+                            % (density, _fmt(float(density))))
+
+
+def _tree_density(a):
+    estimate = core_density_estimate(d=a.d, k=a.k, level=a.level, samples=a.samples,
+                                     rng=RngState(a.seed, a.stream))
+    rigid = estimate.rigid_frequency()
+    return {}, _printing(
         "rigid=%s rigid_float=%s stderr=%s"
-        % (
-            estimate.rigid_frequency(),
-            _fmt(float(estimate.rigid_frequency())),
-            _fmt(estimate.rigid_stderr()),
-        )
-    )
-    print(
+        % (rigid, _fmt(float(rigid)), _fmt(estimate.rigid_stderr())),
         "core=%s union=%s overlap=%d/%d"
-        % (
-            _fmt(float(estimate.core_frequency())),
-            _fmt(float(estimate.union_frequency())),
-            estimate.overlap_count,
-            estimate.samples,
-        )
+        % (_fmt(float(estimate.core_frequency())), _fmt(float(estimate.union_frequency())),
+           estimate.overlap_count, estimate.samples),
     )
-    return 0
 
 
-def _cmd_expansivity(args):
-    hom, chi, record = _open_instance(args, command="expansivity")
-    report = expansivity_scan(
-        build_hypergraph(hom),
-        chi,
-        args.t_max,
-        random_trials=args.random_trials,
-        rng=RngState(args.seed, args.stream),
-    )
-    _announce(record(t_max=args.t_max, random_trials=args.random_trials))
-    print(
-        "exhaustive_max_excess=%d violations=%d exhaustive_cap=%d"
-        % (
-            report.exhaustive_max_excess,
-            len(report.violations),
-            report.exhaustive_cap,
-        )
-    )
-    if args.random_trials:
-        print(
-            "random_max_excess=%s size_cap=%d"
-            % (_param_str(report.random_max_excess), report.size_cap)
-        )
-    for witness in report.violations:
-        print("violation=%s" % ",".join(str(v) for v in sorted(witness)))
-    return 0
+def _expansivity(a, rng=None):
+    hom, chi, shown = _open_instance(a)
+    report = expansivity_scan(build_hypergraph(hom), chi, a.t_max,
+                              random_trials=a.random_trials, rng=rng)
+    lines = ["exhaustive_max_excess=%d violations=%d exhaustive_cap=%d"
+             % (report.exhaustive_max_excess, len(report.violations), report.exhaustive_cap)]
+    if a.random_trials:
+        lines.append("random_max_excess=%s size_cap=%d"
+                     % (_param_str(report.random_max_excess), report.size_cap))
+    lines += ["violation=%s" % ",".join(str(v) for v in sorted(witness))
+              for witness in report.violations]
+    return shown, _printing(*lines)
 
 
-def _cmd_rigidity(args):
-    rho = _fraction("--rho", args.rho)
-    hom, chi, record = _open_instance(args, command="rigidity")
+def _rigidity(a):
+    rho = _fraction("--rho", a.rho)
+    hom, chi, shown = _open_instance(a)
     graph = build_hypergraph(hom)
     decomposition = core_decomposition(graph, chi)
-    level = args.level
-    if level is None:
-        level = len(decomposition.levels) - 1
+    level = len(decomposition.levels) - 1 if a.level is None else a.level
     region = decomposition.rigid_set(level)
-    _announce(record(level=level, region_size=len(region), rho=rho))
     witness = rigidity_violation_search(graph, chi, region, rho)
+    shown.update(level={"level": level, "region_size": len(region)}, rho={"rho": rho})
     if witness is None:
-        print("violation=none")
-    else:
-        moved = sum(1 for v in region if witness[v] != chi[v])
-        print(
-            "violation=%s moved=%d"
-            % ("".join(str(b) for b in witness), moved)
-        )
-    return 0
+        return shown, _printing("violation=none")
+    moved = sum(1 for v in region if witness[v] != chi[v])
+    return shown, _printing("violation=%s moved=%d" % ("".join(str(b) for b in witness), moved))
 
 
-def _cmd_local_convergence(args):
-    hom, chi, record = _open_instance(args, command="local-convergence")
-    tree_params = ModelParams(d=hom.params.d, k=hom.params.k, n=hom.params.k)
-    if args.radius is not None:
-        _refuse_unread(args, "the ball route (--radius)", ("edge_label",))
-        domain = build_ball(tree_params, args.radius)
-        route = {}
-    else:
-        route = {"edge_label": 0 if args.edge_label is None else args.edge_label}
-        domain = single_edge_domain(tree_params, label=route["edge_label"])
-    q = count_proper_patterns(domain)
-    params_record = record(**route, elements=len(domain), q=q)
-    if args.pattern is not None:
-        params_record["pattern"] = args.pattern
-    _announce(params_record)
-    if args.pattern is not None:
-        bits = [int(c) for c in args.pattern]
-        frequency = local_convergence_stat(hom, chi, domain, bits)
-        # the library warns of an empty cylinder; the CLI says so in its own form
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            target = cylinder_probability(domain, bits)
+def _census(a, flag, fields, build_domain):
+    """The body of both local-convergence routes: the census of every window
+    of the domain that build_domain gives, or the frequency of one --pattern
+    against its cylinder.  The record shows fields, then the domain's size
+    and proper pattern count, in the place of the route's domain flag."""
+    hom, chi, shown = _open_instance(a)
+    domain = build_domain(ModelParams(d=hom.params.d, k=hom.params.k, n=hom.params.k))
+    shown[flag] = {**fields, "elements": len(domain), "q": count_proper_patterns(domain)}
+    if a.pattern is None:
+        shown["pattern"] = {}
+        census = local_pattern_census(hom, chi, domain)
+        deviation = None
+        if len(domain) <= BRUTE_PATTERN_MAX_ELEMENTS:
+            deviation = _fmt(_max_deviation(census, domain))
+        return shown, _printing(
+            "distinct=%d improper=%s noninjective=%d max_deviation=%s"
+            % (len(census.counts), census.improper_fraction(), census.noninjective_count,
+               _param_str(deviation)))
+    bits = Coloring.from_string(a.pattern).bits
+    frequency = local_convergence_stat(hom, chi, domain, bits)
+    # the library warns of an empty cylinder; the CLI says so in its own form
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        target = cylinder_probability(domain, bits)
+
+    def emit(record):
         for warning in caught:
             print("warning: %s" % warning.message, file=sys.stderr)
-        print(
-            "frequency=%s cylinder=%s deviation=%s"
-            % (frequency, target, _fmt(abs(frequency - target)))
-        )
-        return 0
-    census = local_pattern_census(hom, chi, domain)
-    deviation = None
-    if len(domain) <= BRUTE_PATTERN_MAX_ELEMENTS:
-        deviation = _max_deviation(census, domain)
-    print(
-        "distinct=%d improper=%s noninjective=%d max_deviation=%s"
-        % (
-            len(census.counts),
-            census.improper_fraction(),
-            census.noninjective_count,
-            _param_str(deviation if deviation is None else _fmt(deviation)),
-        )
-    )
-    return 0
+        print("frequency=%s cylinder=%s deviation=%s"
+              % (frequency, target, _fmt(abs(frequency - target))))
+
+    return shown, emit
 
 
-def _cmd_sofic_check(args):
-    delta = _fraction("--delta", args.delta)
-    hom, _, record = _open_instance(args, coloring=False, command="sofic-check")
-    params = hom.params
-    if args.words == "generators":
-        words = generator_words(params)
-    elif args.words == "pairs":
-        words = generator_pair_words(params)
-    else:
-        words = generator_words(params) + generator_pair_words(params)
-    _announce(record(words=args.words, word_count=len(words), delta=delta))
+def _edge_census(a):
+    return _census(a, "edge_label", {"edge_label": a.edge_label},
+                   lambda params: single_edge_domain(params, label=a.edge_label))
+
+
+def _ball_census(a):
+    return _census(a, "radius", {}, lambda params: build_ball(params, a.radius))
+
+
+# the word sets of sofic-check --words
+_WORD_SETS = {
+    "generators": generator_words,
+    "pairs": generator_pair_words,
+    "both": lambda params: generator_words(params) + generator_pair_words(params),
+}
+
+
+def _sofic_check(a):
+    delta = _fraction("--delta", a.delta)
+    hom, _, shown = _open_instance(a, coloring=False)
+    words = _WORD_SETS[a.words](hom.params)
     report = check_sofic(hom, words, delta)
-    print(
+    shown.update(words={"words": a.words, "word_count": len(words)}, delta={"delta": delta})
+    return shown, _printing(
         "mult_fraction=%s trace_fraction=%s multiplicative=%s trace_preserving=%s sofic=%s"
-        % (
-            report.mult_fraction,
-            report.trace_fraction,
-            _fmt(report.is_multiplicative),
-            _fmt(report.is_trace_preserving),
-            _fmt(report.is_sofic),
-        )
-    )
-    return 0
+        % (report.mult_fraction, report.trace_fraction, _fmt(report.is_multiplicative),
+           _fmt(report.is_trace_preserving), _fmt(report.is_sofic)))
 
 
-def _cmd_moments(args):
-    params = ModelParams(d=args.d, k=args.k, n=args.n)
-    record = {
-        "command": "moments",
-        "which": args.which,
-        "n": args.n,
-        "k": args.k,
-        "d": args.d,
-        "seed": args.seed,
-        "stream": args.stream,
-    }
-    if args.which == "first":
-        record["equitable"] = args.equitable
-        _announce(record)
-        if args.equitable:
-            value = exact_equitable_first_moment(params)
-        else:
-            value = exact_first_moment(params)
-    else:
-        if args.delta is None:
-            raise ValueError("planted-distance needs --delta")
-        delta = _fraction("--delta", args.delta)
-        record["delta"] = delta
-        _announce(record)
-        value = exact_planted_distance_moment(params, delta)
-    print(value)
-    return 0
+def _first_moment(a):
+    params = ModelParams(d=a.d, k=a.k, n=a.n)
+    moment = exact_equitable_first_moment if a.equitable else exact_first_moment
+    return {}, _printing(str(moment(params)))
 
 
-def _cmd_experiment(args):
-    with open(args.config) as fh:
-        data = json.load(fh)
-    config = ExperimentConfig.from_json_dict(data)
-    _require_workers(args.workers)
-    _announce(
-        {
-            "command": "experiment",
-            "config": args.config,
-            "kind": config.kind,
-            **config.params,
-            "output": config.output,
-            "workers": args.workers,
-        }
-    )
-    result = run_experiment(config, workers=args.workers)
-    print("wrote %s and %s" % (result.csv_path, result.json_path))
-    print(
+def _planted_distance_moment(a):
+    delta = _fraction("--delta", a.delta)
+    value = exact_planted_distance_moment(ModelParams(d=a.d, k=a.k, n=a.n), delta)
+    return {"delta": {"delta": delta}}, _printing(str(value))
+
+
+def _experiment(a):
+    with open(a.config) as fh:
+        config = ExperimentConfig.from_json_dict(json.load(fh))
+    result = run_experiment(config, workers=a.workers)
+    shown = {"config": {"config": a.config, "kind": config.kind, **config.params,
+                        "output": config.output}}
+    return shown, _printing(
+        "wrote %s and %s" % (result.csv_path, result.json_path),
         "replicas=%d failures=%d pass=%s"
-        % (
-            result.summary["replicas"],
-            result.summary["failures"],
-            _fmt(bool(result.summary["pass"])),
-        )
-    )
-    return 0
+        % (result.summary["replicas"], result.summary["failures"],
+           _fmt(bool(result.summary["pass"]))))
 
 
-# ---------------------------------------------------------------------------
-# parser wiring
+# Every flag of the CLI: its argument name (a positional or an --option) and
+# its argparse keywords.  None has an argparse default, so an unset flag is
+# None and the dispatcher can tell a flag that was given from one that was
+# not; the routes' own defaults fill in the rest.
+_FLAGS = {
+    "config": ("config", {"help": "experiment config JSON path"}),
+    "input": ("--input", {"help": "instance JSON path"}),
+    "chi": ("--chi", {"help": "coloring bits; default the instance file's, or for "
+                              "sample-planted the equitable split"}),
+    "n": ("--n", {"type": int}),
+    "k": ("--k", {"type": int}),
+    "d": ("--d", {"type": int}),
+    "eta": ("--eta", {"help": "offset; picks d = round(k 2^(k-1) (log2 - eta))"}),
+    "delta": ("--delta", {"help": "distance, a fraction like 1/2"}),
+    "eps": ("--eps", {"help": "allowed monochromatic edge fraction"}),
+    "equitable": ("--equitable", {"action": "store_true", "default": None,
+                                  "help": "equitable colorings only"}),
+    "precision": ("--precision", {"type": int, "help": "working precision bits"}),
+    "grid_points": ("--grid-points", {"type": int}),
+    "level": ("--level", {"type": int, "help": "peeling level"}),
+    "samples": ("--samples", {"type": int, "help": "tree root samples"}),
+    "t_max": ("--t-max", {"type": int}),
+    "random_trials": ("--random-trials", {"type": int}),
+    "rho": ("--rho", {"help": "disagreement threshold, a fraction like 1/10"}),
+    "edge_label": ("--edge-label", {"type": int, "help": "label of the one edge"}),
+    "radius": ("--radius", {"type": int, "help": "use a full ball instead of one edge"}),
+    "pattern": ("--pattern", {"help": "bits in domain order; report this cylinder only"}),
+    "words": ("--words", {"choices": tuple(_WORD_SETS)}),
+    "seed": ("--seed", {"type": int, "help": "base RNG seed"}),
+    "stream": ("--stream", {"type": int, "help": "RNG stream index"}),
+    "output": ("--output", {"help": "output path; default stdout"}),
+    "workers": ("--workers", {"type": int}),
+}
 
+# A subcommand: its help, its routes by name, the record key that echoes
+# the route's name right after the command (None: not echoed), and choose,
+# the function of the given flags that names the route.  Without choose the
+# route is the value of the positional argument named key, or the one route
+# (named None) of a command that has only one.
+_Command = namedtuple("_Command", "help routes key choose", defaults=(None, None))
+# A route: the flags it reads with their defaults, in record order (_REQUIRED
+# marks a flag it cannot do without), its body, and the title that its
+# refusals name, by default the command and the route's name.
+_Route = namedtuple("_Route", "flags body title", defaults=(None,))
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    parser.add_argument("--stream", type=int, default=0, help="RNG stream index")
+_SHAPE = {"n": _REQUIRED, "k": _REQUIRED, "d": _REQUIRED}
+_DRAW = {"seed": 0, "stream": 0}
+_INSTANCE = {"input": _REQUIRED, "chi": None}
+_DEGREE = {"k": _REQUIRED, "d": None, "eta": None}
+
+SUBCOMMANDS = {
+    "sample-uniform": _Command("sample the uniform model, emit JSON", {
+        None: _Route({**_SHAPE, **_DRAW, "output": None}, _sample_uniform)}),
+    "sample-planted": _Command("sample the planted model, emit JSON with chi", {
+        None: _Route({**_SHAPE, "chi": None, **_DRAW, "output": None}, _sample_planted)}),
+    "count": _Command("count proper colorings of an instance", {
+        None: _Route({"input": _REQUIRED, "eps": "0", "equitable": False}, _count)}),
+    "analytic": _Command("closed-form rates and fixed points", key="quantity", routes={
+        "f": _Route({**_DEGREE, "precision": None}, _proper_rate),
+        "psi": _Route({**_DEGREE, "delta": _REQUIRED, "precision": None},
+                      _distance_rate(pair_distance_rate)),
+        "psi0": _Route({**_DEGREE, "delta": _REQUIRED, "precision": None},
+                       _distance_rate(planted_distance_rate)),
+        "tstar": _Route({"k": _REQUIRED}, _dominant_type),
+        "fixed-point": _Route({**_DEGREE, "precision": None}, _fixed_point),
+        "scan": _Route({**_DEGREE, "precision": None, "grid_points": 2001, "output": None},
+                       _rate_scan),
+    }),
+    "core-density": _Command(
+        "rigid-set density, finite instance or tree Monte Carlo", key="route",
+        choose=lambda given: "tree" if given["input"] is None else "finite", routes={
+            "finite": _Route({**_INSTANCE, "level": _REQUIRED}, _finite_density,
+                             "the finite route (--input)"),
+            "tree": _Route({"d": _REQUIRED, "k": _REQUIRED, "level": _REQUIRED,
+                            "samples": DEFAULT_TREE_SAMPLES, **_DRAW}, _tree_density,
+                           "the tree route"),
+        }),
+    "expansivity": _Command(
+        "scan small vertex sets for edge-count violations",
+        choose=lambda given: "random" if (given["random_trials"] or 0) > 0 else "exhaustive",
+        routes={
+            "exhaustive": _Route({**_INSTANCE, "t_max": _REQUIRED, "random_trials": 0},
+                                 _expansivity, "the exhaustive scan"),
+            "random": _Route({**_INSTANCE, "t_max": _REQUIRED, "random_trials": _REQUIRED,
+                              **_DRAW}, lambda a: _expansivity(a, RngState(a.seed, a.stream)),
+                             "the scan with random trials (--random-trials > 0)"),
+        }),
+    "rigidity": _Command("search for colorings moving a rigid region", {
+        None: _Route({**_INSTANCE, "level": None, "rho": _REQUIRED}, _rigidity)}),
+    "local-convergence": _Command(
+        "window census against the tree measure",
+        choose=lambda given: "edge" if given["radius"] is None else "ball", routes={
+            "edge": _Route({**_INSTANCE, "edge_label": 0, "pattern": None}, _edge_census,
+                           "the edge route"),
+            "ball": _Route({**_INSTANCE, "radius": _REQUIRED, "pattern": None}, _ball_census,
+                           "the ball route (--radius)"),
+        }),
+    "sofic-check": _Command("multiplicativity and trace statistics on a word set", {
+        None: _Route({"input": _REQUIRED, "words": "both", "delta": "1/10"}, _sofic_check)}),
+    "moments": _Command("exact expected coloring counts", key="which", routes={
+        "first": _Route({**_SHAPE, "equitable": False}, _first_moment),
+        "planted-distance": _Route({**_SHAPE, "delta": _REQUIRED}, _planted_distance_moment),
+    }),
+    "experiment": _Command("run a JSON experiment config", {
+        None: _Route({"config": _REQUIRED, "workers": 1}, _experiment)}),
+}
 
 
 def build_parser():
@@ -1151,102 +1104,49 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("sample-uniform", help="sample the uniform model, emit JSON")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--output", default=None, help="path for the instance JSON; default stdout")
-    _add_common(p)
-    p.set_defaults(func=_cmd_sample_uniform)
-
-    p = sub.add_parser("sample-planted", help="sample the planted model, emit JSON with chi")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--chi", default=None, help="planted coloring bits; default equitable split")
-    p.add_argument("--output", default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_sample_planted)
-
-    p = sub.add_parser("count", help="count proper colorings of an instance")
-    p.add_argument("--input", required=True, help="instance JSON path")
-    p.add_argument("--eps", default="0", help="allowed monochromatic edge fraction")
-    p.add_argument("--equitable", action="store_true", help="count proper equitable colorings instead")
-    _add_common(p)
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("analytic", help="closed-form rates and fixed points")
-    p.add_argument("quantity", choices=("f", "psi", "psi0", "tstar", "fixed-point", "scan"))
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--eta", default=None, help="offset; picks d = round(k 2^(k-1) (log2 - eta))")
-    p.add_argument("--delta", default=None, help="distance for psi/psi0, a fraction like 1/2")
-    p.add_argument("--grid-points", type=int, default=2001)
-    p.add_argument("--precision", type=int, default=None, help="working precision bits")
-    p.add_argument("--output", default=None, help="CSV path for scan; default stdout")
-    _add_common(p)
-    p.set_defaults(func=_cmd_analytic)
-
-    p = sub.add_parser("core-density", help="rigid-set density, finite instance or tree Monte Carlo")
-    p.add_argument("--input", default=None, help="instance JSON (finite route)")
-    p.add_argument("--chi", default=None, help="coloring bits if the instance file lacks chi")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--samples", type=int, default=None,
-                   help="tree route root samples; default %d" % DEFAULT_TREE_SAMPLES)
-    _add_common(p)
-    p.set_defaults(func=_cmd_core_density)
-
-    p = sub.add_parser("expansivity", help="scan small vertex sets for edge-count violations")
-    p.add_argument("--input", required=True)
-    p.add_argument("--chi", default=None)
-    p.add_argument("--t-max", type=int, required=True)
-    p.add_argument("--random-trials", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(func=_cmd_expansivity)
-
-    p = sub.add_parser("rigidity", help="search for colorings moving a rigid region")
-    p.add_argument("--input", required=True)
-    p.add_argument("--chi", default=None)
-    p.add_argument("--rho", required=True, help="disagreement threshold, a fraction like 1/10")
-    p.add_argument("--level", type=int, default=None, help="peeling level; default deepest computed")
-    _add_common(p)
-    p.set_defaults(func=_cmd_rigidity)
-
-    p = sub.add_parser("local-convergence", help="window census against the tree measure")
-    p.add_argument("--input", required=True)
-    p.add_argument("--chi", default=None)
-    p.add_argument("--edge-label", type=int, default=None, help="label of the one edge; default 0")
-    p.add_argument("--radius", type=int, default=None, help="use a full ball instead of one edge")
-    p.add_argument("--pattern", default=None, help="bits in domain order; report this cylinder only")
-    _add_common(p)
-    p.set_defaults(func=_cmd_local_convergence)
-
-    p = sub.add_parser("sofic-check", help="multiplicativity and trace statistics on a word set")
-    p.add_argument("--input", required=True)
-    p.add_argument("--delta", default="1/10")
-    p.add_argument("--words", choices=("generators", "pairs", "both"), default="both")
-    _add_common(p)
-    p.set_defaults(func=_cmd_sofic_check)
-
-    p = sub.add_parser("moments", help="exact expected coloring counts")
-    p.add_argument("which", choices=("first", "planted-distance"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--delta", default=None)
-    p.add_argument("--equitable", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=_cmd_moments)
-
-    p = sub.add_parser("experiment", help="run a JSON experiment config")
-    p.add_argument("config", help="experiment config JSON path")
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=_cmd_experiment)
-
+    for name, command in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.key is not None and command.choose is None:
+            p.add_argument(command.key, choices=tuple(command.routes))
+        # each flag that some route reads, once, in the order the routes give
+        offered = dict.fromkeys(flag for route in command.routes.values() for flag in route.flags)
+        for flag in offered:
+            option, options = _FLAGS[flag]
+            p.add_argument(option, **options)
     return parser
+
+
+def _options(flags):
+    return ", ".join(_FLAGS[flag][0] for flag in flags)
+
+
+def _run_route(given):
+    """Choose the route of one parsed invocation, refuse a flag that it does
+    not read or a required one that is missing, and run its body.  Returns
+    the "# params:" record and the emit of the route's output."""
+    name = given.pop("subcommand")
+    command = SUBCOMMANDS[name]
+    if command.choose is not None:
+        route_name = command.choose(given)
+    else:
+        route_name = given.pop(command.key, None)
+    route = command.routes[route_name]
+    title = route.title or " ".join(filter(None, (name, route_name)))
+    unread = [flag for flag, value in given.items() if value is not None and flag not in route.flags]
+    if unread:
+        raise ValueError("%s does not read %s" % (title, _options(unread)))
+    values = {flag: default if given[flag] is None else given[flag]
+              for flag, default in route.flags.items()}
+    missing = [flag for flag, value in values.items() if value is _REQUIRED]
+    if missing:
+        raise ValueError("%s needs %s" % (title, _options(missing)))
+    shown, emit = route.body(argparse.Namespace(**values))
+    record = {"command": name}
+    if command.key is not None:
+        record[command.key] = route_name
+    for flag, value in values.items():
+        record.update(shown.get(flag, {flag: value}))
+    return record, emit
 
 
 def cli_dispatch(argv=None):
@@ -1257,7 +1157,10 @@ def cli_dispatch(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        record, emit = _run_route(vars(args))
+        print(_params_line(record))
+        emit(record)
+        return 0
     except ScaleRefusal as exc:
         print("scale refusal: %s" % exc, file=sys.stderr)
         return 3

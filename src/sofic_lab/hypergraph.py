@@ -30,7 +30,10 @@ class Coloring:
 
     @classmethod
     def from_string(cls, s):
-        return cls(int(c) for c in s)
+        """The coloring written as a string of 0s and 1s, one per vertex."""
+        if not set(s) <= {"0", "1"}:
+            raise ValueError("a coloring is a string of 0s and 1s, got %r" % (s,))
+        return cls(map(int, s))
 
     @classmethod
     def equitable_split(cls, n):

@@ -26,9 +26,13 @@ from sofic_lab.group_model import (
     generator_words,
 )
 from sofic_lab.harness import (
+    _FLAGS,
+    _REQUIRED,
+    SUBCOMMANDS,
     ExperimentConfig,
     _fmt,
     _params_line,
+    build_parser,
     cli_dispatch,
     load_instance,
     run_experiment,
@@ -241,8 +245,10 @@ def test_scan_stdout_route(capsys):
 
 # sha256 of the stdout of `sofic-lab analytic scan --k 25 --eta 0.12
 # --grid-points 33`, recorded while degrees_from_offset still retyped the
-# formulas of ratio_from_offset and offset_window_top.
-ETA_SCAN_STDOUT_DIGEST = "ac645bb576dc865999b7c8481dd99f04735ee75cf7ac5c70d781aad01675dd9f"
+# formulas of ratio_from_offset and offset_window_top, and re-derived with
+# only " seed=0 stream=0" removed from its two "# params:" lines once the
+# analytic routes stopped echoing a seed they never read.
+ETA_SCAN_STDOUT_DIGEST = "ec911fd25b0548811089c6d9c5550874ecedc976fa93a06aa58a850aa0d8aac5"
 
 
 def test_scan_at_offset_stdout_digest(capsys):
@@ -444,6 +450,8 @@ COUNT = ["count", "--input", "{inst}"]
      (COUNT, "instance 'images' must be a list, got 5", _instance_with(images=5)),
      (["rigidity", "--input", "{inst}", "--rho", "1/10"],
       "instance 'chi' must be a string of bits, got 5", _instance_with(chi=5)),
+     (["rigidity", "--input", "{inst}", "--rho", "1/10"],
+      "a coloring is a string of 0s and 1s, got '0 1'", _instance_with(chi="0 1")),
      # flags that the chosen route does not read
      (["core-density", "--input", "{inst}", "--level", "1", "--d", "99", "--k", "99",
        "--samples", "0"], "the finite route (--input) does not read --d, --k, --samples", None),
@@ -453,22 +461,62 @@ COUNT = ["count", "--input", "{inst}"]
       "the tree route does not read --chi", None),
      (["local-convergence", "--input", "{inst}", "--radius", "1", "--edge-label", "0"],
       "the ball route (--radius) does not read --edge-label", None),
+     (["count", "--input", "{inst}", "--seed", "5", "--stream", "9"],
+      "unrecognized arguments: --seed 5 --stream 9", None),
+     (["sofic-check", "--input", "{inst}", "--words", "pairs", "--delta", "1/4", "--seed", "3"],
+      "unrecognized arguments: --seed 3", None),
+     (["analytic", "f", "--k", "3", "--d", "5", "--delta", "1/3", "--grid-points", "7",
+       "--output", "{inst}.csv"],
+      "analytic f does not read --delta, --grid-points, --output", None),
+     (["moments", "first", "--n", "6", "--k", "3", "--d", "2", "--delta", "1/3"],
+      "moments first does not read --delta", None),
+     (["moments", "planted-distance", "--n", "6", "--k", "3", "--d", "2", "--delta", "1/3",
+       "--equitable"], "moments planted-distance does not read --equitable", None),
+     (["expansivity", "--input", "{inst}", "--t-max", "2", "--random-trials", "0", "--seed", "3"],
+      "the exhaustive scan does not read --seed", None),
+     # bit strings: a coloring and a pattern are 0s and 1s only
+     (["sample-planted", "--n", "6", "--k", "3", "--d", "2", "--chi", "11x000"],
+      "a coloring is a string of 0s and 1s, got '11x000'", None),
+     (["local-convergence", "--input", "{inst}", "--pattern", "01x"],
+      "a coloring is a string of 0s and 1s, got '01x'", None),
      # values that the library call refuses
      (["core-density", "--input", "{inst}", "--level", "-1"], "l_max must be nonnegative", None),
      (["core-density", "--d", "5", "--k", "3", "--level", "-1"], "level must be nonnegative", None),
-     (["expansivity", "--input", "{inst}", "--t-max", "-1"], "t_max must be between 1 and n", None)],
+     (["expansivity", "--input", "{inst}", "--t-max", "-1"], "t_max must be between 1 and n", None),
+     (["sample-uniform", "--n", "7", "--k", "3", "--d", "1"],
+      "uniform homomorphisms need k | n; got n=7, k=3", None),
+     (["sample-planted", "--n", "6", "--k", "3", "--d", "2", "--chi", "111111"],
+      "type sampling requires an equitable coloring", None),
+     (["moments", "first", "--n", "7", "--k", "3", "--d", "2"],
+      "uniform homomorphisms need k | n; got n=7, k=3", None),
+     (["moments", "planted-distance", "--n", "6", "--k", "3", "--d", "2", "--delta", "1/5"],
+      "delta=Fraction(1, 5) is not a flip count at scale n=6", None),
+     (["analytic", "psi", "--k", "3", "--d", "5", "--delta", "2"],
+      "argument must lie in [0, 1], got 2", None),
+     (["analytic", "scan", "--k", "3", "--d", "5", "--grid-points", "1"],
+      "need at least 3 grid points, got 1", None),
+     (["analytic", "scan", "--k", "3", "--d", "5", "--grid-points", "5", "--precision", "8"],
+      "working precision must be at least 53 bits, got 8", None),
+     (["local-convergence", "--input", "{inst}", "--pattern", "0110"],
+      "pattern does not cover the domain: 4 values for 3 elements", None)],
     ids=["count-eps", "analytic-delta", "analytic-eta", "sofic-check-delta",
          "moments-delta", "rigidity-rho", "experiment-seed",
          "instance-empty-object", "instance-not-an-object", "instance-without-images",
          "instance-null-d", "instance-float-n", "instance-text-n", "instance-bool-n",
-         "instance-int-images", "instance-int-chi",
+         "instance-int-images", "instance-int-chi", "instance-spaced-chi",
          "finite-route-tree-flags", "finite-route-samples", "tree-route-chi",
-         "ball-route-edge-label", "finite-route-level", "tree-route-level",
-         "expansivity-t-max"],
+         "ball-route-edge-label", "count-seed", "sofic-check-seed", "analytic-f-scan-flags",
+         "moments-first-delta", "moments-distance-equitable", "exhaustive-scan-seed",
+         "sample-planted-letter-chi", "local-convergence-letter-pattern",
+         "finite-route-level", "tree-route-level", "expansivity-t-max",
+         "sample-uniform-shape", "sample-planted-improper-chi", "moments-first-shape",
+         "moments-distance-not-a-flip-count", "analytic-psi-delta", "analytic-scan-grid",
+         "analytic-scan-precision", "local-convergence-pattern-length"],
 )
 def test_cli_refuses_invalid_input_before_the_params_line(tmp_path, capsys, argv, message, edit):
     # exit 2 with an error line and no traceback, and nothing on stdout;
-    # experiment runs the seeds of its config, so it takes no --seed
+    # experiment runs the seeds of its config, and count and sofic-check draw
+    # nothing, so none of them takes a --seed
     inst = tmp_path / "inst.json"
     write_planted_instance(inst, n=12, k=3, d=3)
     if edit is not None:
@@ -482,6 +530,82 @@ def test_cli_refuses_invalid_input_before_the_params_line(tmp_path, capsys, argv
     assert captured.out == ""
     assert "error: %s" % message in captured.err
     assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "inst.json"]
+
+
+# A valid value of every flag of the CLI, as argv items after the option.
+FLAG_VALUES = {
+    "config": ["{config}"], "input": ["{inst}"], "chi": ["000000111111"],
+    "n": ["6"], "k": ["3"], "d": ["2"], "eta": ["0.1"], "delta": ["1/3"], "eps": ["1/8"],
+    "equitable": [], "precision": ["80"], "grid_points": ["5"], "level": ["1"],
+    "samples": ["10"], "t_max": ["2"], "random_trials": ["2"], "rho": ["1/10"],
+    "edge_label": ["1"], "radius": ["1"], "pattern": ["011"], "words": ["pairs"],
+    "seed": ["3"], "stream": ["4"], "output": ["{inst}.out"], "workers": ["1"],
+}
+
+
+def _flag_argv(flag):
+    option = _FLAGS[flag][0]
+    return FLAG_VALUES[flag] if not option.startswith("--") else [option] + FLAG_VALUES[flag]
+
+
+def _route_argv(name, route_name):
+    """The argv that runs one route of a command with its required flags."""
+    command = SUBCOMMANDS[name]
+    argv = [name] + ([route_name] if command.key and command.choose is None else [])
+    flags = command.routes[route_name].flags
+    for flag, default in flags.items():
+        if default is _REQUIRED:
+            argv += _flag_argv(flag)
+    # a route that reads --eta needs it or --d
+    return argv + (_flag_argv("d") if "eta" in flags else [])
+
+
+def _unread_flag_cases():
+    """(command, route, flag) for every flag that the command offers and the
+    route does not read, unless giving it picks another route of the command
+    (--input picks the finite route of core-density, --radius the ball route
+    of local-convergence)."""
+    parser = build_parser()
+    for name, command in SUBCOMMANDS.items():
+        offered = dict.fromkeys(flag for route in command.routes.values() for flag in route.flags)
+        for route_name, route in command.routes.items():
+            for flag in offered:
+                if flag in route.flags:
+                    continue
+                given = vars(parser.parse_args(_route_argv(name, route_name) + _flag_argv(flag)))
+                if command.choose is None or command.choose(given) == route_name:
+                    yield pytest.param(name, route_name, flag,
+                                       id="%s-%s-%s" % (name, route_name, flag))
+
+
+def test_every_route_runs_from_its_required_flags(tmp_path, capsys):
+    # the argv of the table-driven refusal test is valid without the flag
+    inst = tmp_path / "inst.json"
+    write_planted_instance(inst, n=12, k=3, d=3)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"kind": "first-moment", "output": str(tmp_path / "out"),
+                                  "params": {"n": 4, "k": 2, "d": 2, "replicas": 2}}))
+    for name, command in SUBCOMMANDS.items():
+        for route_name in command.routes:
+            argv = [arg.format(inst=inst, config=config)
+                    for arg in _route_argv(name, route_name)]
+            assert cli_dispatch(argv) == 0, argv
+            assert capsys.readouterr().out.startswith("# params: command=%s" % name)
+
+
+@pytest.mark.parametrize("name,route_name,flag", list(_unread_flag_cases()))
+def test_every_route_refuses_each_offered_flag_it_does_not_read(tmp_path, capsys,
+                                                                 name, route_name, flag):
+    # a flag that is echoed, or dropped without a word, would look applied
+    inst = tmp_path / "inst.json"
+    write_planted_instance(inst, n=12, k=3, d=3)
+    argv = [arg.format(inst=inst, config=tmp_path / "cfg.json")
+            for arg in _route_argv(name, route_name) + _flag_argv(flag)]
+    assert cli_dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.endswith(" does not read %s\n" % _FLAGS[flag][0])
 
 
 # ---------------------------------------------------------------------------

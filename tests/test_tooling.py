@@ -138,6 +138,41 @@ def test_harness_compares_no_experiment_kind():
     assert found == []
 
 
+def test_harness_compares_no_subcommand_or_route_name():
+    # each subcommand and each of its routes is one entry of
+    # harness.SUBCOMMANDS, which gives the flags the route reads and its body,
+    # and the parser is built from that table alone: a comparison with a
+    # command, quantity or route name starts a chain of branches beside the
+    # table, and an add_argument call outside the loop over it offers a flag
+    # that no route declares it reads
+    from sofic_lab.harness import SUBCOMMANDS
+    names = set(SUBCOMMANDS) | {route for command in SUBCOMMANDS.values()
+                                for route in command.routes if route is not None}
+    # the arguments whose parsed value is a command or route name
+    keys = {command.key for command in SUBCOMMANDS.values()
+            if command.key and command.choose is None} | {"subcommand"}
+
+    def names_a_route(node):
+        return ((isinstance(node, ast.Constant) and node.value in names)
+                or (isinstance(node, ast.Name) and node.id in keys)
+                or (isinstance(node, ast.Attribute) and node.attr in keys))
+
+    tree = ast.parse((SRC / "harness.py").read_text())
+    found = ["harness.py:%d %s" % (node.lineno, ast.unparse(node))
+             for node in ast.walk(tree) if isinstance(node, ast.Compare)
+             and any(names_a_route(sub) for operand in [node.left, *node.comparators]
+                     for sub in ast.walk(operand))]
+    builder = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "build_parser"]
+    loops = [node for function in builder for node in ast.walk(function)
+             if isinstance(node, ast.For) and "SUBCOMMANDS" in _names_in(node.iter)]
+    in_loop = {id(node) for loop in loops for node in ast.walk(loop)}
+    found += ["harness.py:%d %s" % (node.lineno, ast.unparse(node))
+              for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and getattr(node.func, "attr", None) == "add_argument" and id(node) not in in_loop]
+    assert loops and found == []
+
+
 def _imports_the_library(node):
     if isinstance(node, ast.ImportFrom):
         return node.level > 0 or (node.module or "").split(".")[0] == "sofic_lab"
