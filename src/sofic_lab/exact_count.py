@@ -376,7 +376,7 @@ def _require_proper_equitable(graph, chi):
 def _flip_count(n, delta):
     flips = Fraction(delta) * n
     if flips.denominator != 1 or not 0 <= flips <= n:
-        raise ValueError("delta=%r is not a flip count at scale n=%d" % (delta, n))
+        raise ValueError("delta=%s is not a flip count at scale n=%d" % (delta, n))
     flips = int(flips)
     if flips % 2:
         raise ValueError("equitable pairs need an even flip count, got %d" % flips)

@@ -12,12 +12,16 @@ Every subcommand is one entry of SUBCOMMANDS, which gives each of its routes
 the flags that route reads, in record order, with their defaults, and the
 route's body.  The parser, the refusals and the "# params: ..." record are
 all built from that table: a command offers only the flags that some route
-of it reads, a flag given to a route that does not read it exits 2, and the
-record shows the flags that the route read in the table's order (--seed
-and --stream only where a draw reads them).  The record is printed once,
-after the body has made every check and done its work, so no refusal
-follows it; every CSV file ends with the same line as a footer comment, so
-any artifact can be reproduced from itself.
+of it reads, and a flag given to a route that does not read it exits 2.
+Each flag read as text is parsed once, by the dispatcher, through the same
+checks as a config's params (_PARAM_CHECKS), and the body gets the parsed
+values.  The record shows every flag that the route read, in the table's
+order, as it was typed or as its declared default (--seed and --stream only
+where a draw reads them), followed by the facts the body derived, such as
+an instance's n, k and d.  It is printed once, after the body has made
+every check and done its work, so no refusal follows it; every CSV file
+ends with the same line as a footer comment, so any artifact can be
+reproduced from itself.
 
 Exit codes: 0 success, 2 validation error (bad flags, bad files, bad
 parameter combinations), 3 scale refusal.
@@ -71,13 +75,11 @@ from .hypergraph import Coloring, build_hypergraph, monochromatic_edge_count
 from .samplers import RngState, sample_planted_hom, sample_uniform_hom
 from .structure import core_decomposition, density_report, expansivity_scan, rigidity_violation_search
 from .tree_markov import (
-    BRUTE_PATTERN_MAX_ELEMENTS,
     _check_core_sampler_args,
     build_ball,
     core_density_estimate,
     count_proper_patterns,
     cylinder_probability,
-    enumerate_proper_patterns,
     local_convergence_stat,
     local_pattern_census,
     single_edge_domain,
@@ -96,53 +98,32 @@ HISTOGRAM_BIN_WIDTH = Fraction(1, 40)
 
 
 def _fmt(value):
-    """Render a number for text output: ints and Fractions verbatim, floats
+    """Render a value for text output: ints and Fractions verbatim, floats
     and mpf through mp.nstr with 17 significant digits, enough to round-trip
-    a double."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, Fraction)):
-        return str(value)
-    text = mp.nstr(mp.mpf(value), 17, strip_zeros=True)
-    if text in ("0.0", "-0.0"):
-        return "0"
-    return text
-
-
-def _param_str(value):
+    a double, None as "-", bools as true or false, and a list or tuple as
+    its items joined by commas."""
     if value is None:
         return "-"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (list, tuple)):
-        return ",".join(_param_str(v) for v in value)
+        return ",".join(map(_fmt, value))
     if isinstance(value, (float, mp.mpf)):
-        return _fmt(value)
+        text = mp.nstr(mp.mpf(value), 17, strip_zeros=True)
+        return "0" if text in ("0.0", "-0.0") else text
     return str(value)
 
 
 def _params_line(record):
-    return "# params: " + " ".join(
-        "%s=%s" % (key, _param_str(value)) for key, value in record.items()
-    )
-
-
-def _cell(value):
-    """One CSV cell; exact values stay exact, None means an empty cell."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "# params: " + " ".join("%s=%s" % (key, _fmt(value)) for key, value in record.items())
 
 
 def _write_csv(target, header, rows, record):
     writer = csv.writer(target, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_cell(v) for v in row])
+        # exact values stay exact; None is an empty cell
+        writer.writerow(["" if v is None else _fmt(v) for v in row])
     target.write(_params_line(record) + "\n")
 
 
@@ -282,15 +263,9 @@ class ExperimentConfig:
         shape.require_uniform()
         if entry.planted:
             shape.require_equitable()
-        if "edge_label" in resolved:
-            if resolved["edge_label"] >= shape.d:
-                raise ValueError("edge_label must be below d=%d, got %d"
-                                 % (shape.d, resolved["edge_label"]))
-            # each row lists every proper pattern of its k-element edge
-            if shape.k > BRUTE_PATTERN_MAX_ELEMENTS:
-                raise ScaleRefusal("brute-force enumeration over the %d elements of an edge "
-                                   "refused (at most %d)" % (shape.k, BRUTE_PATTERN_MAX_ELEMENTS),
-                                   count=shape.k)
+        if "edge_label" in resolved and resolved["edge_label"] >= shape.d:
+            raise ValueError("edge_label must be below d=%d, got %d"
+                             % (shape.d, resolved["edge_label"]))
         if "tree_samples" in resolved:
             _check_core_sampler_args(shape.d, shape.k, resolved["level"])
         stream = resolved["stream"]
@@ -566,9 +541,16 @@ def _sofic_summary(config, rows):
 
 
 def _max_deviation(census, domain):
-    """The largest |frequency - 1/q| over the q proper patterns of the domain."""
-    target = Fraction(1, count_proper_patterns(domain))
-    return max(abs(census.frequency(p) - target) for p in enumerate_proper_patterns(domain))
+    """The largest |frequency - 1/q| over the q proper patterns of the domain.
+
+    The census counts only proper patterns, and one that it did not see has
+    frequency 0, so it deviates by 1/q."""
+    q = count_proper_patterns(domain)
+    target = Fraction(1, q)
+    deviations = [abs(census.frequency(p) - target) for p in census.counts]
+    if len(census.counts) < q:
+        deviations.append(target)
+    return max(deviations)
 
 
 def _local_convergence_row(hom, chi, params):
@@ -704,16 +686,18 @@ def _tolerance(key, value):
     raise ValueError("%s must be a positive finite number, got %r" % (key, value))
 
 
-# The check of each params key, run before any replica: it returns the value
-# that the replicas and the summary read, or raises ValueError naming the key.
+# The check of each params key, run before any replica, and of each CLI flag
+# that is read as text, run before the route's body: it returns the value
+# that the replicas, the summary or the body read, or raises ValueError
+# naming the key.
 _PARAM_CHECKS = {
     **dict.fromkeys(("d", "k", "n", "replicas", "seed", "stream"), _integer()),
     "seeds": _seeds,
     "level": _integer(0),
     "tree_samples": _integer(1),
     "edge_label": _integer(0),  # and below d, which ExperimentConfig checks
-    "delta": _fraction,
-    "min_fraction": _fraction,
+    **dict.fromkeys(("delta", "min_fraction", "eta", "eps", "rho"), _fraction),
+    **dict.fromkeys(("chi", "pattern"), lambda key, value: Coloring.from_string(value)),
     **dict.fromkeys(("mean_tolerance", "sigma_tolerance", "deviation_tolerance",
                      "tail_tolerance"), _tolerance),
 }
@@ -722,12 +706,13 @@ _PARAM_CHECKS = {
 # ---------------------------------------------------------------------------
 # the subcommands: each route's body, the table of them, and the dispatcher
 #
-# A body takes the values of the flags its route reads, makes every check
-# and does all of the route's work.  It returns what the record shows of
-# some of those flags, as {flag: {key: value, ...}} with the entries that
-# stand in that flag's place (none, or more than the flag itself), and the
-# emit that writes the route's output once the record has been printed.
-# Every other flag is echoed as the route read it.
+# A body takes the parsed values of the flags its route reads, makes every
+# check and does all of the route's work.  The record shows every flag that
+# the route reads as it was typed, or as its declared default; the body
+# returns the facts it derived, as {flag: {key: value, ...}} with the entries
+# that follow that flag in the record (an entry named as the flag stands in
+# for its value, and None leaves the flag out), and the emit that writes the
+# route's output once the record has been printed.
 
 
 def _printing(*lines):
@@ -735,31 +720,25 @@ def _printing(*lines):
     return lambda record: print("\n".join(lines))
 
 
-def _chi_option(text, n):
-    """The coloring given as --chi, which must have one bit per vertex."""
-    chi = Coloring.from_string(text)
-    if len(chi) != n:
-        raise ValueError("--chi has length %d but n=%d" % (len(chi), n))
-    return chi
-
-
 def _open_instance(a, coloring=True):
     """The opening of every route that reads an instance file (--input).
 
     Returns the homomorphism, its coloring (--chi if given, else the file's;
     None for a route that reads no coloring) and what the record shows of
-    the two flags: the path with n, k and d for --input, nothing for --chi.
+    the two flags: n, k and d after the path, and --chi only when given.
     """
     hom, chi = load_instance(a.input)
     params = hom.params
+    shown = {"input": {"n": params.n, "k": params.k, "d": params.d}}
     if not coloring:
         chi = None
     elif a.chi is not None:
-        chi = _chi_option(a.chi, params.n)
+        chi = a.chi
     elif chi is None:
         raise ValueError("no coloring: the instance file has no \"chi\" and --chi was not given")
-    return hom, chi, {"input": {"input": a.input, "n": params.n, "k": params.k, "d": params.d},
-                      "chi": {}}
+    else:
+        shown["chi"] = None
+    return hom, chi, shown
 
 
 def _sample_uniform(a):
@@ -768,37 +747,36 @@ def _sample_uniform(a):
 
 
 def _sample_planted(a):
-    chi = Coloring.equitable_split(a.n) if a.chi is None else _chi_option(a.chi, a.n)
+    chi = Coloring.equitable_split(a.n) if a.chi is None else a.chi
     hom = sample_planted_hom(ModelParams(d=a.d, k=a.k, n=a.n), chi, RngState(a.seed, a.stream))
     shown = {"chi": {"chi": "".join(str(b) for b in chi)}}
     return shown, lambda record: save_instance(hom, a.output, chi=chi)
 
 
 def _count(a):
-    eps = _fraction("--eps", a.eps)
     hom, _, shown = _open_instance(a, coloring=False)
-    if a.equitable and eps != 0:
+    if a.equitable and a.eps != 0:
         raise ValueError("--equitable counts proper colorings only; drop --eps")
     graph = build_hypergraph(hom)
-    report = count_equitable(graph) if a.equitable else count_proper(graph, eps=eps)
-    return {**shown, "eps": {"eps": eps}}, _printing(str(report.value))
+    report = count_equitable(graph) if a.equitable else count_proper(graph, eps=a.eps)
+    return shown, _printing(str(report.value))
 
 
 def _degree(a):
     """d from --d or --eta, and what the record shows of those two flags and
-    of --precision: eta with the d it picks and where that d sits in the
-    window, or d as given; the precision only when it is given."""
-    shown = {} if a.precision is not None else {"precision": {}}
+    of --precision: eta followed by the d it picks and where that d sits in
+    the window, or d as given; the precision only when it is given."""
+    shown = {} if a.precision is not None else {"precision": None}
     if a.d is not None and a.eta is not None:
         raise ValueError("give either --d or --eta, not both")
     if a.eta is not None:
-        choice = degrees_from_offset(a.k, _fraction("--eta", a.eta))
-        shown.update(d={}, eta={"eta": a.eta, "d": choice.d, "implied_eta": choice.implied_eta,
-                                "in_window": choice.in_window})
+        choice = degrees_from_offset(a.k, a.eta)
+        shown.update(d=None, eta={"d": choice.d, "implied_eta": choice.implied_eta,
+                                  "in_window": choice.in_window})
         return choice.d, shown
     if a.d is None:
         raise ValueError("this quantity needs --d or --eta")
-    shown["eta"] = {}
+    shown["eta"] = None
     return a.d, shown
 
 
@@ -810,9 +788,8 @@ def _proper_rate(a):
 def _distance_rate(rate):
     """The body of a route that prints rate(delta, d, k) at --delta."""
     def body(a):
-        delta = _fraction("--delta", a.delta)
         d, shown = _degree(a)
-        return shown, _printing(_fmt(rate(delta, d, a.k, precision=a.precision)))
+        return shown, _printing(_fmt(rate(a.delta, d, a.k, precision=a.precision)))
     return body
 
 
@@ -877,51 +854,46 @@ def _expansivity(a, rng=None):
              % (report.exhaustive_max_excess, len(report.violations), report.exhaustive_cap)]
     if a.random_trials:
         lines.append("random_max_excess=%s size_cap=%d"
-                     % (_param_str(report.random_max_excess), report.size_cap))
+                     % (_fmt(report.random_max_excess), report.size_cap))
     lines += ["violation=%s" % ",".join(str(v) for v in sorted(witness))
               for witness in report.violations]
     return shown, _printing(*lines)
 
 
 def _rigidity(a):
-    rho = _fraction("--rho", a.rho)
     hom, chi, shown = _open_instance(a)
     graph = build_hypergraph(hom)
     decomposition = core_decomposition(graph, chi)
     level = len(decomposition.levels) - 1 if a.level is None else a.level
     region = decomposition.rigid_set(level)
-    witness = rigidity_violation_search(graph, chi, region, rho)
-    shown.update(level={"level": level, "region_size": len(region)}, rho={"rho": rho})
+    witness = rigidity_violation_search(graph, chi, region, a.rho)
+    shown["level"] = {"level": level, "region_size": len(region)}
     if witness is None:
         return shown, _printing("violation=none")
     moved = sum(1 for v in region if witness[v] != chi[v])
     return shown, _printing("violation=%s moved=%d" % ("".join(str(b) for b in witness), moved))
 
 
-def _census(a, flag, fields, build_domain):
+def _census(a, flag, build_domain):
     """The body of both local-convergence routes: the census of every window
     of the domain that build_domain gives, or the frequency of one --pattern
-    against its cylinder.  The record shows fields, then the domain's size
-    and proper pattern count, in the place of the route's domain flag."""
+    against its cylinder.  The record shows the domain's size and proper
+    pattern count after the route's domain flag."""
     hom, chi, shown = _open_instance(a)
     domain = build_domain(ModelParams(d=hom.params.d, k=hom.params.k, n=hom.params.k))
-    shown[flag] = {**fields, "elements": len(domain), "q": count_proper_patterns(domain)}
+    shown[flag] = {"elements": len(domain), "q": count_proper_patterns(domain)}
     if a.pattern is None:
-        shown["pattern"] = {}
+        shown["pattern"] = None
         census = local_pattern_census(hom, chi, domain)
-        deviation = None
-        if len(domain) <= BRUTE_PATTERN_MAX_ELEMENTS:
-            deviation = _fmt(_max_deviation(census, domain))
         return shown, _printing(
             "distinct=%d improper=%s noninjective=%d max_deviation=%s"
             % (len(census.counts), census.improper_fraction(), census.noninjective_count,
-               _param_str(deviation)))
-    bits = Coloring.from_string(a.pattern).bits
-    frequency = local_convergence_stat(hom, chi, domain, bits)
+               _max_deviation(census, domain)))
+    frequency = local_convergence_stat(hom, chi, domain, a.pattern.bits)
     # the library warns of an empty cylinder; the CLI says so in its own form
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        target = cylinder_probability(domain, bits)
+        target = cylinder_probability(domain, a.pattern.bits)
 
     def emit(record):
         for warning in caught:
@@ -933,12 +905,11 @@ def _census(a, flag, fields, build_domain):
 
 
 def _edge_census(a):
-    return _census(a, "edge_label", {"edge_label": a.edge_label},
-                   lambda params: single_edge_domain(params, label=a.edge_label))
+    return _census(a, "edge_label", lambda params: single_edge_domain(params, label=a.edge_label))
 
 
 def _ball_census(a):
-    return _census(a, "radius", {}, lambda params: build_ball(params, a.radius))
+    return _census(a, "radius", lambda params: build_ball(params, a.radius))
 
 
 # the word sets of sofic-check --words
@@ -950,11 +921,10 @@ _WORD_SETS = {
 
 
 def _sofic_check(a):
-    delta = _fraction("--delta", a.delta)
     hom, _, shown = _open_instance(a, coloring=False)
     words = _WORD_SETS[a.words](hom.params)
-    report = check_sofic(hom, words, delta)
-    shown.update(words={"words": a.words, "word_count": len(words)}, delta={"delta": delta})
+    report = check_sofic(hom, words, a.delta)
+    shown["words"] = {"word_count": len(words)}
     return shown, _printing(
         "mult_fraction=%s trace_fraction=%s multiplicative=%s trace_preserving=%s sofic=%s"
         % (report.mult_fraction, report.trace_fraction, _fmt(report.is_multiplicative),
@@ -968,17 +938,15 @@ def _first_moment(a):
 
 
 def _planted_distance_moment(a):
-    delta = _fraction("--delta", a.delta)
-    value = exact_planted_distance_moment(ModelParams(d=a.d, k=a.k, n=a.n), delta)
-    return {"delta": {"delta": delta}}, _printing(str(value))
+    value = exact_planted_distance_moment(ModelParams(d=a.d, k=a.k, n=a.n), a.delta)
+    return {}, _printing(str(value))
 
 
 def _experiment(a):
     with open(a.config) as fh:
         config = ExperimentConfig.from_json_dict(json.load(fh))
     result = run_experiment(config, workers=a.workers)
-    shown = {"config": {"config": a.config, "kind": config.kind, **config.params,
-                        "output": config.output}}
+    shown = {"config": {"kind": config.kind, **config.params, "output": config.output}}
     return shown, _printing(
         "wrote %s and %s" % (result.csv_path, result.json_path),
         "replicas=%d failures=%d pass=%s"
@@ -1122,8 +1090,9 @@ def _options(flags):
 
 def _run_route(given):
     """Choose the route of one parsed invocation, refuse a flag that it does
-    not read or a required one that is missing, and run its body.  Returns
-    the "# params:" record and the emit of the route's output."""
+    not read or a required one that is missing, parse the flags read as
+    text and run its body on them.  Returns the "# params:" record, which
+    shows the flags as typed, and the emit of the route's output."""
     name = given.pop("subcommand")
     command = SUBCOMMANDS[name]
     if command.choose is not None:
@@ -1140,12 +1109,20 @@ def _run_route(given):
     missing = [flag for flag, value in values.items() if value is _REQUIRED]
     if missing:
         raise ValueError("%s needs %s" % (title, _options(missing)))
-    shown, emit = route.body(argparse.Namespace(**values))
+    # each flag read as text is parsed once, by the check of its name; an
+    # integer flag is already an int, and the library refuses a bad one
+    parsed = {flag: _PARAM_CHECKS[flag](_FLAGS[flag][0], value)
+              if isinstance(value, str) and flag in _PARAM_CHECKS else value
+              for flag, value in values.items()}
+    shown, emit = route.body(argparse.Namespace(**parsed))
     record = {"command": name}
     if command.key is not None:
         record[command.key] = route_name
     for flag, value in values.items():
-        record.update(shown.get(flag, {flag: value}))
+        derived = shown.get(flag, {})
+        if derived is not None:
+            record[flag] = value
+            record.update(derived)
     return record, emit
 
 

@@ -167,11 +167,13 @@ def monochromatic_edge_count(graph, coloring):
 
 
 def critical_edges(graph, coloring):
-    """All (edge index, supporting vertex) pairs.
+    """Member rows and support vertex of every critical edge, as two arrays.
 
     An edge is critical when exactly one of its vertices carries its color;
-    that vertex supports the edge. Undefined for k=2, where a bichromatic
-    edge would have two one-color vertices.
+    that vertex supports the edge. ``rows[i]`` is the sorted vertex row of
+    the i-th critical edge (a row of ``blocks``), in edge-number order, and
+    ``owner[i]`` is the vertex supporting it. Undefined for k=2, where a
+    bichromatic edge would have two one-color vertices.
     """
     if graph.k == 2:
         raise ValueError("supporting vertices are undefined for k=2; need k >= 3")
@@ -181,8 +183,8 @@ def critical_edges(graph, coloring):
     # the support carries color 1 when it is the only 1, color 0 otherwise
     lone = (ones[idx] == 1)[:, None]
     pos = np.argmax(colors[idx] == lone, axis=1)
-    support = graph.blocks.reshape(-1, graph.k)[idx, pos]
-    return list(zip(idx.tolist(), support.tolist()))
+    rows = graph.blocks.reshape(-1, graph.k)[idx]
+    return rows, rows[np.arange(len(idx)), pos]
 
 
 def generator_type(graph, coloring):

@@ -74,19 +74,6 @@ class CoreDecomposition:
         return self.level(l).rigid()
 
 
-def _supported_edges(graph, chi):
-    """Member rows and support vertex of every critical edge.
-
-    ``rows[i]`` is the sorted vertex row of the i-th critical edge, in
-    edge-number order, and ``owner[i]`` is the vertex supporting it. Supports
-    depend only on the coloring, so the peeling computes them once and then
-    only tracks which rows still lie inside the shrinking core.
-    """
-    supports = np.array(critical_edges(graph, chi), dtype=np.intp).reshape(-1, 2)
-    rows = graph.blocks.reshape(-1, graph.k)[supports[:, 0]]
-    return rows, supports[:, 1]
-
-
 def _members(mask):
     return frozenset(np.flatnonzero(mask).tolist())
 
@@ -116,7 +103,9 @@ def core_decomposition(graph, chi, l_max=None):
     if l_max < 0:
         raise ValueError("l_max must be nonnegative")
     _check_proper(graph, chi)
-    rows, owner = _supported_edges(graph, chi)
+    # supports depend only on the coloring: each level only tracks which rows
+    # still lie inside the shrinking core
+    rows, owner = critical_edges(graph, chi)
     # an edge is live while every member but its owner sits in the core
     is_owner = rows == owner[:, None]
     core = np.ones(graph.n, dtype=bool)
@@ -319,7 +308,7 @@ def expansivity_scan(graph, chi, t_max, random_trials=0, rng=None):
             count=subset_count,
         )
     gen = _as_generator(rng if rng is not None else RngState(0))
-    rows, owner = _supported_edges(graph, chi)
+    rows, owner = critical_edges(graph, chi)
     edge_count, k = rows.shape
     # binom[i][c] = C(c, i); no entry exceeds the refusal's subset count
     binom = np.array(

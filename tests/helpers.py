@@ -54,7 +54,7 @@ from sofic_lab.samplers import (
     _type_count_vectors,
     sample_uniform_hom,
 )
-from sofic_lab.structure import _supported_edges, expansivity_scan
+from sofic_lab.structure import expansivity_scan
 from sofic_lab.tree_markov import (
     CoreDensityEstimate,
     _check_core_sampler_args,
@@ -503,9 +503,9 @@ def expansivity_exhaustive_oracle(graph, chi, t_max):
     violations)."""
     full = []
     by_support = defaultdict(list)
-    edges = graph.edges
-    for ce, (idx, v) in enumerate(critical_edges(graph, chi)):
-        full.append(frozenset(edges[idx][1]))
+    rows, owner = critical_edges(graph, chi)
+    for ce, (verts, v) in enumerate(zip(rows.tolist(), owner.tolist())):
+        full.append(frozenset(verts))
         by_support[v].append(ce)
 
     def excess(subset):
@@ -536,7 +536,7 @@ def expansivity_greedy_oracle(graph, chi, t_max, random_trials, rng):
     no trials."""
     report = expansivity_scan(graph, chi, t_max)
     violations = list(report.violations)
-    rows, owner = _supported_edges(graph, chi)
+    rows, owner = critical_edges(graph, chi)
     size_cap = report.size_cap
     gen = _oracle_generator(rng)
     random_best = None

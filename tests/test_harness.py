@@ -5,6 +5,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from test_streams import COUNTING_CLI_CASES, FIXTURES, STDOUT_CLI_CASES
 
 from sofic_lab.analytics import (
     core_fixed_point,
@@ -31,6 +32,7 @@ from sofic_lab.harness import (
     SUBCOMMANDS,
     ExperimentConfig,
     _fmt,
+    _max_deviation,
     _params_line,
     build_parser,
     cli_dispatch,
@@ -41,7 +43,15 @@ from sofic_lab.harness import (
 from sofic_lab.hypergraph import Coloring, build_hypergraph, monochromatic_edge_count
 from sofic_lab.samplers import RngState, sample_planted_hom
 from sofic_lab.structure import density_report
-from sofic_lab.tree_markov import core_density_estimate
+from sofic_lab.tree_markov import (
+    BRUTE_PATTERN_MAX_ELEMENTS,
+    build_ball,
+    core_density_estimate,
+    count_proper_patterns,
+    enumerate_proper_patterns,
+    local_pattern_census,
+    single_edge_domain,
+)
 
 
 def run_cli(capsys, argv):
@@ -490,7 +500,7 @@ COUNT = ["count", "--input", "{inst}"]
      (["moments", "first", "--n", "7", "--k", "3", "--d", "2"],
       "uniform homomorphisms need k | n; got n=7, k=3", None),
      (["moments", "planted-distance", "--n", "6", "--k", "3", "--d", "2", "--delta", "1/5"],
-      "delta=Fraction(1, 5) is not a flip count at scale n=6", None),
+      "delta=1/5 is not a flip count at scale n=6", None),
      (["analytic", "psi", "--k", "3", "--d", "5", "--delta", "2"],
       "argument must lie in [0, 1], got 2", None),
      (["analytic", "scan", "--k", "3", "--d", "5", "--grid-points", "1"],
@@ -498,7 +508,9 @@ COUNT = ["count", "--input", "{inst}"]
      (["analytic", "scan", "--k", "3", "--d", "5", "--grid-points", "5", "--precision", "8"],
       "working precision must be at least 53 bits, got 8", None),
      (["local-convergence", "--input", "{inst}", "--pattern", "0110"],
-      "pattern does not cover the domain: 4 values for 3 elements", None)],
+      "pattern does not cover the domain: 4 values for 3 elements", None),
+     (["expansivity", "--input", "{inst}", "--t-max", "2", "--chi", "0101"],
+      "coloring has 4 entries for 12 vertices", None)],
     ids=["count-eps", "analytic-delta", "analytic-eta", "sofic-check-delta",
          "moments-delta", "rigidity-rho", "experiment-seed",
          "instance-empty-object", "instance-not-an-object", "instance-without-images",
@@ -511,7 +523,7 @@ COUNT = ["count", "--input", "{inst}"]
          "finite-route-level", "tree-route-level", "expansivity-t-max",
          "sample-uniform-shape", "sample-planted-improper-chi", "moments-first-shape",
          "moments-distance-not-a-flip-count", "analytic-psi-delta", "analytic-scan-grid",
-         "analytic-scan-precision", "local-convergence-pattern-length"],
+         "analytic-scan-precision", "local-convergence-pattern-length", "expansivity-short-chi"],
 )
 def test_cli_refuses_invalid_input_before_the_params_line(tmp_path, capsys, argv, message, edit):
     # exit 2 with an error line and no traceback, and nothing on stdout;
@@ -606,6 +618,50 @@ def test_every_route_refuses_each_offered_flag_it_does_not_read(tmp_path, capsys
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.endswith(" does not read %s\n" % _FLAGS[flag][0])
+
+
+# The runs of the pinned stdout digests that read an instance, and runs given
+# a --chi other than the instance file's, whose output differs from the run
+# on the file's coloring.
+REPLAY_CASES = [(fixture, command)
+                for fixture, command, _ in STDOUT_CLI_CASES + COUNTING_CLI_CASES
+                if fixture is not None] + [
+    ("count_instance", "expansivity --t-max 2 --chi 001000110101"),
+    ("count_instance", "expansivity --t-max 2 --random-trials 3 --seed 4 --chi 001000110101"),
+    ("count_instance", "core-density --level 1 --chi 000000110110"),
+]
+
+
+def _replay_argv(argv, params_line):
+    """The argv rebuilt from the entries of a "# params:" line that are
+    flags of the route that argv runs."""
+    name = argv[0]
+    command = SUBCOMMANDS[name]
+    given = vars(build_parser().parse_args(argv))
+    route_name = command.choose(given) if command.choose else given.get(command.key)
+    replay = [name] + ([route_name] if command.key and command.choose is None else [])
+    for item in params_line.removeprefix("# params: ").split():
+        flag, value = item.split("=", 1)
+        if flag in command.routes[route_name].flags:
+            option, options = _FLAGS[flag]
+            if options.get("action") == "store_true":
+                replay += [option] if value == "true" else []
+            else:
+                replay += [option, value]
+    return replay
+
+
+@pytest.mark.parametrize("fixture,command", REPLAY_CASES, ids=lambda c: c)
+def test_instance_runs_replay_from_their_params_line(monkeypatch, capsys, fixture, command):
+    # every flag that a route reads is recorded as typed, so the record alone
+    # reruns the route to the same bytes
+    argv = command.split()
+    argv[1:1] = ["--input", fixture + ".json"]
+    monkeypatch.chdir(FIXTURES)
+    assert cli_dispatch(argv) == 0
+    out = capsys.readouterr().out
+    assert cli_dispatch(_replay_argv(argv, out.splitlines()[0])) == 0
+    assert capsys.readouterr().out == out
 
 
 # ---------------------------------------------------------------------------
@@ -726,6 +782,38 @@ def test_local_convergence_experiment(tmp_path):
     result = run_experiment(config)
     assert result.summary["mean_max_deviation"] <= 0.03
     assert result.summary["pass"] is True
+
+
+def test_local_convergence_experiment_runs_beyond_pattern_enumeration(tmp_path, capsys):
+    # an edge of k = 21 has 2^21 - 2 proper patterns, too many to list; the
+    # deviation reads only the patterns that the census saw
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(
+        {"kind": "local-convergence", "params": {"n": 42, "k": 21, "d": 2, "replicas": 2},
+         "output": str(tmp_path / "out")}))
+    assert cli_dispatch(["experiment", str(config_path)]) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((tmp_path / "out.json").read_text())
+    assert summary["failures"] == 0 and summary["pass"] is True
+
+
+@pytest.mark.parametrize("n,k,d", [(12, 3, 2), (24, 3, 3), (60, 3, 2), (24, 4, 2), (40, 4, 3),
+                                   (30, 6, 2)])
+def test_max_deviation_matches_pattern_enumeration(n, k, d):
+    # the closed form against the deviation of every proper pattern of each
+    # edge and ball domain small enough to enumerate
+    shape = ModelParams(d=d, k=k, n=k)
+    domains = [single_edge_domain(shape, label=0)] + [build_ball(shape, r) for r in (1, 2)]
+    domains = [domain for domain in domains if len(domain) <= BRUTE_PATTERN_MAX_ELEMENTS]
+    chi = Coloring.equitable_split(n)
+    for seed in range(6):
+        hom = sample_planted_hom(ModelParams(d=d, k=k, n=n), chi, RngState(seed))
+        for domain in domains:
+            census = local_pattern_census(hom, chi, domain)
+            target = Fraction(1, count_proper_patterns(domain))
+            brute = max(abs(census.frequency(p) - target)
+                        for p in enumerate_proper_patterns(domain))
+            assert _max_deviation(census, domain) == brute
 
 
 @pytest.mark.parametrize(
@@ -885,14 +973,12 @@ def test_experiment_refuses_malformed_params(tmp_path, capsys, kind, bad):
 
 @pytest.mark.parametrize(
     "kind,params",
-    [("density", {"n": 6, "k": 3, "d": 10_001, "level": 1}),
-     ("local-convergence", {"n": 42, "k": 21, "d": 2})],
-    ids=["density-tree-degree", "local-convergence-edge-patterns"],
+    [("density", {"n": 6, "k": 3, "d": 10_001, "level": 1})],
+    ids=["density-tree-degree"],
 )
 def test_experiment_refuses_beyond_scale_before_any_replica(tmp_path, capsys, kind, params):
     # exit 3 before the params line, and nothing is written; the tree
-    # sampler refuses d above 10,000, and the census lists the proper
-    # patterns of a k-element edge by brute force, refused above k = 20
+    # sampler refuses d above 10,000
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps(
         {"kind": kind, "params": {**params, "replicas": 2}, "output": str(tmp_path / "out")}))

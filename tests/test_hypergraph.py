@@ -123,11 +123,13 @@ def test_critical_edges_hand_example():
     hom = hom_from_cycles(p, [[(0, 1, 2), (3, 4, 5)]])
     g = build_hypergraph(hom)
     # edge (0,1,2): lone 1 at vertex 0; edge (3,4,5): lone 0 at vertex 5
-    assert critical_edges(g, Coloring.from_string("100110")) == [(0, 0), (1, 5)]
+    rows, owner = critical_edges(g, Coloring.from_string("100110"))
+    assert rows.tolist() == [[0, 1, 2], [3, 4, 5]] and owner.tolist() == [0, 5]
     # balanced-as-possible edge in k=3 is always critical
-    assert len(critical_edges(g, Coloring.from_string("110100"))) == 2
+    assert len(critical_edges(g, Coloring.from_string("110100"))[1]) == 2
     # monochromatic edges are not critical
-    assert critical_edges(g, Coloring.from_string("111000")) == []
+    rows, owner = critical_edges(g, Coloring.from_string("111000"))
+    assert rows.shape == (0, 3) and owner.tolist() == []
 
 
 def test_critical_edges_undefined_for_k2():
@@ -145,11 +147,12 @@ def test_critical_edges_match_definition():
         g = build_hypergraph(random_uniform_images(p, rng))
         chi = random_coloring(p.n, rng)
         expected = []
-        for idx, (_, edge) in enumerate(g.edges):
+        for _, edge in g.edges:
             for v in edge:
                 if all(chi[w] != chi[v] for w in edge if w != v):
-                    expected.append((idx, v))
-        assert critical_edges(g, chi) == expected
+                    expected.append((edge, v))
+        rows, owner = critical_edges(g, chi)
+        assert list(zip(map(tuple, rows.tolist()), owner.tolist())) == expected
 
 
 def test_coloring_length_is_checked():

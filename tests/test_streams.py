@@ -141,7 +141,10 @@ COUNTING_CLI_CASES = [
 # draw nothing: their digests were re-derived from the recorded stdout with
 # only " seed=S stream=T" removed from the "# params:" line, and the
 # sofic-check case that passed --seed 3 now passes none (sofic-check offers
-# no --seed).
+# no --seed). The record once left out a given --chi and --radius, so that
+# the run could not be replayed from it; the --chi case and the two --radius
+# cases were re-derived from the recorded stdout with only " chi=<bits>" or
+# " radius=<r>" inserted after "d=<d>".
 STDOUT_CLI_CASES = [
     (None, "sample-uniform --n 12 --k 3 --d 2 --seed 5",
      "2b162eda285c46ce428c4b078e0a0020c4e43d823e06b0b7742a7c1b9ac83f31"),
@@ -152,16 +155,16 @@ STDOUT_CLI_CASES = [
     ("rigidity_09_n24_k3_d3", "core-density --level 1",
      "62aa075d73cb30efe8655d88b3a8cc9a5b73759878bd973d215c1b23da6980fe"),
     ("rigidity_08_n24_k3_d2", "core-density --level 0 --chi 111111111111000000000000",
-     "5e61ff4cf9e601532bf055d84bcb055e54b02dbec793cc3274b97d1ec807c03d"),
+     "2a07fdb91a396074e602c2053eec040c7be508304cb12385201b14802dd68dc6"),
     ("rigidity_09_n24_k3_d3", "local-convergence",
      "2aa2bb49a10027d43f56133002d0ed647185754df2e363e6dc3a3a0d8f7bf822"),
     ("rigidity_09_n24_k3_d3", "local-convergence --edge-label 2 --pattern 011",
      "3ec1a276931a3a6bb253bc044f49becde1b828df4219c3d25d35cb1a1650c01a"),
     ("count_instance", "local-convergence --radius 1",
-     "e78c6619ac8855f6c6e6931b311ff8196f61e51aaace4fd72a4520a484fc17d9"),
+     "c7422c50256a466304f7f1cd00f6061ed985a14056b3f7635789c75f794be62a"),
     # the 13-element radius-2 ball takes two bytes per packed window code
     ("rigidity_08_n24_k3_d2", "local-convergence --radius 2",
-     "2a2735a7bf95ca45b9564d1a2c5fbb764de3e195d1860f1f3276d09e77b0ea89"),
+     "437a939b836ef864eda5d5a09d251436d83cb730c3aac08045bdab9a9a00bf61"),
     ("rigidity_09_n24_k3_d3", "sofic-check",
      "ca5ace53ac0e9c3870e1624507f23101775f1153e3392359ec303c71a6785801"),
     ("count_instance", "sofic-check --words pairs --delta 1/4",

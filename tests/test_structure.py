@@ -98,7 +98,7 @@ def _assert_same_decomposition(graph, chi, l_max=None):
 
 def test_no_critical_edges_gives_empty_first_level():
     graph, chi = _no_critical_instance()
-    assert critical_edges(graph, chi) == []
+    assert critical_edges(graph, chi)[1].tolist() == []
     dec = _assert_same_decomposition(graph, chi)
     assert dec.levels[0] == CoreLevel(frozenset(range(8)), EMPTY, EMPTY)
     assert dec.level(1) == CoreLevel(EMPTY, EMPTY, EMPTY)
@@ -168,11 +168,12 @@ def test_decomposition_validation():
 def test_each_critical_edge_has_one_support():
     for seed in range(10):
         graph, chi = _planted_graph(3, 3, 12, seed)
-        found = critical_edges(graph, chi)
-        edge_ids = [idx for idx, _ in found]
-        assert len(edge_ids) == len(set(edge_ids))
-        for idx, v in found:
-            edge = graph.edges[idx][1]
+        rows, owner = critical_edges(graph, chi)
+        # one row per critical edge, in edge-number order
+        critical = [edge for _, edge in graph.edges
+                    if min(sum(chi[v] == c for v in edge) for c in (0, 1)) == 1]
+        assert list(map(tuple, rows.tolist())) == critical
+        for edge, v in zip(critical, owner.tolist()):
             assert v in edge
             assert all(chi[u] != chi[v] for u in edge if u != v)
 
@@ -335,7 +336,7 @@ def test_expansivity_refuses_before_support_tables(monkeypatch):
     def no_edges(*args):
         raise AssertionError("supported edges read before the argument checks")
 
-    monkeypatch.setattr(structure, "_supported_edges", no_edges)
+    monkeypatch.setattr(structure, "critical_edges", no_edges)
     with pytest.raises(ValueError, match="t_max"):
         expansivity_scan(graph, chi, t_max=0)
     with pytest.raises(ValueError, match="random_trials"):

@@ -173,6 +173,22 @@ def test_harness_compares_no_subcommand_or_route_name():
     assert loops and found == []
 
 
+def test_harness_parses_fractions_and_colorings_only_in_its_check_table():
+    # each CLI flag and config value read as text is parsed once, by its
+    # entry of harness._PARAM_CHECKS, and the instance loader reads a file's
+    # coloring; a route body that parsed a flag itself would decide for
+    # itself what the "# params:" record shows of it
+    tree = ast.parse((SRC / "harness.py").read_text())
+    allowed = [node for node in tree.body
+               if (isinstance(node, ast.Assign) and "_PARAM_CHECKS" in map(ast.unparse, node.targets))
+               or (isinstance(node, ast.FunctionDef) and node.name == "load_instance")]
+    inside = {id(sub) for node in allowed for sub in ast.walk(node)}
+    found = ["harness.py:%d %s" % (node.lineno, ast.unparse(node))
+             for node in ast.walk(tree) if isinstance(node, ast.Call) and id(node) not in inside
+             and ast.unparse(node.func) in ("_fraction", "Coloring.from_string")]
+    assert len(allowed) == 2 and found == []
+
+
 def _imports_the_library(node):
     if isinstance(node, ast.ImportFrom):
         return node.level > 0 or (node.module or "").split(".")[0] == "sofic_lab"
