@@ -104,15 +104,17 @@ def _frontier_plan(n, k, edges, edges_of):
     share = [(c == 0) - (c == k - 1) for c in range(k + 1)]
     colored = [0] * len(edges)
     score = [share[0] * len(es) for es in edges_of]
-    left = list(range(n))
+    # a colored vertex's score: a score is at most the vertex's incidences
+    # and later moves by at most two per incidence, so it stays past others
+    done = 3 * k * len(edges) + 1
     slot_of = [0] * len(edges)
     free = []
     slots = 0
     plan = []
     for _ in range(n):
-        # left is ascending, so min breaks ties by index
-        v = min(left, key=score.__getitem__)
-        left.remove(v)
+        # index takes the first minimum, so ties go by index
+        v = score.index(min(score))
+        score[v] = done
         opens, keeps, closes = [], [], []
         for ei in edges_of[v]:
             c = colored[ei]
@@ -158,16 +160,18 @@ def _frontier_table(graph, targets=None, ref=None, budget=0, collect=False):
     edges that close monochromatic in the pair are one popcount of the old
     key against the closing bits of both vertices, h1 | m1 & h2, in each
     word that holds any, plus popcount(a1 & h2) for an edge the first vertex
-    opens and the second closes. Then the budget and weight tests set the top bit of the last word
-    in every pruned state, and the states left are sorted and np.add.reduceat
-    merges each run of equal keys. With targets, every state that can no
-    longer reach a target (a, b) with the vertices left is pruned, so the
-    table holds target entries only. The tests run once per pair, after its
-    second vertex: a state that fails after the first fails after the
-    second, since the budget count only grows and reach only shrinks, and
-    the weight fields have room for two values past their largest target.
-    An odd plan ends with a pad vertex that changes nothing and takes color
-    0 only.
+    opens and the second closes. These constants are Python ints, built by
+    one loop over the vertices and one over the pairs, and one np.array call
+    converts them all. Then the budget and weight tests set the top bit of
+    the last word in every pruned state, and the states left are sorted and
+    np.add.reduceat merges each run of equal keys. With targets, every state
+    that can no longer reach a target (a, b) with the vertices left is
+    pruned, so the table holds target entries only. The tests run once per
+    pair, after its second vertex: a state that fails after the first fails
+    after the second, since the budget count only grows and reach only
+    shrinks, and the weight fields have room for two values past their
+    largest target. An odd plan ends with a pad vertex that changes nothing
+    and takes color 0 only.
 
     The color swap maps (a, b) to (ref 0s - a, ref 1s - b). When it fixes
     every target (always, with none) and the pass does not collect, every
@@ -204,65 +208,73 @@ def _frontier_table(graph, targets=None, ref=None, budget=0, collect=False):
     b_shift = a_shift + wa
     mono_shift = np.uint64(b_shift + wb)
     pruned = 1 << 63
-    # the plan in pairs of vertices; an odd plan ends with a pad vertex that
-    # touches no edge, is unweighted and takes color 0 only
+    # an odd plan ends with a pad vertex n that touches no edge, is
+    # unweighted and takes color 0 only
     pad = n % 2
-    plan = [(v, ref[v], *rest) for v, *rest in plan] + [(None, 2, [], [], [])] * pad
-    # the vertex constants, each key as one int with word w at bit 64 * w;
-    # color c adds step[ref[v]][c] to the weight index a | b << wa
-    step = [(0, 1), (1 << wa, 0), (0, 0)] if targets else [(0, 0)] * 3
-    at = [64 * (s // SLOTS_PER_WORD) + 2 * (s % SLOTS_PER_WORD) for s in range(slots)]
+    plan += [(n, [], [], [])] * pad
+    ref.append(2)
+    # color 1 sets the vertex's bit of a collected coloring
+    bit_of = [0] * (n + 1)
+    if collect:
+        rank = _search_rank(n, edges, edges_of)
+        bit_of = [1 << n - 1 - r for r in rank] + [0]
+    # color c adds weight[ref[v]][c] to the weight index a | b << wa
+    one = 1 << 64 * cw + a_shift if targets else 0
+    weight = [(0, one), (one << wa, 0), (0, 0)]
+    # the constants as ints, a key's word w at bit 64 * w
+    at = [1 << 64 * (s // SLOTS_PER_WORD) + 2 * (s % SLOTS_PER_WORD) for s in range(slots)]
+    word = (1 << 64) - 1
     ones = (1 << 64 * width) - 1
-    consts = []
-    for _, r, opens, keeps, closes in plan:
-        drop = ones ^ sum(3 << at[s] for s in keeps + closes)
-        kept = sum(1 << at[s] for s in keeps)
-        opened = sum(1 << at[s] for s in opens)
-        closed = sum(1 << at[s] for s in closes)
-        for c in (0, 1):
-            # an edge stays monochromatic only if it already was in color c,
-            # and closes monochromatic if its bit of color c is set
-            consts += [drop | kept << c, opened << c | step[r][c] << 64 * cw + a_shift,
-                       closed << c]
-    # mask, add and closing bits, each by vertex and color a (W,) row
-    consts = np.moveaxis(np.array(
-        [x >> 64 * w & ((1 << 64) - 1) for x in consts for w in range(width)],
-        dtype=np.uint64).reshape(n + pad, 2, 3, width), 2, 0)
-    # per pair, by color pair (c1, c2) at 2 * c1 + c2, a (1, W) row each: the
-    # second vertex masks what the first added. Its closing bits that the
-    # first mask keeps join the first's, to be read off the old key; those
-    # that the first add sets are a count of their own (edges of k = 2)
-    m1, a1, h1 = consts[:, 0::2, :, None]
-    m2, a2, h2 = consts[:, 1::2, None]
-    mask = (m1 & m2).reshape(-1, 4, 1, width)
-    add = ((a1 & m2) + a2).reshape(-1, 4, 1, width)
-    hit = (h1 | m1 & h2).reshape(-1, 4, 1, width)
-    added_hits = np.bitwise_count(a1 & h2).sum(axis=3, dtype=np.uint64).reshape(-1, 4, 1)
-    closing = [bool(u[-1] or v[-1]) for u, v in zip(plan[0::2], plan[1::2])]
-    hit_words = [np.flatnonzero(h.any(axis=(0, 1))).tolist() for h in hit]
+    verts = []
+    for v, opens, keeps, closes in plan:
+        kept = opened = closed = 0
+        for s in keeps:
+            kept |= at[s]
+        for s in opens:
+            opened |= at[s]
+        for s in closes:
+            closed |= at[s]
+        drop = ones ^ 3 * (kept | closed)
+        w0, w1 = weight[ref[v]]
+        # by color c, m, a, h and the coloring bit: an edge stays (or closes)
+        # monochromatic only if its bit of color c is set
+        verts.append(((drop | kept, opened | w0, closed, 0),
+                      (drop | kept << 1, opened << 1 | w1, closed << 1, bit_of[v])))
+    # by pair and color pair (c1, c2) at 2 * c1 + c2; an edge that closes in
+    # a pair leaves a bit in some h, so hit_words[j] is empty iff none does
+    consts, hit_words = [], []
+    for first, second in zip(verts[0::2], verts[1::2]):
+        hits = 0
+        for m1, a1, h1, l1 in first:
+            for m2, a2, h2, l2 in second:
+                h = h1 | m1 & h2
+                hits |= h
+                consts += (m1 & m2, (a1 & m2) + a2, h, (a1 & h2).bit_count(), l1 | l2)
+        hit_words.append([w for w in range(width) if hits >> 64 * w & word])
+    if width > 1:
+        consts = [x >> 64 * w & word for x in consts for w in range(width)]
+    consts = np.array(consts, dtype=np.uint64).reshape(-1, 4, 5, 1, width)
+    # by pair and color pair, a (1, W) row each
+    mask, add, hit, added_hits, lift = consts.transpose(2, 0, 1, 3, 4)
+    added_hits = added_hits[..., 0]
+    lift = lift[..., 0].view(np.int64)
     # by monochromatic edges closed: pruned past the budget
     over = np.array([0] * (budget + 1) + [pruned] * 2 * graph.d, dtype=np.uint64)
     mono_mask = np.uint64(~(-1 << wm))
     if targets:
         # per pair, by the weights a | b << wa after it: pruned unless some
-        # target is still in reach with the vertices left; reach only
-        # shrinks, so the test after the first vertex would prune no more
-        left0 = ref.count(0) - np.cumsum([r == 0 for _, r, *_ in plan])[1::2, None, None]
-        left1 = ref.count(1) - np.cumsum([r == 1 for _, r, *_ in plan])[1::2, None, None]
-        a = np.arange(1 << wa)
-        b = np.arange(1 << wb)[:, None]
-        reach = np.zeros((len(mask), 1 << wb, 1 << wa), dtype=bool)
-        for ta, tb in targets:
-            reach |= (a >= ta - left0) & (a <= ta) & (b >= tb - left1) & (b <= tb)
-        unreachable = np.where(reach, np.uint64(0), np.uint64(pruned)).reshape(len(mask), -1)
+        # target is still in reach with the vertices left. A weight w is in
+        # reach of t with l vertices of its reference color left if
+        # 0 <= t - w <= l, one unsigned comparison.
+        refs = [ref[v] for v, *_ in plan]
+        left = np.array([(refs[j:].count(0), refs[j:].count(1))
+                         for j in range(2, len(refs) + 1, 2)], dtype=np.uint64)
+        gap = np.array(targets).T[:, None, :, None] - np.arange(1 << max(wa, wb))
+        near_a, near_b = gap.view(np.uint64) <= left.T[:, :, None, None]
+        reach = near_b[:, :, :1 << wb].transpose(0, 2, 1) @ near_a[:, :, :1 << wa]
+        unreachable = np.where(reach, np.uint64(0), np.uint64(pruned)).reshape(len(reach), -1)
         weight_shift = np.uint64(a_shift)
         weight_mask = np.uint64(~(-1 << wa + wb))
-    # color 1 sets the vertex's bit of a collected coloring
-    lift = np.zeros((n + pad, 2), dtype=np.int64)
-    if collect:
-        rank = _search_rank(n, edges, edges_of)
-        lift[:n, 1] = [1 << n - 1 - rank[v] for v, *_ in plan[:n]]
-    lift = (lift[0::2, :, None] | lift[1::2, None]).reshape(-1, 4, 1)
     keys = np.zeros((1, width), dtype=np.uint64)
     values = np.array([0 if collect else 1], dtype=np.int64)
     for j in range(len(mask)):
@@ -272,7 +284,7 @@ def _frontier_table(graph, targets=None, ref=None, budget=0, collect=False):
         layer = keys & mask[j, pairs]
         layer += add[j, pairs]
         last = layer[:, :, cw]
-        if closing[j]:
+        if hit_words[j]:
             # the closing edges still monochromatic in their vertex's color,
             # one popcount of the old key for both vertices per word that
             # holds closing bits
@@ -288,7 +300,7 @@ def _frontier_table(graph, targets=None, ref=None, budget=0, collect=False):
         values = (values | lift[j, pairs]).ravel()
         keys = layer.reshape(-1, width)
         del layer, last
-        if closing[j] or targets:
+        if hit_words[j] or targets:
             # drop the pruned states: a uint64 test, since numpy keeps freed
             # bool arrays of each small size and the process would grow
             live = (~keys[:, cw] >> np.uint64(63)).nonzero()[0]

@@ -607,7 +607,9 @@ def frontier_table_cases(n, chi):
 # 32 is the library's word; at 4 slots per word the keys of these small
 # shapes take two to ten words. The k=2 draws keep 30 and 32 edges open, so
 # at 32 slots per word their counters fill the top of the last word or take
-# a word of their own. The odd n = 15 pairs its last vertex with a pad.
+# a word of their own. The odd n = 15 pairs its last vertex with a pad. The
+# last three are degenerate: no edges and no slots at d = 0, and one edge
+# per generator at d = 1, with a pad vertex at n = 3.
 @pytest.mark.parametrize("slots_per_word", [32, 4])
 @pytest.mark.parametrize("kind,d,k,n,seed", [
     ("uniform", 4, 3, 24, 1),
@@ -619,6 +621,9 @@ def frontier_table_cases(n, chi):
     ("uniform", 2, 2, 8, 6),
     ("planted", 10, 2, 16, 1),
     ("planted", 12, 2, 16, 2),
+    ("uniform", 0, 3, 6, 1),
+    ("uniform", 1, 3, 3, 1),
+    ("planted", 1, 3, 6, 1),
 ])
 def test_frontier_table_matches_dict_oracle(monkeypatch, slots_per_word, kind, d, k, n, seed):
     monkeypatch.setattr(exact_count, "SLOTS_PER_WORD", slots_per_word)
@@ -672,6 +677,20 @@ def test_exact_count_draws_digest():
             value = count_at_distance(g, chi, Fraction(1, 4)).value
         h.update(b"%d\n" % value)
     assert h.hexdigest() == EXACT_COUNT_DRAWS_DIGEST
+
+
+def test_distance_counts_cover_every_reach_target():
+    # the planted benchmark draws at every even flip count: together they
+    # are the equitable count, and those within the cluster radius (8 at
+    # this shape) are the cluster size
+    params = ModelParams(d=4, k=3, n=24)
+    chi = Coloring.equitable_split(24)
+    radius = cluster_radius(24, 3)
+    for stream in range(2, 121, 2):
+        g = build_hypergraph(sample_planted_hom(params, chi, RngState(1, stream)))
+        by_flips = [count_at_distance(g, chi, Fraction(f, 24)).value for f in range(0, 25, 2)]
+        assert sum(by_flips) == count_equitable(g).value, stream
+        assert cluster_size(g, chi).value == sum(by_flips[:radius // 2 + 1]), stream
 
 
 def test_count_proper_pinned_beyond_benchmark_shape():
