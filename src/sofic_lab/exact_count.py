@@ -1,8 +1,8 @@
 """Exact counting at oracle scale.
 
 Counts proper and near-proper colorings of labeled hypergraphs with one
-forward pass over the vertices (_frontier_table), evaluates the closed-form
-typed-partition counts, and combines them into exact model moments.
+forward pass over the vertices (_frontier_table), and reads the exact model
+moments off one power of an atom polynomial each (_atom_power).
 Everything here is big-integer or big-rational arithmetic; no floating point
 enters any value.
 
@@ -38,7 +38,7 @@ import numpy as np
 
 from ._errors import ScaleRefusal
 from .analytics import bichromatic_pair_types
-from .group_model import ModelParams, typed_partition_count, typed_partition_sum
+from .group_model import ModelParams, _fraction
 from .hypergraph import Coloring, monochromatic_edge_count
 
 PROPER_SEARCH_MAX_N = 40
@@ -337,7 +337,7 @@ def _frontier_table(graph, targets=None, ref=None, budget=0, collect=False):
 
 def count_proper(graph, eps=0):
     """Number of colorings with at most eps * n monochromatic edges."""
-    eps = Fraction(eps)
+    eps = _fraction("eps", eps)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     if eps >= Fraction(graph.d, graph.k):
@@ -386,7 +386,7 @@ def _require_proper_equitable(graph, chi):
 
 
 def _flip_count(n, delta):
-    flips = Fraction(delta) * n
+    flips = _fraction("delta", delta) * n
     if flips.denominator != 1 or not 0 <= flips <= n:
         raise ValueError("delta=%s is not a flip count at scale n=%d" % (delta, n))
     flips = int(flips)
@@ -418,48 +418,66 @@ def cluster_size(graph, chi):
     return CountReport(sum(_frontier_table(graph, targets=targets, ref=chi).values()))
 
 
-def partition_count(n, k):
-    """Number of partitions of an n-set into blocks of size k."""
-    if n % k:
-        raise ValueError("k must divide n")
-    return typed_partition_count((n,), [((k,), n // k)])
+def _atom_power(shapes, m, cap):
+    """(sum_e multinomial(k; e) x^e)^m over block shapes e of one size k, as
+    {exponent: coefficient}, dropping exponents past cap as it is built. Its
+    coefficient at class sizes N is m! k!^m / prod_i N_i! times the number of
+    partitions of the classes into blocks of those shapes."""
+    k = sum(shapes[0])
+    atoms = [(shape, math.factorial(k) // math.prod(map(math.factorial, shape)))
+             for shape in shapes]
+    power = {(0,) * len(cap): 1}
+    for _ in range(m):
+        product = {}
+        for exponent, coeff in power.items():
+            for shape, weight in atoms:
+                key = tuple(a + e for a, e in zip(exponent, shape))
+                if all(a <= c for a, c in zip(key, cap)):
+                    product[key] = product.get(key, 0) + coeff * weight
+        power = product
+    return power
 
 
-def _bichromatic_partition_count(n, k, ones):
-    """Number of k-partitions with every block bichromatic for a coloring
-    with the given number of ones."""
-    return typed_partition_sum((ones, n - ones), [(j, k - j) for j in range(1, k)])
+def _bichromatic_coefficients(n, k):
+    """c[o] = [x^o] P^(n/k) for P = (1+x)^k - 1 - x^k, o = 0..n. Every term
+    has degree n, so c[o] / C(n, o) is the chance that a uniform k-partition
+    has every block bichromatic for a coloring with o ones."""
+    m = n // k
+    power = _atom_power([(j, k - j) for j in range(1, k)], m, (n, n))
+    total = sum(power.values())
+    if total != (2**k - 2) ** m:
+        raise ArithmeticError("atom power coefficients sum to %d, not (2^%d - 2)^%d"
+                              % (total, k, m))
+    return [power.get((o, n - o), 0) for o in range(n + 1)]
 
 
 def exact_first_moment(params: ModelParams):
     """E[number of proper colorings] under the uniform model, exactly.
 
-    Grouping colorings by their number of ones, each contributes the d-th
-    power of the single-generator bichromatic-partition probability.
+    Grouping colorings by their number of ones o, each contributes the d-th
+    power of the single-generator bichromatic-partition probability
+    c[o] / C(n, o), read off one power (_bichromatic_coefficients).
     """
     _check_scale(params.n, MOMENT_MAX_N, "exact_first_moment")
     if params.d == 0:
         return Fraction(2**params.n)
     params.require_uniform()
-    n, k = params.n, params.k
-    total_parts = partition_count(n, k)
-    result = Fraction(0)
-    for ones in range(n + 1):
-        good = _bichromatic_partition_count(n, k, ones)
-        result += math.comb(n, ones) * Fraction(good, total_parts) ** params.d
-    return result
+    n = params.n
+    return sum(math.comb(n, o) * Fraction(c, math.comb(n, o)) ** params.d
+               for o, c in enumerate(_bichromatic_coefficients(n, params.k)))
 
 
 def exact_equitable_first_moment(params: ModelParams):
-    """E[number of proper equitable colorings] under the uniform model."""
+    """E[number of proper equitable colorings] under the uniform model: the
+    o = n/2 term of exact_first_moment's sum."""
     _check_scale(params.n, MOMENT_MAX_N, "exact_equitable_first_moment")
     params.require_equitable()
+    n = params.n
     if params.d == 0:
-        return Fraction(math.comb(params.n, params.n // 2))
+        return Fraction(math.comb(n, n // 2))
     params.require_uniform()
-    n, k = params.n, params.k
-    good = _bichromatic_partition_count(n, k, n // 2)
-    return math.comb(n, n // 2) * Fraction(good, partition_count(n, k)) ** params.d
+    good = _bichromatic_coefficients(n, params.k)[n // 2]
+    return math.comb(n, n // 2) * Fraction(good, math.comb(n, n // 2)) ** params.d
 
 
 def exact_planted_distance_moment(params: ModelParams, delta):
@@ -468,19 +486,21 @@ def exact_planted_distance_moment(params: ModelParams, delta):
 
     All second colorings at a given distance contribute equally, so the
     moment is the count of candidates times the d-th power of the
-    per-generator conditional probability.
+    per-generator conditional probability q / (C(n/2, f/2)^2 c[n/2]), q the
+    pair-atom power's coefficient at the overlap class sizes.
     """
     _check_scale(params.n, MOMENT_MAX_N, "exact_planted_distance_moment")
     params.require_uniform()
     params.require_equitable()
     n, k = params.n, params.k
     flips = _flip_count(n, delta)
-    proper_single = _bichromatic_partition_count(n, k, n // 2)
+    proper_single = _bichromatic_coefficients(n, k)[n // 2]
     # overlap classes (0,0), (0,1), (1,0), (1,1) of two balanced colorings
     same, moved = n // 2 - flips // 2, flips // 2
-    pair_single = typed_partition_sum((same, moved, moved, same), bichromatic_pair_types(k))
+    sizes = (same, moved, moved, same)
+    pair_single = _atom_power(bichromatic_pair_types(k), n // k, sizes).get(sizes, 0)
     candidates = math.comb(n // 2, moved) ** 2
-    return candidates * Fraction(pair_single, proper_single) ** params.d
+    return candidates * Fraction(pair_single, candidates * proper_single) ** params.d
 
 
 def is_good_coloring(graph, chi, threshold):
@@ -489,14 +509,15 @@ def is_good_coloring(graph, chi, threshold):
     proper = monochromatic_edge_count(graph, chi) == 0
     if not chi.is_equitable() or not proper:
         return False
-    return cluster_size(graph, chi).value <= Fraction(threshold)
+    return cluster_size(graph, chi).value <= _fraction("threshold", threshold)
 
 
 def count_good_colorings(graph, threshold):
     """Number of good colorings, by full enumeration."""
     _check_scale(graph.n, GOOD_SEARCH_MAX_N, "count_good_colorings")
+    threshold = _fraction("threshold", threshold)
     value = sum(
         1 for chi in proper_equitable_colorings(graph)
-        if cluster_size(graph, chi).value <= Fraction(threshold)
+        if cluster_size(graph, chi).value <= threshold
     )
     return CountReport(value)

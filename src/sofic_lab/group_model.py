@@ -8,11 +8,13 @@ exponents in 1..k-1 and no two adjacent syllables on one generator; the
 identity IDENTITY is the empty tuple (). reduce_word is the one normalizer:
 nothing else reduces or validates a tuple built by hand.
 This module owns word reduction, word evaluation, enumeration of all uniform
-homomorphisms at small scale, and the sofic-approximation checker.
+homomorphisms at small scale, the sofic-approximation checker, and
+_fraction, the one parser of fractions given from outside.
 """
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -57,6 +59,20 @@ class ModelParams:
     def require_equitable(self):
         if self.n % 2 != 0:
             raise ValueError("equitable colorings need even n; got n=%d" % self.n)
+
+
+def _fraction(name, value):
+    """The one parser of fractions from outside, CLI flags, config values and
+    the arguments of the library's exact entry points alike: a string such
+    as "1/10" or "0.1", an int or a Fraction, or a float read through its
+    repr, so that 0.1 is 1/10.  Anything else, a bool included, and a zero
+    denominator raise ValueError."""
+    if isinstance(value, (str, float, numbers.Rational)) and not isinstance(value, bool):
+        try:
+            return Fraction(str(value))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError("%s must be a fraction such as 1/10, got %r" % (name, value))
 
 
 IDENTITY = ()
@@ -303,7 +319,7 @@ def check_sofic(hom, words, delta):
     """
     params = hom.params
     n = params.n
-    delta = Fraction(delta)
+    delta = _fraction("delta", delta)
     words = list(dict.fromkeys(words))
 
     pairs = [(g, h, word_product(params, g, h)) for g in words for h in words]
@@ -340,13 +356,6 @@ def _factorial_product(sizes):
     return math.prod(math.factorial(size) for size in sizes)
 
 
-def _exact_quotient(num, den, what):
-    count, rest = divmod(num, den)
-    if rest:
-        raise ArithmeticError("%s %d/%d is not an integer" % (what, num, den))
-    return count
-
-
 def typed_partition_count(class_sizes, block_types):
     """Exact number of partitions of a set split into classes of the given
     sizes N_i into blocks of prescribed shapes.
@@ -359,38 +368,11 @@ def typed_partition_count(class_sizes, block_types):
     """
     den = math.prod(math.factorial(c) * _factorial_product(tuple(shape)) ** c
                     for shape, c in block_types)
-    return _exact_quotient(_factorial_product(tuple(class_sizes)), den,
-                           "typed partition count")
-
-
-def typed_partition_sum(class_sizes, shapes):
-    """Sum of typed_partition_count over every way of filling the classes
-    with blocks whose shapes, all of one size k, are in shapes.
-
-    With m = n/k blocks the sum is
-    prod_i N_i! / (m! k!^m) * [x^N] (sum_e multinomial(k; e) x^e)^m, since the
-    multinomial theorem gives each block-count vector c the coefficient
-    m!/prod_e c_e! * prod_e multinomial(k; e)^c_e.  Exponents that overshoot
-    a class size are dropped as the power is built.
-    """
-    sizes = tuple(class_sizes)
-    k = sum(shapes[0])
-    m, rest = divmod(sum(sizes), k)
-    if rest or any(sum(shape) != k for shape in shapes):
-        raise ValueError("shapes need one block size k, and k must divide n")
-    atoms = [(shape, math.factorial(k) // _factorial_product(tuple(shape))) for shape in shapes]
-    power = {(0,) * len(sizes): 1}
-    for _ in range(m):
-        product = {}
-        for exponent, coeff in power.items():
-            for shape, weight in atoms:
-                key = tuple(a + e for a, e in zip(exponent, shape))
-                if all(a <= size for a, size in zip(key, sizes)):
-                    product[key] = product.get(key, 0) + coeff * weight
-        power = product
-    return _exact_quotient(
-        _factorial_product(sizes) * power.get(sizes, 0),
-        math.factorial(m) * math.factorial(k) ** m, "typed partition sum")
+    num = _factorial_product(tuple(class_sizes))
+    count, rest = divmod(num, den)
+    if rest:
+        raise ArithmeticError("typed partition count %d/%d is not an integer" % (num, den))
+    return count
 
 
 def uniform_permutation_count(n, k):

@@ -65,6 +65,7 @@ from .exact_count import (
 from .group_model import (
     ModelParams,
     UniformHom,
+    _fraction,
     check_sofic,
     enumerate_uniform_homs,
     generator_pair_words,
@@ -194,19 +195,6 @@ def load_instance(path):
     return hom, Coloring.from_string(data["chi"])
 
 
-def _fraction(name, value):
-    """The one parser of fractions from outside, CLI flags and config values
-    alike: a string such as "1/10" or "0.1", an int, or a float read through
-    its repr, so that 0.1 is 1/10.  Anything else, a bool included, and a
-    zero denominator raise ValueError."""
-    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
-        try:
-            return Fraction(str(value))
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ValueError("%s must be a fraction such as 1/10, got %r" % (name, value))
-
-
 # ---------------------------------------------------------------------------
 # experiment configs
 
@@ -245,6 +233,9 @@ class ExperimentConfig:
                 "%s experiments do not read params %s; they read %s"
                 % (self.kind, ", ".join(map(repr, unread)), ", ".join(entry.params))
             )
+        if "seeds" in self.params and "replicas" in self.params:
+            raise ValueError("%s experiments read 'seeds' or 'replicas', not both"
+                             % self.kind)
         if not (isinstance(self.output, str) and self.output):
             raise ValueError("experiment config needs a non-empty output prefix string, got %r"
                              % (self.output,))

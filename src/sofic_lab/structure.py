@@ -23,6 +23,7 @@ import numpy as np
 
 from ._errors import ScaleRefusal
 from .exact_count import MOMENT_MAX_N, _check_scale, _frontier_table, cluster_radius
+from .group_model import _fraction
 from .hypergraph import critical_edges, monochromatic_edge_count
 from .samplers import RngState, _as_generator
 
@@ -420,7 +421,7 @@ def rigidity_violation_search(graph, chi, region, rho):
     region = frozenset(region)
     if not all(0 <= v < graph.n for v in region):
         raise ValueError("region contains vertices outside 0..n-1")
-    rho = Fraction(rho)
+    rho = _fraction("rho", rho)
     if rho <= 0:
         raise ValueError("rho must be positive")
     n = graph.n

@@ -3,6 +3,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +33,14 @@ from sofic_lab.group_model import (
     word_inverse,
     word_product,
 )
+from sofic_lab.exact_count import count_proper
+from sofic_lab.harness import load_instance
+from sofic_lab.hypergraph import Coloring, build_hypergraph
+from sofic_lab.samplers import RngState, sample_uniform_hom
+from sofic_lab.structure import rigidity_violation_search
 from sofic_lab.tree_markov import _word_key
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def brute_force_uniform_permutations(n, k):
@@ -355,6 +363,29 @@ def test_check_sofic_detects_fixed_points():
     report = check_sofic(hom, generator_words(p) + generator_pair_words(p), 0.1)
     assert report.trace_fraction == 0  # s1 s2 is the identity permutation here
     assert not report.is_trace_preserving
+
+
+def test_float_fractions_are_read_through_their_repr():
+    # a float argument means the decimal it prints as, as on the command
+    # line: Fraction(0.15) is below 3/20 and Fraction(0.1) above 1/10, which
+    # moves a floor, a strict comparison and a ceiling at these instances
+    graph = build_hypergraph(sample_uniform_hom(ModelParams(d=3, k=2, n=20), RngState(0)))
+    assert count_proper(graph, eps=0.15) == count_proper(graph, eps=Fraction(3, 20))
+    assert count_proper(graph, eps=0.15).value == 22
+
+    p = ModelParams(d=2, k=3, n=30)
+    hom = sample_uniform_hom(p, RngState(63))
+    words = generator_words(p) + generator_pair_words(p)
+    report = check_sofic(hom, words, 0.1)
+    assert report.trace_fraction == Fraction(9, 10)
+    assert report.delta == Fraction(1, 10)
+    assert not report.is_sofic
+
+    hom, chi = load_instance(str(FIXTURES / "rigidity_07_n20_k4_d3.json"))
+    graph = build_hypergraph(hom)
+    found = rigidity_violation_search(graph, chi, {15, 19}, 0.1)
+    assert found == rigidity_violation_search(graph, chi, {15, 19}, Fraction(1, 10))
+    assert found == Coloring.from_string("01000000110100100110")
 
 
 def test_json_roundtrip():

@@ -700,6 +700,13 @@ def test_experiment_config_refuses_params_its_kind_does_not_read():
                                  "tree_samples": 10, "sigma_tolerance": 2}, "out")
 
 
+def test_experiment_config_refuses_seeds_beside_replicas():
+    # the seeds set the replica count, so a replicas value beside them would
+    # be echoed into the params footer without being applied
+    with pytest.raises(ValueError, match="'seeds' or 'replicas', not both"):
+        ExperimentConfig("sofic", {"n": 6, "k": 3, "d": 2, "seeds": [1, 2], "replicas": 5}, "x")
+
+
 def test_experiment_replica_states():
     shape = {"d": 2, "k": 2, "n": 4}
     config = ExperimentConfig("first-moment", {**shape, "replicas": 3, "seed": 9}, "out")

@@ -472,10 +472,11 @@ def test_planted_sampler_rejects_non_binary_coloring():
 
 
 def test_result_guards_raise_under_optimize():
-    # the result guards of the planted draw, the ball size, the peeling and
-    # the typed partition count's divisibility must survive python -O, which
-    # strips assert statements; every partition count goes through the one
-    # core in group_model, so perturbing math there once reaches them all
+    # the result guards of the planted draw, the ball size, the peeling, the
+    # typed partition count's divisibility and the moments' atom power sum
+    # must survive python -O, which strips assert statements; every partition
+    # count goes through the one core in group_model, so perturbing math
+    # there once reaches them all
     child = textwrap.dedent(
         """
         import math
@@ -546,16 +547,25 @@ def test_result_guards_raise_under_optimize():
                 (4, 4), [((2, 2), 2)]),
             "uniform_permutation_count": lambda: group_model.uniform_permutation_count(6, 3),
             "_balanced_type_table": lambda: samplers._balanced_type_table(8, 4),
-            "typed_partition_sum": lambda: group_model.typed_partition_sum(
-                (3, 3), [(1, 2), (2, 1)]),
-            "partition_count": lambda: exact_count.partition_count(6, 3),
+        }
+        for label, call in routes.items():
+            report(label, call, ArithmeticError)
+        group_model.math = math
+
+        # every moment reads one full atom power and checks its coefficient
+        # sum, so one extra coefficient reaches them all
+        atom_power = exact_count._atom_power
+        exact_count._atom_power = lambda *a: {**atom_power(*a), (0, 0): 1}
+        routes = {
             "exact_first_moment": lambda: exact_count.exact_first_moment(params),
+            "exact_equitable_first_moment":
+                lambda: exact_count.exact_equitable_first_moment(params),
             "exact_planted_distance_moment":
                 lambda: exact_count.exact_planted_distance_moment(params, Fraction(1, 3)),
         }
         for label, call in routes.items():
             report(label, call, ArithmeticError)
-        group_model.math = math
+        exact_count._atom_power = atom_power
         """
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -579,10 +589,9 @@ def test_result_guards_raise_under_optimize():
         "typed_partition_count: typed partition count",
         "uniform_permutation_count: typed partition count",
         "_balanced_type_table: typed partition count",
-        "typed_partition_sum: typed partition sum",
-        "partition_count: typed partition count",
-        "exact_first_moment: typed partition count",
-        "exact_planted_distance_moment: typed partition sum",
+        "exact_first_moment: atom power coefficients sum to",
+        "exact_equitable_first_moment: atom power coefficients sum to",
+        "exact_planted_distance_moment: atom power coefficients sum to",
     ]
     assert len(lines) == 1 + len(expected), proc.stdout
     for line, prefix in zip(lines[1:], expected):

@@ -224,6 +224,26 @@ def test_library_functions_take_no_private_parameters():
     assert found == []
 
 
+def test_library_reads_outside_fractions_only_through_the_parser():
+    # Fraction(x) of a float is its binary value, so Fraction(0.1) is not
+    # 1/10; a fraction argument is read by group_model._fraction, the one
+    # parser, which reads a float through its repr
+    found, parsers = [], []
+    for name, func in _library_nodes():
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if getattr(func, "name", None) == "_fraction":
+            parsers.append(name)
+            continue
+        params = {arg.arg for arg in _parameters(func)}
+        found += ["%s:%d %s" % (name, node.lineno, ast.unparse(node))
+                  for node in ast.walk(func) if isinstance(node, ast.Call)
+                  and ast.unparse(node.func) == "Fraction" and len(node.args) == 1
+                  and not node.keywords and isinstance(node.args[0], ast.Name)
+                  and node.args[0].id in params]
+    assert parsers == ["group_model.py"] and found == []
+
+
 def _private_functions():
     """(file name, node, bound) for every function of the library whose name
     has one leading underscore; bound is 1 for a method, whose first
