@@ -16,6 +16,7 @@ from helpers import (
 )
 
 from sofic_lab import ScaleRefusal
+from sofic_lab.exact_count import count_proper
 from sofic_lab.group_model import (
     IDENTITY,
     ModelParams,
@@ -33,7 +34,6 @@ from sofic_lab.group_model import (
     word_inverse,
     word_product,
 )
-from sofic_lab.exact_count import count_proper
 from sofic_lab.harness import load_instance
 from sofic_lab.hypergraph import Coloring, build_hypergraph
 from sofic_lab.samplers import RngState, sample_uniform_hom
