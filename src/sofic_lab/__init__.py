@@ -42,7 +42,6 @@ from .group_model import (
 )
 from .hypergraph import (
     Coloring,
-    LabeledHypergraph,
     build_hypergraph,
     generator_type,
     monochromatic_edge_count,
@@ -72,7 +71,6 @@ __all__ = [
     "reduce_word",
     "uniform_hom_count",
     "Coloring",
-    "LabeledHypergraph",
     "build_hypergraph",
     "generator_type",
     "monochromatic_edge_count",

@@ -311,7 +311,8 @@ def check_sofic(hom, words, delta):
     generically from the images even though a genuine homomorphism always
     scores 1. trace_fraction is the fraction of v moved by every non-identity
     word in the set. Each statistic passes when strictly greater than
-    1 - delta, and the report flags both plus their conjunction.
+    1 - delta, for delta in [0, 1], and the report flags both plus their
+    conjunction.
 
     Each distinct word and each distinct product gh is reduced and composed
     into a whole permutation array once; both statistics are then
@@ -320,6 +321,8 @@ def check_sofic(hom, words, delta):
     params = hom.params
     n = params.n
     delta = _fraction("delta", delta)
+    if not 0 <= delta <= 1:
+        raise ValueError("delta must lie in [0, 1], got %s" % delta)
     words = list(dict.fromkeys(words))
 
     pairs = [(g, h, word_product(params, g, h)) for g in words for h in words]

@@ -164,11 +164,13 @@ def save_instance(hom, path=None, chi=None):
     """Write a homomorphism (and optionally its planted coloring) as JSON.
 
     The layout is the canonical instance schema {"n","k","d","images"},
-    plus a "chi" bitstring when a coloring is given; readers that only
+    plus a "chi" bitstring when a coloring of 0/1 entries is given, which
+    is refused unless load_instance can read it back; readers that only
     want the homomorphism ignore the extra key.
     """
     data = hom.to_json_dict()
     if chi is not None:
+        chi = Coloring(chi)
         if len(chi) != hom.params.n:
             raise ValueError(
                 "coloring length %d does not match n=%d" % (len(chi), hom.params.n)
@@ -236,6 +238,10 @@ class ExperimentConfig:
         if "seeds" in self.params and "replicas" in self.params:
             raise ValueError("%s experiments read 'seeds' or 'replicas', not both"
                              % self.kind)
+        # with seeds, only the tree samples of a kind that draws them read seed
+        if ("seeds" in self.params and "seed" in self.params
+                and "tree_samples" not in entry.params):
+            raise ValueError("%s experiments read 'seeds' or 'seed', not both" % self.kind)
         if not (isinstance(self.output, str) and self.output):
             raise ValueError("experiment config needs a non-empty output prefix string, got %r"
                              % (self.output,))

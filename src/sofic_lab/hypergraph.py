@@ -7,6 +7,7 @@ monochromatic and critical edges, and the generator type matrix whose
 entropy functional (analytics.type_rate) gives the first-moment rate.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -80,6 +81,7 @@ def _coloring_array(coloring, n):
     return colors
 
 
+@dataclass(frozen=True, eq=False)
 class LabeledHypergraph:
     """Vertex set 0..n-1 plus generator-labeled k-edges.
 
@@ -87,42 +89,15 @@ class LabeledHypergraph:
     k, so they are stored as one read-only integer array ``blocks`` of shape
     (d, n/k, k): blocks[i] holds the label-i edges, each row sorted and the
     rows ordered by least vertex. Edge number i * n/k + j is blocks[i, j], so
-    all counts and reports are reproducible. The constructor puts any
-    array-like of that shape in this order and checks that every label's
-    rows partition the vertex set.
+    all counts and reports are reproducible. build_hypergraph is the only
+    builder: it reads the blocks off a checked orbit table, so the record
+    checks nothing itself.
     """
 
-    __slots__ = ("n", "k", "d", "blocks")
-
-    def __init__(self, n, k, d, blocks):
-        if n < 1:
-            raise ValueError("vertex count n must be positive, got %r" % (n,))
-        if n % k != 0:
-            raise ValueError("n must be a multiple of k")
-        blocks = np.asarray(blocks)
-        if blocks.shape != (d, n // k, k):
-            raise ValueError(
-                "blocks have shape %r, need (d, n/k, k) = %r"
-                % (blocks.shape, (d, n // k, k))
-            )
-        if blocks.size and blocks.dtype.kind not in "iu":
-            raise ValueError("block entries must be integers")
-        blocks = np.sort(blocks.astype(np.intp, copy=False), axis=2)
-        covered = np.sort(blocks.reshape(d, n), axis=1) == np.arange(n)
-        bad = np.flatnonzero(~covered.all(axis=1))
-        if bad.size:
-            raise ValueError(
-                "label %d edges do not partition the vertex set" % bad[0]
-            )
-        blocks = blocks[np.arange(d)[:, None], np.argsort(blocks[:, :, 0], axis=1)]
-        blocks.flags.writeable = False
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "blocks", blocks)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LabeledHypergraph is immutable")
+    n: int
+    k: int
+    d: int
+    blocks: np.ndarray
 
     @property
     def edges(self):
@@ -146,11 +121,15 @@ def build_hypergraph(hom: UniformHom) -> LabeledHypergraph:
     """Orbits of each generator, one labeled edge per orbit.
 
     Column (i, v) of the orbit table hom.orbits lists the orbit of v under
-    generator i; each orbit is kept once, at its least vertex.
+    generator i; each orbit is kept once, at its least vertex, so the rows
+    come label by label in order of least vertex. The table's check makes
+    every orbit a k-set, so each label's rows partition the vertex set.
     """
     p = hom.params
     least = hom.orbits.min(axis=0) == np.arange(p.n)
-    blocks = hom.orbits.transpose(1, 2, 0)[least].reshape(p.d, p.n // p.k, p.k)
+    blocks = np.sort(hom.orbits.transpose(1, 2, 0)[least], axis=1)
+    blocks = blocks.reshape(p.d, p.n // p.k, p.k)
+    blocks.flags.writeable = False
     return LabeledHypergraph(p.n, p.k, p.d, blocks)
 
 

@@ -41,7 +41,7 @@ from sofic_lab.harness import (
     save_instance,
 )
 from sofic_lab.hypergraph import Coloring, build_hypergraph, monochromatic_edge_count
-from sofic_lab.samplers import RngState, sample_planted_hom
+from sofic_lab.samplers import RngState, sample_planted_hom, sample_uniform_hom
 from sofic_lab.structure import density_report
 from sofic_lab.tree_markov import (
     BRUTE_PATTERN_MAX_ELEMENTS,
@@ -144,6 +144,19 @@ def test_save_instance_validates_chi_length(tmp_path):
     save_instance(hom, str(tmp_path / "x.json"))
     _, chi = load_instance(str(tmp_path / "x.json"))
     assert chi is None
+
+
+def test_save_instance_writes_only_a_coloring_load_instance_reads(tmp_path):
+    # the "chi" bitstring is read back by Coloring.from_string, so an entry
+    # other than 0 or 1 is refused before anything is written, and a bool
+    # entry is written as its bit
+    hom = sample_uniform_hom(ModelParams(2, 3, 6), RngState(1))
+    path = tmp_path / "x.json"
+    with pytest.raises(ValueError, match="entries must be 0 or 1"):
+        save_instance(hom, str(path), chi=[0, 1, 2, 0, 1, 1])
+    assert not path.exists()
+    assert save_instance(hom, str(path), chi=[True, False, 1, 0, 1, 0])["chi"] == "101010"
+    assert load_instance(str(path))[1] == Coloring.from_string("101010")
 
 
 def test_count_matches_library(tmp_path, capsys):
@@ -707,6 +720,18 @@ def test_experiment_config_refuses_seeds_beside_replicas():
         ExperimentConfig("sofic", {"n": 6, "k": 3, "d": 2, "seeds": [1, 2], "replicas": 5}, "x")
 
 
+def test_experiment_config_refuses_seed_beside_seeds():
+    # the seeds give every replica its state, so a seed beside them would be
+    # echoed into the params footer without being applied; density still
+    # reads it, for the stream of its tree samples
+    with pytest.raises(ValueError, match="'seeds' or 'seed', not both"):
+        ExperimentConfig("first-moment",
+                         {"n": 6, "k": 3, "d": 2, "seeds": [1, 2], "seed": 7}, "x")
+    config = ExperimentConfig("density", {"n": 30, "k": 3, "d": 5, "level": 1,
+                                          "seeds": [1, 2], "seed": 7}, "x")
+    assert config.resolved["seed"] == 7
+
+
 def test_experiment_replica_states():
     shape = {"d": 2, "k": 2, "n": 4}
     config = ExperimentConfig("first-moment", {**shape, "replicas": 3, "seed": 9}, "out")
@@ -778,6 +803,23 @@ def test_sofic_experiment_reaches_min_fraction(tmp_path):
     result = run_experiment(config)
     assert result.summary["sofic_fraction"] >= Fraction(99, 100)
     assert result.summary["pass"] is True
+
+
+def test_sofic_check_refuses_delta_outside_the_unit_interval(tmp_path, capsys):
+    # at delta 2 both statistics pass whatever they are, so the verdict
+    # would mean nothing: the CLI exits 2 before the params line, and an
+    # experiment writes no replica row
+    argv = ["sofic-check", "--input", str(FIXTURES / "count_instance.json"), "--delta", "2"]
+    assert cli_dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: delta must lie in [0, 1], got 2" in captured.err
+    config = ExperimentConfig(
+        "sofic", {"n": 6, "k": 3, "d": 2, "delta": "2", "replicas": 3, "seed": 1},
+        str(tmp_path / "sof"))
+    with pytest.raises(ValueError, match="delta must lie in"):
+        run_experiment(config)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_local_convergence_experiment(tmp_path):

@@ -18,7 +18,6 @@ from sofic_lab.analytics import bichromatic_pair_types, type_rate
 from sofic_lab.group_model import ModelParams
 from sofic_lab.hypergraph import (
     Coloring,
-    LabeledHypergraph,
     build_hypergraph,
     critical_edges,
     generator_type,
@@ -70,33 +69,6 @@ def test_build_hypergraph_edges_are_orbits():
         # closed under the generator and of full size
         assert all(img[v] in edge for v in edge)
         assert len(edge) == p.k
-
-
-def test_hypergraph_partition_validation():
-    # overlapping rows
-    with pytest.raises(ValueError, match="partition"):
-        LabeledHypergraph(4, 2, 1, [[[0, 1], [1, 2]]])
-    # a missing row
-    with pytest.raises(ValueError, match="shape"):
-        LabeledHypergraph(4, 2, 1, [[[0, 1]]])
-    # ragged rows
-    with pytest.raises(ValueError):
-        LabeledHypergraph(4, 2, 1, [[[0, 1, 2], [3]]])
-    # an extra label
-    with pytest.raises(ValueError, match="shape"):
-        LabeledHypergraph(4, 2, 1, [[[0, 1], [2, 3]], [[0, 2], [1, 3]]])
-    # k does not divide n
-    with pytest.raises(ValueError, match="multiple"):
-        LabeledHypergraph(5, 2, 1, [[[0, 1], [2, 3]]])
-    with pytest.raises(ValueError, match="integers"):
-        LabeledHypergraph(4, 2, 1, [[[0.0, 1.0], [2.0, 3.0]]])
-    # no vertices: the counts would read two colorings of the empty set
-    with pytest.raises(ValueError, match="positive"):
-        LabeledHypergraph(0, 2, 1, np.zeros((1, 0, 2), dtype=int))
-    # rows come out sorted and ordered by least vertex
-    g = LabeledHypergraph(6, 3, 1, [[[5, 3, 4], [2, 0, 1]]])
-    assert g.edges == ((0, (0, 1, 2)), (0, (3, 4, 5)))
-    assert LabeledHypergraph(6, 3, 0, np.empty((0, 2, 3), dtype=int)).edges == ()
 
 
 def test_monochromatic_count_hand_example():

@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     expansivity_exhaustive_oracle,
     expansivity_greedy_oracle,
+    hom_from_cycles,
     rigidity_search_oracle,
 )
 
@@ -16,7 +17,6 @@ from sofic_lab._errors import ScaleRefusal
 from sofic_lab.group_model import ModelParams
 from sofic_lab.hypergraph import (
     Coloring,
-    LabeledHypergraph,
     build_hypergraph,
     critical_edges,
     monochromatic_edge_count,
@@ -39,31 +39,31 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def _no_critical_instance():
     # Both edges are split 2/2, so no vertex is alone in its color.
-    graph = LabeledHypergraph(8, 4, 1, [[(0, 1, 2, 3), (4, 5, 6, 7)]])
+    graph = build_hypergraph(
+        hom_from_cycles(ModelParams(d=1, k=4, n=8), [[(0, 1, 2, 3), (4, 5, 6, 7)]])
+    )
     chi = Coloring((1, 1, 0, 0, 1, 1, 0, 0))
     return graph, chi
 
 
 def _degree_two_instance():
-    graph = LabeledHypergraph(
-        6, 3, 2, [[(0, 1, 2), (3, 4, 5)], [(0, 2, 4), (1, 3, 5)]]
-    )
+    graph = build_hypergraph(hom_from_cycles(
+        ModelParams(d=2, k=3, n=6), [[(0, 1, 2), (3, 4, 5)], [(0, 2, 4), (1, 3, 5)]]
+    ))
     chi = Coloring((1, 1, 0, 1, 0, 0))
     return graph, chi
 
 
 def _small_core_instance():
     # Vertex 0 supports one edge per label; everything else supports at most one.
-    graph = LabeledHypergraph(
-        6,
-        3,
-        3,
+    graph = build_hypergraph(hom_from_cycles(
+        ModelParams(d=3, k=3, n=6),
         [
             [(0, 1, 2), (3, 4, 5)],
             [(0, 1, 4), (2, 3, 5)],
             [(0, 2, 4), (1, 3, 5)],
         ],
-    )
+    ))
     chi = Coloring((1, 0, 0, 1, 0, 1))
     return graph, chi
 
@@ -74,7 +74,7 @@ def _crowded_pair_instance():
     blocks = {0: (0, 1, 2), 1: (0, 1, 3)}
     rests = {0: (3, 4, 5), 1: (2, 4, 5)}
     labels = [[blocks[pick], rests[pick]] for pick in (0, 1, 0, 1, 0)]
-    graph = LabeledHypergraph(6, 3, 5, labels)
+    graph = build_hypergraph(hom_from_cycles(ModelParams(d=5, k=3, n=6), labels))
     chi = Coloring((1, 0, 0, 0, 1, 1))
     return graph, chi
 
@@ -154,7 +154,9 @@ def test_decomposition_validation():
     # the level budget is checked before any edge is read
     with pytest.raises(ValueError, match="l_max"):
         core_decomposition(graph, Coloring((1, 1, 1, 0, 0, 0)), l_max=-1)
-    pair_graph = LabeledHypergraph(4, 2, 1, [[(0, 1), (2, 3)]])
+    pair_graph = build_hypergraph(
+        hom_from_cycles(ModelParams(d=1, k=2, n=4), [[(0, 1), (2, 3)]])
+    )
     with pytest.raises(ValueError, match="k >= 3"):
         core_decomposition(pair_graph, Coloring((0, 1, 0, 1)))
     with pytest.raises(ValueError, match="k >= 3"):

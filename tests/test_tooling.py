@@ -122,6 +122,23 @@ def test_only_tree_markov_names_tree_domain():
     assert found == []
 
 
+def test_only_build_hypergraph_builds_a_hypergraph():
+    # LabeledHypergraph checks nothing: build_hypergraph reads its blocks off
+    # the orbit table, which the UniformHom constructor checked; a module
+    # that names the class, or a call of it outside build_hypergraph, builds
+    # a graph whose partition nobody checked
+    tree = ast.parse((SRC / "hypergraph.py").read_text())
+    builder = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "build_hypergraph")
+    inside = {id(sub) for sub in ast.walk(builder)}
+    found = sorted(path.name for path in SRC.glob("*.py") if path.name != "hypergraph.py"
+                   and "LabeledHypergraph" in _names_in(ast.parse(path.read_text())))
+    found += ["hypergraph.py:%d %s" % (node.lineno, ast.unparse(node))
+              for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and id(node) not in inside and "LabeledHypergraph" in _names_in(node.func)]
+    assert found == []
+
+
 def _is_kind(node):
     return ((isinstance(node, ast.Name) and node.id == "kind")
             or (isinstance(node, ast.Attribute) and node.attr == "kind"))
