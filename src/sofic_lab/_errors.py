@@ -4,9 +4,5 @@
 class ScaleRefusal(RuntimeError):
     """Raised when an exact operation would exceed its configured size bound.
 
-    Carries the offending count so callers (and the CLI) can surface it.
+    The message names the offending count and, where there is one, the bound.
     """
-
-    def __init__(self, message, count=None):
-        super().__init__(message)
-        self.count = count

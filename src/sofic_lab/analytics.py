@@ -7,11 +7,14 @@ matrices and its maximizer, the bias parameter of the planted pair measure
 and its inversion, the pair-distance rate curves, and the fixed-point
 iteration that estimates the core density of a random instance.
 
-Results are mpmath floats at a configurable working precision.  The default
-is 128 bits because the interesting regimes (k near 25, degree counts in the
-hundreds of millions) involve rates of order 2^-k and identity checks at
-tolerances of order 2^-2k, which double precision cannot resolve.  Precision
-is set per call.
+Results are mpmath floats, 128 bits by default because the interesting
+regimes (k near 25, degree counts in the hundreds of millions) involve rates
+of order 2^-k and identity checks at tolerances of order 2^-2k, which double
+precision cannot resolve.  Five functions take a ``precision`` keyword in
+bits, the ones the CLI's ``--precision`` reaches: proper_rate,
+pair_distance_rate, planted_distance_rate, distance_rate_scan and
+core_fixed_point.  Every other public function runs at 128 bits, inside a
+working_precision block of its own, whatever precision its caller is in.
 """
 
 from __future__ import annotations
@@ -75,22 +78,22 @@ def _check_d(d: int) -> None:
 # entropies
 
 
-def entropy2(x, precision: int | None = None) -> mp.mpf:
+def entropy2(x) -> mp.mpf:
     """Binary entropy -x log x - (1-x) log(1-x) for x in [0, 1]."""
-    with working_precision(precision):
+    with working_precision():
         v = _to_mpf(x)
         if not 0 <= v <= 1:
             raise ValueError(f"binary entropy needs an argument in [0, 1], got {x}")
         return _cross_entropy2(v, v)
 
 
-def cross_entropy2(x, x0, precision: int | None = None) -> mp.mpf:
+def cross_entropy2(x, x0) -> mp.mpf:
     """Binary cross entropy -x log x0 - (1-x) log(1-x0).
 
     Equals entropy2(x) when x0 == x, and exceeds it otherwise; the excess is
     the Kullback-Leibler divergence of x from x0.
     """
-    with working_precision(precision):
+    with working_precision():
         v = _to_mpf(x)
         v0 = _to_mpf(x0)
         if not 0 <= v <= 1 or not 0 <= v0 <= 1:
@@ -141,12 +144,7 @@ def dominant_type(k: int) -> tuple[Fraction, ...]:
     return (Fraction(0), *inner, Fraction(0))
 
 
-def type_rate(
-    rows,
-    d: int,
-    k: int,
-    precision: int | None = None,
-) -> mp.mpf:
+def type_rate(rows, d: int, k: int) -> mp.mpf:
     """Entropy functional whose maximum over generator type matrices gives
     the first-moment rate.
 
@@ -162,7 +160,7 @@ def type_rate(
     rows = [tuple(row) for row in rows]
     if len(rows) != d:
         raise ValueError(f"expected {d} rows, got {len(rows)}")
-    with working_precision(precision):
+    with working_precision():
         tol = mp.mpf(10) ** -9
         matrix = [[_to_mpf(entry) for entry in row] for row in rows]
         means = []
@@ -192,12 +190,7 @@ def type_rate(
         return value
 
 
-def balance_polynomial(
-    x,
-    d: int,
-    k: int,
-    precision: int | None = None,
-) -> mp.mpf:
+def balance_polynomial(x, d: int, k: int) -> mp.mpf:
     """Polynomial whose interior root pins the ones-density of critical type
     vectors to 1/2.
 
@@ -209,7 +202,7 @@ def balance_polynomial(
     _check_k(k)
     if d != int(d) or d < 2:
         raise ValueError(f"the balance polynomial needs d >= 2, got {d}")
-    with working_precision(precision):
+    with working_precision():
         v = _to_mpf(x)
         if not 0 < v < 1:
             raise ValueError(f"argument must lie strictly inside (0, 1), got {x}")
@@ -316,7 +309,7 @@ def _certify_bias_map_monotone(k: int) -> None:
     _certify_positive_on_unit_interval(_bias_map_derivative_numerator(k))
 
 
-def distance_of_bias(delta0, k: int, precision: int | None = None) -> mp.mpf:
+def distance_of_bias(delta0, k: int) -> mp.mpf:
     """Expected normalized distance of a planted pair with disagreement bias
     delta0.
 
@@ -326,7 +319,7 @@ def distance_of_bias(delta0, k: int, precision: int | None = None) -> mp.mpf:
     arithmetic before it inverts the map.
     """
     _check_k(k)
-    with working_precision(precision):
+    with working_precision():
         b = _to_mpf(delta0)
         if not 0 <= b <= 1:
             raise ValueError(f"bias must lie in [0, 1], got {delta0}")
@@ -334,7 +327,7 @@ def distance_of_bias(delta0, k: int, precision: int | None = None) -> mp.mpf:
         return num / den
 
 
-def bias_of_distance(delta, k: int, precision: int | None = None) -> mp.mpf:
+def bias_of_distance(delta, k: int) -> mp.mpf:
     """Invert the bias-to-distance map: find the disagreement bias whose
     planted pair measure concentrates at normalized distance delta.
 
@@ -350,7 +343,7 @@ def bias_of_distance(delta, k: int, precision: int | None = None) -> mp.mpf:
     do not get there, which a strictly monotone map never triggers.
     """
     _check_k(k)
-    with working_precision(precision):
+    with working_precision():
         x = _to_mpf(delta)
         if not 0 <= x <= 1:
             raise ValueError(f"distance must lie in [0, 1], got {delta}")
@@ -575,9 +568,7 @@ class PairTypeOptimum:
     weights: dict[PairTypeMatrix, mp.mpf]
 
 
-def optimal_pair_type(
-    delta, k: int, precision: int | None = None
-) -> PairTypeOptimum:
+def optimal_pair_type(delta, k: int) -> PairTypeOptimum:
     """Solve for the distribution of edge overlap matrices that dominates
     the pair count at normalized distance delta.
 
@@ -587,7 +578,7 @@ def optimal_pair_type(
     ArithmeticError when they fail.
     """
     _check_k(k)
-    with working_precision(precision):
+    with working_precision():
         x = _to_mpf(delta)
         if not 0 < x < 1:
             raise ValueError(
@@ -642,16 +633,14 @@ class EntropyGapReport:
     kl_divergence: mp.mpf
 
 
-def entropy_gap_report(
-    delta, k: int, precision: int | None = None
-) -> EntropyGapReport:
+def entropy_gap_report(delta, k: int) -> EntropyGapReport:
     """Quantify how far the solved bias sits from the given distance in
     entropy terms, for distances in (0, 1/2].
 
     The gap identity is checked to 1e-10 and the divergence for sign; either
     failure raises ArithmeticError."""
     _check_k(k)
-    with working_precision(precision):
+    with working_precision():
         x = _to_mpf(delta)
         if not 0 < x <= mp.mpf(1) / 2:
             raise ValueError(
@@ -775,18 +764,18 @@ def distance_rate_scan(
 # the degree-to-edge-size ratio parametrization
 
 
-def offset_window_top(precision: int | None = None) -> mp.mpf:
+def offset_window_top() -> mp.mpf:
     """Upper end of the offset window, (1 - log 2) / 2; offsets must stay
     strictly between zero and this for the large-k regime to apply."""
-    with working_precision(precision):
+    with working_precision():
         return (1 - mp.log(2)) / 2
 
 
-def ratio_from_offset(k: int, eta, precision: int | None = None) -> mp.mpf:
+def ratio_from_offset(k: int, eta) -> mp.mpf:
     """The degree ratio d/k pinned by an offset eta:
     (log 2 / 2) 2^k - (1 + log 2) / 2 + eta."""
     _check_k(k)
-    with working_precision(precision):
+    with working_precision():
         e = _to_mpf(eta)
         return mp.log(2) / 2 * mp.mpf(2) ** k - (1 + mp.log(2)) / 2 + e
 
@@ -802,15 +791,15 @@ class DegreeChoice:
     in_window: bool
 
 
-def degrees_from_offset(k: int, eta, precision: int | None = None) -> DegreeChoice:
+def degrees_from_offset(k: int, eta) -> DegreeChoice:
     """Round the offset-parametrized ratio to an integer generator count and
     report the offset that count actually realizes."""
     _check_k(k)
-    with working_precision(precision):
-        ratio = ratio_from_offset(k, eta, precision=mp.mp.prec)
+    with working_precision():
+        ratio = ratio_from_offset(k, eta)
         d = int(mp.nint(ratio * k))
         implied = _to_mpf(eta) + (d - ratio * k) / k
-        in_window = bool(0 < implied < offset_window_top(precision=mp.mp.prec))
+        in_window = bool(0 < implied < offset_window_top())
         return DegreeChoice(d=d, implied_eta=implied, in_window=in_window)
 
 

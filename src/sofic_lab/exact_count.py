@@ -62,9 +62,7 @@ class CountReport:
 
 def _check_scale(n, bound, what):
     if n > bound:
-        raise ScaleRefusal(
-            "%s supports n <= %d, got n=%d" % (what, bound, n), count=n
-        )
+        raise ScaleRefusal("%s supports n <= %d, got n=%d" % (what, bound, n))
 
 
 def _search_rank(n, edges, edges_of):

@@ -428,8 +428,7 @@ def enumerate_uniform_homs(params):
     if total > DEFAULT_ENUMERATION_BOUND:
         raise ScaleRefusal(
             "enumeration of %d uniform homomorphisms exceeds bound %d"
-            % (total, DEFAULT_ENUMERATION_BOUND),
-            count=total,
+            % (total, DEFAULT_ENUMERATION_BOUND)
         )
     per_generator = np.array(list(_uniform_permutations(params.n, params.k)), dtype=np.intp)
     for combo in itertools.product(range(len(per_generator)), repeat=params.d):

@@ -255,6 +255,8 @@ class ExperimentConfig:
         if missing:
             raise ValueError("%s experiments need params %s"
                              % (self.kind, ", ".join(map(repr, missing))))
+        if "delta" in resolved and not 0 <= resolved["delta"] <= 1:
+            raise ValueError("delta must lie in [0, 1], got %s" % resolved["delta"])
         # the shape that every replica's draw needs, refused before any draw
         shape = _model_params(resolved)
         shape.require_uniform()
@@ -343,6 +345,8 @@ def _require_workers(workers):
 def _run_replicas(config, workers):
     states = config.replica_states()
     tasks = [(config.kind, config.resolved, state) for state in states]
+    # a pool forks all its workers at once, so fork no more than the tasks
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replica_worker, tasks))

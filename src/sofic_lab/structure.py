@@ -305,8 +305,7 @@ def expansivity_scan(graph, chi, t_max, random_trials=0, rng=None):
     subset_count = sum(math.comb(n, t) for t in range(1, t_max + 1))
     if subset_count > EXPANSIVITY_MAX_SUBSETS:
         raise ScaleRefusal(
-            "exhaustive scan would enumerate %d subsets" % subset_count,
-            count=subset_count,
+            "exhaustive scan would enumerate %d subsets" % subset_count
         )
     gen = _as_generator(rng if rng is not None else RngState(0))
     rows, owner = critical_edges(graph, chi)

@@ -151,8 +151,7 @@ def build_ball(params, radius):
     if count > DEFAULT_BALL_MAX_ELEMENTS:
         raise ScaleRefusal(
             "radius-%d ball has %d elements (budget %d)"
-            % (radius, count, DEFAULT_BALL_MAX_ELEMENTS),
-            count=count,
+            % (radius, count, DEFAULT_BALL_MAX_ELEMENTS)
         )
     generators = []
     frontier = [IDENTITY]
@@ -223,8 +222,7 @@ def enumerate_proper_patterns(domain):
     """Yield every proper pattern by brute force; oracle-scale domains only."""
     if len(domain) > BRUTE_PATTERN_MAX_ELEMENTS:
         raise ScaleRefusal(
-            "brute-force enumeration over %d elements refused" % len(domain),
-            count=len(domain),
+            "brute-force enumeration over %d elements refused" % len(domain)
         )
     member_indices = _edge_positions(domain).tolist()
     for bits in itertools.product((0, 1), repeat=len(domain)):
@@ -591,8 +589,6 @@ def _check_core_sampler_args(d, k, level):
     if d < 0:
         raise ValueError("d must be nonnegative")
     if d > CORE_SAMPLER_MAX_DEGREE:
-        raise ScaleRefusal(
-            "core sampling at degree %d refused" % d, count=d
-        )
+        raise ScaleRefusal("core sampling at degree %d refused" % d)
     if level < 0:
         raise ValueError("level must be nonnegative")

@@ -320,8 +320,7 @@ def sample_planted_hom_rejection(params, chi, rng):
     if params.n > REJECTION_ORACLE_MAX_N:
         raise ScaleRefusal(
             "rejection oracle supports n <= %d, got n=%d"
-            % (REJECTION_ORACLE_MAX_N, params.n),
-            count=params.n,
+            % (REJECTION_ORACLE_MAX_N, params.n)
         )
     params.require_uniform()
     params.require_equitable()

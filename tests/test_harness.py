@@ -808,18 +808,26 @@ def test_sofic_experiment_reaches_min_fraction(tmp_path):
 def test_sofic_check_refuses_delta_outside_the_unit_interval(tmp_path, capsys):
     # at delta 2 both statistics pass whatever they are, so the verdict
     # would mean nothing: the CLI exits 2 before the params line, and an
-    # experiment writes no replica row
+    # experiment config is refused before any replica is drawn
     argv = ["sofic-check", "--input", str(FIXTURES / "count_instance.json"), "--delta", "2"]
     assert cli_dispatch(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: delta must lie in [0, 1], got 2" in captured.err
-    config = ExperimentConfig(
-        "sofic", {"n": 6, "k": 3, "d": 2, "delta": "2", "replicas": 3, "seed": 1},
-        str(tmp_path / "sof"))
     with pytest.raises(ValueError, match="delta must lie in"):
-        run_experiment(config)
+        ExperimentConfig(
+            "sofic", {"n": 6, "k": 3, "d": 2, "delta": "2", "replicas": 3, "seed": 1},
+            str(tmp_path / "sof"))
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("delta", ["2", "-1/6"])
+def test_planted_distance_experiment_refuses_delta_outside_the_unit_interval(delta):
+    # refused before any replica is drawn, as for sofic; otherwise every
+    # replica fails on a delta that is no flip count at scale n
+    params = {"n": 12, "k": 3, "d": 2, "delta": delta, "replicas": 2}
+    with pytest.raises(ValueError, match=r"delta must lie in \[0, 1\], got %s" % delta):
+        ExperimentConfig("planted-distance", params, "pd")
 
 
 def test_local_convergence_experiment(tmp_path):
@@ -884,6 +892,36 @@ def test_experiment_deterministic_and_pool_invariant(tmp_path, kind, params):
         run_experiment(config, workers=workers)
         assert (tmp_path / "det.csv").read_bytes() == first_csv
         assert (tmp_path / "det.json").read_bytes() == first_json
+
+
+@pytest.mark.parametrize("replicas,sizes", [(2, [2]), (1, [])])
+def test_experiment_pool_has_no_more_workers_than_replicas(
+        tmp_path, monkeypatch, replicas, sizes):
+    # a process pool forks every worker on its first map, so 64 workers on
+    # two replicas ask for a pool of two, and one replica runs in-process
+    import sofic_lab.harness as harness
+
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    config = ExperimentConfig(
+        "first-moment", {"n": 4, "k": 2, "d": 1, "replicas": replicas}, str(tmp_path / "pool"))
+    result = run_experiment(config, workers=64)
+    assert result.summary["failures"] == 0
+    assert seen == sizes
 
 
 def test_experiment_partial_failure_flags_row(tmp_path, monkeypatch):

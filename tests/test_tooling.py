@@ -261,31 +261,53 @@ def test_library_reads_outside_fractions_only_through_the_parser():
     assert parsers == ["group_model.py"] and found == []
 
 
-def _private_functions():
-    """(file name, node, bound) for every function of the library whose name
-    has one leading underscore; bound is 1 for a method, whose first
-    parameter the call's receiver fills, else 0."""
+def _library_functions():
+    """(file name, node, called as, bound) for every function of the library,
+    nested ones and methods included; a constructor is called as its class,
+    and bound is 1 for a method, whose first parameter the call's receiver
+    fills, else 0."""
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        methods = {sub for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        methods = {sub: node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
                    for sub in node.body if isinstance(sub, ast.FunctionDef)
                    and "staticmethod" not in map(ast.unparse, sub.decorator_list)}
         for node in ast.walk(tree):
-            if (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
-                    and not node.name.startswith("__")):
-                yield path.name, node, int(node in methods)
+            if isinstance(node, ast.FunctionDef):
+                called = methods[node] if node.name == "__init__" else node.name
+                yield path.name, node, called, int(node in methods)
 
 
-def test_every_private_default_is_set_by_some_library_call():
+def _callers():
+    """The syntax trees of the code that sets library options: the library,
+    the demos and perfbench/ but for its tests."""
+    paths = sorted(SRC.glob("*.py")) + DEMOS + [
+        path for path in PERFBENCH if not path.name.startswith("test_")]
+    return [ast.parse(path.read_text(), filename=str(path)) for path in paths]
+
+
+# An oracle kept in the library only because perfbench/ imports it; the tests
+# set its l_max.
+_DEFAULTS_SET_IN_TESTS = {"core_decomposition_reference"}
+
+
+def test_every_default_is_set_by_some_caller_outside_tests():
     # a default that no call overrides is a constant written as a parameter:
-    # a knob nobody turns, which a reader must still trace through every call
-    calls = {}
-    for _, node in _library_nodes():
-        if isinstance(node, ast.Call):
-            name = getattr(node.func, "attr", getattr(node.func, "id", None))
-            calls.setdefault(name, []).append(node)
+    # a knob nobody turns, which a reader must still trace through every call.
+    # A function named as a value, not called, may be called with anything.
+    calls, values = {}, set()
+    for tree in _callers():
+        funcs = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                calls.setdefault(name, []).append(node)
+                funcs.add(node.func)
+        values |= {node.id for node in ast.walk(tree)
+                   if isinstance(node, ast.Name) and node not in funcs}
     found = []
-    for name, node, bound in _private_functions():
+    for name, node, called, bound in _library_functions():
+        if called in values or called in _DEFAULTS_SET_IN_TESTS:
+            continue
         args = node.args
         positional = args.posonlyargs + args.args
         first = len(positional) - len(args.defaults)
@@ -299,7 +321,7 @@ def test_every_private_default_is_set_by_some_library_call():
                     any(isinstance(a, ast.Starred) for a in call.args)
                     or (index is not None and len(call.args) > index)
                     or any(kw.arg in (param, None) for kw in call.keywords)
-                    for call in calls.get(node.name, ())):
+                    for call in calls.get(called, ())):
                 found.append("%s:%d %s(%s=)" % (name, node.lineno, node.name, param))
     assert found == []
 

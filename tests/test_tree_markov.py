@@ -99,9 +99,8 @@ def test_ball_budget():
     params = ModelParams(d=5, k=3, n=6)
     count = ball_element_count(5, 3, 6)
     assert count == 374491
-    with pytest.raises(ScaleRefusal) as err:
+    with pytest.raises(ScaleRefusal, match=f"has {count} elements"):
         build_ball(params, 6)
-    assert err.value.count == count
     assert len(build_ball(params, 2)) == ball_element_count(5, 3, 2)
 
 
