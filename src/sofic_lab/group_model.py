@@ -272,24 +272,83 @@ def evaluate_word(hom, word, v):
     return int(v)
 
 
-def _word_arrays(hom, words):
-    """sigma(w) for each word as a numpy index array.
+def _suffix_plan(params, words):
+    """How to compose the words: (levels, rows) for _compose.
 
-    Each starts from the identity and applies the syllables from the right,
-    one gather of the power orbits[e % k, g] per syllable (g, e); element v
-    is sigma(w) applied to v. Every generator index is validated first.
+    The words share one trie of suffixes, read from the right: node 0 is
+    the identity, and a node one syllable (g, e) longer than its parent is
+    the parent's array gathered through the power orbits[e % k, g], so a
+    suffix common to several words is composed once. Syllables with
+    e % k == 0 are the identity and add no node. The nodes are numbered
+    by length, and each level lists those of one length as (flat orbit
+    offsets, parent nodes); rows[j] is the node of words[j]. Every
+    generator index is validated first.
     """
-    params = hom.params
-    words = list(words)
     for w in words:
         _check_generators(params, w)
-    arrays = []
-    for w in words:
-        perm = np.arange(params.n)
-        for g, e in reversed(w):
-            perm = hom.orbits[e % params.k, g][perm]
-        arrays.append(perm)
-    return arrays
+    d, k, n = params.d, params.k, params.n
+    paths = [tuple((g, e % k) for g, e in w if e % k) for w in words]
+    by_length = {}
+    for path in paths:
+        for j in range(len(path)):
+            by_length.setdefault(len(path) - j, {})[path[j:]] = None
+    node = {(): 0}
+    levels = []
+    for length in range(1, len(by_length) + 1):
+        suffixes = list(by_length[length])
+        levels.append((
+            np.array([(e * d + g) * n for (g, e), *_ in suffixes], dtype=np.intp),
+            np.array([node[s[1:]] for s in suffixes], dtype=np.intp),
+        ))
+        node.update(zip(suffixes, range(len(node), len(node) + len(suffixes))))
+    return levels, np.array([node[path] for path in paths], dtype=np.intp)
+
+
+def _compose(hom, levels):
+    """The node arrays of a suffix plan as one (nodes, n) array: row 0 is
+    the identity, and each level is one gather of the flat orbit table."""
+    n = hom.params.n
+    flat = hom.orbits.reshape(-1)
+    nodes = np.empty((1 + sum(len(offsets) for offsets, _ in levels), n), dtype=np.intp)
+    nodes[0] = np.arange(n)
+    first = 1
+    for offsets, parents in levels:
+        nodes[first : first + len(offsets)] = flat.take(offsets[:, None] + nodes[parents])
+        first += len(offsets)
+    return nodes
+
+
+def _word_arrays(hom, words):
+    """sigma(w) for each word, as the rows of one (len(words), n) index array.
+
+    Row j, element v, is sigma(words[j]) applied to v: the syllables are
+    applied from the right, one gather of the power orbits[e % k, g] per
+    syllable (g, e), and the words share their common suffixes (see
+    _suffix_plan). Every generator index is validated first.
+    """
+    levels, rows = _suffix_plan(hom.params, list(words))
+    return _compose(hom, levels)[rows]
+
+
+@lru_cache(maxsize=16)
+def _word_plan(params, words):
+    """What check_sofic derives from a word tuple alone, once per
+    (params, words): the suffix plan of the distinct words and their
+    reduced pair products, the nodes (g, h, gh) of every ordered pair as
+    three rows, and the nodes of the non-identity words. Reduction depends
+    on k and d, so params is part of the key; the cache is small because a
+    caller checks few word sets.
+    """
+    words = list(dict.fromkeys(words))
+    m = len(words)
+    products = [word_product(params, g, h) for g in words for h in words]
+    levels, rows = _suffix_plan(params, words + products)
+    pairs = np.stack([np.repeat(rows[:m], m), np.tile(rows[:m], m), rows[m:]])
+    nonidentity = rows[:m][np.array([bool(w) for w in words], dtype=bool)]
+    # the cache hands these arrays to every call
+    for array in [pairs, nonidentity, *(a for level in levels for a in level)]:
+        array.flags.writeable = False
+    return levels, pairs, nonidentity
 
 
 @dataclass(frozen=True)
@@ -314,29 +373,22 @@ def check_sofic(hom, words, delta):
     1 - delta, for delta in [0, 1], and the report flags both plus their
     conjunction.
 
-    Each distinct word and each distinct product gh is reduced and composed
-    into a whole permutation array once; both statistics are then
-    vertex-wise ANDs of array comparisons.
+    The word plan (_word_plan) depends on the words and params alone and is
+    built once per word set: each distinct word and each distinct reduced
+    product gh is composed into a whole permutation array, the arrays
+    sharing their suffixes. Both statistics are then vertex-wise ANDs of
+    array comparisons, all pairs in one stacked gather.
     """
     params = hom.params
     n = params.n
     delta = _fraction("delta", delta)
     if not 0 <= delta <= 1:
         raise ValueError("delta must lie in [0, 1], got %s" % delta)
-    words = list(dict.fromkeys(words))
-
-    pairs = [(g, h, word_product(params, g, h)) for g in words for h in words]
-    composed = list(dict.fromkeys(words + [gh for _, _, gh in pairs]))
-    images = dict(zip(composed, _word_arrays(hom, composed)))
-
-    mult = np.ones(n, dtype=bool)
-    for g, h, gh in pairs:
-        mult &= images[gh] == images[g][images[h]]
-    moved = np.ones(n, dtype=bool)
-    identity = np.arange(n)
-    for w in words:
-        if w:
-            moved &= images[w] != identity
+    levels, (g, h, gh), nonidentity = _word_plan(params, tuple(words))
+    nodes = _compose(hom, levels)
+    after_h = nodes.reshape(-1).take(g[:, None] * n + nodes[h])
+    mult = (nodes[gh] == after_h).all(axis=0)
+    moved = (nodes[nonidentity] != nodes[0]).all(axis=0)
 
     mult_fraction = Fraction(int(np.count_nonzero(mult)), n)
     trace_fraction = Fraction(int(np.count_nonzero(moved)), n)

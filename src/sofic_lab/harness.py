@@ -55,6 +55,7 @@ from .analytics import (
     proper_rate,
 )
 from .exact_count import (
+    _flip_count,
     count_at_distance,
     count_equitable,
     count_proper,
@@ -267,6 +268,8 @@ class ExperimentConfig:
                              % (shape.d, resolved["edge_label"]))
         if "tree_samples" in resolved:
             _check_core_sampler_args(shape.d, shape.k, resolved["level"])
+        if entry.check is not None:
+            entry.check(resolved)
         stream = resolved["stream"]
         if "seeds" in self.params:
             states = [RngState(s, stream) for s in resolved["seeds"]]
@@ -635,18 +638,23 @@ def _concentration_summary(config, rows):
 
 # Each experiment kind: whether a replica's homomorphism is planted at the
 # equitable split or uniform, its row of (hom, chi or None, resolved params),
-# its summary of (config, rows), and the params it reads with their defaults.
+# its summary of (config, rows), the params it reads with their defaults, and
+# the check of the resolved params that its row would otherwise make on every
+# replica (None when the params' own checks cover it).
 # A config may hold no other params key: a misspelt one would run with its
 # default and still be echoed into the "# params:" footer as if applied.
-_ExperimentKind = namedtuple("_ExperimentKind", "planted row summary params")
+_ExperimentKind = namedtuple("_ExperimentKind", "planted row summary params check",
+                             defaults=(None,))
 _REQUIRED = object()  # the default of a params key that a config must give
 _REPLICA_PARAMS = {"d": _REQUIRED, "k": _REQUIRED, "n": _REQUIRED,
                    "replicas": 0, "seed": 0, "stream": 0}
 EXPERIMENT_KINDS = {
     "first-moment": _ExperimentKind(False, _first_moment_row, _first_moment_summary, {
         **_REPLICA_PARAMS, "seeds": None, "mean_tolerance": None}),
+    # delta is read as a flip count at n, not as a threshold as by sofic
     "planted-distance": _ExperimentKind(True, _planted_distance_row, _planted_distance_summary, {
-        **_REPLICA_PARAMS, "seeds": None, "delta": _REQUIRED, "mean_tolerance": None}),
+        **_REPLICA_PARAMS, "seeds": None, "delta": _REQUIRED, "mean_tolerance": None},
+        lambda params: _flip_count(params["n"], params["delta"])),
     "density": _ExperimentKind(True, _density_row, _density_summary, {
         **_REPLICA_PARAMS, "seeds": None, "level": _REQUIRED,
         "tree_samples": DEFAULT_TREE_SAMPLES, "sigma_tolerance": 3.0}),

@@ -16,18 +16,29 @@ from .group_model import UniformHom
 
 
 class Coloring:
-    """A 0/1 coloring of vertices 0..n-1, immutable."""
+    """A 0/1 coloring of vertices 0..n-1, immutable.
 
-    __slots__ = ("bits",)
+    Every entry must equal 0 or 1 (bools and numpy integers do; 0.9 and 2
+    do not) and is stored as a Python int in ``bits``. The colors as a
+    read-only intp array are built by _coloring_array on first read and
+    kept in ``_colors``, so a coloring read by several calls is converted
+    once. A copy or a pickle is rebuilt from ``bits`` and carries no array.
+    """
+
+    __slots__ = ("bits", "_colors")
 
     def __init__(self, bits):
-        bits = tuple(map(int, bits))
+        bits = tuple(bits)
         if not {0, 1}.issuperset(bits):
             raise ValueError("coloring entries must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "bits", tuple(map(int, bits)))
+        object.__setattr__(self, "_colors", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Coloring is immutable")
+
+    def __reduce__(self):
+        return Coloring, (self.bits,)
 
     @classmethod
     def from_string(cls, s):
@@ -69,16 +80,22 @@ class Coloring:
 
 
 def _coloring_array(coloring, n):
-    """The colors of vertices 0..n-1 as an integer array of 0s and 1s."""
+    """The colors of vertices 0..n-1 as a read-only intp array of 0s and 1s.
+
+    A Coloring's array is built on its first read and kept on it; any other
+    sequence is checked entry by entry as a Coloring is, every call.
+    """
     if len(coloring) != n:
         raise ValueError(
             "coloring has %d entries for %d vertices" % (len(coloring), n)
         )
-    colors = np.fromiter(coloring, dtype=np.intp, count=n)
-    # a shift by one leaves 0 and 1 zero and every other entry nonzero
-    if (colors >> 1).any():
-        raise ValueError("coloring entries must be 0 or 1")
-    return colors
+    if not isinstance(coloring, Coloring):
+        coloring = Coloring(coloring)
+    if coloring._colors is None:
+        colors = np.array(coloring.bits, dtype=np.intp)
+        colors.flags.writeable = False
+        object.__setattr__(coloring, "_colors", colors)
+    return coloring._colors
 
 
 @dataclass(frozen=True, eq=False)

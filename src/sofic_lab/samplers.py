@@ -157,6 +157,12 @@ def _typed_blocks(ones, zeros, match, counts):
     Type counts[i] = (c_1..c_{k-1}) cuts the shuffled classes ones[i] and
     zeros[i] in type order into c_j blocks of j ones and of k-j zeros; the
     r-th ones block takes zeros block match[i, r] - i*m. Reads no stream.
+    Together the classes hold every flat id below d*n once.
+
+    No row is sorted: every flat vertex gets its block's number by two
+    scatters, one stable argsort of those numbers lists each block's
+    members in ascending order, and the blocks are read in order of their
+    least vertex, the first of each block met in vertex order.
     """
     k = counts.shape[1] + 1
     need = counts.dot(np.arange(1, k)), counts.dot(np.arange(k - 1, 0, -1))
@@ -164,21 +170,17 @@ def _typed_blocks(ones, zeros, match, counts):
     if bad.any():
         raise ValueError("type is infeasible for this coloring: needs %d ones and %d zeros"
                          % (need[0][bad.argmax()], need[1][bad.argmax()]))
-    # run r of ones fills block r from slot 0, run r of zeros block inverse[r]
+    # zeros run r fills block r, and ones run r block match[r]; numbered so,
+    # the blocks fit in the fewest bytes, where numpy's stable sort is a radix sort
     rows = match.size
     width = np.repeat(np.arange(counts.size) % (k - 1) + 1, counts.ravel())
-    ones_at = np.cumsum(width) - width
-    zeros_at = k * np.arange(rows) - ones_at
-    inverse = np.empty(rows, dtype=np.intp)
-    inverse[match.ravel()] = np.arange(rows)
-    blocks = np.empty(rows * k, dtype=np.intp)
-    blocks[np.arange(ones.size) + np.repeat(zeros_at, width)] = ones.ravel()
-    zero_slots = np.repeat(k * inverse + width - zeros_at, k - width)
-    blocks[np.arange(zeros.size) + zero_slots] = zeros.ravel()
-    # the values are distinct, so any sort kind gives this order; the stable
-    # kind pages in less code on first use (0.1 MB of peak RSS, not 0.5, x86-64)
-    blocks = np.sort(blocks.reshape(rows, k), axis=1, kind="stable")
-    return blocks.take(np.argsort(blocks[:, 0], kind="stable"), axis=0).reshape(*match.shape, k)
+    block = np.empty(rows * k, dtype=np.min_scalar_type(rows))
+    block[ones.ravel()] = np.repeat(match.ravel(), width)
+    block[zeros.ravel()] = np.repeat(np.arange(rows), k - width)
+    members = np.argsort(block, kind="stable").reshape(rows, k)
+    leader = np.zeros(rows * k, dtype=bool)
+    leader[members[:, 0]] = True
+    return members.take(block[leader], axis=0).reshape(*match.shape, k)
 
 
 def _monochromatic_orbit_count(orbits, chi):

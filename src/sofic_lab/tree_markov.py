@@ -320,7 +320,7 @@ def _pullback_windows(hom, coloring, domain):
         )
     colors = _coloring_array(coloring, params.n)
     inverses = [word_inverse(params, g) for g in domain.elements]
-    vertices = np.stack(_word_arrays(hom, inverses))
+    vertices = _word_arrays(hom, inverses)
     return vertices, colors[vertices]
 
 
@@ -330,22 +330,34 @@ def local_pattern_census(hom, coloring, domain):
     Improper pullbacks are counted in one bucket (their patterns are not
     kept); non-injective windows are tallied separately and can be proper.
     Windows are grouped by one code per column, the column's bits packed
-    into bytes, so equal codes are equal colorings (_coloring_array has
-    checked that every entry is 0 or 1). The distinct windows, in order of
-    first appearance, are tested for properness in one array pass.
+    into bytes and padded to whole uint64 words, so equal codes are equal
+    colorings (_coloring_array has checked that every entry is 0 or 1).
+    One stable lexsort of the codes puts equal ones together, each run in
+    column order, so a run's first column is its window's first
+    appearance. The distinct windows, in that order, are tested for
+    properness in one array pass.
     """
+    n = hom.params.n
     vertices, colors = _pullback_windows(hom, coloring, domain)
     ordered = np.sort(vertices, axis=0)
     noninjective = int(np.count_nonzero((ordered[1:] == ordered[:-1]).any(axis=0)))
     packed = np.packbits(colors.astype(np.uint8), axis=0)
-    codes = np.ascontiguousarray(packed.T).view(np.dtype((np.void, packed.shape[0])))
-    _, first, tallies = np.unique(codes.ravel(), return_index=True, return_counts=True)
-    order = np.argsort(first)
-    windows = colors[:, first[order]]
-    tallies = tallies[order]
+    codes = np.zeros((n, -(-len(packed) // 8) * 8), dtype=np.uint8)
+    codes[:, : len(packed)] = packed.T
+    codes = codes.view(np.uint64)
+    order = np.lexsort(codes.T)
+    codes = codes[order]
+    # the run bounds: every start of a run of equal codes, then n
+    bounds = np.ones(n + 1, dtype=bool)
+    bounds[1:n] = (codes[1:] != codes[:-1]).any(axis=1)
+    bounds = np.flatnonzero(bounds)
+    first = order[bounds[:-1]]
+    by_first = np.argsort(first)
+    windows = colors[:, first[by_first]]
+    tallies = (bounds[1:] - bounds[:-1])[by_first]
     proper = _proper_columns(domain, windows)
     return PatternCensus(
-        n=hom.params.n,
+        n=n,
         counts=dict(zip(map(tuple, windows[:, proper].T.tolist()), tallies[proper].tolist())),
         improper_count=int(tallies[~proper].sum()),
         noninjective_count=noninjective,

@@ -455,6 +455,23 @@ def test_check_sofic_matches_per_vertex_oracle(d, k, n):
                 assert type(report.trace_fraction.numerator) is int
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_check_sofic_word_plan_matches_oracle_across_calls(k):
+    # the word plan is kept per (params, words): (0, 2) squared is (0, 1) at
+    # k = 3 but (0, 4) is the identity at k = 4, so a plan shared between
+    # the two shapes would compose the wrong product; two word sets
+    # alternate, each given as a list and as a tuple
+    params = ModelParams(d=2, k=k, n=60)
+    hom = random_uniform_images(params, random.Random(k))
+    sets = [generator_words(params) + [((0, 2),)],
+            [((0, 2),), IDENTITY] + generator_pair_words(params)]
+    for _ in range(2):
+        for words in sets:
+            expected = check_sofic_per_vertex_oracle(hom, words, Fraction(1, 10))
+            for given in (list(words), tuple(words)):
+                assert _report_tuple(check_sofic(hom, given, Fraction(1, 10))) == expected
+
+
 def test_check_sofic_matches_oracle_when_s1_s2_is_identity():
     p = ModelParams(d=2, k=2, n=4)
     hom = hom_from_cycles(p, [[(0, 1), (2, 3)], [(1, 0), (3, 2)]])

@@ -830,6 +830,27 @@ def test_planted_distance_experiment_refuses_delta_outside_the_unit_interval(del
         ExperimentConfig("planted-distance", params, "pd")
 
 
+@pytest.mark.parametrize("delta,message", [
+    ("1/5", "delta=1/5 is not a flip count at scale n=6"),
+    ("1/6", "equitable pairs need an even flip count, got 1"),
+])
+def test_planted_distance_experiment_refuses_delta_that_is_no_even_flip_count(
+        tmp_path, capsys, delta, message):
+    # planted-distance reads delta as a flip count at n, so the config is
+    # refused before any replica; otherwise every replica fails on it
+    params = {"n": 6, "k": 3, "d": 2, "delta": delta, "replicas": 3}
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig("planted-distance", params, str(tmp_path / "pd"))
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(
+        {"kind": "planted-distance", "params": params, "output": str(tmp_path / "pd")}))
+    assert cli_dispatch(["experiment", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_local_convergence_experiment(tmp_path):
     config = ExperimentConfig(
         "local-convergence",

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from sofic_lab.analytics import bichromatic_pair_types, type_rate
 from sofic_lab.group_model import ModelParams
 from sofic_lab.hypergraph import (
     Coloring,
+    _coloring_array,
     build_hypergraph,
     critical_edges,
     generator_type,
@@ -273,3 +276,38 @@ def test_coloring_basics():
     assert mixed.bits == (1, 0, 1) and all(type(b) is int for b in mixed.bits)
     with pytest.raises(AttributeError):
         c.bits = (1,)
+
+
+def test_coloring_refuses_entries_not_equal_to_0_or_1():
+    # an entry is compared with 0 and 1, not truncated to an int first
+    for bad in ([0.9, 1], [0, 1.5], [0, "1"]):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            Coloring(bad)
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            _coloring_array(bad, 2)
+    assert Coloring([1.0, np.float64(0.0)]).bits == (1, 0)
+    assert _coloring_array([True, np.uint8(0)], 2).tolist() == [1, 0]
+
+
+def test_coloring_array_is_built_once_and_read_only():
+    chi = Coloring.from_string("0110")
+    colors = _coloring_array(chi, 4)
+    assert colors.dtype == np.intp and colors.tolist() == [0, 1, 1, 0]
+    assert _coloring_array(chi, 4) is colors
+    with pytest.raises(ValueError):
+        colors[0] = 1
+    with pytest.raises(ValueError, match="3 vertices"):
+        _coloring_array(chi, 3)
+    # a sequence that is not a Coloring is checked again on every call
+    assert _coloring_array([0, 1], 2) is not _coloring_array([0, 1], 2)
+
+
+def test_coloring_copies_and_pickles_through_its_constructor():
+    chi = Coloring.from_string("0011")
+    cached = _coloring_array(chi, 4)
+    for twin in (copy.copy(chi), copy.deepcopy(chi), pickle.loads(pickle.dumps(chi))):
+        assert twin == chi and hash(twin) == hash(chi) and twin is not chi
+        assert twin.bits == (0, 0, 1, 1)
+        colors = _coloring_array(twin, 4)
+        assert colors is not cached and colors.tolist() == cached.tolist()
+        assert not colors.flags.writeable

@@ -139,6 +139,37 @@ def test_only_build_hypergraph_builds_a_hypergraph():
     assert found == []
 
 
+def _converts_a_coloring(node):
+    """A call np.fromiter, np.array or np.asarray of a name chi or coloring,
+    or of a .bits attribute."""
+    func = getattr(node, "func", None)
+    if not (isinstance(func, ast.Attribute) and func.attr in ("fromiter", "array", "asarray")
+            and isinstance(func.value, ast.Name) and func.value.id == "np" and node.args):
+        return False
+    arg = node.args[0]
+    return ((isinstance(arg, ast.Name) and arg.id in ("chi", "coloring"))
+            or (isinstance(arg, ast.Attribute) and arg.attr == "bits"))
+
+
+def test_only_the_coloring_array_converts_a_coloring():
+    # hypergraph._coloring_array checks every entry of a coloring that is not
+    # a Coloring, and builds a Coloring's array once and keeps it on it; a
+    # module that converts a coloring itself skips the check or rebuilds the
+    # array on every call
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = set()
+        if path.name == "hypergraph.py":
+            reader = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                          and node.name == "_coloring_array")
+            inside = {id(sub) for sub in ast.walk(reader)}
+        found += ["%s:%d %s" % (path.name, node.lineno, ast.unparse(node))
+                  for node in ast.walk(tree)
+                  if _converts_a_coloring(node) and id(node) not in inside]
+    assert found == []
+
+
 def _is_kind(node):
     return ((isinstance(node, ast.Name) and node.id == "kind")
             or (isinstance(node, ast.Attribute) and node.attr == "kind"))
