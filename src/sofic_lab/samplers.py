@@ -170,8 +170,9 @@ def _typed_blocks(ones, zeros, match, counts):
     if bad.any():
         raise ValueError("type is infeasible for this coloring: needs %d ones and %d zeros"
                          % (need[0][bad.argmax()], need[1][bad.argmax()]))
-    # zeros run r fills block r, and ones run r block match[r]; numbered so,
-    # the blocks fit in the fewest bytes, where numpy's stable sort is a radix sort
+    # zeros run r fills block r and ones run r block match[r]; the block
+    # numbers are held in the fewest bytes, where numpy's stable sort is a
+    # radix sort
     rows = match.size
     width = np.repeat(np.arange(counts.size) % (k - 1) + 1, counts.ravel())
     block = np.empty(rows * k, dtype=np.min_scalar_type(rows))
